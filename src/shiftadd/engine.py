@@ -18,7 +18,7 @@ import numpy as np
 from .codebooks import mailman_apply
 from .errors import DimensionError, EngineError
 from .plan import CostReport, DecompositionPlan
-from .pot import DYADIC_ZERO, Dyadic, pow2_round_array
+from .pot import DYADIC_ZERO, Dyadic, align, pow2_round_array
 from .pow2matrix import Pow2Matrix
 
 
@@ -123,14 +123,7 @@ def _accumulation_counts(term_counts: np.ndarray) -> tuple[int, int]:
 def _int_matvec(m_int: np.ndarray, x: list[Dyadic],
                 scale_exp: int) -> list[Dyadic]:
     """Exact ``(m_int @ x) * 2**scale_exp`` for an integer matrix."""
-    if x:
-        e_base = min(v.exponent for v in x if not v.is_zero()) \
-            if any(x) else 0
-        aligned = [v.mantissa << (v.exponent - e_base) if not v.is_zero()
-                   else 0 for v in x]
-    else:
-        e_base, aligned = 0, []
-
+    aligned, e_base = align(x)
     max_m = int(np.max(np.abs(m_int), initial=0))
     max_a = max((abs(a) for a in aligned), default=0)
     width = max_m.bit_length() + max_a.bit_length() + \
@@ -215,18 +208,8 @@ def csd_baseline_apply(target, c_per_entry: int, x,
     shifts = int(np.sum(terms))
     sign_changes = int(np.sum(negative))
 
-    n_rows, n_cols = tgt.shape
-    y = []
-    for n in range(n_rows):
-        acc = DYADIC_ZERO
-        for k in range(n_cols):
-            a = approx[n, k]
-            if a == 0.0 or x[k].is_zero():
-                continue
-            m, e = math.frexp(a)
-            am, ae = int(math.ldexp(m, 53)), e - 53
-            acc = acc + Dyadic(am * x[k].mantissa, ae + x[k].exponent)
-        y.append(acc)
+    ints, e = align([Dyadic.from_float(a) for a in approx.ravel().tolist()])
+    y = _int_matvec(np.array(ints, dtype=object).reshape(tgt.shape), x, e)
 
     entries = tgt.size
     report = CostReport(additions, shifts, sign_changes,

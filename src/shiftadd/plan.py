@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebooks import CodebookDescriptor, mailman_dense
+from .codebooks import CodebookDescriptor
 from .errors import DimensionError, PlanFormatError, PlanVersionError
+from .pot import Dyadic, align
 from .pow2matrix import Pow2Matrix
 
 PLAN_FORMAT = "shiftadd-plan"
@@ -172,98 +173,46 @@ def target_digest(target: np.ndarray) -> str:
 # reconstruction
 # ---------------------------------------------------------------------------
 
-def _dyadic_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    ma, ea = a
-    mb, eb = b
-    if ma == 0:
-        return b
-    if mb == 0:
-        return a
-    if ea <= eb:
-        return ma + (mb << (eb - ea)), ea
-    return (ma << (ea - eb)) + mb, eb
-
-
-def _float_to_dyadic(x: float) -> tuple[int, int]:
-    m, e = math.frexp(x)
-    return int(math.ldexp(m, 53)), e - 53
-
-
-def _dyadic_to_float(d: tuple[int, int]) -> float:
-    return math.ldexp(float(d[0]), d[1])
-
-
 def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     """Exact dyadic reconstruction, one ``(mantissa, exponent)`` per entry.
 
-    Propagates unit columns through the stage chain right-to-left, then
-    through the codebook factors, using integer arithmetic only.  Returned
-    as a list of ``n_cols`` columns of length ``n_rows``.
+    Pushes each of the ``n_rows`` rows of the codebook forward through the
+    stage chain ``W_1 ... W_L`` in integer arithmetic.  A row is a list of
+    Python ints with one shared exponent; a stage scales every term by at
+    least ``2**stage_min_exp``, so multiplying by it shifts each term by
+    ``exp - stage_min_exp`` and adds ``stage_min_exp`` to the exponent.
+    Codebooks with stored factors start from the rows of their leading
+    ``[I 0]`` selector (the identity for two-sparse) and push them through
+    the factors first; mailman and Gaussian codebooks start from the exact
+    values of their dense matrix.  Returned as a list of ``n_cols`` columns
+    of length ``n_rows``, zeros as ``(0, 0)``.
     """
-    k_count = plan.n_cols
-
-    stage_cols = []
-    for stage in plan.stages:
-        stage_cols.append([tuple((i, c.sign, c.exponent) for i, c in col)
-                           for col in stage.columns])
-
     cb = plan.codebook
-    if cb.kind == "mailman":
-        dense_cb = mailman_dense(plan.n_rows)
-        cb_cols = None
-    elif cb.kind == "gaussian":
-        dense_cb = cb.dense()
-        cb_cols = None
+    if cb.factors:
+        width = cb.factors[0].rows
+        rows = [([0] * n + [1] + [0] * (width - n - 1), 0)
+                for n in range(plan.n_rows)]
+        chain = cb.factors + plan.stages
     else:
-        dense_cb = None
-        cb_cols = [[tuple((i, c.sign, c.exponent) for i, c in col)
-                    for col in f.columns] for f in cb.factors]
-
-    out_columns = []
-    for k in range(k_count):
-        vec: dict[int, tuple[int, int]] = {k: (1, 0)}
-        for cols in reversed(stage_cols):
-            vec = _propagate(vec, cols)
-        if cb_cols is not None:
-            for cols in reversed(cb_cols):
-                vec = _propagate(vec, cols)
-            column = [vec.get(i, (0, 0)) for i in range(plan.n_rows)]
-        else:
-            column = []
-            for n in range(plan.n_rows):
-                acc = (0, 0)
-                for j, v in vec.items():
-                    b = dense_cb[n, j]
-                    if b == 0.0:
-                        continue
-                    mb, eb = _float_to_dyadic(b)
-                    acc = _dyadic_add(acc, (v[0] * mb, v[1] + eb))
-                column.append(acc)
-        out_columns.append(column)
-    return out_columns
-
-
-def _propagate(vec: dict[int, tuple[int, int]],
-               stage_cols) -> dict[int, tuple[int, int]]:
-    out: dict[int, tuple[int, int]] = {}
-    for j, (m, e) in vec.items():
-        if m == 0:
-            continue
-        for i, sign, exp in stage_cols[j]:
-            term = (m if sign > 0 else -m, e + exp)
-            prev = out.get(i)
-            out[i] = term if prev is None else _dyadic_add(prev, term)
-    return out
+        rows = [align([Dyadic.from_float(v) for v in row])
+                for row in cb.dense().tolist()]
+        chain = plan.stages
+    for stage in chain:
+        shift = min((c.exponent for col in stage.columns for _, c in col),
+                    default=0)
+        terms = [[(i, c.sign << (c.exponent - shift)) for i, c in col]
+                 for col in stage.columns]
+        rows = [([sum(r[i] * f for i, f in col) for col in terms], e + shift)
+                for r, e in rows]
+    return [[(r[k], e) if r[k] else (0, 0) for r, e in rows]
+            for k in range(plan.n_cols)]
 
 
 def reconstruct(plan: DecompositionPlan) -> np.ndarray:
     """``B @ W_1 @ ... @ W_L`` evaluated exactly, then rounded to float64."""
     cols = reconstruct_exact(plan)
-    out = np.zeros((plan.n_rows, plan.n_cols))
-    for k, col in enumerate(cols):
-        for n, d in enumerate(col):
-            out[n, k] = _dyadic_to_float(d)
-    return out
+    return np.array([[Dyadic(*col[n]).to_float() for col in cols]
+                     for n in range(plan.n_rows)], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

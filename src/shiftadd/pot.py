@@ -267,8 +267,19 @@ class Dyadic:
         return Fraction(self.mantissa, 1 << -self.exponent)
 
     def to_float(self) -> float:
-        # float(int) rounds half-even once; ldexp only scales.
-        return math.ldexp(float(self.mantissa), self.exponent)
+        """The value rounded once, half-even, to float64.
+
+        Holds for any mantissa width; raises ``OverflowError`` only when the
+        value itself is beyond the float64 range.
+        """
+        m, e = self.mantissa, self.exponent
+        if e >= 0:
+            # float(m) rounds once; ldexp only scales.
+            return math.ldexp(float(m), e)
+        if m.bit_length() + e < -1075:
+            # below half the smallest subnormal: skip building 1 << -e
+            return -0.0 if m < 0 else 0.0
+        return m / (1 << -e)  # int true division rounds correctly
 
     def is_zero(self) -> bool:
         return self.mantissa == 0
@@ -317,3 +328,14 @@ class Dyadic:
 
 
 DYADIC_ZERO = Dyadic(0, 0)
+
+
+def align(values: list[Dyadic]) -> tuple[list[int], int]:
+    """Write dyadics over one shared exponent: ``(ints, e)`` with
+    ``values[i] == ints[i] * 2**e``.
+
+    ``e`` is the smallest exponent of a nonzero value, or 0 if there is none.
+    """
+    e = min((v.exponent for v in values if v.mantissa), default=0)
+    return [v.mantissa << (v.exponent - e) if v.mantissa else 0
+            for v in values], e

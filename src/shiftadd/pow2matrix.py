@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-from .pot import SignedPow2
+from .errors import DimensionError, PlanFormatError
+from .pot import EXP_MAX, EXP_MIN, SignedPow2
 
 Column = tuple[tuple[int, SignedPow2], ...]
 
@@ -63,10 +63,22 @@ class Pow2Matrix:
 
     @classmethod
     def from_records(cls, rows: int, records) -> "Pow2Matrix":
+        """Inverse of ``to_records``.
+
+        Exponents outside ``[EXP_MIN, EXP_MAX]`` raise ``PlanFormatError``:
+        every fitted stage lies in that range, and the bound caps the shifts
+        exact evaluation performs on an untrusted plan.
+        """
         cols = []
         for col in records:
-            cols.append(tuple((int(i), SignedPow2(int(s), int(e)))
-                              for i, s, e in col))
+            entries = []
+            for i, s, e in col:
+                e = int(e)
+                if not EXP_MIN <= e <= EXP_MAX:
+                    raise PlanFormatError(
+                        f"exponent {e} outside [{EXP_MIN}, {EXP_MAX}]")
+                entries.append((int(i), SignedPow2(int(s), e)))
+            cols.append(tuple(entries))
         return cls(rows, len(cols), tuple(cols))
 
 

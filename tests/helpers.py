@@ -64,6 +64,18 @@ def synthetic_plan(rng, max_cols=16, max_stages=4):
     return sa.DecompositionPlan(n, k, codebook, tuple(stages))
 
 
+def wide_mantissa_plan():
+    """A 2x4 mailman plan of ten equal stages holding ``2**60`` and
+    ``2**-64`` in every column: its exact entries fit float64 but carry
+    mantissas wider than 1024 bits."""
+    cols = tuple(tuple(sorted([(k, sa.SignedPow2(1, 60)),
+                               ((k + 1) % 4, sa.SignedPow2(1, -64))]))
+                 for k in range(4))
+    stage = sa.Pow2Matrix(4, 4, cols)
+    return sa.DecompositionPlan(2, 4, sa.make_codebook("mailman", 2, 4),
+                                (stage,) * 10)
+
+
 def exact_matvec(plan, x):
     """Reference ``reconstruct(plan) @ x`` in exact dyadic arithmetic."""
     cols = reconstruct_exact(plan)

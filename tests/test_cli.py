@@ -9,6 +9,8 @@ import shiftadd as sa
 from shiftadd import matio
 from shiftadd.cli import main
 
+from helpers import exact_matvec, wide_mantissa_plan
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -114,6 +116,36 @@ class TestDecomposeApply:
         code, _, err = run(capsys, "apply", "--plan", str(plan_path),
                            "--vector", str(vec))
         assert code == 3
+
+    def test_out_of_range_exponent_exits_before_arithmetic(self, tmp_path,
+                                                           capsys):
+        cb = sa.make_codebook("mailman", 2, 4)
+        stage = sa.Pow2Matrix(4, 4, tuple(((k, sa.SignedPow2(1, 0)),)
+                                          for k in range(4)))
+        doc = json.loads(sa.serialize(sa.DecompositionPlan(2, 4, cb,
+                                                           (stage,))))
+        doc["stages"][0][0][0][2] = 100000
+        plan_path = tmp_path / "p.json"
+        plan_path.write_text(json.dumps(doc))
+        vec = tmp_path / "x.csv"
+        vec.write_text("1,0\n" * 4)
+        code, _, err = run(capsys, "apply", "--plan", str(plan_path),
+                           "--vector", str(vec))
+        assert code == 3
+        assert "exponent 100000" in err
+
+    def test_apply_prints_outputs_with_wide_mantissas(self, tmp_path, capsys):
+        plan = wide_mantissa_plan()
+        plan_path = tmp_path / "p.json"
+        plan_path.write_bytes(sa.serialize(plan))
+        vec = tmp_path / "x.csv"
+        vec.write_text("1,0\n" * 4)
+        code, out, _ = run(capsys, "apply", "--plan", str(plan_path),
+                           "--vector", str(vec))
+        assert code == 0
+        printed = [float(line.split(",")[2]) for line in out.splitlines()]
+        exact = exact_matvec(plan, [sa.Dyadic(1)] * 4)
+        assert printed == [float(v.to_fraction()) for v in exact]
 
 
 class TestBench:

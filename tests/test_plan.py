@@ -12,7 +12,7 @@ from shiftadd.plan import reconstruct_exact
 from shiftadd.pot import SignedPow2
 from shiftadd.pow2matrix import Pow2Matrix
 
-from helpers import random_plan
+from helpers import random_plan, synthetic_plan, wide_mantissa_plan
 
 
 class TestThreshold:
@@ -51,8 +51,15 @@ class TestReconstruct:
 
     def test_exact_against_fraction_oracle(self):
         rng = np.random.default_rng(400)
-        for _ in range(10):
-            plan, _ = random_plan(rng, max_cols=16, max_stages=3)
+        plans = [random_plan(rng, max_cols=16, max_stages=3)[0]
+                 for _ in range(10)]
+        # float codebook rows as the starting point of row propagation
+        gauss = sa.make_codebook("gaussian", 3, 8, seed=5)
+        plans.append(sa.decompose(rng.standard_normal((3, 8)), gauss,
+                                  sa.StageSchedule.fixed([1, 2])))
+        # stage exponents from -40 to 40
+        plans += [synthetic_plan(rng) for _ in range(10)]
+        for plan in plans:
             cols = reconstruct_exact(plan)
             # independent oracle: dense Fraction chain product
             dense = [[Fraction(float(v)) for v in row]
@@ -66,6 +73,14 @@ class TestReconstruct:
                 for n in range(plan.n_rows):
                     m, e = cols[k][n]
                     assert Fraction(m) * Fraction(2) ** e == dense[n][k]
+
+    def test_wide_mantissas_round_correctly(self):
+        plan = wide_mantissa_plan()
+        cols = reconstruct_exact(plan)
+        assert max(m.bit_length() for col in cols for m, _ in col) > 1024
+        expect = [[float(Fraction(m) * Fraction(2) ** e) for m, e in col]
+                  for col in cols]
+        assert sa.reconstruct(plan).T.tolist() == expect
 
     def test_float_view_matches_fit_tracking(self):
         rng = np.random.default_rng(401)
@@ -124,6 +139,19 @@ class TestDistortion:
         rep = sa.distortion(plan, rec)
         assert rep.rel_error == 0.0 and rep.db == -math.inf
         assert rep.achieved_bits == math.inf
+
+    def test_exact_error_meets_fit_gate_at_32_bits(self):
+        # the fit gate reads the float-tracked error; the exact one agrees
+        rng = np.random.default_rng(410)
+        thr = sa.threshold(32)
+        for shape, schedule in (
+                ((4, 32), sa.StageSchedule.fixed([1], target_bits=32)),
+                ((3, 64), sa.StageSchedule.adaptive(32, max_stages=256))):
+            tgt = rng.standard_normal(shape)
+            cb = sa.make_codebook("self-designing", *shape, target=tgt)
+            plan = sa.decompose(tgt, cb, schedule)
+            assert plan.metadata["fit_rel_error"] <= thr
+            assert sa.distortion(plan, tgt).rel_error <= thr
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(405)

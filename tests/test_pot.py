@@ -200,6 +200,15 @@ class TestDyadic:
             x = float(x)
             assert sa.Dyadic.from_float(x).to_float() == x
         assert sa.Dyadic.from_float(0.0).is_zero()
+        # correctly rounded at any mantissa width, down to subnormals
+        for m, e in [(3 ** 700, -1200), (-(3 ** 700) - 1, -1000),
+                     (2 ** 1100 + 1, -1100), (5, -1075), (3, -1075)]:
+            assert sa.Dyadic(m, e).to_float() == \
+                float(Fraction(m) * Fraction(2) ** e)
+        assert math.copysign(1.0, sa.Dyadic(-1, -10 ** 9).to_float()) == -1.0
+        assert sa.Dyadic(1, -10 ** 9).to_float() == 0.0
+        with pytest.raises(OverflowError):
+            sa.Dyadic(1, 1024).to_float()
 
     def test_from_fraction(self):
         assert sa.Dyadic.from_fraction(Fraction(3, 8)) == sa.Dyadic(3, -3)
