@@ -5,6 +5,9 @@ little-endian float64 with a 16-byte header ``{magic, rows, cols}``.
 Vectors for the exact engine are CSV with either one decimal per line
 (which must have a power-of-two denominator, e.g. ``0.375``) or two integer
 columns ``mantissa,exponent``; outputs add a third, rounded decimal column.
+Every entry's exponent, with the mantissa made odd, must lie in
+``[VECTOR_EXP_MIN, VECTOR_EXP_MAX]``, the range of float64 values: the
+engine's exact additions otherwise build integers as wide as the exponent.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from .errors import MatrixFormatError
 from .pot import Dyadic
 
 MATRIX_MAGIC = b"SApw2mat"
+VECTOR_EXP_MIN = -1074
+VECTOR_EXP_MAX = 1023
 _HEADER = struct.Struct("<8sII")
 
 
@@ -103,11 +108,16 @@ def load_vector(path) -> list[Dyadic]:
             parts = [p.strip() for p in line.split(",") if p.strip()]
             try:
                 if len(parts) == 1:
-                    out.append(parse_exact_decimal(parts[0]))
+                    v = parse_exact_decimal(parts[0])
                 elif len(parts) >= 2:
-                    out.append(Dyadic(int(parts[0]), int(parts[1])))
+                    v = Dyadic(int(parts[0]), int(parts[1]))
                 else:
                     raise MatrixFormatError("empty record")
+                if not VECTOR_EXP_MIN <= v.exponent <= VECTOR_EXP_MAX:
+                    raise MatrixFormatError(
+                        f"exponent {v.exponent} outside [{VECTOR_EXP_MIN}, "
+                        f"{VECTOR_EXP_MAX}], the range of float64 values")
+                out.append(v)
             except (ValueError, MatrixFormatError) as exc:
                 raise MatrixFormatError(
                     f"{path}:{line_no}: bad vector entry {line!r}: {exc}") \

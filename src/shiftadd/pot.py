@@ -83,16 +83,43 @@ def quantize_pow2(x: float, e_min: int | None = EXP_MIN,
     return SignedPow2(1 if x > 0 else -1, exp, clamped)
 
 
+_MIN_NORMAL = 2.0 ** -1022
+_HALF_MANTISSA = 1 << 51
+_EXPONENT_FIELD = 0x7FF << 52
+
+
+def _pow2_bound(e: int | None) -> float | None:
+    if e is None:
+        return None
+    return math.inf if e > 1023 else math.ldexp(1.0, e)
+
+
 def pow2_round_array(x: np.ndarray, e_min: int | None = EXP_MIN,
                      e_max: int | None = EXP_MAX) -> np.ndarray:
-    """Vectorized ``quantize_pow2`` returning float values (0 where x == 0)."""
+    """Vectorized ``quantize_pow2`` returning float values (0 where x == 0).
+
+    Equal to ``quantize_pow2`` on every finite input.  It rounds on the
+    float64 bit pattern: adding ``2**51`` to the bits of ``|x|`` carries
+    into the exponent field exactly when the mantissa is at least 1.5, and
+    masking off the mantissa leaves the power of two.  Subnormals are first
+    scaled up by an exact ``2**64`` and scaled back afterwards.
+    """
     x = np.asarray(x, dtype=np.float64)
-    m, e = np.frexp(np.abs(x))
-    exp = np.where(m >= 0.75, e, e - 1)
+    val = np.abs(x, out=np.empty_like(x))
+    sub = val < _MIN_NORMAL
+    scale = bool(sub.any())
+    if scale:
+        val[sub] *= 2.0 ** 64
+    bits = val.view(np.int64)
+    bits += _HALF_MANTISSA
+    bits &= _EXPONENT_FIELD
+    if scale:
+        val[sub] *= 2.0 ** -64
     if e_min is not None or e_max is not None:
-        exp = np.clip(exp, e_min, e_max)
-    val = np.ldexp(np.ones_like(x), exp)
-    return np.where(x == 0.0, 0.0, np.copysign(val, x))
+        np.clip(val, _pow2_bound(e_min), _pow2_bound(e_max), out=val)
+    np.copysign(val, x, out=val)
+    val[x == 0.0] = 0.0
+    return val
 
 
 # ---------------------------------------------------------------------------

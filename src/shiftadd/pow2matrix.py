@@ -17,6 +17,11 @@ from .pot import EXP_MAX, EXP_MIN, SignedPow2
 
 Column = tuple[tuple[int, SignedPow2], ...]
 
+# Every coefficient a stage may hold, keyed by ``(sign, exponent)``: one
+# shared instance each instead of one object per stored entry.
+COEFFS = {(s, e): SignedPow2(s, e)
+          for s in (-1, 1) for e in range(EXP_MIN, EXP_MAX + 1)}
+
 
 @dataclass(frozen=True)
 class Pow2Matrix:
@@ -65,7 +70,8 @@ class Pow2Matrix:
     def from_records(cls, rows: int, records) -> "Pow2Matrix":
         """Inverse of ``to_records``.
 
-        Exponents outside ``[EXP_MIN, EXP_MAX]`` raise ``PlanFormatError``:
+        A coefficient that is not in ``COEFFS`` (a sign other than +-1, or an
+        exponent outside ``[EXP_MIN, EXP_MAX]``) raises ``PlanFormatError``:
         every fitted stage lies in that range, and the bound caps the shifts
         exact evaluation performs on an untrusted plan.
         """
@@ -73,11 +79,12 @@ class Pow2Matrix:
         for col in records:
             entries = []
             for i, s, e in col:
-                e = int(e)
-                if not EXP_MIN <= e <= EXP_MAX:
+                try:
+                    entries.append((int(i), COEFFS[s, e]))
+                except KeyError:
                     raise PlanFormatError(
-                        f"exponent {e} outside [{EXP_MIN}, {EXP_MAX}]")
-                entries.append((int(i), SignedPow2(int(s), e)))
+                        f"coefficient sign {s}, exponent {e} is not +-2**e "
+                        f"with e in [{EXP_MIN}, {EXP_MAX}]") from None
             cols.append(tuple(entries))
         return cls(rows, len(cols), tuple(cols))
 

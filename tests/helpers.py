@@ -8,6 +8,7 @@ import numpy as np
 
 import shiftadd as sa
 from shiftadd.plan import reconstruct_exact
+from shiftadd.pot import EXP_MAX, EXP_MIN
 
 
 def random_dyadic_vector(rng, length, mant_range=64, exp_range=6):
@@ -99,3 +100,47 @@ def fraction_matvec(matrix, x):
             acc += Fraction(float(a)) * v.to_fraction()
         out.append(acc)
     return out
+
+
+def greedy_fit_oracle(t, cb, max_steps, stop_sq=None):
+    """The greedy fit of one target column as a plain loop over steps:
+    the reference the blocked kernel in ``wiring`` must equal.
+
+    Returns ``(entries, residual_sq, trace)`` like ``FitResult``.
+    """
+    cb_t = np.ascontiguousarray(np.asarray(cb, dtype=np.float64).T)
+    norms = np.einsum("kn,kn->k", cb_t, cb_t)
+    k_count = cb_t.shape[0]
+    w = np.zeros(k_count)
+    r = np.asarray(t, dtype=np.float64).copy()
+    r_sq = float(r @ r)
+    usable = norms > 0.0
+    safe_norms = np.where(usable, norms, 1.0)
+    trace = []
+    for _ in range(max_steps):
+        if stop_sq is not None and r_sq <= stop_sq:
+            break
+        if r_sq == 0.0:
+            break
+        u = cb_t @ r
+        coeff = (u + w * norms) / safe_norms
+        m, e = np.frexp(np.abs(coeff))
+        exp = np.clip(np.where(m >= 0.75, e, e - 1), EXP_MIN, EXP_MAX)
+        v = np.where(coeff == 0.0, 0.0,
+                     np.copysign(np.ldexp(np.ones(k_count), exp), coeff))
+        delta = w - v
+        score = r_sq + delta * (2.0 * u + delta * norms)
+        score = np.where(usable, score, np.inf)
+        j = int(np.argmin(score))
+        if not score[j] < r_sq:
+            break
+        w[j] = v[j]
+        r += delta[j] * cb_t[j]
+        r_sq = float(r @ r)
+        trace.append(r_sq)
+    entries = []
+    for j in np.flatnonzero(w):
+        m, e = np.frexp(abs(w[j]))
+        entries.append((int(j), sa.SignedPow2(1 if w[j] > 0 else -1,
+                                              int(e) - 1)))
+    return tuple(entries), r_sq, tuple(trace)

@@ -134,6 +134,50 @@ class TestDecomposeApply:
         assert code == 3
         assert "exponent 100000" in err
 
+    @pytest.mark.parametrize("sign", [0, 2])
+    def test_bad_coefficient_sign_exits_3(self, tmp_path, capsys, sign):
+        cb = sa.make_codebook("mailman", 2, 4)
+        stage = sa.Pow2Matrix(4, 4, tuple(((k, sa.SignedPow2(1, 0)),)
+                                          for k in range(4)))
+        doc = json.loads(sa.serialize(sa.DecompositionPlan(2, 4, cb,
+                                                           (stage,))))
+        doc["stages"][0][1][0][1] = sign
+        plan_path = tmp_path / "p.json"
+        plan_path.write_text(json.dumps(doc))
+        vec = tmp_path / "x.csv"
+        vec.write_text("1,0\n" * 4)
+        code, _, err = run(capsys, "apply", "--plan", str(plan_path),
+                           "--vector", str(vec))
+        assert code == 3
+        assert f"sign {sign}" in err
+
+    def test_out_of_range_vector_exponent_exits_before_arithmetic(
+            self, tmp_path, capsys, monkeypatch):
+        plan_path = tmp_path / "p.json"
+        plan_path.write_bytes(sa.serialize(wide_mantissa_plan()))
+        vec = tmp_path / "x.csv"
+        vec.write_text("1,0\n1,-2000000\n1,0\n1,0\n")
+
+        def no_arithmetic(*args):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr("shiftadd.engine.apply", no_arithmetic)
+        code, _, err = run(capsys, "apply", "--plan", str(plan_path),
+                           "--vector", str(vec))
+        assert code == 3
+        assert "exponent -2000000" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1e300"])
+    def test_non_finite_or_overflowing_matrix_exits_4(self, tmp_path, capsys,
+                                                      bad):
+        mat = tmp_path / "m.csv"
+        mat.write_text(f"1,0.5,0.25,{bad}\n0.5,-1,2,0.125\n")
+        code, _, err = run(capsys, "decompose", "--matrix", str(mat),
+                           "--codebook", "mailman", "--bits", "8",
+                           "--out", str(tmp_path / "p.json"))
+        assert code == 4
+        assert "NaN or infinite" in err or "power of two" in err
+
     def test_apply_prints_outputs_with_wide_mantissas(self, tmp_path, capsys):
         plan = wide_mantissa_plan()
         plan_path = tmp_path / "p.json"

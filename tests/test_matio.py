@@ -61,6 +61,18 @@ class TestVectorFiles:
         path.write_text("# comment\n3,-3\n-5,2\n")
         assert matio.load_vector(path) == [sa.Dyadic(3, -3), sa.Dyadic(-5, 2)]
 
+    def test_exponent_bounded_to_float64_range(self, tmp_path):
+        path = tmp_path / "x.csv"
+        # exponents count after the mantissa is made odd: 2,-1075 is 2**-1074
+        path.write_text("1,-1074\n1,1023\n2,-1075\n0,-5000\n")
+        assert matio.load_vector(path) == [sa.Dyadic(1, -1074),
+                                           sa.Dyadic(1, 1023),
+                                           sa.Dyadic(1, -1074), sa.Dyadic(0)]
+        for entry in ("1,-1075", "3,1024", "1,-2000000", "2,1023"):
+            path.write_text(entry + "\n")
+            with pytest.raises(sa.MatrixFormatError, match="exponent"):
+                matio.load_vector(path)
+
     def test_inexact_decimal_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("0.1\n")

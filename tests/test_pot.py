@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import shiftadd as sa
 from shiftadd.pot import DYADIC_ZERO, pow2_round_array
@@ -48,6 +49,24 @@ class TestQuantizePow2:
         v = pow2_round_array(x)
         for xi, vi in zip(x, v):
             assert sa.quantize_pow2(float(xi)).value == vi
+
+    @pytest.mark.parametrize("bounds", [{}, {"e_min": None, "e_max": None}])
+    @given(x=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=1, max_size=8)
+           | st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                       2.0 ** -1022, 1.5 * 2.0 ** -1070,
+                                       1.5 * 2.0 ** 1023,
+                                       np.nextafter(1.5, 0.0)]),
+                      min_size=1, max_size=4))
+    def test_vectorized_equals_scalar_on_all_finite(self, bounds, x):
+        # subnormals, +-0 and the top binade included; an unclamped
+        # exponent of 1024 is inf in both
+        v = pow2_round_array(np.array(x), **bounds)
+        for xi, vi in zip(x, v):
+            q = sa.quantize_pow2(xi, **bounds)
+            with np.errstate(over="ignore"):
+                want = np.ldexp(float(q.sign), q.exponent)
+            assert vi == want and np.signbit(vi) == (q.sign < 0)
 
 
 class TestBinaryEncode:

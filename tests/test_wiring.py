@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 import shiftadd as sa
+from shiftadd import wiring
 from shiftadd.pot import SignedPow2
+from shiftadd.pow2matrix import advance_effective
+
+from helpers import greedy_fit_oracle
 
 
 class TestFitColumn:
@@ -203,3 +207,121 @@ class TestDecompose:
             sa.StageSchedule.fixed([-1])
         with pytest.raises(ValueError):
             sa.StageSchedule.adaptive(0)
+
+
+def _fits(fits):
+    return [(f.entries, f.residual_sq, f.trace) for f in fits]
+
+
+class TestBlockedKernel:
+    """The blocked kernel equals the per-column loop it replaced, in
+    entries, final residual and per-step trace."""
+
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 65])
+    def test_budgeted_fit_matches_oracle(self, m):
+        rng = np.random.default_rng(320 + m)
+        tgt = rng.standard_normal((5, m))
+        cb = rng.standard_normal((5, 24))
+        fits = wiring._fit_columns(tgt, cb, 3)
+        assert _fits(fits) == [greedy_fit_oracle(tgt[:, k], cb, 3)
+                               for k in range(m)]
+        stage = sa.fit_stage(tgt, cb, 2)
+        assert list(stage.columns) == [f.entries for f in fits]
+        for k in (0, m - 1):
+            fit = sa.fit_column(tgt[:, k], cb, 2)
+            assert (fit.entries, fit.residual_sq, fit.trace) == \
+                greedy_fit_oracle(tgt[:, k], cb, 3)
+
+    @pytest.mark.parametrize("m", [1, 33, 65])
+    def test_accuracy_driven_fit_matches_oracle(self, m):
+        rng = np.random.default_rng(330 + m)
+        tgt = rng.random((4, m))
+        cb = rng.standard_normal((4, 64))
+        rel = sa.threshold(12)
+        stop_sq = np.array([rel * float(t @ t) for t in tgt.T])
+        fits = wiring._fit_columns(tgt, cb, 96, stop_sq)
+        assert _fits(fits) == [greedy_fit_oracle(tgt[:, k], cb, 96,
+                                                 stop_sq[k])
+                               for k in range(m)]
+
+    def test_adaptive_decompose_matches_oracle(self):
+        rng = np.random.default_rng(335)
+        tgt = rng.random((4, 65))
+        codebook = sa.make_codebook("gaussian", 4, 65, seed=5)
+        cb = codebook.dense()
+        rel = sa.threshold(12)
+        plan = sa.decompose(tgt, codebook, sa.StageSchedule.adaptive(12, 96))
+        assert list(plan.stages[0].columns) == [
+            greedy_fit_oracle(t, cb, 96, rel * float(t @ t))[0]
+            for t in tgt.T]
+
+    def test_zero_codebook_columns(self):
+        # the [I 0] selector a self-designing codebook starts from
+        rng = np.random.default_rng(340)
+        tgt = rng.standard_normal((4, 40))
+        cb = np.zeros((4, 40))
+        cb[:, :4] = np.eye(4)
+        fits = wiring._fit_columns(tgt, cb, 4)
+        assert _fits(fits) == [greedy_fit_oracle(tgt[:, k], cb, 4)
+                               for k in range(40)]
+        assert all(j < 4 for f in fits for j, _ in f.entries)
+        empty = wiring._fit_columns(tgt, np.zeros((4, 8)), 4)
+        assert all(f.entries == () and f.trace == () for f in empty)
+
+    def test_duplicate_columns_tie_break(self):
+        rng = np.random.default_rng(341)
+        base = rng.standard_normal((3, 6))
+        cb = np.concatenate([base, base, base[:, ::-1]], axis=1)
+        tgt = rng.standard_normal((3, 33))
+        fits = wiring._fit_columns(tgt, cb, 4)
+        assert _fits(fits) == [greedy_fit_oracle(tgt[:, k], cb, 4)
+                               for k in range(33)]
+
+    def test_table1_chain_matches_oracle(self):
+        rng = np.random.default_rng(342)
+        tgt = rng.standard_normal((16, 256))
+        codebook = sa.make_codebook("self-designing", 16, 256, target=tgt,
+                                    aux="target")
+        plan = sa.decompose(tgt, codebook,
+                            sa.StageSchedule.fixed([1], target_bits=16,
+                                                   max_stages=96))
+        eff = codebook.dense()
+        for stage in plan.stages:
+            assert list(stage.columns) == [
+                greedy_fit_oracle(tgt[:, k], eff, 2)[0] for k in range(256)]
+            eff = advance_effective(eff, stage)
+        assert plan.n_stages > 20
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, bad):
+        rng = np.random.default_rng(350)
+        tgt = rng.standard_normal((4, 8))
+        cb = rng.standard_normal((4, 8))
+        poisoned = tgt.copy()
+        poisoned[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            sa.fit_stage(poisoned, cb, 1)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            sa.fit_stage(tgt, poisoned, 1)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            sa.fit_column(poisoned[:, 2], cb, 1)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            sa.fit_column(tgt[:, 2], poisoned, 1)
+        mailman = sa.make_codebook("mailman", 3, 8)
+        for schedule in (sa.StageSchedule.fixed([1], target_bits=8),
+                         sa.StageSchedule.adaptive(8)):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                sa.decompose(poisoned[:3], mailman, schedule)
+
+    def test_overflowing_norm_rejected(self):
+        rng = np.random.default_rng(351)
+        tgt = rng.standard_normal((3, 8)) * 1e300
+        mailman = sa.make_codebook("mailman", 3, 8)
+        with pytest.raises(ValueError, match="power of two"):
+            sa.decompose(tgt, mailman, sa.StageSchedule.fixed([1]))
+        with pytest.raises(ValueError, match="power of two"):
+            sa.fit_stage(tgt, mailman.dense(), 1)
+        with pytest.raises(ValueError, match="power of two"):
+            sa.fit_column(tgt[:, 0], mailman.dense(), 1)
