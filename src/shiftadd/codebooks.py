@@ -8,13 +8,15 @@ additions and bit shifts alone.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DimensionError
-from .pot import Dyadic, SignedPow2
+from .pot import SignedPow2
 from .pow2matrix import Column, Pow2Matrix, advance_effective
 
 KINDS = ("mailman", "two-sparse", "self-designing", "gaussian")
@@ -57,9 +59,11 @@ def mailman_additions(n_rows: int) -> int:
     return c
 
 
-def mailman_apply(n_rows: int, h) -> tuple[list[Dyadic], int]:
+def mailman_apply(n_rows: int, h) -> tuple[list, int]:
     """Multiply the mailman matrix by ``h`` exactly, returning the result
-    and the number of additions performed.
+    and the number of additions performed.  The entries of ``h`` may be
+    any exact numbers: the engine passes Python ints over one shared
+    exponent.
 
     Splits ``h`` into halves, recurses on their sum, and finishes the last
     output component by summing the second half; the count telescopes to
@@ -72,7 +76,7 @@ def mailman_apply(n_rows: int, h) -> tuple[list[Dyadic], int]:
             f"mailman with {n_rows} rows needs a vector of length "
             f"{1 << n_rows}, got {len(h)}")
 
-    def rec(n: int, vec: list[Dyadic]) -> tuple[list[Dyadic], int]:
+    def rec(n: int, vec: list) -> tuple[list, int]:
         if n == 1:
             return [vec[1]], 0
         half = len(vec) // 2
@@ -110,17 +114,16 @@ def two_sparse_build(n_rows: int, n_cols: int, max_level: int = 64) -> Pow2Matri
     if n_rows < 1:
         raise DimensionError("two-sparse codebook needs at least one row")
     one = SignedPow2(1, 0)
-    cols: list[Column] = [((i, one),) for i in range(n_rows)]
+    cols: list[Column] = [((i, one),) for i in range(min(n_rows, n_cols))]
     if len(cols) >= n_cols:
-        return Pow2Matrix(n_rows, n_cols, tuple(cols[:n_cols]))
-    pairs = [(i, j) for i in range(n_rows) for j in range(i + 1, n_rows)]
+        return Pow2Matrix(n_rows, n_cols, tuple(cols))
     for level in range(max_level + 1):
         if level == 0:
             patterns = [((1, 0), (1, 0)), ((1, 0), (-1, 0))]
         else:
             patterns = [((1, 0), (1, level)), ((1, 0), (-1, level)),
                         ((1, level), (1, 0)), ((1, level), (-1, 0))]
-        for i, j in pairs:
+        for i, j in itertools.combinations(range(n_rows), 2):
             for (si, ei), (sj, ej) in patterns:
                 cols.append(((i, SignedPow2(si, ei)), (j, SignedPow2(sj, ej))))
                 if len(cols) == n_cols:
@@ -193,6 +196,7 @@ class CodebookDescriptor:
         if self.kind not in KINDS:
             raise ValueError(f"unknown codebook kind {self.kind!r}")
         if self.kind == "mailman":
+            _check_mailman_rows(self.n_rows)  # before 1 << n_rows
             if self.n_cols != 1 << self.n_rows:
                 raise DimensionError(
                     f"mailman codebook needs K = 2**N, got {self.n_rows}x"
@@ -203,6 +207,10 @@ class CodebookDescriptor:
         elif self.kind == "self-designing":
             if len(self.factors) != 2:
                 raise ValueError("self-designing descriptor stores B1 and B2")
+            if not 1 <= self.n_rows <= self.n_cols:
+                raise DimensionError(
+                    f"self-designing codebook needs 1 <= N <= K, got "
+                    f"{self.n_rows}x{self.n_cols}")
             for f in self.factors:
                 if f.rows != self.n_cols or f.cols != self.n_cols:
                     raise DimensionError("self-designing factors must be KxK")
@@ -263,16 +271,16 @@ class CodebookDescriptor:
     @classmethod
     def from_dict(cls, d: dict) -> "CodebookDescriptor":
         kind = d["kind"]
-        n, k = int(d["rows"]), int(d["cols"])
+        n, k = operator.index(d["rows"]), operator.index(d["cols"])
         if kind == "two-sparse":
             return cls(kind, n, k, factors=(two_sparse_build(n, k),))
         if kind == "self-designing":
             factors = tuple(Pow2Matrix.from_records(k, rec)
                             for rec in d["factors"])
-            return cls(kind, n, k, stage_sparsity=int(d.get("stage_sparsity", 1)),
-                       factors=factors)
+            return cls(kind, n, k, stage_sparsity=operator.index(
+                d.get("stage_sparsity", 1)), factors=factors)
         if kind == "gaussian":
-            return cls(kind, n, k, seed=int(d["seed"]))
+            return cls(kind, n, k, seed=operator.index(d["seed"]))
         return cls(kind, n, k)
 
 

@@ -1,11 +1,19 @@
 """Shift-add execution of plans on exact dyadic vectors.
 
-Every scalar operation is an exponent shift, a sign flip, or an addition of
-dyadics, so the output equals the exact reconstruction applied to the input
-bit for bit.  Operation counters are structural: they follow the plan's
-sparsity pattern (one shift per stored nonzero, ``m - 1`` additions to
-combine a column's ``m`` terms) and do not depend on the data, matching
-what ``plan.cost_of`` reports without running anything.
+Every scalar operation is a left shift, a sign flip, or an addition of
+integers over one shared exponent, so the output equals the exact
+reconstruction applied to the input bit for bit.  The input is aligned once
+(``pot.align``) into a numpy object array of Python ints; each stage then
+runs on its compiled integer arrays (``Pow2Matrix.compiled``): gather the
+input entry of every stored coefficient, shift it by ``exp - min_exp``,
+negate the negative ones, scatter-add them into their rows, and add
+``min_exp`` to the shared exponent.  Output ``Dyadic`` values are built once,
+at the end.
+
+Operation counters come from the same arrays (one shift per stored
+nonzero, ``m - 1`` additions to combine a column's ``m`` terms); they do not
+depend on the data and must match what ``plan.cost_of`` counts from the
+column tuples without running anything.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 from .codebooks import mailman_apply
 from .errors import DimensionError, EngineError
 from .plan import CostReport, DecompositionPlan
-from .pot import DYADIC_ZERO, Dyadic, align, pow2_round_array
+from .pot import Dyadic, align, pow2_round_array
 from .pow2matrix import Pow2Matrix
 
 
@@ -29,20 +37,23 @@ class _Counters:
     sign_changes: int = 0
 
 
-def _apply_pow2(mat: Pow2Matrix, vec: list[Dyadic],
-                ops: _Counters) -> list[Dyadic]:
-    if len(vec) != mat.cols:
+def _apply_matrix(mat: Pow2Matrix, h: np.ndarray,
+                  ops: _Counters) -> tuple[np.ndarray, int]:
+    """``mat @ h`` for integers ``h``: the product's integers and the power
+    of two, ``2**min_exp``, that scales them."""
+    if len(h) != mat.cols:
         raise DimensionError(
-            f"vector of length {len(vec)} against {mat.rows}x{mat.cols}")
-    out = [DYADIC_ZERO] * mat.rows
-    for k, col in enumerate(mat.columns):
-        xk = vec[k]
-        for i, c in col:
-            out[i] = out[i] + xk.times_pow2(c.sign, c.exponent)
-        ops.shifts += len(col)
-        ops.sign_changes += sum(1 for _, c in col if c.sign < 0)
-        ops.additions += max(0, len(col) - 1)
-    return out
+            f"vector of length {len(h)} against {mat.rows}x{mat.cols}")
+    a = mat.compiled
+    terms = h[a.col] << a.lshift
+    terms[a.negative] = -terms[a.negative]
+    out = np.zeros(mat.rows, dtype=object)
+    np.add.at(out, a.row, terms)
+    nnz = len(a.row)
+    ops.shifts += nnz
+    ops.sign_changes += int(np.count_nonzero(a.negative))
+    ops.additions += nnz - int(np.count_nonzero(a.col_len))
+    return out, a.min_exp
 
 
 def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
@@ -66,27 +77,30 @@ def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
 
     ops = _Counters()
     per_stage = []
-    h = x
+    ints, e = align(x)
+    h = np.array(ints, dtype=object)
     for stage in reversed(plan.stages):
         before = ops.additions
-        h = _apply_pow2(stage, h, ops)
+        h, shift = _apply_matrix(stage, h, ops)
+        e += shift
         per_stage.append(ops.additions - before)
     per_stage.reverse()
 
     cb = plan.codebook
     if cb.kind == "mailman":
-        y, adds = mailman_apply(cb.n_rows, h)
+        y, adds = mailman_apply(cb.n_rows, h.tolist())
         ops.additions += adds
     else:
         for factor in reversed(cb.factors):
-            h = _apply_pow2(factor, h, ops)
-        y = h[:cb.n_rows]  # implicit [I 0] selector, free
+            h, shift = _apply_matrix(factor, h, ops)
+            e += shift
+        y = h[:cb.n_rows].tolist()  # implicit [I 0] selector, free
 
     entries = plan.n_rows * plan.n_cols
     report = CostReport(ops.additions, ops.shifts, ops.sign_changes,
                         ops.additions / entries if entries else 0.0,
                         tuple(per_stage))
-    return y, report
+    return [Dyadic(v, e) for v in y], report
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,11 +177,14 @@ def target_digest(target: np.ndarray) -> str:
 def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     """Exact dyadic reconstruction, one ``(mantissa, exponent)`` per entry.
 
-    Pushes each of the ``n_rows`` rows of the codebook forward through the
-    stage chain ``W_1 ... W_L`` in integer arithmetic.  A row is a list of
-    Python ints with one shared exponent; a stage scales every term by at
-    least ``2**stage_min_exp``, so multiplying by it shifts each term by
-    ``exp - stage_min_exp`` and adds ``stage_min_exp`` to the exponent.
+    Pushes the ``n_rows`` rows of the codebook forward through the stage
+    chain ``W_1 ... W_L`` in integer arithmetic, as one ``n_rows x width``
+    numpy object array of Python ints with one shared exponent per row.
+    A stage scales every term by at least ``2**min_exp``, so on its
+    compiled arrays (``Pow2Matrix.compiled``) multiplying by it gathers
+    the row block at each entry's row index, shifts by ``exp - min_exp``,
+    negates the negative entries, sums each nonempty column
+    (``np.add.reduceat``) and adds ``min_exp`` to the exponents.
     Codebooks with stored factors start from the rows of their leading
     ``[I 0]`` selector (the identity for two-sparse) and push them through
     the factors first; mailman and Gaussian codebooks start from the exact
@@ -188,24 +192,30 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     of length ``n_rows``, zeros as ``(0, 0)``.
     """
     cb = plan.codebook
+    n = plan.n_rows
     if cb.factors:
-        width = cb.factors[0].rows
-        rows = [([0] * n + [1] + [0] * (width - n - 1), 0)
-                for n in range(plan.n_rows)]
+        block = np.zeros((n, cb.factors[0].rows), dtype=object)
+        block[np.arange(n), np.arange(n)] = 1
+        exps = [0] * n
         chain = cb.factors + plan.stages
     else:
         rows = [align([Dyadic.from_float(v) for v in row])
                 for row in cb.dense().tolist()]
+        block = np.array([r for r, _ in rows],
+                         dtype=object).reshape(n, plan.n_cols)
+        exps = [e for _, e in rows]
         chain = plan.stages
     for stage in chain:
-        shift = min((c.exponent for col in stage.columns for _, c in col),
-                    default=0)
-        terms = [[(i, c.sign << (c.exponent - shift)) for i, c in col]
-                 for col in stage.columns]
-        rows = [([sum(r[i] * f for i, f in col) for col in terms], e + shift)
-                for r, e in rows]
-    return [[(r[k], e) if r[k] else (0, 0) for r, e in rows]
-            for k in range(plan.n_cols)]
+        a = stage.compiled
+        terms = block[:, a.row] << a.lshift
+        terms[:, a.negative] = -terms[:, a.negative]
+        block = np.zeros((n, stage.cols), dtype=object)
+        filled = a.col_len > 0
+        if filled.any():
+            block[:, filled] = np.add.reduceat(terms, a.first[filled], axis=1)
+        exps = [e + a.min_exp for e in exps]
+    return [[(m, e) if m else (0, 0) for m, e in zip(col, exps)]
+            for col in block.T.tolist()]
 
 
 def reconstruct(plan: DecompositionPlan) -> np.ndarray:
@@ -303,16 +313,16 @@ def plan_from_dict(d: dict) -> DecompositionPlan:
         raise PlanVersionError(
             f"unsupported plan version {version!r}, expected {PLAN_VERSION}")
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
+        rows, cols = operator.index(d["rows"]), operator.index(d["cols"])
         codebook = CodebookDescriptor.from_dict(d["codebook"])
         stages = tuple(Pow2Matrix.from_records(cols, rec)
                        for rec in d["stages"])
-        metadata = d.get("metadata", {})
+        return DecompositionPlan(rows, cols, codebook, stages,
+                                 d.get("metadata", {}))
     except PlanFormatError:
         raise
     except Exception as exc:
         raise PlanFormatError(f"malformed plan document: {exc}") from exc
-    return DecompositionPlan(rows, cols, codebook, stages, metadata)
 
 
 def serialize(plan: DecompositionPlan) -> bytes:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 import shiftadd as sa
+from shiftadd.codebooks import mailman_apply
 from shiftadd.plan import reconstruct_exact
-from shiftadd.pot import EXP_MAX, EXP_MIN
+from shiftadd.pot import DYADIC_ZERO, EXP_MAX, EXP_MIN, Dyadic, align
 
 
 def random_dyadic_vector(rng, length, mant_range=64, exp_range=6):
@@ -144,3 +146,81 @@ def greedy_fit_oracle(t, cb, max_steps, stop_sq=None):
         entries.append((int(j), sa.SignedPow2(1 if w[j] > 0 else -1,
                                               int(e) - 1)))
     return tuple(entries), r_sq, tuple(trace)
+
+
+def dyadic_apply_oracle(plan, x):
+    """``engine.apply`` as a loop over every stored entry in ``Dyadic``
+    arithmetic: the reference the compiled engine must equal.
+
+    Returns ``(outputs, (additions, shifts, sign_changes, per_stage))``.
+    """
+    ops = [0, 0, 0]  # additions, shifts, sign changes
+
+    def apply_pow2(mat, vec):
+        assert len(vec) == mat.cols
+        out = [DYADIC_ZERO] * mat.rows
+        for k, col in enumerate(mat.columns):
+            for i, c in col:
+                out[i] = out[i] + vec[k].times_pow2(c.sign, c.exponent)
+            ops[0] += max(0, len(col) - 1)
+            ops[1] += len(col)
+            ops[2] += sum(1 for _, c in col if c.sign < 0)
+        return out
+
+    h = list(x)
+    per_stage = []
+    for stage in reversed(plan.stages):
+        before = ops[0]
+        h = apply_pow2(stage, h)
+        per_stage.append(ops[0] - before)
+    per_stage.reverse()
+    cb = plan.codebook
+    if cb.kind == "mailman":
+        y, adds = mailman_apply(cb.n_rows, h)
+        ops[0] += adds
+    else:
+        for factor in reversed(cb.factors):
+            h = apply_pow2(factor, h)
+        y = h[:cb.n_rows]
+    return y, (ops[0], ops[1], ops[2], tuple(per_stage))
+
+
+def reconstruct_exact_oracle(plan):
+    """``reconstruct_exact`` as Python-int row lists pushed through each
+    stage column by column: the reference for its ``(mantissa, exponent)``
+    pairs, not only their values."""
+    cb = plan.codebook
+    if cb.factors:
+        width = cb.factors[0].rows
+        rows = [([0] * n + [1] + [0] * (width - n - 1), 0)
+                for n in range(plan.n_rows)]
+        chain = cb.factors + plan.stages
+    else:
+        rows = [align([Dyadic.from_float(v) for v in row])
+                for row in cb.dense().tolist()]
+        chain = plan.stages
+    for stage in chain:
+        shift = min((c.exponent for col in stage.columns for _, c in col),
+                    default=0)
+        terms = [[(i, c.sign << (c.exponent - shift)) for i, c in col]
+                 for col in stage.columns]
+        rows = [([sum(r[i] * f for i, f in col) for col in terms], e + shift)
+                for r, e in rows]
+    return [[(r[k], e) if r[k] else (0, 0) for r, e in rows]
+            for k in range(plan.n_cols)]
+
+
+def advance_effective_oracle(eff, stage):
+    """``advance_effective`` as a loop over every stored entry."""
+    out = np.zeros((eff.shape[0], stage.cols))
+    for k, col in enumerate(stage.columns):
+        acc = out[:, k]
+        for j, c in col:
+            acc += math.ldexp(float(c.sign), c.exponent) * eff[:, j]
+    return out
+
+
+def same_bits(a, b):
+    """Float arrays equal bit for bit, the sign of zero included."""
+    return np.array_equal(a, b) and \
+        np.array_equal(np.signbit(a), np.signbit(b))

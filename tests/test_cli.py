@@ -151,6 +151,38 @@ class TestDecomposeApply:
         assert code == 3
         assert f"sign {sign}" in err
 
+    @staticmethod
+    def _apply_doc(tmp_path, capsys, edit):
+        cb = sa.make_codebook("mailman", 2, 4)
+        stage = sa.Pow2Matrix(4, 4, tuple(((k, sa.SignedPow2(1, 0)),)
+                                          for k in range(4)))
+        doc = json.loads(sa.serialize(sa.DecompositionPlan(2, 4, cb,
+                                                           (stage,))))
+        edit(doc)
+        plan_path = tmp_path / "p.json"
+        plan_path.write_text(json.dumps(doc))
+        vec = tmp_path / "x.csv"
+        vec.write_text("1,0\n" * 4)
+        return run(capsys, "apply", "--plan", str(plan_path),
+                   "--vector", str(vec))
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["stages"][0].pop(),
+        lambda doc: doc.update(rows=3, cols=8),
+    ], ids=["stage-columns", "rows-cols"])
+    def test_wrong_plan_shape_exits_3(self, tmp_path, capsys, edit):
+        code, _, err = self._apply_doc(tmp_path, capsys, edit)
+        assert code == 3
+        assert "malformed plan" in err
+
+    @pytest.mark.parametrize("entry", [[0.9, 1, 0], [0, 1.0, -1.0]])
+    def test_float_plan_entry_exits_3(self, tmp_path, capsys, entry):
+        def edit(doc):
+            doc["stages"][0][0][0] = entry
+        code, _, err = self._apply_doc(tmp_path, capsys, edit)
+        assert code == 3
+        assert "integer" in err
+
     def test_out_of_range_vector_exponent_exits_before_arithmetic(
             self, tmp_path, capsys, monkeypatch):
         plan_path = tmp_path / "p.json"

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import shiftadd as sa
-from shiftadd.pot import DYADIC_ZERO
+from shiftadd.pot import DYADIC_ZERO, SignedPow2
 
-from helpers import exact_matvec, fraction_matvec, random_dyadic_vector, \
-    random_plan
+from helpers import (dyadic_apply_oracle, exact_matvec, fraction_matvec,
+                     random_dyadic_vector, random_plan, synthetic_plan,
+                     wide_mantissa_plan)
 
 
 class TestApply:
@@ -74,6 +75,57 @@ class TestApply:
             sa.apply(plan, [sa.Dyadic(1)] * 7)
         with pytest.raises(TypeError):
             sa.apply(plan, [0.5] * 8)
+
+
+class TestCompiledEngine:
+    """The engine on compiled integer arrays equals the per-entry Dyadic
+    loop in outputs and in every counter."""
+
+    @staticmethod
+    def _check(plan, x):
+        y, cost = sa.apply(plan, x)
+        y_ref, counts = dyadic_apply_oracle(plan, x)
+        assert y == y_ref
+        assert (cost.additions, cost.shifts, cost.sign_changes,
+                cost.per_stage) == counts
+
+    def test_random_plans(self):
+        rng = np.random.default_rng(510)
+        for _ in range(20):
+            plan, _ = random_plan(rng, max_cols=32, max_stages=4)
+            self._check(plan, random_dyadic_vector(rng, plan.n_cols))
+
+    def test_synthetic_plans_over_mailman_and_two_sparse(self):
+        rng = np.random.default_rng(511)
+        kinds = set()
+        for _ in range(20):
+            plan = synthetic_plan(rng)
+            kinds.add(plan.codebook.kind)
+            self._check(plan, random_dyadic_vector(rng, plan.n_cols,
+                                                   exp_range=40))
+        assert kinds == {"mailman", "two-sparse"}
+
+    def test_empty_columns_and_empty_stage(self):
+        rng = np.random.default_rng(512)
+        sparse = tuple(((k, SignedPow2(-1, k - 4)),) if k % 3 else ()
+                       for k in range(8))
+        empty = tuple(() for _ in range(8))
+        for kind, n in (("mailman", 3), ("two-sparse", 3)):
+            cb = sa.make_codebook(kind, n, 8)
+            for stages in ((sa.Pow2Matrix(8, 8, sparse),),
+                           (sa.Pow2Matrix(8, 8, empty),),
+                           (sa.Pow2Matrix(8, 8, empty),
+                            sa.Pow2Matrix(8, 8, sparse))):
+                plan = sa.DecompositionPlan(n, 8, cb, stages)
+                self._check(plan, random_dyadic_vector(rng, 8))
+
+    def test_wide_mantissas(self):
+        plan = wide_mantissa_plan()
+        x = [sa.Dyadic(3, -70), sa.Dyadic(-1, 50), sa.Dyadic(0),
+             sa.Dyadic(5, 0)]
+        self._check(plan, x)
+        y, _ = sa.apply(plan, x)
+        assert max(v.mantissa.bit_length() for v in y) > 1024
 
 
 class TestBaseline:

@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftadd as sa
 from shiftadd.plan import reconstruct_exact
 from shiftadd.pot import SignedPow2
 from shiftadd.pow2matrix import Pow2Matrix
 
-from helpers import random_plan, synthetic_plan, wide_mantissa_plan
+from helpers import (random_plan, reconstruct_exact_oracle, synthetic_plan,
+                     wide_mantissa_plan)
 
 
 class TestThreshold:
@@ -49,7 +51,8 @@ class TestReconstruct:
         expect = 0.5 * cb.dense()[:, [1, 2, 3, 0]]
         assert np.array_equal(sa.reconstruct(plan), expect)
 
-    def test_exact_against_fraction_oracle(self):
+    @staticmethod
+    def _oracle_plans():
         rng = np.random.default_rng(400)
         plans = [random_plan(rng, max_cols=16, max_stages=3)[0]
                  for _ in range(10)]
@@ -59,7 +62,10 @@ class TestReconstruct:
                                   sa.StageSchedule.fixed([1, 2])))
         # stage exponents from -40 to 40
         plans += [synthetic_plan(rng) for _ in range(10)]
-        for plan in plans:
+        return plans
+
+    def test_exact_against_fraction_oracle(self):
+        for plan in self._oracle_plans():
             cols = reconstruct_exact(plan)
             # independent oracle: dense Fraction chain product
             dense = [[Fraction(float(v)) for v in row]
@@ -73,6 +79,25 @@ class TestReconstruct:
                 for n in range(plan.n_rows):
                     m, e = cols[k][n]
                     assert Fraction(m) * Fraction(2) ** e == dense[n][k]
+
+    def test_pairs_equal_row_list_oracle(self):
+        # the same (mantissa, exponent) pairs, not only the same values
+        for plan in self._oracle_plans() + [wide_mantissa_plan()]:
+            cols = reconstruct_exact(plan)
+            assert cols == reconstruct_exact_oracle(plan)
+            assert all(type(m) is int and type(e) is int
+                       for col in cols for m, e in col)
+
+    def test_empty_columns_and_empty_stage(self):
+        cb = sa.make_codebook("two-sparse", 3, 8)
+        sparse = tuple(((k, SignedPow2(-1, k - 4)),) if k % 3 else ()
+                       for k in range(8))
+        empty = tuple(() for _ in range(8))
+        for stages in ((Pow2Matrix(8, 8, sparse),),
+                       (Pow2Matrix(8, 8, empty),),
+                       (Pow2Matrix(8, 8, sparse), Pow2Matrix(8, 8, empty))):
+            plan = sa.DecompositionPlan(3, 8, cb, stages)
+            assert reconstruct_exact(plan) == reconstruct_exact_oracle(plan)
 
     def test_wide_mantissas_round_correctly(self):
         plan = wide_mantissa_plan()
@@ -201,3 +226,123 @@ class TestSerialization:
             sa.deserialize(b'{"format": "something-else", "version": 1}')
         with pytest.raises(sa.PlanFormatError):
             sa.deserialize(b"[]")
+
+    def _doc(self):
+        cb = sa.make_codebook("mailman", 2, 4)
+        stage = Pow2Matrix(4, 4, tuple(((k, SignedPow2(1, -k)),)
+                                       for k in range(4)))
+        return json.loads(sa.serialize(sa.DecompositionPlan(2, 4, cb,
+                                                            (stage,))))
+
+    def test_wrong_shapes_are_format_errors(self):
+        doc = self._doc()
+        doc["stages"][0].pop()  # a stage with three columns in a 4-wide plan
+        with pytest.raises(sa.PlanFormatError, match="stage 0 must be 4x4"):
+            sa.deserialize(json.dumps(doc).encode())
+        doc = self._doc()
+        doc["rows"] = 3  # disagrees with the 2-row codebook
+        with pytest.raises(sa.PlanFormatError, match="codebook shape"):
+            sa.deserialize(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("entry", [[0.9, 1, 0], [0, 1.0, -1.0],
+                                       [0, 1, -1.0], ["0", 1, 0]])
+    def test_non_integer_entries_rejected(self, entry):
+        doc = self._doc()
+        doc["stages"][0][0][0] = entry
+        with pytest.raises(sa.PlanFormatError, match="integer"):
+            sa.deserialize(json.dumps(doc).encode())
+
+    def test_non_integer_shape_rejected(self):
+        doc = self._doc()
+        doc["cols"] = 4.0
+        with pytest.raises(sa.PlanFormatError, match="integer"):
+            sa.deserialize(json.dumps(doc).encode())
+
+    def test_compiled_form_is_not_built_by_loading(self):
+        rng = np.random.default_rng(411)
+        plan, _ = random_plan(rng, max_cols=16, max_stages=3)
+        back = sa.deserialize(sa.serialize(plan))
+        for mat in back.stages + back.codebook.factors:
+            assert "compiled" not in vars(mat)
+
+
+def _fuzz_base_docs():
+    rng = np.random.default_rng(412)
+    plans = [synthetic_plan(rng, max_stages=2) for _ in range(4)]
+    tgt = rng.standard_normal((3, 8))
+    for kind in ("self-designing", "gaussian"):
+        cb = sa.make_codebook(kind, 3, 8, seed=3, target=tgt)
+        plans.append(sa.decompose(tgt, cb, sa.StageSchedule.fixed([1])))
+    return [json.loads(sa.serialize(p)) for p in plans]
+
+
+_FUZZ_DOCS = _fuzz_base_docs()
+# values put where the loader expects an int
+_BAD_LEAVES = st.one_of(
+    st.floats(), st.booleans(), st.text(max_size=3), st.none(),
+    st.integers(-300, 300),
+    st.sampled_from([2 ** 31, 2 ** 63, -2 ** 63 - 1, 10 ** 30]),
+    st.lists(st.integers(-2, 2), max_size=3))
+# rows/cols stay small: a huge consistent shape is a separate hazard
+_SHAPES = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17])
+
+
+def _paths(node, path=()):
+    """Every (path, value) below a JSON node, lists and leaves alike."""
+    yield path, node
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(doc, data):
+    op = data.draw(st.sampled_from(
+        ["drop", "duplicate", "swap", "truncate", "leaf", "shape"]))
+    if op == "shape":
+        where = data.draw(st.sampled_from([doc, doc["codebook"]]))
+        where[data.draw(st.sampled_from(["rows", "cols"]))] = \
+            data.draw(_SHAPES)
+        return
+    if op == "leaf":
+        candidates = [p for p, v in _paths(doc)
+                      if p and not isinstance(v, (dict, list))]
+    else:
+        candidates = [p for p, v in _paths(doc)
+                      if isinstance(v, list) and v]
+    if not candidates:
+        return
+    path = data.draw(st.sampled_from(candidates))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "leaf":
+        parent[path[-1]] = data.draw(_BAD_LEAVES)
+        return
+    lst = parent[path[-1]]
+    i = data.draw(st.integers(0, len(lst) - 1))
+    if op == "drop":
+        del lst[i]
+    elif op == "duplicate":
+        lst.insert(i, json.loads(json.dumps(lst[i])))
+    elif op == "swap":
+        j = data.draw(st.integers(0, len(lst) - 1))
+        lst[i], lst[j] = lst[j], lst[i]
+    else:
+        del lst[i:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_plan_loads_or_is_a_format_error(data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(_FUZZ_DOCS))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data)
+    try:
+        sa.deserialize(json.dumps(doc).encode())
+    except sa.PlanFormatError:
+        pass

@@ -7,6 +7,8 @@ import shiftadd as sa
 from shiftadd.pot import SignedPow2
 from shiftadd.pow2matrix import Pow2Matrix, advance_effective
 
+from helpers import advance_effective_oracle, same_bits
+
 
 def test_dense_and_nnz():
     cols = (((0, SignedPow2(1, 0)), (2, SignedPow2(-1, -1))),
@@ -45,3 +47,58 @@ def test_advance_effective_matches_matmul():
     assert np.allclose(advance_effective(eff, stage), eff @ stage.dense())
     with pytest.raises(sa.DimensionError):
         advance_effective(rng.standard_normal((3, 6)), stage)
+
+
+def test_compiled_form():
+    cols = (((0, SignedPow2(1, 0)), (2, SignedPow2(-1, -1))),
+            (),
+            ((1, SignedPow2(1, 2)),))
+    m = Pow2Matrix(3, 3, cols)
+    assert "compiled" not in vars(m)  # built on first use
+    a = m.compiled
+    assert a.row.tolist() == [0, 2, 1]
+    assert a.negative.tolist() == [False, True, False]
+    assert a.exp.tolist() == [0, -1, 2]
+    assert a.col_len.tolist() == [2, 0, 1]
+    assert a.col.tolist() == [0, 0, 2]
+    assert a.first.tolist() == [0, 2, 2]
+    assert a.min_exp == -1
+    assert all(v.dtype.kind in "bi" for v in a)  # integer arrays only
+    assert m.compiled is a
+    assert Pow2Matrix(2, 2, ((), ())).compiled.min_exp == 0
+
+
+def test_advance_effective_equals_loop_bit_for_bit():
+    rng = np.random.default_rng(801)
+    for _ in range(20):
+        k = int(rng.integers(1, 48))
+        eff = rng.standard_normal((5, k)) * np.exp2(rng.integers(-30, 30,
+                                                                 (5, k)))
+        eff[rng.random((5, k)) < 0.2] = -0.0  # signed zeros in the sums
+        cols = []
+        for _ in range(k):
+            rows = sorted(rng.choice(k, size=int(rng.integers(0, k + 1)),
+                                     replace=False))
+            cols.append(tuple((int(i), SignedPow2(int(rng.choice([-1, 1])),
+                                                  int(rng.integers(-64, 64))))
+                              for i in rows))
+        stage = Pow2Matrix(k, k, tuple(cols))
+        assert same_bits(advance_effective(eff, stage),
+                         advance_effective_oracle(eff, stage))
+    # a lone -0.0 term sums to +0.0, as in the loop
+    stage = Pow2Matrix(2, 1, (((0, SignedPow2(1, 0)),),))
+    assert not np.signbit(advance_effective(np.array([[-0.0, 1.0]]),
+                                            stage)).any()
+
+
+def test_advance_effective_bits_on_adaptive_stage():
+    # one adaptive stage: many terms per column
+    rng = np.random.default_rng(802)
+    tgt = rng.random((4, 64))
+    cb = sa.make_codebook("self-designing", 4, 64, seed=1, aux="gaussian")
+    plan = sa.decompose(tgt, cb, sa.StageSchedule.adaptive(16))
+    stage, = plan.stages
+    assert max(stage.column_nnz()) >= 8
+    eff = cb.dense()
+    assert same_bits(advance_effective(eff, stage),
+                     advance_effective_oracle(eff, stage))

@@ -10,7 +10,7 @@ from shiftadd import wiring
 from shiftadd.pot import SignedPow2
 from shiftadd.pow2matrix import advance_effective
 
-from helpers import greedy_fit_oracle
+from helpers import advance_effective_oracle, greedy_fit_oracle, same_bits
 
 
 class TestFitColumn:
@@ -289,7 +289,9 @@ class TestBlockedKernel:
         for stage in plan.stages:
             assert list(stage.columns) == [
                 greedy_fit_oracle(tgt[:, k], eff, 2)[0] for k in range(256)]
-            eff = advance_effective(eff, stage)
+            ref = advance_effective_oracle(eff, stage)
+            assert same_bits(advance_effective(eff, stage), ref)
+            eff = ref
         assert plan.n_stages > 20
 
 
