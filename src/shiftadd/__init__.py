@@ -10,10 +10,9 @@ from .analysis import (AngleErrorModel, angle_error_cdf, asymptotic_threshold,
                        code_rate, distortion_lower_bound, mean_sq_angle_error,
                        reg_inc_beta, rho2_cdf, simulate_angle_error,
                        simulate_decomposition, total_error)
-from .codebooks import (CodebookDescriptor, gaussian_build, has_collinear_pair,
-                        mailman_additions, mailman_apply, mailman_build,
-                        mailman_dense, make_codebook, self_design_build,
-                        two_sparse_build)
+from .codebooks import (CodebookDescriptor, gaussian_build, mailman_additions,
+                        mailman_apply, mailman_build, mailman_dense,
+                        make_codebook, self_design_build, two_sparse_build)
 from .engine import apply, baseline_apply, csd_baseline_apply
 from .errors import (AccuracyUnreachableError, DimensionError, EngineError,
                      MatrixFormatError, PlanFormatError, PlanVersionError,
@@ -34,7 +33,7 @@ __all__ = [
     "code_rate", "distortion_lower_bound", "mean_sq_angle_error",
     "reg_inc_beta", "rho2_cdf", "simulate_angle_error",
     "simulate_decomposition", "total_error",
-    "CodebookDescriptor", "gaussian_build", "has_collinear_pair",
+    "CodebookDescriptor", "gaussian_build",
     "mailman_additions", "mailman_apply", "mailman_build", "mailman_dense",
     "make_codebook", "self_design_build", "two_sparse_build",
     "apply", "baseline_apply", "csd_baseline_apply",

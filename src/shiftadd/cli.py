@@ -9,6 +9,7 @@ cell index, so tables reproduce bit for bit regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -37,13 +38,24 @@ def _usage_error(msg: str) -> SystemExit:
     return SystemExit(EXIT_USAGE)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p]
+def _list_of(parse, name: str):
+    """An argparse type: a nonempty comma-separated list of ``parse`` items
+    (argparse makes a ``ValueError`` a usage error, exit 2)."""
+    def convert(text: str) -> list:
+        items = [parse(p) for p in text.split(",") if p]
+        if not items:
+            raise ValueError(text)
+        return items
+    convert.__name__ = name
+    return convert
 
 
 def _shape(text: str) -> tuple[int, int]:
     n, _, k = text.lower().partition("x")
     return int(n), int(k)
+
+
+_int_list = _list_of(int, "integer list")
 
 
 def _build_schedule(args) -> StageSchedule:
@@ -138,8 +150,7 @@ def _bench_cell(cell) -> dict:
 
 
 def cmd_bench(args) -> int:
-    shapes = [_shape(s) for s in args.shapes.split(",") if s]
-    bits = _int_list(args.bits)
+    shapes, bits = args.shapes, args.bits
     kind = CLI_KINDS[args.codebook]
     cells = []
     idx = 0
@@ -197,46 +208,52 @@ def _cell_text(v) -> str:
 
 
 def cmd_analyze(args) -> int:
-    out = open(args.out, "w") if args.out else sys.stdout
+    # built in memory first: arguments a model refuses leave no output
+    buf = io.StringIO()
     try:
-        if args.asymptote:
-            out.write(f"{analysis.asymptotic_threshold(args.rate)!r}\n")
-            return EXIT_OK
-        if args.fig == "cdf":
-            ks = _int_list(args.K)
-            r = np.linspace(0.0, 1.0, args.points)
-            curves = []
-            for k in ks:
-                n = max(2, round(math.log2(k) / args.rate))
-                curves.append(analysis.angle_error_cdf(n, k, r))
-            out.write("r," + ",".join(f"K{k}" for k in ks) + "\n")
-            for i, rv in enumerate(r):
-                row = [f"{rv:.6g}"] + [f"{c[i]:.6g}" for c in curves]
-                out.write(",".join(row) + "\n")
-        elif args.fig == "lb":
-            n, k = args.N, _int_list(args.K)[0]
-            s, mean, err = analysis.simulate_decomposition(
-                n, k, args.stages, "gaussian", args.seed, args.samples)
-            out.write("s,lower_bound,simulated,stderr\n")
-            for i, sv in enumerate(s):
-                lb = analysis.distortion_lower_bound(n, k, int(sv))
-                out.write(f"{sv},{lb:.6g},{mean[i]:.6g},{err[i]:.6g}\n")
-        elif args.fig == "total":
-            ks = _int_list(args.K)
-            rates = [float(p) for p in args.rates.split(",") if p]
-            out.write("K,rate,total_error,total_error_pow_1_over_R\n")
-            for rate in rates:
-                for k in ks:
-                    n = max(2, round(math.log2(k) / rate))
-                    eps = analysis.total_error(n, k)
-                    out.write(f"{k},{rate:.6g},{eps:.6g},"
-                              f"{eps ** (1.0 / rate):.6g}\n")
-        else:
-            raise _usage_error("choose --fig {cdf,lb,total} or --asymptote")
-    finally:
-        if args.out:
-            out.close()
+        _analyze(args, buf)
+    except ValueError as exc:
+        raise _usage_error(str(exc))
+    if args.out:
+        with open(args.out, "w") as out:
+            out.write(buf.getvalue())
+    else:
+        sys.stdout.write(buf.getvalue())
     return EXIT_OK
+
+
+def _analyze(args, out) -> None:
+    if args.asymptote:
+        out.write(f"{analysis.asymptotic_threshold(args.rate)!r}\n")
+    elif args.fig == "cdf":
+        r = np.linspace(0.0, 1.0, args.points)
+        curves = []
+        for k in args.K:
+            n = max(2, round(math.log2(k) / args.rate))
+            curves.append(analysis.angle_error_cdf(n, k, r))
+        out.write("r," + ",".join(f"K{k}" for k in args.K) + "\n")
+        for i, rv in enumerate(r):
+            row = [f"{rv:.6g}"] + [f"{c[i]:.6g}" for c in curves]
+            out.write(",".join(row) + "\n")
+    elif args.fig == "lb":
+        n, k = args.N, args.K[0]
+        analysis.distortion_lower_bound(n, k, 0)  # refuses bad N, K early
+        s, mean, err = analysis.simulate_decomposition(
+            n, k, args.stages, "gaussian", args.seed, args.samples)
+        out.write("s,lower_bound,simulated,stderr\n")
+        for i, sv in enumerate(s):
+            lb = analysis.distortion_lower_bound(n, k, int(sv))
+            out.write(f"{sv},{lb:.6g},{mean[i]:.6g},{err[i]:.6g}\n")
+    elif args.fig == "total":
+        out.write("K,rate,total_error,total_error_pow_1_over_R\n")
+        for rate in args.rates:
+            for k in args.K:
+                n = max(2, round(math.log2(k) / rate))
+                eps = analysis.total_error(n, k)
+                out.write(f"{k},{rate:.6g},{eps:.6g},"
+                          f"{eps ** (1.0 / rate):.6g}\n")
+    else:
+        raise _usage_error("choose --fig {cdf,lb,total} or --asymptote")
 
 
 def cmd_quantize(args) -> int:
@@ -285,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(func=cmd_apply)
 
     b = sub.add_parser("bench", help="adds-per-entry table over shapes/bits")
-    b.add_argument("--shapes", default="16x1024")
-    b.add_argument("--bits", default="2,4,8,16,24")
+    b.add_argument("--shapes", type=_list_of(_shape, "NxK list"),
+                   default="16x1024")
+    b.add_argument("--bits", type=_int_list, default="2,4,8,16,24")
     b.add_argument("--codebook", choices=sorted(CLI_KINDS), default="self")
     b.add_argument("--target", choices=["gaussian", "uniform"],
                    default="gaussian")
@@ -303,9 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--fig", choices=["cdf", "lb", "total"], default=None)
     an.add_argument("--asymptote", action="store_true")
     an.add_argument("--rate", type=float, default=1.0)
-    an.add_argument("--rates", default="0.25,0.5,1,2")
+    an.add_argument("--rates", type=_list_of(float, "number list"),
+                    default="0.25,0.5,1,2")
     an.add_argument("--N", type=int, default=8)
-    an.add_argument("--K", default="256")
+    an.add_argument("--K", type=_int_list, default="256")
     an.add_argument("--points", type=int, default=201)
     an.add_argument("--stages", type=int, default=20)
     an.add_argument("--samples", type=int, default=20)

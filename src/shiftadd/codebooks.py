@@ -11,13 +11,11 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DimensionError
-from .pot import SignedPow2
-from .pow2matrix import Column, Pow2Matrix, advance_effective
+from .pow2matrix import Pow2Matrix, advance_effective
 
 KINDS = ("mailman", "two-sparse", "self-designing", "gaussian")
 
@@ -34,13 +32,11 @@ def mailman_build(n_rows: int) -> Pow2Matrix:
     Row ``n`` holds the n-th least significant bit, the digit order implied
     by the halving recursion that makes the fast multiply work.
     """
-    _check_mailman_rows(n_rows)
-    k_count = 1 << n_rows
-    cols = []
-    for k in range(k_count):
-        cols.append(tuple((n, SignedPow2(1, 0))
-                          for n in range(n_rows) if k >> n & 1))
-    return Pow2Matrix(n_rows, k_count, tuple(cols))
+    bits = mailman_dense(n_rows).T
+    _, row = np.nonzero(bits)
+    return Pow2Matrix(n_rows, 1 << n_rows, row, np.zeros(len(row), bool),
+                      np.zeros(len(row), np.int16),
+                      np.count_nonzero(bits, axis=1))
 
 
 def mailman_dense(n_rows: int) -> np.ndarray:
@@ -113,10 +109,23 @@ def two_sparse_build(n_rows: int, n_cols: int, max_level: int = 64) -> Pow2Matri
     """
     if n_rows < 1:
         raise DimensionError("two-sparse codebook needs at least one row")
-    one = SignedPow2(1, 0)
-    cols: list[Column] = [((i, one),) for i in range(min(n_rows, n_cols))]
-    if len(cols) >= n_cols:
-        return Pow2Matrix(n_rows, n_cols, tuple(cols))
+    units = min(n_rows, n_cols)
+    entries = [(i, 1, 0) for i in range(units)]
+    for pair in itertools.islice(_two_sparse_pairs(n_rows, max_level),
+                                 n_cols - units):
+        entries += pair
+    if len(entries) < 2 * n_cols - units:
+        raise ValueError(
+            f"cannot enumerate {n_cols} non-collinear columns over {n_rows} "
+            f"rows within magnitude level {max_level}")
+    row, sign, exp = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    return Pow2Matrix(n_rows, n_cols, row, sign < 0, exp,
+                      np.array([1] * units + [2] * (n_cols - units)))
+
+
+def _two_sparse_pairs(n_rows: int, max_level: int):
+    """The two-sparse columns in enumeration order, as pairs of
+    ``(row, sign, exp)`` entries."""
     for level in range(max_level + 1):
         if level == 0:
             patterns = [((1, 0), (1, 0)), ((1, 0), (-1, 0))]
@@ -125,41 +134,7 @@ def two_sparse_build(n_rows: int, n_cols: int, max_level: int = 64) -> Pow2Matri
                         ((1, level), (1, 0)), ((1, level), (-1, 0))]
         for i, j in itertools.combinations(range(n_rows), 2):
             for (si, ei), (sj, ej) in patterns:
-                cols.append(((i, SignedPow2(si, ei)), (j, SignedPow2(sj, ej))))
-                if len(cols) == n_cols:
-                    return Pow2Matrix(n_rows, n_cols, tuple(cols))
-    raise ValueError(
-        f"cannot enumerate {n_cols} non-collinear columns over {n_rows} rows "
-        f"within magnitude level {max_level}")
-
-
-def _column_fractions(col: Column) -> dict[int, Fraction]:
-    out = {}
-    for i, c in col:
-        out[i] = Fraction(c.sign) * (Fraction(2) ** c.exponent)
-    return out
-
-
-def columns_collinear(col_a: Column, col_b: Column) -> bool:
-    """Exact collinearity test: ``a * <b, b> == b * <a, b>`` componentwise."""
-    a = _column_fractions(col_a)
-    b = _column_fractions(col_b)
-    if not a or not b:
-        return not a and not b
-    bb = sum(v * v for v in b.values())
-    ab = sum(a[i] * b[i] for i in a.keys() & b.keys())
-    for i in a.keys() | b.keys():
-        if a.get(i, 0) * bb != b.get(i, 0) * ab:
-            return False
-    return True
-
-
-def has_collinear_pair(mat: Pow2Matrix) -> bool:
-    for j in range(mat.cols):
-        for k in range(j + 1, mat.cols):
-            if columns_collinear(mat.columns[j], mat.columns[k]):
-                return True
-    return False
+                yield (i, si, ei), (j, sj, ej)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +170,8 @@ class CodebookDescriptor:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown codebook kind {self.kind!r}")
+        if self.n_rows < 1 or self.n_cols < 1:
+            raise DimensionError(f"empty {self.n_rows}x{self.n_cols} codebook")
         if self.kind == "mailman":
             _check_mailman_rows(self.n_rows)  # before 1 << n_rows
             if self.n_cols != 1 << self.n_rows:
@@ -215,8 +192,9 @@ class CodebookDescriptor:
                 if f.rows != self.n_cols or f.cols != self.n_cols:
                     raise DimensionError("self-designing factors must be KxK")
         elif self.kind == "gaussian":
-            if self.seed is None:
-                raise ValueError("gaussian descriptor needs a seed")
+            if self.seed is None or self.seed < 0:
+                raise ValueError(
+                    f"gaussian descriptor needs a seed >= 0, got {self.seed}")
 
     @property
     def is_shift_add(self) -> bool:
@@ -251,12 +229,8 @@ class CodebookDescriptor:
             return mailman_additions(self.n_rows), 0, 0, False
         if self.kind == "gaussian":
             return 2 * self.n_cols, 0, 0, True
-        adds = shifts = signs = 0
-        for f in self.factors:
-            for col in f.columns:
-                adds += max(0, len(col) - 1)
-                shifts += len(col)
-                signs += sum(1 for _, c in col if c.sign < 0)
+        counts = [f.op_counts() for f in self.factors]
+        adds, shifts, signs = (sum(c) for c in zip(*counts))
         return adds, shifts, signs, False
 
     def to_dict(self) -> dict:

@@ -4,16 +4,15 @@ Every scalar operation is a left shift, a sign flip, or an addition of
 integers over one shared exponent, so the output equals the exact
 reconstruction applied to the input bit for bit.  The input is aligned once
 (``pot.align``) into a numpy object array of Python ints; each stage then
-runs on its compiled integer arrays (``Pow2Matrix.compiled``): gather the
-input entry of every stored coefficient, shift it by ``exp - min_exp``,
-negate the negative ones, scatter-add them into their rows, and add
-``min_exp`` to the shared exponent.  Output ``Dyadic`` values are built once,
-at the end.
+runs on its integer arrays (``Pow2Matrix``): gather the input entry of every
+stored coefficient, shift it by ``exp - min_exp``, negate the negative ones,
+scatter-add them into their rows, and add ``min_exp`` to the shared
+exponent.  Output ``Dyadic`` values are built once, at the end.
 
-Operation counters come from the same arrays (one shift per stored
-nonzero, ``m - 1`` additions to combine a column's ``m`` terms); they do not
-depend on the data and must match what ``plan.cost_of`` counts from the
-column tuples without running anything.
+Operation counters come from the terms the engine executes (one shift per
+stored nonzero, ``m - 1`` additions to combine a column's ``m`` terms); they
+do not depend on the data and must match what ``plan.cost_of`` counts
+without running anything.
 """
 
 from __future__ import annotations
@@ -44,16 +43,14 @@ def _apply_matrix(mat: Pow2Matrix, h: np.ndarray,
     if len(h) != mat.cols:
         raise DimensionError(
             f"vector of length {len(h)} against {mat.rows}x{mat.cols}")
-    a = mat.compiled
-    terms = h[a.col] << a.lshift
-    terms[a.negative] = -terms[a.negative]
+    terms = h[mat.col] << mat.lshift
+    terms[mat.negative] = -terms[mat.negative]
     out = np.zeros(mat.rows, dtype=object)
-    np.add.at(out, a.row, terms)
-    nnz = len(a.row)
-    ops.shifts += nnz
-    ops.sign_changes += int(np.count_nonzero(a.negative))
-    ops.additions += nnz - int(np.count_nonzero(a.col_len))
-    return out, a.min_exp
+    np.add.at(out, mat.row, terms)
+    ops.shifts += len(terms)
+    ops.sign_changes += int(np.count_nonzero(mat.negative))
+    ops.additions += len(terms) - int(np.count_nonzero(mat.col_len))
+    return out, mat.min_exp
 
 
 def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
@@ -138,18 +135,8 @@ def _int_matvec(m_int: np.ndarray, x: list[Dyadic],
                 scale_exp: int) -> list[Dyadic]:
     """Exact ``(m_int @ x) * 2**scale_exp`` for an integer matrix."""
     aligned, e_base = align(x)
-    max_m = int(np.max(np.abs(m_int), initial=0))
-    max_a = max((abs(a) for a in aligned), default=0)
-    width = max_m.bit_length() + max_a.bit_length() + \
-        max(len(x), 1).bit_length()
-    if width < 62 and all(abs(a) < 2 ** 53 for a in aligned):
-        acc = m_int.astype(np.int64) @ np.array(aligned, dtype=np.int64)
-        sums = [int(v) for v in acc]
-    else:
-        rows = m_int.tolist()
-        sums = [sum(int(c) * a for c, a in zip(row, aligned) if c)
-                for row in rows]
-    return [Dyadic(s, e_base + scale_exp) for s in sums]
+    sums = m_int.astype(object) @ np.array(aligned, dtype=object)
+    return [Dyadic(int(s), e_base + scale_exp) for s in sums]
 
 
 def baseline_apply(target, q: int, x) -> tuple[list[Dyadic], CostReport]:
@@ -198,23 +185,14 @@ def csd_baseline_apply(target, c_per_entry: int, x,
     r = tgt.copy()
     terms = np.zeros(tgt.shape, dtype=np.int64)
     negative = np.zeros(tgt.shape, dtype=np.int64)
-    if target_mse is None:
-        rounds = c_per_entry
-        for _ in range(rounds):
-            v = pow2_round_array(r, e_min=None, e_max=None)
-            terms += v != 0.0
-            negative += v < 0.0
-            r -= v
-    else:
-        for _ in range(max_terms):
-            live = r * r > target_mse
-            if not live.any():
-                break
-            v = np.where(live, pow2_round_array(r, e_min=None, e_max=None),
-                         0.0)
-            terms += v != 0.0
-            negative += v < 0.0
-            r -= v
+    for _ in range(c_per_entry if target_mse is None else max_terms):
+        live = True if target_mse is None else r * r > target_mse
+        if not np.any(live):
+            break
+        v = np.where(live, pow2_round_array(r, e_min=None, e_max=None), 0.0)
+        terms += v != 0.0
+        negative += v < 0.0
+        r -= v
     approx = tgt - r  # both residual chain and difference are exact
 
     internal, across = _accumulation_counts(terms)

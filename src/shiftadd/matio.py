@@ -12,7 +12,9 @@ engine's exact additions otherwise build integers as wide as the exponent.
 
 from __future__ import annotations
 
+import os
 import struct
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +35,9 @@ def save_matrix_csv(path, matrix: np.ndarray) -> None:
 
 def load_matrix_csv(path) -> np.ndarray:
     try:
-        mat = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        with warnings.catch_warnings():  # an empty file is reported below
+            warnings.simplefilter("ignore", UserWarning)
+            mat = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except (ValueError, OSError) as exc:
         if isinstance(exc, OSError):
             raise
@@ -60,9 +64,13 @@ def load_matrix_bin(path) -> np.ndarray:
         if magic != MATRIX_MAGIC:
             raise MatrixFormatError(
                 f"matrix file {path} has bad magic {magic!r}")
+        if rows * cols == 0:
+            raise MatrixFormatError(f"matrix file {path} is empty")
+        # checked against the file size before reading: the header alone
+        # could ask for an exabyte
+        if 8 * rows * cols > os.fstat(fh.fileno()).st_size - _HEADER.size:
+            raise MatrixFormatError(f"matrix file {path} is truncated")
         body = fh.read(8 * rows * cols)
-    if len(body) != 8 * rows * cols:
-        raise MatrixFormatError(f"matrix file {path} is truncated")
     return np.frombuffer(body, dtype="<f8").reshape(rows, cols).copy()
 
 
@@ -76,7 +84,16 @@ def load_matrix(path) -> np.ndarray:
 
 
 def parse_exact_decimal(text: str) -> Dyadic:
-    """Parse a decimal literal that is exactly a dyadic (denominator 2**k)."""
+    """Parse a decimal literal that is exactly a dyadic (denominator 2**k).
+
+    A decimal exponent ``E`` is bounded before ``Fraction`` builds
+    ``10**|E|``: an in-range dyadic has ``E <= VECTOR_EXP_MAX``, and
+    ``5**-E`` must divide its digits.
+    """
+    digits, _, e10 = text.lower().partition("e")
+    if e10.lstrip("+-").isdecimal() and \
+            not -2 * len(digits) <= int(e10) <= VECTOR_EXP_MAX:
+        raise MatrixFormatError(f"exponent of {text!r} is out of range")
     try:
         f = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -98,9 +115,13 @@ def load_vector(path) -> list[Dyadic]:
         if 1 not in mat.shape:
             raise MatrixFormatError(
                 f"vector file {path} holds a {mat.shape} matrix")
+        if not np.isfinite(mat).all():
+            raise MatrixFormatError(
+                f"vector file {path} holds NaN or infinite entries")
         return [Dyadic.from_float(float(v)) for v in mat.ravel()]
     out = []
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD, which no entry parses
+    with open(path, errors="replace") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -2,7 +2,8 @@
 
 A plan records a codebook descriptor and the wiring stages in design order
 ``W_1 ... W_L``; evaluation applies them in reverse, so the reconstructed
-matrix is ``B @ W_1 @ ... @ W_L``.
+matrix is ``B @ W_1 @ ... @ W_L``.  Stages and stored codebook factors are
+``Pow2Matrix`` integer arrays; the file keeps them as nested lists.
 
 Cost accounting follows one convention everywhere: combining the ``m``
 terms a column selects costs ``m - 1`` additions, one shift per nonzero.
@@ -94,9 +95,6 @@ class CostReport:
     per_stage: tuple[int, ...]
     analytic_only: bool = False
 
-    def stage_sparsities(self, n_cols: int) -> list[float]:
-        return [adds / n_cols for adds in self.per_stage]
-
 
 @dataclass(frozen=True)
 class DistortionReport:
@@ -181,9 +179,9 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     chain ``W_1 ... W_L`` in integer arithmetic, as one ``n_rows x width``
     numpy object array of Python ints with one shared exponent per row.
     A stage scales every term by at least ``2**min_exp``, so on its
-    compiled arrays (``Pow2Matrix.compiled``) multiplying by it gathers
-    the row block at each entry's row index, shifts by ``exp - min_exp``,
-    negates the negative entries, sums each nonempty column
+    integer arrays multiplying by it gathers the row block at each entry's
+    row index, shifts by ``exp - min_exp``, negates the negative entries,
+    sums each nonempty column
     (``np.add.reduceat``) and adds ``min_exp`` to the exponents.
     Codebooks with stored factors start from the rows of their leading
     ``[I 0]`` selector (the identity for two-sparse) and push them through
@@ -206,14 +204,14 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
         exps = [e for _, e in rows]
         chain = plan.stages
     for stage in chain:
-        a = stage.compiled
-        terms = block[:, a.row] << a.lshift
-        terms[:, a.negative] = -terms[:, a.negative]
+        terms = block[:, stage.row] << stage.lshift
+        terms[:, stage.negative] = -terms[:, stage.negative]
         block = np.zeros((n, stage.cols), dtype=object)
-        filled = a.col_len > 0
+        filled = stage.col_len > 0
         if filled.any():
-            block[:, filled] = np.add.reduceat(terms, a.first[filled], axis=1)
-        exps = [e + a.min_exp for e in exps]
+            block[:, filled] = np.add.reduceat(terms, stage.first[filled],
+                                               axis=1)
+        exps = [e + stage.min_exp for e in exps]
     return [[(m, e) if m else (0, 0) for m, e in zip(col, exps)]
             for col in block.T.tolist()]
 
@@ -231,17 +229,13 @@ def reconstruct(plan: DecompositionPlan) -> np.ndarray:
 
 def cost_of(plan: DecompositionPlan) -> CostReport:
     """Structural operation counts of applying the plan to one vector."""
-    cb_adds, cb_shifts, cb_signs, analytic = plan.codebook.application_cost()
-    additions = cb_adds
-    shifts = cb_shifts
-    signs = cb_signs
+    additions, shifts, signs, analytic = plan.codebook.application_cost()
     per_stage = []
     for stage in plan.stages:
-        stage_adds = sum(max(0, len(col) - 1) for col in stage.columns)
+        stage_adds, stage_shifts, stage_signs = stage.op_counts()
         additions += stage_adds
-        shifts += stage.nnz
-        signs += sum(1 for col in stage.columns
-                     for _, c in col if c.sign < 0)
+        shifts += stage_shifts
+        signs += stage_signs
         per_stage.append(stage_adds)
     entries = plan.n_rows * plan.n_cols
     return CostReport(additions, shifts, signs,

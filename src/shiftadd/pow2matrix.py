@@ -1,50 +1,95 @@
 """Sparse matrices whose nonzeros are signed powers of two.
 
-The column-major layout mirrors how both codebook factors and wiring stages
-are built and applied: each column lists ``(row, coefficient)`` pairs with
-strictly increasing row indices.
-
-Every hot consumer (the exact engine, exact reconstruction, and the
-effective-codebook roll-forward ``advance_effective``) runs on one compiled
-form, ``Pow2Matrix.compiled``: flat integer arrays of the stored entries in
-column order, built on first use and kept with the matrix.  The column
-tuples stay the plan's data model, and ``plan.cost_of`` counts from them.
+A ``Pow2Matrix`` is stored column-major as four validated integer arrays,
+and every layer reads or writes them directly: the greedy fit builds them
+from the weights it wrote, the plan loader parses them from the file's
+nested ``[row, sign, exp]`` lists, and the exact engine, exact
+reconstruction, the effective-codebook roll-forward ``advance_effective``
+and the cost accounting all run on them.  ``to_records`` is the file view.
 """
 
 from __future__ import annotations
 
-import operator
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from itertools import chain
 
 import numpy as np
 
 from .errors import DimensionError, PlanFormatError
-from .pot import EXP_MAX, EXP_MIN, SignedPow2
+from .pot import EXP_MAX, EXP_MIN
 
-Column = tuple[tuple[int, SignedPow2], ...]
-
-# Every coefficient a stage may hold, keyed by ``(sign, exponent)``: one
-# shared instance each instead of one object per stored entry.
-COEFFS = {(s, e): SignedPow2(s, e)
-          for s in (-1, 1) for e in range(EXP_MIN, EXP_MAX + 1)}
+_INDEX_MAX = np.iinfo(np.int32).max
+_FIELDS = ("row", "negative", "exp", "col_len")
+_DTYPES = (np.int32, bool, np.int16, np.int32)
 
 
-class Compiled(NamedTuple):
-    """A ``Pow2Matrix`` as integer arrays, entries in stored column order.
+@dataclass(frozen=True, eq=False)
+class Pow2Matrix:
+    """A ``rows x cols`` matrix of signed powers of two, column-major.
 
     Entry ``t`` is ``(-1 if negative[t] else 1) * 2**exp[t]`` at row
-    ``row[t]``; column ``k`` holds the next ``col_len[k]`` entries.  The
-    narrow dtypes keep the form small next to every fitted stage; building
-    it raises ``OverflowError`` on an exponent beyond int16, far outside the
-    ``[EXP_MIN, EXP_MAX]`` of fitted and loaded stages.
+    ``row[t]``; column ``k`` holds the next ``col_len[k]`` entries, with
+    strictly increasing rows.  Construction checks all of this, and that
+    every exponent lies in ``[EXP_MIN, EXP_MAX]`` (the range of fitted
+    stages, which also caps the shifts exact evaluation performs on an
+    untrusted plan), then stores read-only arrays of the narrow dtypes
+    ``row`` int32, ``negative`` bool, ``exp`` int16, ``col_len`` int32.
     """
 
-    row: np.ndarray       # int32
-    negative: np.ndarray  # bool
-    exp: np.ndarray       # int16
-    col_len: np.ndarray   # int32
+    rows: int
+    cols: int
+    row: np.ndarray
+    negative: np.ndarray
+    exp: np.ndarray
+    col_len: np.ndarray
+
+    def __post_init__(self):
+        row, neg, exp, col_len = arrays = [np.asarray(getattr(self, f))
+                                           for f in _FIELDS]
+        if not (0 <= self.rows <= _INDEX_MAX and 0 <= self.cols <= _INDEX_MAX):
+            raise DimensionError(f"{self.rows}x{self.cols} is out of range")
+        kinds = {a.dtype.kind for a in (row, exp, col_len)}
+        if neg.dtype != bool or not kinds <= set("iu"):
+            raise TypeError("negative must be a bool array, the rest integer")
+        if col_len.shape != (self.cols,):
+            raise DimensionError(
+                f"expected {self.cols} columns, got {len(col_len)}")
+        if not row.shape == neg.shape == exp.shape == (col_len.sum(),) or \
+                (col_len < 0).any():
+            raise DimensionError("entry arrays disagree with the column "
+                                 "lengths")
+        col = np.repeat(np.arange(self.cols), col_len)
+        key = col * self.rows + row
+        for bad, error, what in (
+                ((row < 0) | (row >= self.rows), DimensionError,
+                 lambda t: f"row index {row[t]} out of range"),
+                ((exp < EXP_MIN) | (exp > EXP_MAX), ValueError,
+                 lambda t: f"exponent {exp[t]} outside [{EXP_MIN}, "
+                           f"{EXP_MAX}]"),
+                (np.append(False, key[1:] <= key[:-1]), ValueError,
+                 lambda t: "row indices must be strictly increasing")):
+            if bad.any():
+                t = np.argmax(bad)
+                raise error(f"{what(t)} in column {col[t]}")
+        for f, a, dtype in zip(_FIELDS, arrays, _DTYPES):
+            a = a.astype(dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, f, a)
+
+    def __eq__(self, other):
+        if not isinstance(other, Pow2Matrix):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in _FIELDS)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.row)
+
+    def column_nnz(self) -> list[int]:
+        return self.col_len.tolist()
 
     @property
     def min_exp(self) -> int:
@@ -60,7 +105,7 @@ class Compiled(NamedTuple):
     @property
     def col(self) -> np.ndarray:
         """Column index of each entry."""
-        return np.repeat(np.arange(len(self.col_len)), self.col_len)
+        return np.repeat(np.arange(self.cols), self.col_len)
 
     @property
     def first(self) -> np.ndarray:
@@ -71,84 +116,52 @@ class Compiled(NamedTuple):
         """Entry values as float64 (exact)."""
         return np.ldexp(np.where(self.negative, -1.0, 1.0), self.exp)
 
-
-@dataclass(frozen=True)
-class Pow2Matrix:
-    rows: int
-    cols: int
-    columns: tuple[Column, ...]
-
-    def __post_init__(self):
-        if len(self.columns) != self.cols:
-            raise DimensionError(
-                f"expected {self.cols} columns, got {len(self.columns)}")
-        for k, col in enumerate(self.columns):
-            prev = -1
-            for i, c in col:
-                if not 0 <= i < self.rows:
-                    raise DimensionError(
-                        f"row index {i} out of range in column {k}")
-                if i <= prev:
-                    raise ValueError(
-                        f"row indices must be strictly increasing in column {k}")
-                if c.sign == 0:
-                    raise ValueError(f"stored coefficient is zero in column {k}")
-                prev = i
-
-    @property
-    def nnz(self) -> int:
-        return sum(len(col) for col in self.columns)
-
-    def column_nnz(self) -> list[int]:
-        return [len(col) for col in self.columns]
-
-    @cached_property
-    def compiled(self) -> Compiled:
-        """The entries as integer arrays, built once on first use (never
-        while loading a plan, so load time stays the parse alone)."""
-        entries = [e for col in self.columns for e in col]
-        return Compiled(
-            np.array([i for i, _ in entries], dtype=np.int32),
-            np.array([c.sign < 0 for _, c in entries], dtype=bool),
-            np.array([c.exponent for _, c in entries], dtype=np.int16),
-            np.array([len(col) for col in self.columns], dtype=np.int32))
+    def op_counts(self) -> tuple[int, int, int]:
+        """``(additions, shifts, sign_changes)`` of one multiply: a column
+        of ``m`` entries costs ``m - 1`` additions, one shift per entry."""
+        nnz = self.nnz
+        return (nnz - int(np.count_nonzero(self.col_len)), nnz,
+                int(np.count_nonzero(self.negative)))
 
     def dense(self) -> np.ndarray:
         """Dense float64 rendering (every entry is exactly representable)."""
-        a = self.compiled
         out = np.zeros((self.rows, self.cols))
-        out[a.row, a.col] = a.coef()
+        out[self.row, self.col] = self.coef()
         return out
 
     def to_records(self) -> list[list[list[int]]]:
         """JSON-friendly nested lists ``[[row, sign, exp], ...]`` per column."""
-        return [[[i, c.sign, c.exponent] for i, c in col]
-                for col in self.columns]
+        flat = np.stack([self.row, np.where(self.negative, -1, 1),
+                         self.exp], axis=1).tolist()
+        ends = np.cumsum(self.col_len).tolist()
+        return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
     @classmethod
     def from_records(cls, rows: int, records) -> "Pow2Matrix":
-        """Inverse of ``to_records``.
+        """Inverse of ``to_records``: one column per record list.
 
-        Row, sign and exponent must be integers (``operator.index``: a float
-        raises ``TypeError`` instead of being truncated).  A coefficient that
-        is not in ``COEFFS`` (a sign other than +-1, or an exponent outside
-        ``[EXP_MIN, EXP_MAX]``) raises ``PlanFormatError``: every fitted stage
-        lies in that range, and the bound caps the shifts exact evaluation
-        performs on an untrusted plan.
+        Every entry must be a ``[row, sign, exp]`` triple of integers (each
+        leaf is read as a C ``int64``, so a float, string or ``None`` is
+        refused rather than truncated, and an integer beyond 64 bits too)
+        and every sign +-1, else ``PlanFormatError``; the constructor checks
+        rows and exponents.
         """
-        index = operator.index
-        cols = []
-        for col in records:
-            entries = []
-            for i, s, e in col:
-                try:
-                    entries.append((index(i), COEFFS[index(s), index(e)]))
-                except KeyError:
-                    raise PlanFormatError(
-                        f"coefficient sign {s}, exponent {e} is not +-2**e "
-                        f"with e in [{EXP_MIN}, {EXP_MAX}]") from None
-            cols.append(tuple(entries))
-        return cls(rows, len(cols), tuple(cols))
+        try:
+            col_len = list(map(len, records))
+            entries = list(chain.from_iterable(records))
+            if not set(map(len, entries)) <= {3}:
+                raise ValueError("an entry is not a triple")
+            leaves = array("q", list(chain.from_iterable(entries)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise PlanFormatError(
+                f"stage entries must be [row, sign, exp] integer triples: "
+                f"{exc}") from None
+        i, s, e = np.frombuffer(leaves, dtype=np.int64).reshape(-1, 3).T
+        bad = np.flatnonzero((s != 1) & (s != -1))
+        if bad.size:
+            raise PlanFormatError(f"coefficient sign {s[bad[0]]} is not +-1")
+        return cls(rows, len(col_len), i, s < 0, e,
+                   np.array(col_len, dtype=np.int64))
 
 
 def advance_effective(eff: np.ndarray, stage: Pow2Matrix) -> np.ndarray:
@@ -158,20 +171,18 @@ def advance_effective(eff: np.ndarray, stage: Pow2Matrix) -> np.ndarray:
     rows; used to roll the effective codebook forward one wiring stage.
     Each output column adds its scaled codebook columns to zero one after
     another in stored order, one array pass per position in the column, so
-    the result equals a per-entry loop bit for bit, signed zeros included.
-    (``np.add.reduceat`` adds a segment in another order, and differed in
-    the last bit on columns of five or more entries.)
+    the result equals a per-entry loop bit for bit, signed zeros included
+    (``np.add.reduceat`` adds in another order).
     """
     if eff.shape[1] != stage.rows:
         raise DimensionError(
             f"effective matrix has {eff.shape[1]} columns, stage has "
             f"{stage.rows} rows")
-    a = stage.compiled
-    coef = a.coef()
-    first = a.first
+    coef = stage.coef()
+    first = stage.first
     out = np.zeros((eff.shape[0], stage.cols))
-    for p in range(int(a.col_len.max(initial=0))):
-        has = a.col_len > p
+    for p in range(int(stage.col_len.max(initial=0))):
+        has = stage.col_len > p
         t = first[has] + p
-        out[:, has] += eff[:, a.row[t]] * coef[t]
+        out[:, has] += eff[:, stage.row[t]] * coef[t]
     return out

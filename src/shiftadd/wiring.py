@@ -13,7 +13,8 @@ is matching pursuit over a power-of-two alphabet (Mallat & Zhang, IEEE TSP
 One kernel, ``_fit_block``, runs every fit: it steps ``_BLOCK`` target
 columns at once as ``(block x K)`` array operations, one target column per
 row, and each column leaves the block on its own stopping rule.  The block
-size is a constant, not an option: it changes speed, never a result.
+size is a constant, not an option: it changes speed, never a result.  The
+fitted stage's arrays come straight from the weights the kernel wrote.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import AccuracyUnreachableError, DimensionError
 from .pot import pow2_round_array
-from .pow2matrix import COEFFS, Column, Pow2Matrix, advance_effective
+from .pow2matrix import Pow2Matrix, advance_effective
 from .plan import (ADAPTIVE_SINGLE_STAGE, DecompositionPlan, StageSchedule,
                    distortion_of_matrix, target_digest, threshold)
 
@@ -34,10 +35,11 @@ _BLOCK = 32
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of fitting one column: the sparse coefficients, the final
-    squared residual, and the squared residual after each applied step."""
+    """Outcome of fitting one column: its coefficients as a ``K x 1``
+    matrix, the final squared residual, and the squared residual after
+    each applied step."""
 
-    entries: Column
+    column: Pow2Matrix
     residual_sq: float
     trace: tuple[float, ...]
 
@@ -60,12 +62,15 @@ def _check_finite(tgt: np.ndarray, cb: np.ndarray) -> None:
 
 
 def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
-                 stop_sq: np.ndarray | None = None) -> list[FitResult]:
+                 stop_sq: np.ndarray | None = None
+                 ) -> tuple[Pow2Matrix, np.ndarray, list[tuple[float, ...]]]:
     """Greedy-fit every column of ``tgt`` over the columns of ``cb``.
 
     A column stops after ``max_steps`` changes, when its residual is zero,
     when no change strictly reduces its residual, or once its squared
-    residual is at most its entry of ``stop_sq``.
+    residual is at most its entry of ``stop_sq``.  Returns the fitted
+    ``K x M`` stage, each column's final squared residual, and each
+    column's squared residual after every applied step.
     """
     _check_finite(tgt, cb)
     cb_t = np.ascontiguousarray(cb.T)
@@ -74,25 +79,35 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     # (block x K) work arrays shared by every block: allocating fresh ones
     # each step costs page faults that tripled the time of a step
     work = np.empty((3, min(_BLOCK, rows.shape[0]), cb.shape[1]))
-    fits = []
+    parts = [(np.empty(0, dtype=np.intp), np.empty(0),
+              np.empty(0, dtype=np.intp), np.empty(0))]
+    traces = []
     for lo in range(0, rows.shape[0], _BLOCK):
-        fits += _fit_block(rows[lo:lo + _BLOCK], cb, cb_t, norms, max_steps,
-                           None if stop_sq is None else
-                           stop_sq[lo:lo + _BLOCK], work)
-    return fits
+        *part, block_traces = _fit_block(
+            rows[lo:lo + _BLOCK], cb, cb_t, norms, max_steps,
+            None if stop_sq is None else stop_sq[lo:lo + _BLOCK], work)
+        parts.append(part)
+        traces += block_traces
+    j, vals, col_len, r_sq = (np.concatenate(p) for p in zip(*parts))
+    stage = Pow2Matrix(cb.shape[1], rows.shape[0], j, vals < 0.0,
+                       np.frexp(vals)[1] - 1, col_len)
+    return stage, r_sq, traces
 
 
 def _fit_block(r: np.ndarray, cb: np.ndarray, cb_t: np.ndarray,
                norms: np.ndarray, max_steps: int,
                stop_sq: np.ndarray | None,
-               work: np.ndarray) -> list[FitResult]:
+               work: np.ndarray):
     """The greedy loop over a block of target columns, one per row of ``r``.
 
     ``cb_t`` is the transposed codebook and ``norms`` its squared column
     norms (zero columns are never picked).  Per column, the arithmetic is
     that of a loop over one column: ``r_sq`` is the row's own dot product,
     every array expression rounds as the one-column expression does, and
-    ``argmin`` along the row keeps the smallest-index tie-break.
+    ``argmin`` along the row keeps the smallest-index tie-break.  Returns
+    the fitted entries in column order (codebook index and weight, an exact
+    power of two), the entry count of each column, each column's final
+    squared residual and its per-step trace.
     """
     b, k_count = r.shape[0], cb.shape[1]
     r = r.copy()
@@ -138,29 +153,14 @@ def _fit_block(r: np.ndarray, cb: np.ndarray, cb_t: np.ndarray,
         for a in act.tolist():
             r_sq[a] = float(r[a] @ r[a])
             traces[a].append(float(r_sq[a]))
-    cols = _columns(w, picked)
-    return [FitResult(cols[i], float(r_sq[i]), tuple(traces[i]))
-            for i in range(b)]
-
-
-def _columns(w: np.ndarray, picked: list[np.ndarray]) -> list[Column]:
-    """The sparse columns of a block of weights, one per row of ``w``.
-
-    ``picked`` holds the flat indices of ``w`` the fit wrote to (reading
-    them is cheaper than a scan of ``w`` for nonzeros); every nonzero
-    weight is an exact power of two in ``COEFFS``.
-    """
+    # the flat indices the fit wrote, in column order (cheaper than a scan)
     flat = np.unique(np.concatenate(picked)) if picked else \
         np.empty(0, dtype=np.intp)
     vals = w.ravel()[flat]
     flat, vals = flat[vals != 0.0], vals[vals != 0.0]
-    rows, js = np.divmod(flat, w.shape[1])
-    exps = np.frexp(vals)[1] - 1
-    entries = [(j, COEFFS[s, e]) for j, s, e in
-               zip(js.tolist(), np.sign(vals).astype(int).tolist(),
-                   exps.tolist())]
-    ends = np.searchsorted(rows, np.arange(1, w.shape[0] + 1)).tolist()
-    return [tuple(entries[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    cols, js = np.divmod(flat, k_count)
+    return (js, vals, np.bincount(cols, minlength=b), r_sq,
+            [tuple(t) for t in traces])
 
 
 def fit_column(target_col: np.ndarray, codebook_cols: np.ndarray,
@@ -174,7 +174,8 @@ def fit_column(target_col: np.ndarray, codebook_cols: np.ndarray,
         raise DimensionError(
             f"target column of length {t.shape} does not match codebook "
             f"{cb.shape}")
-    return _fit_columns(t[:, None], cb, 1 + s)[0]
+    stage, r_sq, traces = _fit_columns(t[:, None], cb, 1 + s)
+    return FitResult(stage, float(r_sq[0]), traces[0])
 
 
 def fit_stage(target: np.ndarray, codebook_cols: np.ndarray,
@@ -187,8 +188,7 @@ def fit_stage(target: np.ndarray, codebook_cols: np.ndarray,
     if tgt.ndim != 2 or cb.ndim != 2 or tgt.shape[0] != cb.shape[0]:
         raise DimensionError(
             f"target {tgt.shape} and codebook {cb.shape} row counts differ")
-    cols = tuple(fit.entries for fit in _fit_columns(tgt, cb, 1 + s))
-    return Pow2Matrix(cb.shape[1], tgt.shape[1], cols)
+    return _fit_columns(tgt, cb, 1 + s)[0]
 
 
 def decompose(target: np.ndarray, codebook, schedule: StageSchedule,
@@ -219,9 +219,8 @@ def decompose(target: np.ndarray, codebook, schedule: StageSchedule,
 
     if schedule.mode == ADAPTIVE_SINGLE_STAGE:
         stages, eff = _decompose_adaptive(tgt, cb, schedule)
-        nnz = stages[0].column_nnz()
         meta["mean_column_sparsity"] = \
-            float(np.mean([max(m - 1, 0) for m in nnz]))
+            float(np.mean(np.maximum(stages[0].col_len - 1, 0)))
     else:
         stages, eff = _decompose_fixed(tgt, cb, schedule)
 
@@ -262,14 +261,14 @@ def _decompose_adaptive(tgt: np.ndarray, cb: np.ndarray,
                         schedule: StageSchedule):
     t_sq = np.array([float(t @ t) for t in tgt.T])
     stop_sq = threshold(schedule.target_bits) * t_sq
-    fits = _fit_columns(tgt, cb, schedule.max_stages, stop_sq)
-    for k, fit in enumerate(fits):
-        if fit.residual_sq > stop_sq[k]:
-            raise AccuracyUnreachableError(
-                f"accuracy unreachable: column {k} stuck at relative error "
-                f"{fit.residual_sq / max(t_sq[k], 1e-300):.3e} after "
-                f"{fit.steps} steps (budget {schedule.max_stages})")
-    stage = Pow2Matrix(cb.shape[1], tgt.shape[1],
-                       tuple(fit.entries for fit in fits))
+    stage, r_sq, traces = _fit_columns(tgt, cb, schedule.max_stages,
+                                       stop_sq)
+    stuck = np.flatnonzero(r_sq > stop_sq)
+    if stuck.size:
+        k = stuck[0]
+        raise AccuracyUnreachableError(
+            f"accuracy unreachable: column {k} stuck at relative error "
+            f"{r_sq[k] / max(t_sq[k], 1e-300):.3e} after "
+            f"{len(traces[k])} steps (budget {schedule.max_stages})")
     eff = advance_effective(cb, stage)
     return [stage], eff

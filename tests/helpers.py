@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,93 @@ import numpy as np
 import shiftadd as sa
 from shiftadd.codebooks import mailman_apply
 from shiftadd.plan import reconstruct_exact
-from shiftadd.pot import DYADIC_ZERO, EXP_MAX, EXP_MIN, Dyadic, align
+from shiftadd.pot import (DYADIC_ZERO, EXP_MAX, EXP_MIN, Dyadic, SignedPow2,
+                          align)
+
+
+# ---------------------------------------------------------------------------
+# the column-tuple view of a Pow2Matrix: ((row, SignedPow2), ...) per column
+# ---------------------------------------------------------------------------
+
+def columns(mat):
+    """The columns of ``mat`` as tuples of ``(row, SignedPow2)``."""
+    return tuple(tuple((i, SignedPow2(s, e)) for i, s, e in col)
+                 for col in mat.to_records())
+
+
+def pow2matrix(rows, cols, cols_tuples):
+    """A ``Pow2Matrix`` built from column tuples of ``(row, SignedPow2)``,
+    through ``from_records`` and the constructor, so both check it."""
+    mat = sa.Pow2Matrix.from_records(
+        rows, [[[i, c.sign, c.exponent] for i, c in col]
+               for col in cols_tuples])
+    return dataclasses.replace(mat, cols=cols)
+
+
+def from_records_oracle(rows, records):
+    """``Pow2Matrix.from_records`` as it was per entry: the column tuples of
+    a record list, or the exception the per-entry checks raise."""
+    cols = []
+    for col in records:
+        entries = []
+        for i, s, e in col:
+            c = operator.index(s), operator.index(e)
+            if c[0] not in (-1, 1) or not EXP_MIN <= c[1] <= EXP_MAX:
+                raise sa.PlanFormatError(f"bad coefficient {c}")
+            entries.append((operator.index(i), SignedPow2(*c)))
+        prev = -1
+        for i, _ in entries:
+            if not 0 <= i < rows:
+                raise sa.DimensionError(f"row index {i} out of range")
+            if i <= prev:
+                raise ValueError("row indices must be strictly increasing")
+            prev = i
+        cols.append(tuple(entries))
+    return tuple(cols)
+
+
+def cost_oracle(plan):
+    """``(additions, shifts, sign_changes, per_stage)`` of a plan counted
+    over the column tuples: the third witness next to ``cost_of`` and the
+    engine's counters."""
+    def count(mat):
+        cols = columns(mat)
+        return (sum(max(0, len(col) - 1) for col in cols),
+                sum(len(col) for col in cols),
+                sum(1 for col in cols for _, c in col if c.sign < 0))
+
+    cb = plan.codebook
+    if cb.kind == "mailman":
+        total = [sa.mailman_additions(cb.n_rows), 0, 0]
+    elif cb.kind == "gaussian":
+        total = [2 * cb.n_cols, 0, 0]
+    else:
+        total = [sum(c) for c in zip(*map(count, cb.factors))]
+    per_stage = []
+    for stage in plan.stages:
+        counts = count(stage)
+        total = [t + c for t, c in zip(total, counts)]
+        per_stage.append(counts[0])
+    return (*total, tuple(per_stage))
+
+
+def columns_collinear(col_a, col_b):
+    """Exact collinearity test of two column tuples:
+    ``a * <b, b> == b * <a, b>`` componentwise."""
+    a = {i: Fraction(c.sign) * Fraction(2) ** c.exponent for i, c in col_a}
+    b = {i: Fraction(c.sign) * Fraction(2) ** c.exponent for i, c in col_b}
+    if not a or not b:
+        return not a and not b
+    bb = sum(v * v for v in b.values())
+    ab = sum(a[i] * b[i] for i in a.keys() & b.keys())
+    return all(a.get(i, 0) * bb == b.get(i, 0) * ab
+               for i in a.keys() | b.keys())
+
+
+def has_collinear_pair(mat):
+    cols = columns(mat)
+    return any(columns_collinear(cols[j], cols[k])
+               for j in range(len(cols)) for k in range(j + 1, len(cols)))
 
 
 def random_dyadic_vector(rng, length, mant_range=64, exp_range=6):
@@ -63,7 +151,7 @@ def synthetic_plan(rng, max_cols=16, max_stages=4):
                 (int(i), sa.SignedPow2(int(rng.choice([-1, 1])),
                                        int(rng.integers(-40, 41))))
                 for i in row_pick))
-        stages.append(sa.Pow2Matrix(k, k, tuple(cols)))
+        stages.append(pow2matrix(k, k, cols))
     return sa.DecompositionPlan(n, k, codebook, tuple(stages))
 
 
@@ -74,7 +162,7 @@ def wide_mantissa_plan():
     cols = tuple(tuple(sorted([(k, sa.SignedPow2(1, 60)),
                                ((k + 1) % 4, sa.SignedPow2(1, -64))]))
                  for k in range(4))
-    stage = sa.Pow2Matrix(4, 4, cols)
+    stage = pow2matrix(4, 4, cols)
     return sa.DecompositionPlan(2, 4, sa.make_codebook("mailman", 2, 4),
                                 (stage,) * 10)
 
@@ -159,7 +247,7 @@ def dyadic_apply_oracle(plan, x):
     def apply_pow2(mat, vec):
         assert len(vec) == mat.cols
         out = [DYADIC_ZERO] * mat.rows
-        for k, col in enumerate(mat.columns):
+        for k, col in enumerate(columns(mat)):
             for i, c in col:
                 out[i] = out[i] + vec[k].times_pow2(c.sign, c.exponent)
             ops[0] += max(0, len(col) - 1)
@@ -200,10 +288,10 @@ def reconstruct_exact_oracle(plan):
                 for row in cb.dense().tolist()]
         chain = plan.stages
     for stage in chain:
-        shift = min((c.exponent for col in stage.columns for _, c in col),
-                    default=0)
+        cols = columns(stage)
+        shift = min((c.exponent for col in cols for _, c in col), default=0)
         terms = [[(i, c.sign << (c.exponent - shift)) for i, c in col]
-                 for col in stage.columns]
+                 for col in cols]
         rows = [([sum(r[i] * f for i, f in col) for col in terms], e + shift)
                 for r, e in rows]
     return [[(r[k], e) if r[k] else (0, 0) for r, e in rows]
@@ -213,7 +301,7 @@ def reconstruct_exact_oracle(plan):
 def advance_effective_oracle(eff, stage):
     """``advance_effective`` as a loop over every stored entry."""
     out = np.zeros((eff.shape[0], stage.cols))
-    for k, col in enumerate(stage.columns):
+    for k, col in enumerate(columns(stage)):
         acc = out[:, k]
         for j, c in col:
             acc += math.ldexp(float(c.sign), c.exponent) * eff[:, j]

@@ -14,8 +14,8 @@ import pytest
 import shiftadd as sa
 from shiftadd.pot import DYADIC_ZERO
 
-from helpers import exact_matvec, random_dyadic_vector, random_plan, \
-    synthetic_plan
+from helpers import columns, exact_matvec, random_dyadic_vector, \
+    random_plan, synthetic_plan
 
 
 def _report(num, text):
@@ -217,7 +217,7 @@ def test_10_property_suites():
         s = int(rng.integers(0, 5))
         fit = sa.fit_column(rng.standard_normal(n),
                             rng.standard_normal((n, k)), s)
-        assert len(fit.entries) <= 1 + s
+        assert len(columns(fit.column)[0]) <= 1 + s
 
     # serialization round trip, 1000 randomized plans
     for _ in range(1000):

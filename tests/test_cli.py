@@ -9,7 +9,7 @@ import shiftadd as sa
 from shiftadd import matio
 from shiftadd.cli import main
 
-from helpers import exact_matvec, wide_mantissa_plan
+from helpers import exact_matvec, pow2matrix, wide_mantissa_plan
 
 
 def run(capsys, *argv):
@@ -120,8 +120,8 @@ class TestDecomposeApply:
     def test_out_of_range_exponent_exits_before_arithmetic(self, tmp_path,
                                                            capsys):
         cb = sa.make_codebook("mailman", 2, 4)
-        stage = sa.Pow2Matrix(4, 4, tuple(((k, sa.SignedPow2(1, 0)),)
-                                          for k in range(4)))
+        stage = pow2matrix(4, 4, tuple(((k, sa.SignedPow2(1, 0)),)
+                                       for k in range(4)))
         doc = json.loads(sa.serialize(sa.DecompositionPlan(2, 4, cb,
                                                            (stage,))))
         doc["stages"][0][0][0][2] = 100000
@@ -137,8 +137,8 @@ class TestDecomposeApply:
     @pytest.mark.parametrize("sign", [0, 2])
     def test_bad_coefficient_sign_exits_3(self, tmp_path, capsys, sign):
         cb = sa.make_codebook("mailman", 2, 4)
-        stage = sa.Pow2Matrix(4, 4, tuple(((k, sa.SignedPow2(1, 0)),)
-                                          for k in range(4)))
+        stage = pow2matrix(4, 4, tuple(((k, sa.SignedPow2(1, 0)),)
+                                       for k in range(4)))
         doc = json.loads(sa.serialize(sa.DecompositionPlan(2, 4, cb,
                                                            (stage,))))
         doc["stages"][0][1][0][1] = sign
@@ -154,8 +154,8 @@ class TestDecomposeApply:
     @staticmethod
     def _apply_doc(tmp_path, capsys, edit):
         cb = sa.make_codebook("mailman", 2, 4)
-        stage = sa.Pow2Matrix(4, 4, tuple(((k, sa.SignedPow2(1, 0)),)
-                                          for k in range(4)))
+        stage = pow2matrix(4, 4, tuple(((k, sa.SignedPow2(1, 0)),)
+                                       for k in range(4)))
         doc = json.loads(sa.serialize(sa.DecompositionPlan(2, 4, cb,
                                                            (stage,))))
         edit(doc)
@@ -294,3 +294,28 @@ class TestAnalyze:
         lines = out.strip().splitlines()
         assert lines[0] == "K,rate,total_error,total_error_pow_1_over_R"
         assert len(lines) == 5
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--shapes", "16y"], ["bench", "--shapes", "16"],
+        ["bench", "--bits", "2,x"], ["bench", "--bits", ","],
+        ["analyze", "--fig", "total", "--rates", "0.5,x"],
+        ["analyze", "--fig", "cdf", "--K", "8,y"]])
+    def test_malformed_lists_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_analyze_checks_arguments_before_writing(self, tmp_path, capsys):
+        argv = ["analyze", "--fig", "lb", "--N", "1", "--K", "8",
+                "--stages", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        path = tmp_path / "lb.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(path)])
+        assert exc.value.code == 2
+        assert not path.exists()

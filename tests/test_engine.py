@@ -6,7 +6,8 @@ import pytest
 import shiftadd as sa
 from shiftadd.pot import DYADIC_ZERO, SignedPow2
 
-from helpers import (dyadic_apply_oracle, exact_matvec, fraction_matvec,
+from helpers import (cost_oracle, dyadic_apply_oracle, exact_matvec,
+                     fraction_matvec, pow2matrix,
                      random_dyadic_vector, random_plan, synthetic_plan,
                      wide_mantissa_plan)
 
@@ -78,8 +79,8 @@ class TestApply:
 
 
 class TestCompiledEngine:
-    """The engine on compiled integer arrays equals the per-entry Dyadic
-    loop in outputs and in every counter."""
+    """The engine on the integer arrays equals the per-entry Dyadic loop
+    in outputs and in every counter."""
 
     @staticmethod
     def _check(plan, x):
@@ -112,10 +113,10 @@ class TestCompiledEngine:
         empty = tuple(() for _ in range(8))
         for kind, n in (("mailman", 3), ("two-sparse", 3)):
             cb = sa.make_codebook(kind, n, 8)
-            for stages in ((sa.Pow2Matrix(8, 8, sparse),),
-                           (sa.Pow2Matrix(8, 8, empty),),
-                           (sa.Pow2Matrix(8, 8, empty),
-                            sa.Pow2Matrix(8, 8, sparse))):
+            for stages in ((pow2matrix(8, 8, sparse),),
+                           (pow2matrix(8, 8, empty),),
+                           (pow2matrix(8, 8, empty),
+                            pow2matrix(8, 8, sparse))):
                 plan = sa.DecompositionPlan(n, 8, cb, stages)
                 self._check(plan, random_dyadic_vector(rng, 8))
 
@@ -126,6 +127,44 @@ class TestCompiledEngine:
         self._check(plan, x)
         y, _ = sa.apply(plan, x)
         assert max(v.mantissa.bit_length() for v in y) > 1024
+
+
+class TestCostWitnesses:
+    """Three independent counts of one plan agree: ``cost_of`` (from the
+    column lengths), the engine (from the terms it gathers) and the
+    column-tuple counter of the tests."""
+
+    @staticmethod
+    def _check(plan, rng):
+        _, ran = sa.apply(plan, random_dyadic_vector(rng, plan.n_cols))
+        want = cost_oracle(plan)
+        for rep in (sa.cost_of(plan), ran):
+            assert (rep.additions, rep.shifts, rep.sign_changes,
+                    rep.per_stage) == want
+
+    def test_random_and_synthetic_plans(self):
+        rng = np.random.default_rng(520)
+        for _ in range(15):
+            self._check(random_plan(rng, max_cols=32, max_stages=4)[0], rng)
+            self._check(synthetic_plan(rng), rng)
+
+    @pytest.mark.parametrize("kind, n, k", [
+        ("mailman", 4, 16), ("two-sparse", 4, 16), ("two-sparse", 8, 256),
+        ("self-designing", 4, 16)])
+    def test_bare_codebooks(self, kind, n, k):
+        rng = np.random.default_rng(521)
+        cb = sa.make_codebook(kind, n, k, target=rng.standard_normal((n, k)))
+        self._check(sa.DecompositionPlan(n, k, cb, ()), rng)
+
+    def test_table1_plan(self):
+        rng = np.random.default_rng(522)
+        tgt = rng.standard_normal((16, 1024))
+        cb = sa.make_codebook("self-designing", 16, 1024, target=tgt,
+                              aux="target")
+        plan = sa.decompose(tgt, cb, sa.StageSchedule.fixed(
+            [1], target_bits=16, max_stages=96))
+        assert plan.n_stages > 20
+        self._check(plan, rng)
 
 
 class TestBaseline:

@@ -1,7 +1,12 @@
 """Matrix and vector file formats."""
 
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftadd as sa
 from shiftadd import matio
@@ -100,3 +105,59 @@ class TestVectorFiles:
         matio.save_matrix_bin(bad, np.ones((2, 2)))
         with pytest.raises(sa.MatrixFormatError):
             matio.load_vector(bad)
+
+
+def _bin_bytes(mat):
+    buf = io.BytesIO()
+    mat = np.ascontiguousarray(mat, dtype="<f8")
+    buf.write(matio._HEADER.pack(matio.MATRIX_MAGIC, *mat.shape))
+    buf.write(mat.tobytes())
+    return buf.getvalue()
+
+
+_VECTOR_FILES = [b"0.375\n-2\n0.5\n", b"# mantissa,exponent,decimal\n"
+                 b"3,-3,0.375\n-5,2,-20.0\n0,0,0.0\n",
+                 _bin_bytes(np.array([[0.375, -2.0, 0.5]]))]
+_MATRIX_FILES = [b"1.0,2.0,3.0\n-0.5,0.25,1e-3\n",
+                 _bin_bytes(np.array([[1.0, -2.0], [0.5, 3.0]]))]
+# bytes that make a file plausible-but-wrong rather than plain noise
+_SPLICES = st.one_of(
+    st.sampled_from([b",", b"\n", b"-", b"e", b"e9999", b"e-99999", b"x",
+                     b"nan", b"inf", b"0.1", b"#", b" ", b"1,2,3", b"\xff",
+                     b"\x00", b"9" * 40, b"SApw2mat", b"\xff\xff\xff\x7f"]),
+    st.binary(max_size=6))
+
+
+def _mutated(data, files):
+    blob = bytearray(data.draw(st.sampled_from(files)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["insert", "delete", "replace",
+                                        "truncate", "duplicate"]))
+        i = data.draw(st.integers(0, len(blob)))
+        j = data.draw(st.integers(i, min(len(blob), i + 8)))
+        if op == "insert":
+            blob[i:i] = data.draw(_SPLICES)
+        elif op == "delete":
+            del blob[i:j]
+        elif op == "replace":
+            blob[i:j] = data.draw(_SPLICES)
+        elif op == "truncate":
+            del blob[i:]
+        else:
+            blob[i:i] = blob[i:j]
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("load, files", [
+    (matio.load_vector, _VECTOR_FILES), (matio.load_matrix, _MATRIX_FILES)],
+    ids=["vector", "matrix"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_file_loads_or_is_a_format_error(load, files, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f"
+        path.write_bytes(_mutated(data, files))
+        try:
+            load(path)
+        except sa.MatrixFormatError:
+            pass

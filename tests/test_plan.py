@@ -13,7 +13,8 @@ from shiftadd.plan import reconstruct_exact
 from shiftadd.pot import SignedPow2
 from shiftadd.pow2matrix import Pow2Matrix
 
-from helpers import (random_plan, reconstruct_exact_oracle, synthetic_plan,
+from helpers import (columns, from_records_oracle, pow2matrix, random_plan,
+                     reconstruct_exact_oracle, synthetic_plan,
                      wide_mantissa_plan)
 
 
@@ -47,7 +48,7 @@ class TestReconstruct:
         cb = sa.make_codebook("mailman", 2, 4)
         # one-sparse wiring: column k selects codebook column (k+1) % 4, halved
         cols = tuple((((k + 1) % 4, SignedPow2(1, -1)),) for k in range(4))
-        plan = sa.DecompositionPlan(2, 4, cb, (Pow2Matrix(4, 4, cols),))
+        plan = sa.DecompositionPlan(2, 4, cb, (pow2matrix(4, 4, cols),))
         expect = 0.5 * cb.dense()[:, [1, 2, 3, 0]]
         assert np.array_equal(sa.reconstruct(plan), expect)
 
@@ -93,9 +94,9 @@ class TestReconstruct:
         sparse = tuple(((k, SignedPow2(-1, k - 4)),) if k % 3 else ()
                        for k in range(8))
         empty = tuple(() for _ in range(8))
-        for stages in ((Pow2Matrix(8, 8, sparse),),
-                       (Pow2Matrix(8, 8, empty),),
-                       (Pow2Matrix(8, 8, sparse), Pow2Matrix(8, 8, empty))):
+        for stages in ((pow2matrix(8, 8, sparse),),
+                       (pow2matrix(8, 8, empty),),
+                       (pow2matrix(8, 8, sparse), pow2matrix(8, 8, empty))):
             plan = sa.DecompositionPlan(3, 8, cb, stages)
             assert reconstruct_exact(plan) == reconstruct_exact_oracle(plan)
 
@@ -229,7 +230,7 @@ class TestSerialization:
 
     def _doc(self):
         cb = sa.make_codebook("mailman", 2, 4)
-        stage = Pow2Matrix(4, 4, tuple(((k, SignedPow2(1, -k)),)
+        stage = pow2matrix(4, 4, tuple(((k, SignedPow2(1, -k)),)
                                        for k in range(4)))
         return json.loads(sa.serialize(sa.DecompositionPlan(2, 4, cb,
                                                             (stage,))))
@@ -258,12 +259,33 @@ class TestSerialization:
         with pytest.raises(sa.PlanFormatError, match="integer"):
             sa.deserialize(json.dumps(doc).encode())
 
-    def test_compiled_form_is_not_built_by_loading(self):
+    def test_loading_stores_only_the_arrays(self):
         rng = np.random.default_rng(411)
         plan, _ = random_plan(rng, max_cols=16, max_stages=3)
         back = sa.deserialize(sa.serialize(plan))
         for mat in back.stages + back.codebook.factors:
-            assert "compiled" not in vars(mat)
+            assert set(vars(mat)) == {"rows", "cols", "row", "negative",
+                                      "exp", "col_len"}
+            assert [mat.row.dtype, mat.negative.dtype, mat.exp.dtype,
+                    mat.col_len.dtype] == [np.int32, bool, np.int16,
+                                           np.int32]
+
+    @pytest.mark.parametrize("leaf", [2 ** 63, -2 ** 63 - 1, 10 ** 30])
+    def test_huge_integer_is_a_format_error(self, leaf):
+        for k in range(3):
+            doc = self._doc()
+            doc["stages"][0][0][0][k] = leaf
+            with pytest.raises(sa.PlanFormatError):
+                sa.deserialize(json.dumps(doc).encode())
+
+    def test_negative_gaussian_seed_is_a_format_error(self):
+        cb = sa.make_codebook("gaussian", 2, 4, seed=3)
+        doc = json.loads(sa.serialize(sa.DecompositionPlan(2, 4, cb, ())))
+        doc["codebook"]["seed"] = -1
+        with pytest.raises(sa.PlanFormatError, match="seed"):
+            sa.deserialize(json.dumps(doc).encode())
+        with pytest.raises(ValueError, match="seed"):
+            sa.make_codebook("gaussian", 2, 4, seed=-1)
 
 
 def _fuzz_base_docs():
@@ -300,14 +322,21 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
+_LIST_OPS = ["drop", "duplicate", "swap", "truncate", "leaf"]
+
+
 def _mutate(doc, data):
-    op = data.draw(st.sampled_from(
-        ["drop", "duplicate", "swap", "truncate", "leaf", "shape"]))
+    op = data.draw(st.sampled_from(_LIST_OPS + ["shape"]))
     if op == "shape":
         where = data.draw(st.sampled_from([doc, doc["codebook"]]))
         where[data.draw(st.sampled_from(["rows", "cols"]))] = \
             data.draw(_SHAPES)
         return
+    _mutate_at(doc, data, op)
+
+
+def _mutate_at(doc, data, op):
+    """Apply list operation or leaf replacement ``op`` somewhere in ``doc``."""
     if op == "leaf":
         candidates = [p for p, v in _paths(doc)
                       if p and not isinstance(v, (dict, list))]
@@ -346,3 +375,48 @@ def test_mutated_plan_loads_or_is_a_format_error(data):
         sa.deserialize(json.dumps(doc).encode())
     except sa.PlanFormatError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_plan_that_loads_reconstructs(data):
+    # a document the loader accepts must not fail later, on first use
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(_FUZZ_DOCS))))
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(doc, data)
+    # the cases the single mutations rarely reach: a shape that plan and
+    # codebook agree on, and a negative Gaussian seed
+    if data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(["rows", "cols"]))
+        doc[key] = doc["codebook"][key] = data.draw(_SHAPES)
+    if "seed" in doc["codebook"]:
+        doc["codebook"]["seed"] = data.draw(st.integers(-3, 3))
+    try:
+        plan = sa.deserialize(json.dumps(doc).encode())
+    except sa.PlanFormatError:
+        return
+    reconstruct_exact(plan)
+    sa.cost_of(plan)
+
+
+# every stored matrix of the fuzz documents, with its row count
+_FUZZ_RECORDS = [(doc["cols"], rec) for doc in _FUZZ_DOCS
+                 for rec in doc["stages"] + doc["codebook"].get("factors", [])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_array_loader_rejects_what_the_entry_checks_reject(data):
+    rows, rec = data.draw(st.sampled_from(_FUZZ_RECORDS))
+    doc = {"records": json.loads(json.dumps(rec))}
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate_at(doc, data, data.draw(st.sampled_from(_LIST_OPS)))
+    try:
+        want = from_records_oracle(rows, doc["records"])
+    except (TypeError, ValueError):
+        want = None
+    try:
+        got = columns(Pow2Matrix.from_records(rows, doc["records"]))
+    except ValueError:  # PlanFormatError and DimensionError included
+        got = None
+    assert got == want

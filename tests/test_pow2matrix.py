@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 import shiftadd as sa
-from shiftadd.pot import SignedPow2
+from shiftadd.pot import EXP_MAX, SignedPow2
 from shiftadd.pow2matrix import Pow2Matrix, advance_effective
 
-from helpers import advance_effective_oracle, same_bits
+from helpers import advance_effective_oracle, columns, pow2matrix, same_bits
 
 
 def test_dense_and_nnz():
     cols = (((0, SignedPow2(1, 0)), (2, SignedPow2(-1, -1))),
             (),
             ((1, SignedPow2(1, 2)),))
-    m = Pow2Matrix(3, 3, cols)
+    m = pow2matrix(3, 3, cols)
     assert m.nnz == 3
     assert m.column_nnz() == [2, 0, 1]
     assert m.dense().tolist() == [[1, 0, 0], [0, 0, 4], [-0.5, 0, 0]]
@@ -22,21 +22,21 @@ def test_dense_and_nnz():
 
 def test_validation():
     with pytest.raises(sa.DimensionError):
-        Pow2Matrix(2, 2, (((2, SignedPow2(1, 0)),), ()))
+        pow2matrix(2, 2, (((2, SignedPow2(1, 0)),), ()))
     with pytest.raises(ValueError):
-        Pow2Matrix(2, 2, (((1, SignedPow2(1, 0)), (1, SignedPow2(1, 0))), ()))
+        pow2matrix(2, 2, (((1, SignedPow2(1, 0)), (1, SignedPow2(1, 0))), ()))
     with pytest.raises(ValueError):
-        Pow2Matrix(2, 2, (((1, SignedPow2(1, 0)), (0, SignedPow2(1, 0))), ()))
+        pow2matrix(2, 2, (((1, SignedPow2(1, 0)), (0, SignedPow2(1, 0))), ()))
     with pytest.raises(ValueError):
-        Pow2Matrix(2, 1, (((0, SignedPow2(0, 0)),),))
+        pow2matrix(2, 1, (((0, SignedPow2(0, 0)),),))
     with pytest.raises(sa.DimensionError):
-        Pow2Matrix(2, 3, ((), ()))
+        pow2matrix(2, 3, ((), ()))
 
 
 def test_records_round_trip():
     cols = (((0, SignedPow2(1, 3)), (1, SignedPow2(-1, -7))),
             ((1, SignedPow2(1, 0)),))
-    m = Pow2Matrix(2, 2, cols)
+    m = pow2matrix(2, 2, cols)
     assert Pow2Matrix.from_records(2, m.to_records()) == m
 
 
@@ -49,13 +49,11 @@ def test_advance_effective_matches_matmul():
         advance_effective(rng.standard_normal((3, 6)), stage)
 
 
-def test_compiled_form():
+def test_array_storage():
     cols = (((0, SignedPow2(1, 0)), (2, SignedPow2(-1, -1))),
             (),
             ((1, SignedPow2(1, 2)),))
-    m = Pow2Matrix(3, 3, cols)
-    assert "compiled" not in vars(m)  # built on first use
-    a = m.compiled
+    a = pow2matrix(3, 3, cols)
     assert a.row.tolist() == [0, 2, 1]
     assert a.negative.tolist() == [False, True, False]
     assert a.exp.tolist() == [0, -1, 2]
@@ -63,9 +61,38 @@ def test_compiled_form():
     assert a.col.tolist() == [0, 0, 2]
     assert a.first.tolist() == [0, 2, 2]
     assert a.min_exp == -1
-    assert all(v.dtype.kind in "bi" for v in a)  # integer arrays only
-    assert m.compiled is a
-    assert Pow2Matrix(2, 2, ((), ())).compiled.min_exp == 0
+    assert a.op_counts() == (1, 3, 1)
+    stored = (a.row, a.negative, a.exp, a.col_len)
+    assert [v.dtype for v in stored] == [np.int32, bool, np.int16, np.int32]
+    assert not any(v.flags.writeable for v in stored)
+    assert set(vars(a)) == {"rows", "cols", "row", "negative", "exp",
+                            "col_len"}  # nothing derived is kept
+    assert pow2matrix(2, 2, ((), ())).min_exp == 0
+    assert columns(a) == cols
+
+
+def test_constructor_checks_the_arrays():
+    m = pow2matrix(3, 2, (((0, SignedPow2(1, 0)), (2, SignedPow2(1, 0))),
+                          ((1, SignedPow2(-1, EXP_MAX)),)))
+    arrays = dict(row=m.row, negative=m.negative, exp=m.exp,
+                  col_len=m.col_len)
+    assert Pow2Matrix(3, 2, **arrays) == m
+    with pytest.raises(sa.DimensionError, match="row index 3"):
+        Pow2Matrix(3, 2, **{**arrays, "row": np.array([0, 3, 1])})
+    with pytest.raises(ValueError, match="exponent 64"):
+        Pow2Matrix(3, 2, **{**arrays, "exp": np.array([0, 64, 1])})
+    with pytest.raises(ValueError, match="increasing in column 0"):
+        Pow2Matrix(3, 2, **{**arrays, "row": np.array([2, 0, 1])})
+    with pytest.raises(sa.DimensionError, match="column lengths"):
+        Pow2Matrix(3, 2, **{**arrays, "col_len": np.array([2, 2])})
+    with pytest.raises(sa.DimensionError, match="column lengths"):
+        Pow2Matrix(3, 2, **{**arrays, "col_len": np.array([4, -1])})
+    with pytest.raises(TypeError):
+        Pow2Matrix(3, 2, **{**arrays, "negative": np.array([0, 0, 1])})
+    with pytest.raises(TypeError):
+        Pow2Matrix(3, 2, **{**arrays, "row": np.array([0.0, 2.0, 1.0])})
+    with pytest.raises(sa.DimensionError):
+        Pow2Matrix(2 ** 31, 2, **arrays)
 
 
 def test_advance_effective_equals_loop_bit_for_bit():
@@ -82,11 +109,11 @@ def test_advance_effective_equals_loop_bit_for_bit():
             cols.append(tuple((int(i), SignedPow2(int(rng.choice([-1, 1])),
                                                   int(rng.integers(-64, 64))))
                               for i in rows))
-        stage = Pow2Matrix(k, k, tuple(cols))
+        stage = pow2matrix(k, k, tuple(cols))
         assert same_bits(advance_effective(eff, stage),
                          advance_effective_oracle(eff, stage))
     # a lone -0.0 term sums to +0.0, as in the loop
-    stage = Pow2Matrix(2, 1, (((0, SignedPow2(1, 0)),),))
+    stage = pow2matrix(2, 1, (((0, SignedPow2(1, 0)),),))
     assert not np.signbit(advance_effective(np.array([[-0.0, 1.0]]),
                                             stage)).any()
 

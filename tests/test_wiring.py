@@ -10,37 +10,44 @@ from shiftadd import wiring
 from shiftadd.pot import SignedPow2
 from shiftadd.pow2matrix import advance_effective
 
-from helpers import advance_effective_oracle, greedy_fit_oracle, same_bits
+from helpers import (advance_effective_oracle, columns, greedy_fit_oracle,
+                     same_bits)
+
+
+def entries(fit):
+    """A ``FitResult``'s coefficients as one column tuple."""
+    return columns(fit.column)[0]
 
 
 class TestFitColumn:
     def test_two_dim_example(self):
         fit = sa.fit_column(np.array([0.8, -0.3]), np.eye(2), 1)
-        assert fit.entries == ((0, SignedPow2(1, 0)), (1, SignedPow2(-1, -2)))
+        assert entries(fit) == ((0, SignedPow2(1, 0)), (1, SignedPow2(-1, -2)))
         assert fit.residual_sq == pytest.approx(0.0425, abs=1e-12)
 
     def test_exact_power_is_found(self):
         fit = sa.fit_column(np.array([0.5, 0.0]), np.eye(2), 0)
-        assert fit.entries == ((0, SignedPow2(1, -1)),)
+        assert entries(fit) == ((0, SignedPow2(1, -1)),)
         assert fit.residual_sq == 0.0
 
     def test_zero_target_early_stop(self):
         fit = sa.fit_column(np.zeros(3), np.ones((3, 4)), 2)
-        assert fit.entries == () and fit.steps == 0
+        assert entries(fit) == () and fit.steps == 0
 
     def test_duplicate_columns_tie_break(self):
         # both duplicates score identically on the first pick; the smaller
         # index wins, deterministically
         cb = np.array([[1.0, 1.0], [1.0, 1.0]])
         fit = sa.fit_column(np.array([0.9, 0.9]), cb, 0)
-        assert [j for j, _ in fit.entries] == [0]
+        assert [j for j, _ in entries(fit)] == [0]
         again = sa.fit_column(np.array([0.9, 0.9]), cb, 3)
-        assert again.entries == sa.fit_column(np.array([0.9, 0.9]), cb, 3).entries
+        assert entries(again) == \
+            entries(sa.fit_column(np.array([0.9, 0.9]), cb, 3))
 
     def test_zero_codebook_columns_skipped(self):
         cb = np.array([[0.0, 1.0], [0.0, 0.0]])
         fit = sa.fit_column(np.array([0.5, 0.0]), cb, 1)
-        assert fit.entries == ((1, SignedPow2(1, -1)),)
+        assert entries(fit) == ((1, SignedPow2(1, -1)),)
 
     def test_budget_bound(self):
         rng = np.random.default_rng(300)
@@ -50,7 +57,7 @@ class TestFitColumn:
             s = int(rng.integers(0, 4))
             fit = sa.fit_column(rng.standard_normal(n),
                                 rng.standard_normal((n, k)), s)
-            assert len(fit.entries) <= 1 + s
+            assert len(entries(fit)) <= 1 + s
 
     def test_residual_monotone(self):
         rng = np.random.default_rng(301)
@@ -76,7 +83,7 @@ class TestFitColumn:
             for step in range(3):
                 fit = sa.fit_column(t, cb, step)
                 w = np.zeros(k)
-                for j, c in fit.entries:
+                for j, c in entries(fit):
                     w[j] = c.value
                 best = r_sq
                 cur = t - cb @ w
@@ -102,7 +109,7 @@ class TestFitStage:
         rng = np.random.default_rng(303)
         cb = rng.standard_normal((4, 6))
         stage = sa.fit_stage(cb, cb, 1)
-        for k, col in enumerate(stage.columns):
+        for k, col in enumerate(columns(stage)):
             assert col == ((k, SignedPow2(1, 0)),)
 
     def test_budget_and_shape(self):
@@ -111,7 +118,7 @@ class TestFitStage:
         cb = rng.standard_normal((4, 16))
         stage = sa.fit_stage(tgt, cb, 2)
         assert (stage.rows, stage.cols) == (16, 10)
-        assert all(len(col) <= 3 for col in stage.columns)
+        assert all(len(col) <= 3 for col in columns(stage))
         assert stage.nnz <= 10 * 3
 
     def test_single_stage_error_near_model(self):
@@ -137,7 +144,7 @@ class TestFitStage:
         a = sa.fit_stage(tgt, cb, 1)
         b = sa.fit_stage(tgt[:, perm], cb, 1)
         for k, p in enumerate(perm):
-            assert b.columns[k] == a.columns[p]
+            assert columns(b)[k] == columns(a)[p]
 
 
 class TestDecompose:
@@ -210,7 +217,8 @@ class TestDecompose:
 
 
 def _fits(fits):
-    return [(f.entries, f.residual_sq, f.trace) for f in fits]
+    stage, r_sq, traces = fits
+    return list(zip(columns(stage), r_sq.tolist(), traces))
 
 
 class TestBlockedKernel:
@@ -226,10 +234,10 @@ class TestBlockedKernel:
         assert _fits(fits) == [greedy_fit_oracle(tgt[:, k], cb, 3)
                                for k in range(m)]
         stage = sa.fit_stage(tgt, cb, 2)
-        assert list(stage.columns) == [f.entries for f in fits]
+        assert columns(stage) == columns(fits[0])
         for k in (0, m - 1):
             fit = sa.fit_column(tgt[:, k], cb, 2)
-            assert (fit.entries, fit.residual_sq, fit.trace) == \
+            assert (entries(fit), fit.residual_sq, fit.trace) == \
                 greedy_fit_oracle(tgt[:, k], cb, 3)
 
     @pytest.mark.parametrize("m", [1, 33, 65])
@@ -251,7 +259,7 @@ class TestBlockedKernel:
         cb = codebook.dense()
         rel = sa.threshold(12)
         plan = sa.decompose(tgt, codebook, sa.StageSchedule.adaptive(12, 96))
-        assert list(plan.stages[0].columns) == [
+        assert list(columns(plan.stages[0])) == [
             greedy_fit_oracle(t, cb, 96, rel * float(t @ t))[0]
             for t in tgt.T]
 
@@ -264,9 +272,9 @@ class TestBlockedKernel:
         fits = wiring._fit_columns(tgt, cb, 4)
         assert _fits(fits) == [greedy_fit_oracle(tgt[:, k], cb, 4)
                                for k in range(40)]
-        assert all(j < 4 for f in fits for j, _ in f.entries)
+        assert all(j < 4 for col in columns(fits[0]) for j, _ in col)
         empty = wiring._fit_columns(tgt, np.zeros((4, 8)), 4)
-        assert all(f.entries == () and f.trace == () for f in empty)
+        assert all(col == () and trace == () for col, _, trace in _fits(empty))
 
     def test_duplicate_columns_tie_break(self):
         rng = np.random.default_rng(341)
@@ -287,7 +295,7 @@ class TestBlockedKernel:
                                                    max_stages=96))
         eff = codebook.dense()
         for stage in plan.stages:
-            assert list(stage.columns) == [
+            assert list(columns(stage)) == [
                 greedy_fit_oracle(tgt[:, k], eff, 2)[0] for k in range(256)]
             ref = advance_effective_oracle(eff, stage)
             assert same_bits(advance_effective(eff, stage), ref)
