@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, PlanFormatError
 from .pow2matrix import Pow2Matrix, advance_effective
 
 KINDS = ("mailman", "two-sparse", "self-designing", "gaussian")
@@ -246,6 +246,13 @@ class CodebookDescriptor:
     def from_dict(cls, d: dict) -> "CodebookDescriptor":
         kind = d["kind"]
         n, k = operator.index(d["rows"]), operator.index(d["cols"])
+        # refused before anything is built, so a short document cannot make
+        # the loader or dense() exhaust memory
+        max_k = 1 << MAILMAN_MAX_ROWS
+        if k > max_k or n * k > MAILMAN_MAX_ROWS * max_k:
+            raise PlanFormatError(
+                f"a {n}x{k} codebook exceeds the largest, the "
+                f"{MAILMAN_MAX_ROWS}x{max_k} mailman codebook")
         if kind == "two-sparse":
             return cls(kind, n, k, factors=(two_sparse_build(n, k),))
         if kind == "self-designing":

@@ -43,7 +43,7 @@ def _apply_matrix(mat: Pow2Matrix, h: np.ndarray,
     if len(h) != mat.cols:
         raise DimensionError(
             f"vector of length {len(h)} against {mat.rows}x{mat.cols}")
-    terms = h[mat.col] << mat.lshift
+    terms = np.repeat(h, mat.col_len) << mat.lshift
     terms[mat.negative] = -terms[mat.negative]
     out = np.zeros(mat.rows, dtype=object)
     np.add.at(out, mat.row, terms)

@@ -99,8 +99,9 @@ class Pow2Matrix:
 
     @property
     def lshift(self) -> np.ndarray:
-        """``exp - min_exp`` of each entry, in a width that cannot wrap."""
-        return self.exp.astype(np.int64) - self.min_exp
+        """``exp - min_exp`` of each entry, as int16: the constructor keeps
+        exponents in ``[EXP_MIN, EXP_MAX]``, so the difference cannot wrap."""
+        return self.exp - self.min_exp
 
     @property
     def col(self) -> np.ndarray:

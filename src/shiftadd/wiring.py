@@ -2,13 +2,24 @@
 
 Each wiring column approximates one target column as a sparse signed
 power-of-two combination of codebook columns.  A greedy step replaces at
-most a single component: for every candidate column the exact least-squares
-coefficient against the component-removed residual is rounded to the
-nearest signed power of two, the squared residual of every such change is
-scored, and the single best strictly improving change is applied.  Ties
-break toward the smallest column index, so fits are bit-reproducible.  This
-is matching pursuit over a power-of-two alphabet (Mallat & Zhang, IEEE TSP
-1993).
+most a single component: the exact least-squares coefficient of a candidate
+column against the component-removed residual is rounded to the nearest
+signed power of two, the squared residual of that change is its score, and
+the single best strictly improving change over all K columns is applied.
+Ties break toward the smallest column index, so fits are bit-reproducible.
+This is matching pursuit over a power-of-two alphabet (Mallat & Zhang, IEEE
+TSP 1993).
+
+A step need not score all K columns.  With ``u_k`` the correlation of the
+residual with column ``k``, no change of coefficient ``k`` lowers the
+squared residual by more than ``u_k**2 / |b_k|**2``, the reduction of the
+unrounded least-squares change, and rounding to the nearest power of two
+keeps at least 8/9 of it.  So once the column of largest bound and the
+current support are scored, every column whose bound falls short of the
+best reduction found cannot win, and is skipped: a safe screening rule in
+the sense of El Ghaoui et al. (2012).  Besides the support, one or two
+columns per step remain to be scored, and every fit equals the full
+scan's, float for float.
 
 One kernel, ``_fit_block``, runs every fit: it steps ``_BLOCK`` target
 columns at once as ``(block x K)`` array operations, one target column per
@@ -30,7 +41,11 @@ from .pow2matrix import Pow2Matrix, advance_effective
 from .plan import (ADAPTIVE_SINGLE_STAGE, DecompositionPlan, StageSchedule,
                    distortion_of_matrix, target_digest, threshold)
 
-_BLOCK = 32
+_BLOCK = 128
+# The screen's float slack relative to r_sq, and an absolute floor that
+# covers subnormal rounding; see _fit_block for why it suffices.
+_SLACK_REL = 2.0 ** -40
+_SLACK_ABS = 2.0 ** -1000
 
 
 @dataclass(frozen=True)
@@ -48,9 +63,9 @@ class FitResult:
         return len(self.trace)
 
 
-def _check_finite(tgt: np.ndarray, cb: np.ndarray) -> None:
+def _check_finite(tgt: np.ndarray, cb: np.ndarray) -> float:
     """Reject inputs the fit cannot score: non-finite entries, or a target
-    whose squared norm overflows float64."""
+    whose squared norm overflows float64.  Returns that squared norm."""
     for name, a in (("target", tgt), ("codebook", cb)):
         if not np.isfinite(a).all():
             raise ValueError(f"{name} holds NaN or infinite entries")
@@ -59,6 +74,7 @@ def _check_finite(tgt: np.ndarray, cb: np.ndarray) -> None:
     if not math.isfinite(norm_sq):
         raise ValueError("the target's squared norm overflows float64; "
                          "rescale the target by a power of two")
+    return norm_sq
 
 
 def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
@@ -72,13 +88,26 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     ``K x M`` stage, each column's final squared residual, and each
     column's squared residual after every applied step.
     """
-    _check_finite(tgt, cb)
+    norm_sq = _check_finite(tgt, cb)
     cb_t = np.ascontiguousarray(cb.T)
-    norms = np.einsum("kn,kn->k", cb_t, cb_t)
+    with np.errstate(over="ignore"):
+        norms_all = np.einsum("kn,kn->k", cb_t, cb_t)
+    # |u| <= sqrt(r_sq * norm) for every correlation u: this keeps 2u, and
+    # so every score, finite and free of NaN
+    if not (math.sqrt(norm_sq) * math.sqrt(norms_all.max(initial=0.0))
+            < 2.0 ** 1020):
+        raise ValueError("the target and codebook scales overflow float64 "
+                         "in the fit; rescale them by powers of two")
+    # a column of zero norm can never be picked: fit over the others only,
+    # and take no step when there are none
+    usable = np.flatnonzero(norms_all > 0.0)
+    cb, cb_t, norms = cb[:, usable], cb_t[usable], norms_all[usable]
+    if not usable.size:
+        max_steps = 0
     rows = np.ascontiguousarray(tgt.T)
     # (block x K) work arrays shared by every block: allocating fresh ones
     # each step costs page faults that tripled the time of a step
-    work = np.empty((3, min(_BLOCK, rows.shape[0]), cb.shape[1]))
+    work = np.empty((2, min(_BLOCK, rows.shape[0]), cb.shape[1]))
     parts = [(np.empty(0, dtype=np.intp), np.empty(0),
               np.empty(0, dtype=np.intp), np.empty(0))]
     traces = []
@@ -89,9 +118,18 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
         parts.append(part)
         traces += block_traces
     j, vals, col_len, r_sq = (np.concatenate(p) for p in zip(*parts))
-    stage = Pow2Matrix(cb.shape[1], rows.shape[0], j, vals < 0.0,
+    stage = Pow2Matrix(len(norms_all), rows.shape[0], usable[j], vals < 0.0,
                        np.frexp(vals)[1] - 1, col_len)
     return stage, r_sq, traces
+
+
+def _score(u, w, n, r_sq):
+    """Score setting coefficients ``w`` to their rounded least-squares
+    values, on gathered entries: the squared residual after the change, the
+    rounded value, and the change ``delta`` of the coefficient."""
+    v = pow2_round_array((w * n + u) / n)
+    delta = w - v
+    return (delta * n + 2.0 * u) * delta + r_sq, v, delta
 
 
 def _fit_block(r: np.ndarray, cb: np.ndarray, cb_t: np.ndarray,
@@ -101,66 +139,110 @@ def _fit_block(r: np.ndarray, cb: np.ndarray, cb_t: np.ndarray,
     """The greedy loop over a block of target columns, one per row of ``r``.
 
     ``cb_t`` is the transposed codebook and ``norms`` its squared column
-    norms (zero columns are never picked).  Per column, the arithmetic is
-    that of a loop over one column: ``r_sq`` is the row's own dot product,
-    every array expression rounds as the one-column expression does, and
-    ``argmin`` along the row keeps the smallest-index tie-break.  Returns
-    the fitted entries in column order (codebook index and weight, an exact
-    power of two), the entry count of each column, each column's final
-    squared residual and its per-step trace.
+    norms, all positive.  Returns the fitted entries in column order
+    (codebook index and weight, an exact power of two), the entry count of
+    each column, each column's final squared residual and its per-step
+    trace.  Per column, every result equals that of a loop over one column
+    that scores every candidate: ``r_sq`` is the row's own BLAS dot product
+    (``np.vecdot``, the same call as ``r @ r``), every score is the
+    one-column float expression, and the choice is the lowest score with
+    the smallest index among ties.
+
+    **The screen.**  With ``u = r @ cb``, setting coefficient ``k`` to any
+    value ``w_k - delta`` gives the squared residual ``r_sq + 2 delta u_k +
+    delta**2 norms_k >= r_sq - bound_k``, where ``bound_k = u_k**2 /
+    norms_k``.  This holds for support entries too.  A step scores exactly
+    the column of largest bound off the support and every support entry,
+    and lets ``m`` be the best of those scores, or ``r_sq`` if that is
+    lower.  Only a column whose score can reach ``m`` can be chosen (the
+    tie-break included) or make a step improve, and such a column has
+    ``bound_k >= r_sq - m`` up to float error.  So the step also scores
+    every other ``k`` with ``bound_k >= r_sq - m - slack``, where ``slack
+    = r_sq * 2**-40 + 2**-1000``, and chooses among all it scored.
+
+    **Why the slack covers float error** (``eps = 2**-53``).  Write ``x =
+    |delta| sqrt(norms_k)`` and ``y = |u_k| / sqrt(norms_k)``, so that ``y**2
+    = bound_k``, which is at most ``r_sq`` up to the dot products' error.
+    If ``x >= 4 y``, the exact score exceeds ``r_sq`` by at least ``x**2 /
+    2``.  Its float value stays above ``r_sq (1 - eps)``, and so above
+    ``m``, because ``m < r_sq - slack`` whenever a column is skipped.
+    Otherwise, every term of the score expression is at most ``24 y**2``.
+    Then the float score is within about ``90 eps r_sq`` of the exact one,
+    and the bound's three roundings add ``3 eps r_sq``.  Both are far below
+    ``2**-40 r_sq``.  The absolute floor covers subnormal rounding when
+    ``r_sq`` is tiny.  ``_fit_columns`` refuses scales at which ``2 u``
+    could overflow, so no score is NaN.
     """
     b, k_count = r.shape[0], cb.shape[1]
     r = r.copy()
     w = np.zeros((b, k_count))
-    r_sq = np.array([float(row @ row) for row in r])
-    traces = [[] for _ in range(b)]
-    picked = []
-    unusable = norms <= 0.0
-    safe_norms = np.where(unusable, 1.0, norms)
+    r_sq = np.vecdot(r, r)
+    inv_norms = 1.0 / norms
+    # row i's pick at step t is support[i, t], its squared residual after
+    # it trace[i, t]; both widen on demand, as max_steps may be far beyond
+    # the steps a fit takes
+    support = np.empty((b, 0), dtype=np.intp)
+    trace = np.empty((b, 0))
+    steps = np.zeros(b, dtype=np.intp)
     act = np.arange(b)
-    for _ in range(max_steps):
+    for t in range(max_steps):
         live = r_sq[act] != 0.0
         if stop_sq is not None:
             live &= r_sq[act] > stop_sq[act]
         act = act[live]
         if not act.size:
             break
-        u, wa, delta = work[:, :act.size]
-        np.matmul(r[act], cb, out=u)
-        np.take(w, act, axis=0, out=wa)
-        # coeff = (u + w * norms) / safe_norms
-        np.multiply(wa, norms, out=delta)
-        delta += u
-        delta /= safe_norms
-        v = pow2_round_array(delta)
-        np.subtract(wa, v, out=delta)
-        # score = r_sq + delta * (2 * u + delta * norms), kept in wa
-        score = np.multiply(delta, norms, out=wa)
-        u *= 2.0
-        score += u
-        score *= delta
-        score += r_sq[act, None]
-        score[:, unusable] = np.inf
-        j = np.argmin(score, axis=1)
+        if t == support.shape[1]:
+            extra = min(max(t, 8), max_steps - t)
+            support = np.concatenate(
+                [support, np.empty((b, extra), dtype=np.intp)], axis=1)
+            trace = np.concatenate([trace, np.empty((b, extra))], axis=1)
         pos = np.arange(act.size)
-        better = score[pos, j] < r_sq[act]
-        act, j, pos = act[better], j[better], pos[better]
+        rs = r_sq[act]
+        u, bound = work[:, :act.size]
+        np.matmul(r[act], cb, out=u)
+        np.multiply(u, inv_norms, out=bound)
+        bound *= u
+        # score exactly the top candidate off the support and the support
+        # (a live row picked at every earlier step, so sup has no filler)
+        sup = support[act, :t]
+        bound[pos[:, None], sup] = -np.inf
+        top = np.argmax(bound, axis=1)
+        bound[pos, top] = -np.inf
+        cand = np.concatenate([top[:, None], sup], axis=1)
+        score, v, delta = _score(u[pos[:, None], cand], w[act[:, None], cand],
+                                 norms[cand], rs[:, None])
+        # then every other k whose bound can reach the best of those
+        m = np.minimum(score.min(axis=1), rs)
+        flat = np.flatnonzero(
+            bound >= (rs - m - (rs * _SLACK_REL + _SLACK_ABS))[:, None])
+        rows, ks = np.divmod(flat, k_count)
+        more = _score(u.ravel()[flat], w[act[rows], ks], norms[ks], rs[rows])
+        row_of = np.concatenate([np.repeat(pos, t + 1), rows])
+        k_of = np.concatenate([cand.ravel(), ks])
+        score, v, delta = (np.concatenate([x.ravel(), y])
+                           for x, y in zip((score, v, delta), more))
+        # per row the lowest score, the smallest k among ties
+        order = np.lexsort((k_of, score, row_of))
+        best = order[np.searchsorted(row_of[order], pos)]
+        better = score[best] < rs
+        act, best = act[better], best[better]
         if not act.size:
             break
-        w[act, j] = v[pos, j]
-        picked.append(act * k_count + j)
-        r[act] += delta[pos, j, None] * cb_t[j]
-        for a in act.tolist():
-            r_sq[a] = float(r[a] @ r[a])
-            traces[a].append(float(r_sq[a]))
+        j = k_of[best]
+        w[act, j] = v[best]
+        support[act, t] = j
+        r[act] += delta[best, None] * cb_t[j]
+        r_sq[act] = trace[act, t] = np.vecdot(r[act], r[act])
+        steps[act] += 1
     # the flat indices the fit wrote, in column order (cheaper than a scan)
-    flat = np.unique(np.concatenate(picked)) if picked else \
-        np.empty(0, dtype=np.intp)
+    picked = np.arange(support.shape[1]) < steps[:, None]
+    flat = np.unique((np.arange(b)[:, None] * k_count + support)[picked])
     vals = w.ravel()[flat]
     flat, vals = flat[vals != 0.0], vals[vals != 0.0]
     cols, js = np.divmod(flat, k_count)
     return (js, vals, np.bincount(cols, minlength=b), r_sq,
-            [tuple(t) for t in traces])
+            [tuple(tr[:n]) for tr, n in zip(trace.tolist(), steps.tolist())])
 
 
 def fit_column(target_col: np.ndarray, codebook_cols: np.ndarray,

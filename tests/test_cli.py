@@ -175,6 +175,19 @@ class TestDecomposeApply:
         assert code == 3
         assert "malformed plan" in err
 
+    def test_oversized_codebook_exits_3(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("the codebook was built")
+
+        monkeypatch.setattr("shiftadd.codebooks.two_sparse_build", no_build)
+
+        def edit(doc):
+            doc.update(rows=10 ** 5, cols=10 ** 9, stages=[], codebook={
+                "kind": "two-sparse", "rows": 10 ** 5, "cols": 10 ** 9})
+        code, _, err = self._apply_doc(tmp_path, capsys, edit)
+        assert code == 3
+        assert "exceeds the largest" in err
+
     @pytest.mark.parametrize("entry", [[0.9, 1, 0], [0, 1.0, -1.0]])
     def test_float_plan_entry_exits_3(self, tmp_path, capsys, entry):
         def edit(doc):

@@ -278,6 +278,28 @@ class TestSerialization:
             with pytest.raises(sa.PlanFormatError):
                 sa.deserialize(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("kind", ["two-sparse", "gaussian", "mailman"])
+    @pytest.mark.parametrize("rows, cols", [(10 ** 5, 10 ** 9),
+                                            (10 ** 9, 1), (25, 1 << 24)])
+    def test_oversized_codebook_refused_before_building(self, monkeypatch,
+                                                        kind, rows, cols):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the codebook was built")
+
+        for name in ("two_sparse_build", "gaussian_build", "mailman_dense"):
+            monkeypatch.setattr(f"shiftadd.codebooks.{name}", no_build)
+        doc = {"format": sa.plan.PLAN_FORMAT, "version": sa.plan.PLAN_VERSION,
+               "rows": rows, "cols": cols, "stages": [],
+               "codebook": {"kind": kind, "rows": rows, "cols": cols,
+                            "seed": 0}}
+        with pytest.raises(sa.PlanFormatError, match="exceeds the largest"):
+            sa.deserialize(json.dumps(doc).encode())
+        # the largest codebook itself still loads, unbuilt
+        doc["rows"] = doc["codebook"]["rows"] = 24
+        doc["cols"] = doc["codebook"]["cols"] = 1 << 24
+        if kind != "two-sparse":
+            assert sa.deserialize(json.dumps(doc).encode()).n_cols == 1 << 24
+
     def test_negative_gaussian_seed_is_a_format_error(self):
         cb = sa.make_codebook("gaussian", 2, 4, seed=3)
         doc = json.loads(sa.serialize(sa.DecompositionPlan(2, 4, cb, ())))

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftadd as sa
 from shiftadd import wiring
@@ -225,7 +226,7 @@ class TestBlockedKernel:
     """The blocked kernel equals the per-column loop it replaced, in
     entries, final residual and per-step trace."""
 
-    @pytest.mark.parametrize("m", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 65, 129])
     def test_budgeted_fit_matches_oracle(self, m):
         rng = np.random.default_rng(320 + m)
         tgt = rng.standard_normal((5, m))
@@ -240,7 +241,7 @@ class TestBlockedKernel:
             assert (entries(fit), fit.residual_sq, fit.trace) == \
                 greedy_fit_oracle(tgt[:, k], cb, 3)
 
-    @pytest.mark.parametrize("m", [1, 33, 65])
+    @pytest.mark.parametrize("m", [1, 33, 65, 257])
     def test_accuracy_driven_fit_matches_oracle(self, m):
         rng = np.random.default_rng(330 + m)
         tgt = rng.random((4, m))
@@ -302,6 +303,85 @@ class TestBlockedKernel:
             eff = ref
         assert plan.n_stages > 20
 
+    def test_support_entry_with_the_largest_bound(self):
+        # correlated columns: a support entry's rounded coefficient leaves
+        # the largest bound u**2 / |b|**2 and is picked again
+        rng = np.random.default_rng(343)
+        cb = rng.standard_normal((3, 4))
+        cb[:, 1] = cb[:, 0] + 0.3 * cb[:, 1]
+        tgt = rng.standard_normal((3, 40))
+        norms = np.einsum("nk,nk->k", cb, cb)
+        seen = 0
+        for t in tgt.T:
+            for steps in range(6):
+                entries = dict(greedy_fit_oracle(t, cb, steps)[0])
+                after = dict(greedy_fit_oracle(t, cb, steps + 1)[0])
+                w = np.array([entries[k].value if k in entries else 0.0
+                              for k in range(4)])
+                u = cb.T @ (t - cb @ w)
+                top = int(np.argmax(u * u / norms))
+                seen += top in entries and after.get(top) != entries[top]
+        assert seen >= 10
+        fits = wiring._fit_columns(tgt, cb, 6)
+        assert _fits(fits) == [greedy_fit_oracle(t, cb, 6) for t in tgt.T]
+
+    def test_many_steps_widen_the_records(self):
+        # more steps than the kernel first makes room for
+        rng = np.random.default_rng(344)
+        cb = rng.standard_normal((24, 48))
+        tgt = rng.standard_normal((24, 5))
+        fits = wiring._fit_columns(tgt, cb, 40)
+        assert max(len(trace) for _, _, trace in _fits(fits)) > 24
+        assert _fits(fits) == [greedy_fit_oracle(t, cb, 40) for t in tgt.T]
+
+
+@st.composite
+def _fit_cases(draw):
+    """A codebook of duplicate, negated, halved and zero copies of a few
+    small-integer columns, and targets that are random or exact power-of-two
+    combinations of those columns (exact score ties and zero residuals),
+    scaled near 2**60 or 2**-60, where clipping to [EXP_MIN, EXP_MAX] takes
+    the rounded coefficient far from its least-squares value."""
+    n = draw(st.integers(1, 4))
+    ints = st.integers(-3, 3)
+    base = np.array(draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                                  min_size=1, max_size=4)), dtype=float).T
+    copies = draw(st.lists(st.tuples(st.integers(0, base.shape[1] - 1),
+                                     st.sampled_from([1.0, -1.0, 0.5, 0.0])),
+                           min_size=1, max_size=10))
+    cb = np.stack([base[:, i] * f for i, f in copies], axis=1)
+    m = draw(st.integers(1, 6))
+    tgt = np.empty((n, m))
+    for c in range(m):
+        if draw(st.booleans()):
+            tgt[:, c] = draw(st.lists(st.floats(-4, 4), min_size=n,
+                                      max_size=n))
+        else:
+            coef = draw(st.lists(st.integers(-3, 3).map(lambda e: 2.0 ** e),
+                                 min_size=cb.shape[1],
+                                 max_size=cb.shape[1]))
+            tgt[:, c] = cb @ (np.array(coef) *
+                              draw(st.lists(st.sampled_from([0, 1, -1]),
+                                            min_size=cb.shape[1],
+                                            max_size=cb.shape[1])))
+    tgt *= 2.0 ** draw(st.sampled_from([0, 56, 60, 62, -56, -60, -62]))
+    stop_sq = None
+    if draw(st.booleans()):
+        rel = sa.threshold(draw(st.integers(2, 20)))
+        stop_sq = rel * np.einsum("nm,nm->m", tgt, tgt)
+    return tgt, cb, draw(st.integers(1, 10)), stop_sq
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fit_cases())
+def test_fit_columns_equal_the_oracle(case):
+    tgt, cb, steps, stop_sq = case
+    fits = wiring._fit_columns(tgt, cb, steps, stop_sq)
+    assert _fits(fits) == [
+        greedy_fit_oracle(tgt[:, k], cb, steps,
+                          None if stop_sq is None else stop_sq[k])
+        for k in range(tgt.shape[1])]
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -335,3 +415,13 @@ class TestNonFiniteInputs:
             sa.fit_stage(tgt, mailman.dense(), 1)
         with pytest.raises(ValueError, match="power of two"):
             sa.fit_column(tgt[:, 0], mailman.dense(), 1)
+
+    @pytest.mark.parametrize("t, b", [(1.0, 1e200), (1e154, 2e153)])
+    def test_overflowing_scales_rejected(self, t, b):
+        # a codebook norm or a correlation u that overflows would turn
+        # scores into NaN
+        tgt, cb = np.full((1, 1), t), np.full((1, 3), b)
+        with pytest.raises(ValueError, match="powers of two"):
+            sa.fit_stage(tgt, cb, 1)
+        with pytest.raises(ValueError, match="powers of two"):
+            sa.fit_column(tgt[:, 0], cb, 1)
