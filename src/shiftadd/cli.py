@@ -58,15 +58,23 @@ def _shape(text: str) -> tuple[int, int]:
 _int_list = _list_of(int, "integer list")
 
 
+def _checked(build, *values) -> StageSchedule:
+    """``build(*values)``: a schedule it refuses is a usage error."""
+    try:
+        return build(*values)
+    except ValueError as exc:
+        raise _usage_error(str(exc))
+
+
 def _build_schedule(args) -> StageSchedule:
-    if args.bits is not None and getattr(args, "adaptive", False):
-        return StageSchedule.adaptive(args.bits, args.max_stages)
+    if args.bits is not None and args.adaptive:
+        return _checked(StageSchedule.adaptive, args.bits, args.max_stages)
     if args.bits is not None:
-        return StageSchedule.fixed([args.stage_sparsity], args.bits,
-                                   args.max_stages)
+        return _checked(StageSchedule.fixed, [args.stage_sparsity], args.bits,
+                        args.max_stages)
     if args.stages is None:
         raise _usage_error("one of --bits or --stages is required")
-    return StageSchedule.fixed([args.stage_sparsity] * args.stages)
+    return _checked(StageSchedule.fixed, [args.stage_sparsity] * args.stages)
 
 
 def _print_summary(plan, out=None) -> None:
@@ -85,13 +93,13 @@ def _print_summary(plan, out=None) -> None:
 
 
 def cmd_decompose(args) -> int:
+    schedule = _build_schedule(args)
     target = matio.load_matrix(args.matrix)
     n, k = target.shape
     kind = CLI_KINDS[args.codebook]
     codebook = make_codebook(kind, n, k, seed=args.seed, target=target,
                              aux=args.aux,
                              stage_sparsity=args.stage_sparsity)
-    schedule = _build_schedule(args)
     plan = wiring.decompose(target, codebook, schedule,
                             metadata={"seed": args.seed})
     with open(args.out, "wb") as fh:
@@ -117,8 +125,7 @@ def cmd_apply(args) -> int:
 
 
 def _bench_cell(cell) -> dict:
-    (shape, bits, kind, target_kind, adaptive, samples, seed, idx,
-     max_stages) = cell
+    shape, schedule, kind, target_kind, samples, seed, idx = cell
     n, k = shape
     adds = []
     stage_counts = []
@@ -133,15 +140,11 @@ def _bench_cell(cell) -> dict:
         codebook = make_codebook(kind, n, k,
                                  seed=int(rng.integers(2 ** 62)),
                                  target=target, aux=aux)
-        if adaptive:
-            schedule = StageSchedule.adaptive(bits, max_stages)
-        else:
-            schedule = StageSchedule.fixed([1], bits, max_stages)
         plan = wiring.decompose(target, codebook, schedule)
         adds.append(cost_of(plan).adds_per_entry)
         stage_counts.append(plan.n_stages)
     arr = np.asarray(adds)
-    return {"shape": f"{n}x{k}", "bits": bits,
+    return {"shape": f"{n}x{k}", "bits": schedule.target_bits,
             "adds_per_entry": float(arr.mean()),
             "stderr": float(arr.std(ddof=1) / math.sqrt(len(arr)))
             if len(arr) > 1 else 0.0,
@@ -152,12 +155,16 @@ def _bench_cell(cell) -> dict:
 def cmd_bench(args) -> int:
     shapes, bits = args.shapes, args.bits
     kind = CLI_KINDS[args.codebook]
+    schedules = [
+        _checked(StageSchedule.adaptive, q, args.max_stages) if args.adaptive
+        else _checked(StageSchedule.fixed, [1], q, args.max_stages)
+        for q in bits]
     cells = []
     idx = 0
     for shape in shapes:
-        for q in bits:
-            cells.append((shape, q, kind, args.target, args.adaptive,
-                          args.samples, args.seed, idx, args.max_stages))
+        for schedule in schedules:
+            cells.append((shape, schedule, kind, args.target, args.samples,
+                          args.seed, idx))
             idx += 1
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -233,13 +233,14 @@ class CodebookDescriptor:
         adds, shifts, signs = (sum(c) for c in zip(*counts))
         return adds, shifts, signs, False
 
-    def to_dict(self) -> dict:
+    def to_dict(self, records=Pow2Matrix.to_records) -> dict:
+        """The file's fields; ``records`` writes each stored factor."""
         d = {"kind": self.kind, "rows": self.n_rows, "cols": self.n_cols}
         if self.kind == "gaussian":
             d["seed"] = self.seed
         elif self.kind == "self-designing":
             d["stage_sparsity"] = self.stage_sparsity
-            d["factors"] = [f.to_records() for f in self.factors]
+            d["factors"] = [records(f) for f in self.factors]
         return d
 
     @classmethod

@@ -32,6 +32,10 @@ PLAN_VERSION = 1
 FIXED_STAGES = "fixed-stages"
 ADAPTIVE_SINGLE_STAGE = "adaptive-single-stage"
 
+# The widest bit width whose threshold is a positive float64; a wider one
+# would ask for a relative error of exactly 0.
+MAX_BITS = 537
+
 
 # ---------------------------------------------------------------------------
 # schedules and reports
@@ -60,10 +64,16 @@ class StageSchedule:
             raise ValueError("fixed-stages schedule needs a sparsity list")
         if self.mode == ADAPTIVE_SINGLE_STAGE and self.target_bits is None:
             raise ValueError("adaptive schedule needs target_bits")
-        if any(s < 0 for s in self.sparsity):
-            raise ValueError("per-stage sparsity must be >= 0")
-        if self.target_bits is not None and self.target_bits < 1:
-            raise ValueError("target_bits must be >= 1")
+        # stored as Python ints: a float would fail deep in the fit, and a
+        # numpy integer would not serialize
+        checked = {
+            "sparsity": tuple(_integer("per-stage sparsity", s, 0)
+                              for s in self.sparsity),
+            "target_bits": None if self.target_bits is None else
+            _integer("target_bits", self.target_bits, 1, MAX_BITS),
+            "max_stages": _integer("max_stages", self.max_stages, 0)}
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def fixed(cls, sparsity, target_bits=None, max_stages=64):
@@ -81,7 +91,21 @@ class StageSchedule:
     @classmethod
     def from_dict(cls, d: dict) -> "StageSchedule":
         return cls(d["mode"], tuple(d.get("sparsity", ())),
-                   d.get("target_bits"), int(d.get("max_stages", 64)))
+                   d.get("target_bits"), d.get("max_stages", 64))
+
+
+def _integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int in ``[low, high]``; ``TypeError`` for a
+    non-integer, ``ValueError`` out of range, both naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") \
+            from None
+    if value < low or (high is not None and value > high):
+        raise ValueError(f"{name} must be in [{low}, "
+                         f"{'inf' if high is None else high}]")
+    return value
 
 
 @dataclass(frozen=True)
@@ -110,10 +134,10 @@ def threshold(q: int) -> float:
     """Relative squared error of q-bit signed fixed point: ``4**-(q-1) / 3``.
 
     One bit is the sign, the remaining ``q - 1`` carry magnitude;
-    ``q = 16`` gives roughly -95 dB.
+    ``q = 16`` gives roughly -95 dB.  ``q`` must be an integer in ``[1,
+    MAX_BITS]``.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    q = _integer("q", q, 1, MAX_BITS)
     return 4.0 ** (-(q - 1)) / 3.0
 
 
@@ -125,10 +149,11 @@ def achieved_bits(rel_error: float) -> float:
         return math.inf
     if rel_error > threshold(1):
         return 0.0
-    q = max(1, math.floor(1.0 - math.log(3.0 * rel_error) / math.log(4.0)))
+    q = min(MAX_BITS, max(1, math.floor(
+        1.0 - math.log(3.0 * rel_error) / math.log(4.0))))
     while threshold(q) < rel_error:
         q -= 1
-    while threshold(q + 1) >= rel_error:
+    while q < MAX_BITS and threshold(q + 1) >= rel_error:
         q += 1
     return float(q)
 
@@ -283,14 +308,17 @@ def distortion_of_matrix(approx: np.ndarray,
 # serialization
 # ---------------------------------------------------------------------------
 
-def plan_to_dict(plan: DecompositionPlan) -> dict:
+def plan_to_dict(plan: DecompositionPlan,
+                 records=Pow2Matrix.to_records) -> dict:
+    """The plan document; ``records`` writes each stage and stored codebook
+    factor."""
     return {
         "format": PLAN_FORMAT,
         "version": PLAN_VERSION,
         "rows": plan.n_rows,
         "cols": plan.n_cols,
-        "codebook": plan.codebook.to_dict(),
-        "stages": [s.to_records() for s in plan.stages],
+        "codebook": plan.codebook.to_dict(records),
+        "stages": [records(s) for s in plan.stages],
         "metadata": plan.metadata,
     }
 
@@ -319,9 +347,36 @@ def plan_from_dict(d: dict) -> DecompositionPlan:
         raise PlanFormatError(f"malformed plan document: {exc}") from exc
 
 
+class _Text(str):
+    """JSON text already written, which ``_object`` places as it is."""
+
+
+def _json(value) -> str:
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
+def _object(fields: dict) -> _Text:
+    """``fields`` as ``_json`` writes a JSON object, keys sorted, with each
+    ``_Text`` value placed as it is."""
+    return _Text("{%s}" % ",".join(
+        f"{_json(k)}:{v if isinstance(v, _Text) else _json(v)}"
+        for k, v in sorted(fields.items())))
+
+
+def _array(texts: list) -> _Text:
+    return _Text("[%s]" % ",".join(texts))
+
+
 def serialize(plan: DecompositionPlan) -> bytes:
-    return json.dumps(plan_to_dict(plan), separators=(",", ":"),
-                      sort_keys=True).encode()
+    """The plan file: byte for byte ``_json(plan_to_dict(plan))``, with every
+    matrix written straight from its arrays by ``Pow2Matrix.to_json``."""
+    doc = plan_to_dict(plan, records=Pow2Matrix.to_json)
+    cb = doc["codebook"]
+    if "factors" in cb:
+        cb["factors"] = _array(cb["factors"])
+    doc["codebook"] = _object(cb)
+    doc["stages"] = _array(doc["stages"])
+    return _object(doc).encode()
 
 
 def deserialize(data: bytes) -> DecompositionPlan:

@@ -5,11 +5,13 @@ and every layer reads or writes them directly: the greedy fit builds them
 from the weights it wrote, the plan loader parses them from the file's
 nested ``[row, sign, exp]`` lists, and the exact engine, exact
 reconstruction, the effective-codebook roll-forward ``advance_effective``
-and the cost accounting all run on them.  ``to_records`` is the file view.
+and the cost accounting all run on them.  ``to_records`` is the file view,
+and ``to_json`` writes that view's text.
 """
 
 from __future__ import annotations
 
+import functools
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -137,6 +139,15 @@ class Pow2Matrix:
         ends = np.cumsum(self.col_len).tolist()
         return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
+    def to_json(self) -> str:
+        """``to_records`` as compact JSON text, the same as ``json.dumps``
+        writes it, straight from the arrays through one ``%``-template."""
+        template = "[%s]" % ",".join(map(_column_template,
+                                         self.col_len.tolist()))
+        return template % tuple(np.stack(
+            [self.row, np.where(self.negative, -1, 1), self.exp],
+            axis=1).ravel().tolist())
+
     @classmethod
     def from_records(cls, rows: int, records) -> "Pow2Matrix":
         """Inverse of ``to_records``: one column per record list.
@@ -163,6 +174,12 @@ class Pow2Matrix:
             raise PlanFormatError(f"coefficient sign {s[bad[0]]} is not +-1")
         return cls(rows, len(col_len), i, s < 0, e,
                    np.array(col_len, dtype=np.int64))
+
+
+@functools.cache
+def _column_template(length: int) -> str:
+    """The ``%``-template of one column's records of ``length`` entries."""
+    return "[%s]" % ",".join(["[%d,%d,%d]"] * length)
 
 
 def advance_effective(eff: np.ndarray, stage: Pow2Matrix) -> np.ndarray:

@@ -320,6 +320,23 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["decompose"], ["decompose", "--adaptive"], ["bench"],
+        ["bench", "--adaptive"]])
+    def test_overflowing_bits_exit_2(self, tmp_path, capsys, argv):
+        # used to end in an OverflowError traceback from threshold()
+        if argv[0] == "decompose":
+            mat = tmp_path / "m.csv"
+            matio.save_matrix_csv(mat, np.eye(4))
+            argv += ["--matrix", str(mat), "--out", str(tmp_path / "p.json")]
+        else:
+            argv += ["--shapes", "4x16", "--samples", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--bits", str(10 ** 310)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: target_bits must be in [1, 537]\n"
+
     def test_analyze_checks_arguments_before_writing(self, tmp_path, capsys):
         argv = ["analyze", "--fig", "lb", "--N", "1", "--K", "8",
                 "--stages", "2"]

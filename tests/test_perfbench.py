@@ -1,9 +1,11 @@
-"""The benchmark's plan gates at full size, run from the normal suite.
+"""The benchmark's gates at full size, run from the normal suite.
 
 A short ``perfbench/run.py`` run designs both targets of its pool at the
 full Table-1 or Table-2 size and checks each plan's digest and adds/entry
 against ``perfbench/expected.json``, the fit error and the serialization
-round trip; any failed gate makes its exit code 1.
+round trip.  A deploy run loads a freshly designed and serialized 16x256
+plan, checks its exact error, bit-exact outputs of ``apply`` and engine
+counters equal to ``cost_of``.  Any failed gate makes the exit code 1.
 """
 
 import subprocess
@@ -16,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("workload", ["table1", "table2"])
+@pytest.mark.parametrize("workload", ["table1", "table2", "deploy"])
 def test_full_size_plans_pass_the_benchmark_gates(workload, seed):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -1,5 +1,6 @@
 """Plan model: thresholds, reconstruction, cost, distortion, serialization."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shiftadd as sa
-from shiftadd.plan import reconstruct_exact
+from shiftadd.plan import plan_to_dict, reconstruct_exact
 from shiftadd.pot import SignedPow2
 from shiftadd.pow2matrix import Pow2Matrix
 
@@ -26,6 +27,13 @@ class TestThreshold:
         assert sa.threshold(8) == pytest.approx(4.0 ** -7 / 3)
         with pytest.raises(ValueError):
             sa.threshold(0)
+        # the widest width still asks for a nonzero error
+        assert sa.threshold(sa.plan.MAX_BITS) == 5e-324
+        assert sa.achieved_bits(5e-324) == sa.plan.MAX_BITS
+        with pytest.raises(ValueError, match="q must be in"):
+            sa.threshold(10 ** 310)
+        with pytest.raises(TypeError, match="q must be an integer"):
+            sa.threshold(2.5)
 
     def test_achieved_bits(self):
         assert sa.achieved_bits(0.0) == math.inf
@@ -206,6 +214,33 @@ class TestSerialization:
             # coefficients preserved bit for bit
             for s1, s2 in zip(plan.stages, back.stages):
                 assert s1.to_records() == s2.to_records()
+
+    def test_writer_equals_the_json_reference(self):
+        # random, synthetic, adaptive and Table-1 plans over every codebook
+        # kind, with metadata that looks like the plan's own JSON
+        rng = np.random.default_rng(413)
+        plans = [random_plan(rng, max_cols=32, max_stages=3)[0]
+                 for _ in range(8)]
+        plans += [synthetic_plan(rng, max_stages=3) for _ in range(4)]
+        tgt = rng.standard_normal((4, 16))
+        for kind in ("mailman", "two-sparse", "self-designing", "gaussian"):
+            cb = sa.make_codebook(kind, 4, 16, seed=5, target=tgt)
+            plans += [sa.decompose(tgt, cb, sa.StageSchedule.adaptive(6)),
+                      sa.decompose(tgt, cb, sa.StageSchedule.fixed([0, 2]))]
+        tgt = rng.standard_normal((16, 1024))
+        cb = sa.make_codebook("self-designing", 16, 1024, target=tgt,
+                              aux="target")
+        plans.append(sa.decompose(tgt, cb, sa.StageSchedule.fixed(
+            [1], target_bits=16, max_stages=96)))
+        odd = {"z": '"},"stages":[[[0,1,0]]],"version":2,"x":{"',
+               "%d": "%s%d", "a": [float("inf"), -0.0, 1e-300, "]"],
+               "\u00e9\u2028": {"b": None, "a": ["}", True]}}
+        for plan in plans:
+            for meta in (plan.metadata, odd):
+                p = dataclasses.replace(plan, metadata=meta)
+                assert sa.serialize(p) == json.dumps(
+                    plan_to_dict(p), separators=(",", ":"),
+                    sort_keys=True).encode()
 
     def test_truncated_stream(self):
         rng = np.random.default_rng(408)

@@ -1,6 +1,8 @@
 """Greedy fitting: oracles, invariants, and the decomposition driver."""
 
 import itertools
+import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -216,17 +218,40 @@ class TestDecompose:
         with pytest.raises(ValueError):
             sa.StageSchedule.adaptive(0)
 
+    @pytest.mark.parametrize("build, error", [
+        (lambda: sa.StageSchedule.fixed([1.5]), TypeError),
+        (lambda: sa.StageSchedule.fixed([1], 8.0), TypeError),
+        (lambda: sa.StageSchedule.adaptive(8, 2.5), TypeError),
+        (lambda: sa.StageSchedule.fixed([1], 10 ** 310), ValueError),
+        (lambda: sa.StageSchedule.adaptive(sa.plan.MAX_BITS + 1),
+         ValueError),
+        (lambda: sa.StageSchedule.adaptive(8, -1), ValueError)])
+    def test_schedule_refuses_non_integers_and_overflow(self, build, error):
+        # these used to fail deep in the fit, or in threshold()
+        with pytest.raises(error, match="sparsity|target_bits|max_stages"):
+            build()
+
+    def test_schedule_stores_python_ints(self):
+        schedule = sa.StageSchedule.fixed([np.int64(1)], np.int16(8),
+                                          np.int32(3))
+        assert json.loads(json.dumps(schedule.to_dict())) == {
+            "mode": "fixed-stages", "sparsity": [1], "target_bits": 8,
+            "max_stages": 3}
+
 
 def _fits(fits):
-    stage, r_sq, traces = fits
+    stage, r_sq, steps, trace = fits
+    traces = [tuple(tr[:n]) for tr, n in zip(trace.tolist(), steps.tolist())]
     return list(zip(columns(stage), r_sq.tolist(), traces))
 
 
 class TestBlockedKernel:
-    """The blocked kernel equals the per-column loop it replaced, in
-    entries, final residual and per-step trace."""
+    """The kernel, one step over all columns with chunked passes, equals
+    the per-column loop it replaced, in entries, final residual and
+    per-step trace."""
 
-    @pytest.mark.parametrize("m", [1, 31, 32, 33, 65, 129])
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 65, 129,
+                                   2 * wiring._CHUNK + 1])
     def test_budgeted_fit_matches_oracle(self, m):
         rng = np.random.default_rng(320 + m)
         tgt = rng.standard_normal((5, m))
@@ -270,10 +295,12 @@ class TestBlockedKernel:
         tgt = rng.standard_normal((4, 40))
         cb = np.zeros((4, 40))
         cb[:, :4] = np.eye(4)
-        fits = wiring._fit_columns(tgt, cb, 4)
-        assert _fits(fits) == [greedy_fit_oracle(tgt[:, k], cb, 4)
-                               for k in range(40)]
-        assert all(j < 4 for col in columns(fits[0]) for j, _ in col)
+        for steps in (4, 9):
+            # past 4 steps the support covers every usable column
+            fits = wiring._fit_columns(tgt, cb, steps)
+            assert _fits(fits) == [greedy_fit_oracle(tgt[:, k], cb, steps)
+                                   for k in range(40)]
+            assert all(j < 4 for col in columns(fits[0]) for j, _ in col)
         empty = wiring._fit_columns(tgt, np.zeros((4, 8)), 4)
         assert all(col == () and trace == () for col, _, trace in _fits(empty))
 
@@ -341,7 +368,11 @@ def _fit_cases(draw):
     small-integer columns, and targets that are random or exact power-of-two
     combinations of those columns (exact score ties and zero residuals),
     scaled near 2**60 or 2**-60, where clipping to [EXP_MIN, EXP_MAX] takes
-    the rounded coefficient far from its least-squares value."""
+    the rounded coefficient far from its least-squares value.  A chunk size
+    of a few rows makes the live columns span several chunks that shrink
+    mid-fit, with survivors of the screen in some chunks and not others,
+    and more steps than usable columns put the largest bound on the
+    support."""
     n = draw(st.integers(1, 4))
     ints = st.integers(-3, 3)
     base = np.array(draw(st.lists(st.lists(ints, min_size=n, max_size=n),
@@ -350,7 +381,7 @@ def _fit_cases(draw):
                                      st.sampled_from([1.0, -1.0, 0.5, 0.0])),
                            min_size=1, max_size=10))
     cb = np.stack([base[:, i] * f for i, f in copies], axis=1)
-    m = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 8))
     tgt = np.empty((n, m))
     for c in range(m):
         if draw(st.booleans()):
@@ -369,14 +400,16 @@ def _fit_cases(draw):
     if draw(st.booleans()):
         rel = sa.threshold(draw(st.integers(2, 20)))
         stop_sq = rel * np.einsum("nm,nm->m", tgt, tgt)
-    return tgt, cb, draw(st.integers(1, 10)), stop_sq
+    chunk = draw(st.sampled_from([1, 2, 3, wiring._CHUNK]))
+    return tgt, cb, draw(st.integers(1, 10)), stop_sq, chunk
 
 
 @settings(max_examples=400, deadline=None)
 @given(_fit_cases())
 def test_fit_columns_equal_the_oracle(case):
-    tgt, cb, steps, stop_sq = case
-    fits = wiring._fit_columns(tgt, cb, steps, stop_sq)
+    tgt, cb, steps, stop_sq, chunk = case
+    with mock.patch.object(wiring, "_CHUNK", chunk):
+        fits = wiring._fit_columns(tgt, cb, steps, stop_sq)
     assert _fits(fits) == [
         greedy_fit_oracle(tgt[:, k], cb, steps,
                           None if stop_sq is None else stop_sq[k])
