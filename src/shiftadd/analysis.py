@@ -8,6 +8,9 @@ codeword is Beta(1/2, (N-1)/2) distributed, which gives the angle-error CDF
 ``1 - B(1/2, (N-1)/2, 1-r)**K`` and, per refinement step, the mean total
 squared error ``(1 + 26 * mean_angle_sq) / 27``.  Powers of the CDF are
 evaluated in log space so codebooks as large as ``K = 2**20`` stay accurate.
+
+scipy is imported by the functions that use it, not with the module, so
+``import shiftadd`` does not load ``scipy.special`` or ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .codebooks import gaussian_build, make_codebook
 from .pow2matrix import advance_effective
@@ -30,6 +32,8 @@ def code_rate(n_rows: int, n_cols: int) -> float:
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function B(a, b, x)."""
+    from scipy import special
+
     if a <= 0 or b <= 0:
         raise ValueError("shape parameters must be positive")
     if not 0.0 <= x <= 1.0:
@@ -39,6 +43,8 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
 
 def _log_beta_cdf(a: float, b: float, x) -> np.ndarray:
     """log B(a, b, x), using the complement near 1 to keep precision."""
+    from scipy import special
+
     x = np.asarray(x, dtype=np.float64)
     head = special.betainc(a, b, x)
     tail = special.betainc(b, a, 1.0 - x)
@@ -48,6 +54,8 @@ def _log_beta_cdf(a: float, b: float, x) -> np.ndarray:
 
 def rho2_cdf(n_rows: int, r) -> np.ndarray | float:
     """CDF of the squared correlation against one random codeword."""
+    from scipy import special
+
     if n_rows < 2:
         raise ValueError("need at least two dimensions")
     out = special.betainc(0.5, (n_rows - 1) / 2.0, np.asarray(r, float))
@@ -73,6 +81,8 @@ def mean_sq_angle_error(n_rows: int, n_cols: int) -> float:
     The integrand hugs zero until r approaches 1 for large K, so the
     quadrature is anchored at the point where the integrand reaches 1/2.
     """
+    from scipy import integrate
+
     if n_rows < 2:
         raise ValueError("need at least two dimensions")
     a, b = 0.5, (n_rows - 1) / 2.0

@@ -21,7 +21,8 @@ from . import analysis, engine, matio, wiring
 from .codebooks import make_codebook
 from .errors import (AccuracyUnreachableError, MatrixFormatError,
                      PlanFormatError, ShiftAddError)
-from .plan import StageSchedule, cost_of, deserialize, serialize
+from .plan import (MAX_STAGES, StageSchedule, cost_of, deserialize,
+                   serialize)
 from .pot import binary_encode, csd_decode, csd_encode
 
 EXIT_OK = 0
@@ -74,6 +75,8 @@ def _build_schedule(args) -> StageSchedule:
                         args.max_stages)
     if args.stages is None:
         raise _usage_error("one of --bits or --stages is required")
+    if not 0 <= args.stages <= MAX_STAGES:  # before the list is built
+        raise _usage_error(f"--stages must be in [0, {MAX_STAGES}]")
     return _checked(StageSchedule.fixed, [args.stage_sparsity] * args.stages)
 
 

@@ -4,10 +4,12 @@ Every scalar operation is a left shift, a sign flip, or an addition of
 integers over one shared exponent, so the output equals the exact
 reconstruction applied to the input bit for bit.  The input is aligned once
 (``pot.align``) into a numpy object array of Python ints; each stage then
-runs on its integer arrays (``Pow2Matrix``): gather the input entry of every
-stored coefficient, shift it by ``exp - min_exp``, negate the negative ones,
-scatter-add them into their rows, and add ``min_exp`` to the shared
-exponent.  Output ``Dyadic`` values are built once, at the end.
+runs on its row view (``Pow2Matrix.by_row``, built once per matrix) through
+``pow2matrix.shift_add``: gather the input entry of every stored
+coefficient in row order, shift it by ``exp - min_exp``, negate the
+negative ones, sum each nonempty row's segment (``np.add.reduceat``), and
+add ``min_exp`` to the shared exponent.  Output ``Dyadic`` values are built
+once, at the end.
 
 Operation counters come from the terms the engine executes (one shift per
 stored nonzero, ``m - 1`` additions to combine a column's ``m`` terms); they
@@ -26,7 +28,7 @@ from .codebooks import mailman_apply
 from .errors import DimensionError, EngineError
 from .plan import CostReport, DecompositionPlan
 from .pot import Dyadic, align, pow2_round_array
-from .pow2matrix import Pow2Matrix
+from .pow2matrix import Pow2Matrix, shift_add
 
 
 @dataclass
@@ -43,13 +45,12 @@ def _apply_matrix(mat: Pow2Matrix, h: np.ndarray,
     if len(h) != mat.cols:
         raise DimensionError(
             f"vector of length {len(h)} against {mat.rows}x{mat.cols}")
-    terms = np.repeat(h, mat.col_len) << mat.lshift
-    terms[mat.negative] = -terms[mat.negative]
-    out = np.zeros(mat.rows, dtype=object)
-    np.add.at(out, mat.row, terms)
-    ops.shifts += len(terms)
-    ops.sign_changes += int(np.count_nonzero(mat.negative))
-    ops.additions += len(terms) - int(np.count_nonzero(mat.col_len))
+    seg = mat.by_row
+    out = shift_add(h, seg)
+    # counted from the terms the kernel ran, not from op_counts()
+    ops.shifts += len(seg.source)
+    ops.sign_changes += int(np.count_nonzero(seg.negative))
+    ops.additions += len(seg.source) - int(np.count_nonzero(mat.col_len))
     return out, mat.min_exp
 
 

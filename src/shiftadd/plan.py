@@ -24,7 +24,7 @@ import numpy as np
 from .codebooks import CodebookDescriptor
 from .errors import DimensionError, PlanFormatError, PlanVersionError
 from .pot import Dyadic, align
-from .pow2matrix import Pow2Matrix
+from .pow2matrix import Pow2Matrix, shift_add
 
 PLAN_FORMAT = "shiftadd-plan"
 PLAN_VERSION = 1
@@ -35,6 +35,11 @@ ADAPTIVE_SINGLE_STAGE = "adaptive-single-stage"
 # The widest bit width whose threshold is a positive float64; a wider one
 # would ask for a relative error of exactly 0.
 MAX_BITS = 537
+
+# The most stages a schedule may list or run.  A 16-bit Table-1 design takes
+# 28, so one at MAX_BITS would take about 940 at that rate; the bound keeps
+# a mistyped count from asking for a list of billions of sparsities.
+MAX_STAGES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +69,9 @@ class StageSchedule:
             raise ValueError("fixed-stages schedule needs a sparsity list")
         if self.mode == ADAPTIVE_SINGLE_STAGE and self.target_bits is None:
             raise ValueError("adaptive schedule needs target_bits")
+        if len(self.sparsity) > MAX_STAGES:
+            raise ValueError(f"per-stage sparsity lists at most {MAX_STAGES} "
+                             f"stages")
         # stored as Python ints: a float would fail deep in the fit, and a
         # numpy integer would not serialize
         checked = {
@@ -71,7 +79,8 @@ class StageSchedule:
                               for s in self.sparsity),
             "target_bits": None if self.target_bits is None else
             _integer("target_bits", self.target_bits, 1, MAX_BITS),
-            "max_stages": _integer("max_stages", self.max_stages, 0)}
+            "max_stages": _integer("max_stages", self.max_stages, 0,
+                                   MAX_STAGES)}
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 
@@ -203,11 +212,10 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     Pushes the ``n_rows`` rows of the codebook forward through the stage
     chain ``W_1 ... W_L`` in integer arithmetic, as one ``n_rows x width``
     numpy object array of Python ints with one shared exponent per row.
-    A stage scales every term by at least ``2**min_exp``, so on its
-    integer arrays multiplying by it gathers the row block at each entry's
-    row index, shifts by ``exp - min_exp``, negates the negative entries,
-    sums each nonempty column
-    (``np.add.reduceat``) and adds ``min_exp`` to the exponents.
+    Each stage is one ``pow2matrix.shift_add`` over its column view
+    (``Pow2Matrix.by_col``): gather the row block at each entry's row
+    index, shift by ``exp - min_exp``, negate the negative entries, sum
+    each nonempty column; the exponents gain the stage's ``min_exp``.
     Codebooks with stored factors start from the rows of their leading
     ``[I 0]`` selector (the identity for two-sparse) and push them through
     the factors first; mailman and Gaussian codebooks start from the exact
@@ -229,23 +237,22 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
         exps = [e for _, e in rows]
         chain = plan.stages
     for stage in chain:
-        terms = block[:, stage.row] << stage.lshift
-        terms[:, stage.negative] = -terms[:, stage.negative]
-        block = np.zeros((n, stage.cols), dtype=object)
-        filled = stage.col_len > 0
-        if filled.any():
-            block[:, filled] = np.add.reduceat(terms, stage.first[filled],
-                                               axis=1)
+        block = shift_add(block, stage.by_col)
         exps = [e + stage.min_exp for e in exps]
     return [[(m, e) if m else (0, 0) for m, e in zip(col, exps)]
             for col in block.T.tolist()]
 
 
 def reconstruct(plan: DecompositionPlan) -> np.ndarray:
-    """``B @ W_1 @ ... @ W_L`` evaluated exactly, then rounded to float64."""
-    cols = reconstruct_exact(plan)
-    return np.array([[Dyadic(*col[n]).to_float() for col in cols]
-                     for n in range(plan.n_rows)], dtype=np.float64)
+    """``B @ W_1 @ ... @ W_L`` evaluated exactly, then rounded once per
+    entry to float64 as ``Dyadic.to_float`` rounds it, without building a
+    ``Dyadic``: ``float(m)`` scaled by ``2**e`` when ``e >= 0``, else the
+    correctly rounded true division ``m / 2**-e``."""
+    out = np.empty((plan.n_rows, plan.n_cols))
+    for k, col in enumerate(reconstruct_exact(plan)):
+        out[:, k] = [math.ldexp(float(m), e) if e >= 0 else m / (1 << -e)
+                     for m, e in col]
+    return out
 
 
 # ---------------------------------------------------------------------------

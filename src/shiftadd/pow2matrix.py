@@ -7,6 +7,12 @@ nested ``[row, sign, exp]`` lists, and the exact engine, exact
 reconstruction, the effective-codebook roll-forward ``advance_effective``
 and the cost accounting all run on them.  ``to_records`` is the file view,
 and ``to_json`` writes that view's text.
+
+Exact products run on ``Segments``, the entries grouped by the output they
+sum into, through one shift-add kernel, ``shift_add``: ``by_row`` serves
+``mat @ h`` (the engine) and ``by_col`` serves ``block @ mat`` (exact
+reconstruction).  Each view, like ``min_exp`` and ``lshift``, is built on
+first use and cached on the read-only matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import functools
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +31,40 @@ from .pot import EXP_MAX, EXP_MIN
 _INDEX_MAX = np.iinfo(np.int32).max
 _FIELDS = ("row", "negative", "exp", "col_len")
 _DTYPES = (np.int32, bool, np.int16, np.int32)
+
+
+class Segments(NamedTuple):
+    """A matrix's entries grouped by the output each one sums into.
+
+    On the last axis of an input, entry ``t`` reads position ``source[t]``,
+    is shifted left by ``lshift[t]`` and negated where ``negative[t]``;
+    the segment of entries from ``starts[j]`` to the next start sums into
+    output ``targets[j]`` of ``width``, and the other outputs are zero.
+    ``lshift`` holds Python ints, so the shifts run on them directly.
+    """
+
+    source: np.ndarray
+    lshift: np.ndarray
+    negative: np.ndarray
+    starts: np.ndarray
+    targets: np.ndarray
+    width: int
+
+
+def shift_add(x: np.ndarray, seg: Segments) -> np.ndarray:
+    """The segment sums of ``seg`` over the last axis of ``x``, an object
+    array of Python ints: gather, shift, negate, sum each segment in order
+    (``np.add.reduceat``) and place the sums in their outputs."""
+    terms = x[..., seg.source] << seg.lshift
+    np.negative(terms, out=terms, where=seg.negative)
+    out = np.zeros(x.shape[:-1] + (seg.width,), dtype=object)
+    out[..., seg.targets] = np.add.reduceat(terms, seg.starts, axis=-1)
+    return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,17 +134,42 @@ class Pow2Matrix:
     def column_nnz(self) -> list[int]:
         return self.col_len.tolist()
 
-    @property
+    @functools.cached_property
     def min_exp(self) -> int:
         """Smallest exponent, 0 for an empty matrix: every entry is a
         left shift by ``lshift`` times ``2**min_exp``."""
         return int(self.exp.min()) if len(self.exp) else 0
 
-    @property
+    @functools.cached_property
     def lshift(self) -> np.ndarray:
         """``exp - min_exp`` of each entry, as int16: the constructor keeps
         exponents in ``[EXP_MIN, EXP_MAX]``, so the difference cannot wrap."""
-        return self.exp - self.min_exp
+        return _read_only(self.exp - self.min_exp)
+
+    @functools.cached_property
+    def by_row(self) -> Segments:
+        """The entries in row order, one segment per nonempty row: the view
+        ``shift_add`` computes ``self @ h`` from."""
+        row_len = np.bincount(self.row, minlength=self.rows)
+        filled = np.flatnonzero(row_len)
+        return self._segments(np.argsort(self.row, kind="stable"), self.col,
+                              (np.cumsum(row_len) - row_len)[filled], filled,
+                              self.rows)
+
+    @functools.cached_property
+    def by_col(self) -> Segments:
+        """The entries in stored order, one segment per nonempty column:
+        the view ``shift_add`` computes ``block @ self`` from."""
+        filled = np.flatnonzero(self.col_len)
+        return self._segments(slice(None), self.row, self.first[filled],
+                              filled, self.cols)
+
+    def _segments(self, order, source, starts, targets, width) -> Segments:
+        """``Segments`` over the stored entries taken in ``order``; stored
+        entry ``t`` reads input position ``source[t]``."""
+        return Segments(*map(_read_only, (
+            source[order], self.lshift[order].astype(object),
+            self.negative[order], starts, targets)), width)
 
     @property
     def col(self) -> np.ndarray:

@@ -181,6 +181,19 @@ def exact_matvec(plan, x):
     return out
 
 
+def fraction_reconstruction(plan):
+    """``reconstruct(plan)`` as a dense Fraction chain product: the
+    codebook's dense matrix times each stage's, as row lists."""
+    dense = [[Fraction(float(v)) for v in row]
+             for row in plan.codebook.dense()]
+    for stage in plan.stages:
+        sd = stage.dense()
+        dense = [[sum(dense[i][j] * Fraction(float(sd[j, k]))
+                      for j in range(stage.rows))
+                  for k in range(stage.cols)] for i in range(len(dense))]
+    return dense
+
+
 def fraction_matvec(matrix, x):
     """Dense Fraction-arithmetic product of a float matrix and dyadics."""
     out = []

@@ -1,12 +1,32 @@
 """Performance model: beta CDF, angle/total error, bounds, Monte-Carlo."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shiftadd as sa
 from shiftadd.analysis import total_error_from_angle
+
+
+def test_import_leaves_scipy_special_and_integrate_unloaded():
+    # scipy is loaded by the analysis functions that need it, not on import
+    code = ("import sys, shiftadd\n"
+            "mods = ('scipy.special', 'scipy.integrate')\n"
+            "print(sorted(m for m in mods if m in sys.modules))\n"
+            "shiftadd.total_error(4, 16)\n"
+            "print(sorted(m for m in mods if m in sys.modules))\n")
+    src = str(Path(sa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == [
+        "[]", "['scipy.integrate', 'scipy.special']"]
 
 
 class TestRegIncBeta:

@@ -337,6 +337,27 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == "usage error: target_bits must be in [1, 537]\n"
 
+    @pytest.mark.parametrize("stages, last_line", [
+        (str(10 ** 20), "usage error: --stages must be in [0, 4096]"),
+        (str(10 ** 9), "usage error: --stages must be in [0, 4096]"),
+        ("-1", "usage error: --stages must be in [0, 4096]"),
+        ("2.5", "shiftadd decompose: error: argument --stages: invalid int "
+                "value: '2.5'")])
+    def test_huge_or_non_integer_stage_count_exit_2(self, tmp_path, capsys,
+                                                    stages, last_line):
+        # 10**20 used to end in an OverflowError traceback, and 10**9 asked
+        # for an 8 GB list of sparsities
+        mat = tmp_path / "m.csv"
+        matio.save_matrix_csv(mat, np.eye(4))
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--matrix", str(mat), "--out",
+                  str(tmp_path / "p.json"), "--stages", stages])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == last_line
+        assert len(err) == 1 or err[0].startswith("usage: shiftadd")
+        assert not (tmp_path / "p.json").exists()
+
     def test_analyze_checks_arguments_before_writing(self, tmp_path, capsys):
         argv = ["analyze", "--fig", "lb", "--N", "1", "--K", "8",
                 "--stages", "2"]

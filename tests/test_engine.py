@@ -1,13 +1,16 @@
 """Exact shift-add execution and the fixed-point baselines."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import shiftadd as sa
+from shiftadd.plan import reconstruct_exact
 from shiftadd.pot import DYADIC_ZERO, SignedPow2
 
 from helpers import (cost_oracle, dyadic_apply_oracle, exact_matvec,
-                     fraction_matvec, pow2matrix,
+                     fraction_matvec, fraction_reconstruction, pow2matrix,
                      random_dyadic_vector, random_plan, synthetic_plan,
                      wide_mantissa_plan)
 
@@ -127,6 +130,75 @@ class TestCompiledEngine:
         self._check(plan, x)
         y, _ = sa.apply(plan, x)
         assert max(v.mantissa.bit_length() for v in y) > 1024
+
+
+def _missing_rows_stage(rows, cols, missing):
+    """A ``rows x cols`` stage that never hits the rows in ``missing``:
+    column ``c`` holds two entries over the other rows, with mixed signs and
+    exponents, except column 1, which is empty."""
+    hit = [i for i in range(rows) if i not in missing]
+    out = []
+    for c in range(cols):
+        picks = {hit[c % len(hit)], hit[(c + 2) % len(hit)]} if c != 1 \
+            else set()
+        out.append(tuple((i, SignedPow2(-1 if (i + c) % 3 == 0 else 1,
+                                        (i * 5 + c) % 13 - 6))
+                         for i in sorted(picks)))
+    stage = pow2matrix(rows, cols, tuple(out))
+    assert stage.by_row.targets.tolist() == hit  # the rows it hits
+    return stage
+
+
+class TestKernelEdgeCases:
+    """Stages whose row segments leave outputs unset, an empty stage, and a
+    non-square factor: the engine equals the Dyadic loop in outputs and in
+    every counter, its counters equal ``cost_of``, and ``reconstruct_exact``
+    equals the dense Fraction product."""
+
+    @staticmethod
+    def _check(plan, rng):
+        x = random_dyadic_vector(rng, plan.n_cols, exp_range=20)
+        y, cost = sa.apply(plan, x)
+        y_ref, counts = dyadic_apply_oracle(plan, x)
+        assert y == y_ref
+        ran = (cost.additions, cost.shifts, cost.sign_changes, cost.per_stage)
+        assert ran == counts
+        ref = sa.cost_of(plan)
+        assert ran == (ref.additions, ref.shifts, ref.sign_changes,
+                       ref.per_stage)
+        exact = [[Fraction(m) * Fraction(2) ** e for m, e in col]
+                 for col in reconstruct_exact(plan)]
+        assert exact == [list(col) for col in
+                         zip(*fraction_reconstruction(plan))]
+
+    @pytest.mark.parametrize("missing", [{0}, {7}, {3, 4}, set(range(8))],
+                             ids=["first-row", "last-row", "middle-rows",
+                                  "zero-nnz"])
+    def test_rows_never_hit(self, missing):
+        rng = np.random.default_rng(513)
+        if missing == set(range(8)):
+            edge = pow2matrix(8, 8, tuple(() for _ in range(8)))
+            assert edge.nnz == 0
+        else:
+            edge = _missing_rows_stage(8, 8, missing)
+        full = _missing_rows_stage(8, 8, set())
+        for kind, n in (("mailman", 3), ("two-sparse", 3),
+                        ("self-designing", 3)):
+            cb = sa.make_codebook(kind, n, 8,
+                                  target=rng.standard_normal((n, 8)))
+            for stages in ((edge,), (edge, full), (full, edge),
+                           (full, edge, edge)):
+                self._check(sa.DecompositionPlan(n, 8, cb, stages), rng)
+
+    @pytest.mark.parametrize("missing", [set(), {0}, {2}, {1, 3}])
+    def test_non_square_factor(self, missing):
+        # a two-sparse codebook's one factor is its n x K matrix
+        rng = np.random.default_rng(514)
+        factor = _missing_rows_stage(5, 8, missing)
+        cb = sa.CodebookDescriptor("two-sparse", 5, 8, factors=(factor,))
+        full = _missing_rows_stage(8, 8, set())
+        for stages in ((), (full,), (full, full)):
+            self._check(sa.DecompositionPlan(5, 8, cb, stages), rng)
 
 
 class TestCostWitnesses:

@@ -25,3 +25,15 @@ def test_full_size_plans_pass_the_benchmark_gates(workload, seed):
          "--seed", str(seed), "--seconds", "0.1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
+@pytest.mark.parametrize("workload", ["table1", "table2", "deploy"])
+def test_traced_run_records_every_layer(workload):
+    # a traced run fails when a layer it wraps is no longer called, e.g.
+    # when plan.reconstruct stops going through plan.reconstruct_exact
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--smoke", "--trace", "1", "--seconds", "0.1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "MISSING" not in proc.stdout

@@ -7,16 +7,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import shiftadd as sa
 from shiftadd.plan import plan_to_dict, reconstruct_exact
-from shiftadd.pot import SignedPow2
+from shiftadd.pot import EXP_MAX, EXP_MIN, Dyadic, SignedPow2
 from shiftadd.pow2matrix import Pow2Matrix
 
-from helpers import (columns, from_records_oracle, pow2matrix, random_plan,
-                     reconstruct_exact_oracle, synthetic_plan,
-                     wide_mantissa_plan)
+from helpers import (columns, fraction_reconstruction, from_records_oracle,
+                     pow2matrix, random_plan, reconstruct_exact_oracle,
+                     synthetic_plan, wide_mantissa_plan)
 
 
 class TestThreshold:
@@ -77,13 +77,7 @@ class TestReconstruct:
         for plan in self._oracle_plans():
             cols = reconstruct_exact(plan)
             # independent oracle: dense Fraction chain product
-            dense = [[Fraction(float(v)) for v in row]
-                     for row in plan.codebook.dense()]
-            for stage in plan.stages:
-                sd = stage.dense()
-                dense = [[sum(dense[i][j] * Fraction(float(sd[j, k]))
-                              for j in range(stage.rows))
-                          for k in range(stage.cols)] for i in range(len(dense))]
+            dense = fraction_reconstruction(plan)
             for k in range(plan.n_cols):
                 for n in range(plan.n_rows):
                     m, e = cols[k][n]
@@ -124,6 +118,84 @@ class TestReconstruct:
         rep = sa.distortion(plan, tgt)
         assert rep.rel_error == pytest.approx(plan.metadata["fit_rel_error"],
                                               rel=1e-9)
+
+
+def _band_stage(exps):
+    """A 4x4 stage whose column ``k`` holds the ``(row, exp)`` pairs of
+    ``exps[k]``, negative on even columns."""
+    return pow2matrix(4, 4, tuple(
+        tuple((i, SignedPow2(-1 if k % 2 == 0 else 1, e))
+              for i, e in sorted(col))
+        for k, col in enumerate(exps)))
+
+
+def _mailman_plan(stages):
+    return sa.DecompositionPlan(2, 4, sa.make_codebook("mailman", 2, 4),
+                                tuple(stages))
+
+
+# sixteen stages of 2**-64, then one mixing 2**-64 with wider exponents:
+# entries below half the smallest subnormal round to zeros of either sign,
+# the others stay subnormal
+_UNDERFLOW_PLAN = _mailman_plan(
+    [_band_stage([[(k, EXP_MIN)] for k in range(4)])] * 16
+    + [_band_stage([[(0, -20), (2, EXP_MIN)], [(1, EXP_MIN)], [(2, -3)],
+                    [(3, EXP_MIN)]])])
+# exponents from 1 up: every row's shared exponent is >= 0
+_POSITIVE_PLAN = _mailman_plan(
+    [_band_stage([[(k, 1 + k), ((k + 1) % 4, 40)] for k in range(4)])] * 3)
+
+
+@st.composite
+def _rounding_plans(draw):
+    """Plans of up to 20 4x4 stages over a 2x4 mailman or two-sparse
+    codebook.  Each stage's exponents lie in one band at or a little above
+    the plan's base: long chains on a low base give subnormals and signed
+    zeros, a base >= 0 rows with exponent >= 0, wide bands wide mantissas."""
+    kind = draw(st.sampled_from(["mailman", "two-sparse"]))
+    base = draw(st.sampled_from([EXP_MIN, -40, -1, 0, 8])
+                | st.integers(EXP_MIN, EXP_MAX))
+    stages = []
+    for _ in range(draw(st.sampled_from([0, 1, 2, 5, 17, 20]))):
+        lo = min(EXP_MAX, base + draw(st.integers(0, 3)))
+        hi = min(EXP_MAX, lo + draw(st.sampled_from([0, 2, 30, 127])))
+        stages.append(_band_stage([
+            [(i, draw(st.integers(lo, hi)))
+             for i in sorted(draw(st.sets(st.integers(0, 3), min_size=1,
+                                          max_size=3)))]
+            for _ in range(4)]))
+    return sa.DecompositionPlan(2, 4, sa.make_codebook(kind, 2, 4),
+                                tuple(stages))
+
+
+def test_rounding_examples_cover_their_cases():
+    rec = sa.reconstruct(_UNDERFLOW_PLAN)
+    zeros = rec[rec == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    assert (np.abs(rec[rec != 0.0]) < 2.0 ** -1022).any()  # subnormal
+    assert all(e >= 0 and m for col in reconstruct_exact(_POSITIVE_PLAN)
+               for m, e in col)
+    assert max(m.bit_length() for col in
+               reconstruct_exact(wide_mantissa_plan()) for m, _ in col) > 1024
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=_rounding_plans())
+@example(plan=_UNDERFLOW_PLAN)
+@example(plan=_POSITIVE_PLAN)
+@example(plan=wide_mantissa_plan())
+def test_reconstruct_rounds_like_dyadic_to_float(plan):
+    cols = reconstruct_exact(plan)
+    try:
+        want = np.array([[Dyadic(*col[n]).to_float() for col in cols]
+                         for n in range(plan.n_rows)])
+    except OverflowError:  # a value beyond float64 fails either way
+        with pytest.raises(OverflowError):
+            sa.reconstruct(plan)
+        return
+    got = sa.reconstruct(plan)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestCost:

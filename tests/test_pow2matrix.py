@@ -5,9 +5,10 @@ import pytest
 
 import shiftadd as sa
 from shiftadd.pot import EXP_MAX, SignedPow2
-from shiftadd.pow2matrix import Pow2Matrix, advance_effective
+from shiftadd.pow2matrix import Pow2Matrix, advance_effective, shift_add
 
-from helpers import advance_effective_oracle, columns, pow2matrix, same_bits
+from helpers import (advance_effective_oracle, columns, pow2matrix,
+                     random_dyadic_vector, same_bits, synthetic_plan)
 
 
 def test_dense_and_nnz():
@@ -54,6 +55,8 @@ def test_array_storage():
             (),
             ((1, SignedPow2(1, 2)),))
     a = pow2matrix(3, 3, cols)
+    stored_fields = {"rows", "cols", "row", "negative", "exp", "col_len"}
+    assert set(vars(a)) == stored_fields  # nothing derived is built eagerly
     assert a.row.tolist() == [0, 2, 1]
     assert a.negative.tolist() == [False, True, False]
     assert a.exp.tolist() == [0, -1, 2]
@@ -65,8 +68,8 @@ def test_array_storage():
     stored = (a.row, a.negative, a.exp, a.col_len)
     assert [v.dtype for v in stored] == [np.int32, bool, np.int16, np.int32]
     assert not any(v.flags.writeable for v in stored)
-    assert set(vars(a)) == {"rows", "cols", "row", "negative", "exp",
-                            "col_len"}  # nothing derived is kept
+    # only the cached derived values are kept, and only once asked for
+    assert set(vars(a)) == stored_fields | {"min_exp"}
     assert pow2matrix(2, 2, ((), ())).min_exp == 0
     assert columns(a) == cols
 
@@ -129,3 +132,61 @@ def test_advance_effective_bits_on_adaptive_stage():
     eff = cb.dense()
     assert same_bits(advance_effective(eff, stage),
                      advance_effective_oracle(eff, stage))
+
+
+def test_derived_values_are_cached_read_only_and_fresh_after_loading():
+    rng = np.random.default_rng(803)
+    plan = synthetic_plan(rng, max_stages=3)
+    while not plan.stages:
+        plan = synthetic_plan(rng, max_stages=3)
+    derived = ("min_exp", "lshift", "by_row", "by_col")
+    x = random_dyadic_vector(rng, plan.n_cols)
+    y, _ = sa.apply(plan, x)
+    sa.reconstruct(plan)
+    stage = plan.stages[0]
+    for name in derived:  # built once, then the same object
+        assert getattr(stage, name) is getattr(stage, name)
+    arrays = [stage.lshift, *stage.by_row[:5], *stage.by_col[:5]]
+    assert not any(a.flags.writeable for a in arrays)
+    assert stage.by_row.lshift.dtype == object
+    assert type(stage.by_row.lshift.tolist()[0]) is int
+    back = sa.deserialize(sa.serialize(plan))
+    for mat in back.stages + back.codebook.factors:
+        assert not set(derived) & set(vars(mat))
+    assert sa.apply(back, x)[0] == y
+    for old, new in zip(plan.stages, back.stages):
+        assert new.min_exp == old.min_exp
+        assert new.lshift is not old.lshift
+        assert np.array_equal(new.lshift, old.lshift)
+        for view in ("by_row", "by_col"):
+            for a, b in zip(getattr(new, view), getattr(old, view)):
+                assert np.array_equal(a, b)
+
+
+def test_shift_add_on_non_square_matrices():
+    # mat @ h over row segments and block @ mat over column segments, on
+    # matrices with empty rows and columns, against exact integer products
+    rng = np.random.default_rng(804)
+    for rows, cols in ((1, 5), (5, 1), (3, 7), (7, 3), (6, 6)):
+        for _ in range(5):
+            pick = rng.random((rows, cols)) < 0.4
+            pick[rng.integers(rows)] = False  # one empty row at least
+            exps = rng.integers(-64, 64, (rows, cols))
+            signs = rng.choice([-1, 1], (rows, cols))
+            mat = pow2matrix(rows, cols, tuple(
+                tuple((int(i), SignedPow2(int(signs[i, k]), int(exps[i, k])))
+                      for i in np.flatnonzero(pick[:, k]))
+                for k in range(cols)))
+            # integer entries of mat / 2**min_exp
+            ints = [[int(signs[i, k]) << int(exps[i, k] - mat.min_exp)
+                     if pick[i, k] else 0 for k in range(cols)]
+                    for i in range(rows)]
+            h = [int(v) for v in rng.integers(-2 ** 40, 2 ** 40, cols)]
+            got = shift_add(np.array(h, dtype=object), mat.by_row)
+            assert got.tolist() == [sum(a * b for a, b in zip(r, h))
+                                    for r in ints]
+            block = rng.integers(-2 ** 40, 2 ** 40, (2, rows)).tolist()
+            got = shift_add(np.array(block, dtype=object), mat.by_col)
+            assert got.tolist() == [
+                [sum(b[i] * ints[i][k] for i in range(rows))
+                 for k in range(cols)] for b in block]

@@ -225,7 +225,11 @@ class TestDecompose:
         (lambda: sa.StageSchedule.fixed([1], 10 ** 310), ValueError),
         (lambda: sa.StageSchedule.adaptive(sa.plan.MAX_BITS + 1),
          ValueError),
-        (lambda: sa.StageSchedule.adaptive(8, -1), ValueError)])
+        (lambda: sa.StageSchedule.adaptive(8, -1), ValueError),
+        (lambda: sa.StageSchedule.fixed([1] * (sa.plan.MAX_STAGES + 1)),
+         ValueError),
+        (lambda: sa.StageSchedule.adaptive(8, sa.plan.MAX_STAGES + 1),
+         ValueError)])
     def test_schedule_refuses_non_integers_and_overflow(self, build, error):
         # these used to fail deep in the fit, or in threshold()
         with pytest.raises(error, match="sparsity|target_bits|max_stages"):
