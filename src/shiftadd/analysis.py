@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import gaussian_build, make_codebook
-from .pow2matrix import advance_effective
+from .codebooks import make_codebook
+from .wiring import fit_stages
 
 
 def code_rate(n_rows: int, n_cols: int) -> float:
@@ -199,8 +199,6 @@ def simulate_decomposition(n_rows: int, n_cols: int, n_stages: int,
     ``|t_k - approx_k|^2 / |t_k|^2``.  With no stages the zero
     approximation is reported: a single row ``s = 0`` with distortion 1.
     """
-    from .wiring import fit_stage  # deferred to avoid an import cycle
-
     if n_stages < 0:
         raise ValueError("n_stages must be >= 0")
     s_values = np.arange(1, n_stages + 1)
@@ -210,17 +208,12 @@ def simulate_decomposition(n_rows: int, n_cols: int, n_stages: int,
     per_matrix = np.empty((matrix_samples, n_stages))
     for m in range(matrix_samples):
         target = rng.standard_normal((n_rows, n_cols))
-        if codebook_kind == "gaussian":
-            eff = gaussian_build(n_rows, n_cols,
-                                 int(rng.integers(2 ** 62)))
-        else:
-            eff = make_codebook(codebook_kind, n_rows, n_cols,
-                                seed=int(rng.integers(2 ** 62)),
-                                target=target).dense()
+        eff = make_codebook(codebook_kind, n_rows, n_cols,
+                            seed=int(rng.integers(2 ** 62)),
+                            target=target).dense()
         col_norms = np.sum(target * target, axis=0)
-        for ell in range(n_stages):
-            stage = fit_stage(target, eff, 1)
-            eff = advance_effective(eff, stage)
+        fits = fit_stages(target, eff, [1] * n_stages)
+        for ell, (_, eff) in enumerate(fits):
             diff = target - eff
             rel = np.sum(diff * diff, axis=0) / col_norms
             per_matrix[m, ell] = float(np.mean(rel))

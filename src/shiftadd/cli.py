@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import sys
@@ -127,48 +128,48 @@ def cmd_apply(args) -> int:
     return EXIT_OK
 
 
-def _bench_cell(cell) -> dict:
-    shape, schedule, kind, target_kind, samples, seed, idx = cell
+def cell_plans(shape, schedule, kind, target_kind, samples, seed):
+    """The plans of one bench cell: sample ``i`` draws its target and
+    codebook seed from ``default_rng((*seed, i))``.  A uniform target gets
+    a codebook designed on a Gaussian auxiliary matrix, a Gaussian one a
+    codebook designed on the target itself."""
     n, k = shape
-    adds = []
-    stage_counts = []
-    for sample in range(samples):
-        rng = np.random.default_rng((seed, idx, sample))
+    for i in range(samples):
+        rng = np.random.default_rng((*seed, i))
         if target_kind == "uniform":
-            target = rng.random((n, k))
-            aux = "gaussian"
+            target, aux = rng.random((n, k)), "gaussian"
         else:
-            target = rng.standard_normal((n, k))
-            aux = "target"
+            target, aux = rng.standard_normal((n, k)), "target"
         codebook = make_codebook(kind, n, k,
                                  seed=int(rng.integers(2 ** 62)),
                                  target=target, aux=aux)
-        plan = wiring.decompose(target, codebook, schedule)
+        yield wiring.decompose(target, codebook, schedule)
+
+
+def _bench_cell(cell) -> dict:
+    idx, (shape, schedule), (kind, target_kind, samples, seed) = cell
+    adds, stages = [], []
+    for plan in cell_plans(shape, schedule, kind, target_kind, samples,
+                           (seed, idx)):
         adds.append(cost_of(plan).adds_per_entry)
-        stage_counts.append(plan.n_stages)
+        stages.append(plan.n_stages)
     arr = np.asarray(adds)
-    return {"shape": f"{n}x{k}", "bits": schedule.target_bits,
+    return {"shape": "%dx%d" % shape, "bits": schedule.target_bits,
             "adds_per_entry": float(arr.mean()),
             "stderr": float(arr.std(ddof=1) / math.sqrt(len(arr)))
             if len(arr) > 1 else 0.0,
-            "samples": samples,
-            "mean_stages": float(np.mean(stage_counts))}
+            "samples": samples, "mean_stages": float(np.mean(stages))}
 
 
 def cmd_bench(args) -> int:
-    shapes, bits = args.shapes, args.bits
-    kind = CLI_KINDS[args.codebook]
+    bits = args.bits
     schedules = [
         _checked(StageSchedule.adaptive, q, args.max_stages) if args.adaptive
         else _checked(StageSchedule.fixed, [1], q, args.max_stages)
         for q in bits]
-    cells = []
-    idx = 0
-    for shape in shapes:
-        for schedule in schedules:
-            cells.append((shape, schedule, kind, args.target, args.samples,
-                          args.seed, idx))
-            idx += 1
+    common = (CLI_KINDS[args.codebook], args.target, args.samples, args.seed)
+    cells = [(idx, cell, common) for idx, cell in
+             enumerate(itertools.product(args.shapes, schedules))]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_bench_cell, cells))

@@ -200,11 +200,6 @@ class CodebookDescriptor:
     def is_shift_add(self) -> bool:
         return self.kind != "gaussian"
 
-    def selector_dense(self) -> np.ndarray:
-        b0 = np.zeros((self.n_rows, self.n_cols))
-        b0[:, :self.n_rows] = np.eye(self.n_rows)
-        return b0
-
     def dense(self) -> np.ndarray:
         """Effective real matrix of the codebook."""
         if self.kind == "mailman":
@@ -212,7 +207,7 @@ class CodebookDescriptor:
         if self.kind == "two-sparse":
             return self.factors[0].dense()
         if self.kind == "self-designing":
-            eff = self.selector_dense()
+            eff = _selector(self.n_rows, self.n_cols)
             b1, b2 = self.factors
             return advance_effective(advance_effective(eff, b1), b2)
         return gaussian_build(self.n_rows, self.n_cols, self.seed)
@@ -266,15 +261,22 @@ class CodebookDescriptor:
         return cls(kind, n, k)
 
 
+def _selector(n_rows: int, n_cols: int) -> np.ndarray:
+    """The ``[I 0]`` selector, the implicit leading factor of a
+    self-designing codebook."""
+    return np.eye(n_rows, n_cols)
+
+
 def self_design_build(aux_target: np.ndarray,
                       stage_sparsity: int = 1) -> CodebookDescriptor:
     """Let the codebook design itself against an auxiliary target.
 
-    ``B = B0 B1 B2`` where ``B0 = [I 0]`` and each of ``B1, B2`` is fit as a
-    wiring stage for the auxiliary target with ``1 + stage_sparsity``
-    nonzeros per column.
+    ``B = B0 B1 B2`` where ``B0 = [I 0]`` and ``B1, B2`` are the first two
+    wiring stages of a decomposition of the auxiliary target over ``B0``
+    (``wiring.fit_stages``), with ``1 + stage_sparsity`` nonzeros per
+    column.
     """
-    from .wiring import fit_stage  # deferred: wiring sits above this module
+    from .wiring import fit_stages  # deferred: wiring sits above this module
 
     aux = np.asarray(aux_target, dtype=np.float64)
     if aux.ndim != 2:
@@ -283,10 +285,7 @@ def self_design_build(aux_target: np.ndarray,
     if k < n:
         raise DimensionError(
             f"self-designing codebook needs K >= N, got {n}x{k}")
-    b0 = np.zeros((n, k))
-    b0[:, :n] = np.eye(n)
-    b1 = fit_stage(aux, b0, stage_sparsity)
-    b2 = fit_stage(aux, advance_effective(b0, b1), stage_sparsity)
+    (b1, _), (b2, _) = fit_stages(aux, _selector(n, k), [stage_sparsity] * 2)
     return CodebookDescriptor("self-designing", n, k,
                               stage_sparsity=stage_sparsity, factors=(b1, b2))
 

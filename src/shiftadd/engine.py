@@ -11,10 +11,15 @@ negative ones, sum each nonempty row's segment (``np.add.reduceat``), and
 add ``min_exp`` to the shared exponent.  Output ``Dyadic`` values are built
 once, at the end.
 
-Operation counters come from the terms the engine executes (one shift per
-stored nonzero, ``m - 1`` additions to combine a column's ``m`` terms); they
-do not depend on the data and must match what ``plan.cost_of`` counts
-without running anything.
+Operation counters come from the arrays the engine executes (one shift per
+stored nonzero, one sign change per negative one) and follow the cost
+model's convention for additions: ``m - 1`` to combine a column's ``m``
+terms, the cost of ``h^T W``.  ``W @ h`` as the engine runs it sums row
+segments instead, ``nnz - (nonempty rows)`` pairwise additions per matrix,
+so the two agree only where a matrix has as many nonempty rows as nonempty
+columns (on the 16x256 plan of the deploy benchmark, 10,496 counted against
+10,799 executed).  The counters do not depend on the data and must match
+what ``plan.cost_of`` counts without running anything.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ def _apply_matrix(mat: Pow2Matrix, h: np.ndarray,
             f"vector of length {len(h)} against {mat.rows}x{mat.cols}")
     seg = mat.by_row
     out = shift_add(h, seg)
-    # counted from the terms the kernel ran, not from op_counts()
+    # counted from the executed arrays, not from op_counts(); additions in
+    # the m - 1 per column convention (see the module docstring)
     ops.shifts += len(seg.source)
     ops.sign_changes += int(np.count_nonzero(seg.negative))
     ops.additions += len(seg.source) - int(np.count_nonzero(mat.col_len))
@@ -119,25 +125,26 @@ def _check_baseline_args(target, x) -> tuple[np.ndarray, list[Dyadic]]:
     return tgt, x
 
 
-def _accumulation_counts(term_counts: np.ndarray) -> tuple[int, int]:
-    """(entry-internal additions, row accumulation additions).
+def _baseline_result(m_int: np.ndarray, scale_exp: int, terms: np.ndarray,
+                     negative: np.ndarray,
+                     x: list[Dyadic]) -> tuple[list[Dyadic], CostReport]:
+    """The exact product ``(m_int @ x) * 2**scale_exp`` of an integer
+    matrix, and its cost when entry ``(i, j)`` is formed from
+    ``terms[i, j]`` power-of-two terms, ``negative[i, j]`` of them negative.
 
-    An entry contributing ``m >= 1`` terms costs ``m - 1`` internal
-    additions; combining the nonzero entries of a row costs one addition
-    per entry beyond the first.  Zero terms cost nothing.
+    One shift per term.  An entry of ``m >= 1`` terms costs ``m - 1``
+    internal additions; combining the nonzero entries of a row costs one
+    addition per entry beyond the first.  Zero terms cost nothing.
     """
-    internal = int(np.sum(np.maximum(term_counts - 1, 0)))
-    row_nnz = np.sum(term_counts > 0, axis=1)
-    across = int(np.sum(np.maximum(row_nnz - 1, 0)))
-    return internal, across
-
-
-def _int_matvec(m_int: np.ndarray, x: list[Dyadic],
-                scale_exp: int) -> list[Dyadic]:
-    """Exact ``(m_int @ x) * 2**scale_exp`` for an integer matrix."""
+    internal = int(np.sum(np.maximum(terms - 1, 0)))
+    row_nnz = np.sum(terms > 0, axis=1)
+    additions = internal + int(np.sum(np.maximum(row_nnz - 1, 0)))
     aligned, e_base = align(x)
     sums = m_int.astype(object) @ np.array(aligned, dtype=object)
-    return [Dyadic(int(s), e_base + scale_exp) for s in sums]
+    y = [Dyadic(int(s), e_base + scale_exp) for s in sums]
+    entries = terms.size
+    return y, CostReport(additions, int(np.sum(terms)), int(np.sum(negative)),
+                         additions / entries if entries else 0.0, ())
 
 
 def baseline_apply(target, q: int, x) -> tuple[list[Dyadic], CostReport]:
@@ -157,17 +164,8 @@ def baseline_apply(target, q: int, x) -> tuple[list[Dyadic], CostReport]:
     m_int = np.floor(np.abs(tgt) * math.ldexp(1.0, scale) + 0.5)
     m_int = (np.sign(tgt) * m_int).astype(np.int64)
     bits = np.bitwise_count(np.abs(m_int).astype(np.uint64)).astype(np.int64)
-
-    internal, across = _accumulation_counts(bits)
-    additions = internal + across
-    shifts = int(np.sum(bits))
-    sign_changes = int(np.sum(bits[m_int < 0]))
-
-    y = _int_matvec(m_int, x, -scale)
-    entries = tgt.size
-    report = CostReport(additions, shifts, sign_changes,
-                        additions / entries if entries else 0.0, ())
-    return y, report
+    return _baseline_result(m_int, -scale, bits, np.where(m_int < 0, bits, 0),
+                            x)
 
 
 def csd_baseline_apply(target, c_per_entry: int, x,
@@ -195,16 +193,6 @@ def csd_baseline_apply(target, c_per_entry: int, x,
         negative += v < 0.0
         r -= v
     approx = tgt - r  # both residual chain and difference are exact
-
-    internal, across = _accumulation_counts(terms)
-    additions = internal + across
-    shifts = int(np.sum(terms))
-    sign_changes = int(np.sum(negative))
-
     ints, e = align([Dyadic.from_float(a) for a in approx.ravel().tolist()])
-    y = _int_matvec(np.array(ints, dtype=object).reshape(tgt.shape), x, e)
-
-    entries = tgt.size
-    report = CostReport(additions, shifts, sign_changes,
-                        additions / entries if entries else 0.0, ())
-    return y, report
+    return _baseline_result(np.array(ints, dtype=object).reshape(tgt.shape),
+                            e, terms, negative, x)

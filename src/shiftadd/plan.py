@@ -275,24 +275,16 @@ def cost_of(plan: DecompositionPlan) -> CostReport:
                       tuple(per_stage), analytic)
 
 
-def distortion(plan: DecompositionPlan, target: np.ndarray,
-               reconstruction: np.ndarray | None = None) -> DistortionReport:
-    """Relative Frobenius error of the plan against ``target``.
-
-    ``reconstruction`` may supply a precomputed matrix (e.g. the effective
-    matrix tracked during fitting, identical to the exact one up to float
-    rounding); by default the exact reconstruction is used.
-    """
+def distortion(plan: DecompositionPlan,
+               target: np.ndarray) -> DistortionReport:
+    """Relative Frobenius error of the plan's exact reconstruction against
+    ``target``."""
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (plan.n_rows, plan.n_cols):
         raise DimensionError(
             f"target shape {target.shape} does not match plan "
             f"{(plan.n_rows, plan.n_cols)}")
-    if reconstruction is None:
-        reconstruction = reconstruct(plan)
-    elif reconstruction.shape != target.shape:
-        raise DimensionError("reconstruction shape does not match target")
-    return distortion_of_matrix(reconstruction, target)
+    return distortion_of_matrix(reconstruct(plan), target)
 
 
 def distortion_of_matrix(approx: np.ndarray,

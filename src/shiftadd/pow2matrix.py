@@ -131,9 +131,6 @@ class Pow2Matrix:
     def nnz(self) -> int:
         return len(self.row)
 
-    def column_nnz(self) -> list[int]:
-        return self.col_len.tolist()
-
     @functools.cached_property
     def min_exp(self) -> int:
         """Smallest exponent, 0 for an empty matrix: every entry is a

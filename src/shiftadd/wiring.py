@@ -31,10 +31,16 @@ through the last bit of a BLAS product (BLAS may sum a row differently
 beside other rows), which can matter only at a near-tie.  The fitted
 stage's arrays come straight from the picks and weights the kernel
 recorded.
+
+One loop, ``fit_stages``, fits stages one after another, each against the
+codebook rolled forward through the stages before it: the fixed-stage
+``decompose``, codebook self-design and ``analysis.simulate_decomposition``
+all run on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,11 +100,16 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     and an ``M x width`` array whose row ``i`` holds column ``i``'s squared
     residual after each of its steps.
 
-    Per column, every result equals that of ``greedy_fit_oracle`` in the
-    tests, a loop over one column that scores every candidate: ``r_sq`` is
-    the row's own BLAS dot product (``np.vecdot``, the same call as ``r @
-    r``), every score is the one-column float expression, and the choice is
-    the lowest score with the smallest index among ties.
+    Per column, every result follows ``greedy_fit_oracle`` in the tests, a
+    loop over one column that scores every candidate: ``r_sq`` is the
+    row's own BLAS dot product (``np.vecdot``, the same call as ``r @
+    r``), every score is the one-column float expression, and the choice
+    is the lowest score with the smallest index among ties.  The two are
+    equal only up to the last bit of a BLAS product: the oracle's
+    correlations come from a one-row product (gemv), the kernel's from a
+    block of rows (gemm), which may sum in another order.  So at a
+    near-tie the two can pick differently, and so can one column fitted
+    beside different columns.
 
     **One step for all columns.**  Each step runs once over every live
     column, one per row of ``r``.  Only the passes over all ``K`` codebook
@@ -355,31 +366,41 @@ def decompose(target: np.ndarray, codebook, schedule: StageSchedule,
     return DecompositionPlan(n, k, codebook, tuple(stages), meta)
 
 
+def fit_stages(target: np.ndarray, eff: np.ndarray, sparsity):
+    """Fit one stage per entry of ``sparsity``, each against the codebook
+    rolled forward through the stages before it, and yield ``(stage,
+    eff)`` after each, ``eff`` being the codebook rolled through it too.
+
+    Lazy: a stage is fitted only when asked for, so a caller may stop at
+    any accuracy, and ``sparsity`` may be endless.
+    """
+    for s in sparsity:
+        stage = fit_stage(target, eff, s)
+        eff = advance_effective(eff, stage)
+        yield stage, eff
+
+
 def _decompose_fixed(tgt: np.ndarray, eff: np.ndarray,
                      schedule: StageSchedule):
     stages = []
-    stop = None if schedule.target_bits is None else \
-        threshold(schedule.target_bits)
-    tgt_norm = float(np.sum(tgt * tgt))
-    idx = 0
+    if schedule.target_bits is None:
+        for stage, eff in fit_stages(tgt, eff, schedule.sparsity):
+            stages.append(stage)
+        return stages, eff
+    # the error is checked before each fit, repeating the last sparsity
+    stop = threshold(schedule.target_bits) * float(np.sum(tgt * tgt))
+    fits = fit_stages(tgt, eff, itertools.chain(
+        schedule.sparsity, itertools.repeat(schedule.sparsity[-1])))
     while True:
-        if stop is None:
-            if idx >= len(schedule.sparsity):
-                break
-        else:
-            diff = tgt - eff
-            if float(np.sum(diff * diff)) <= stop * tgt_norm:
-                break
-            if idx >= schedule.max_stages:
-                raise AccuracyUnreachableError(
-                    f"accuracy unreachable: {schedule.target_bits}-bit "
-                    f"target not met within {schedule.max_stages} stages")
-        s = schedule.sparsity[min(idx, len(schedule.sparsity) - 1)]
-        stage = fit_stage(tgt, eff, s)
-        eff = advance_effective(eff, stage)
+        diff = tgt - eff
+        if float(np.sum(diff * diff)) <= stop:
+            return stages, eff
+        if len(stages) >= schedule.max_stages:
+            raise AccuracyUnreachableError(
+                f"accuracy unreachable: {schedule.target_bits}-bit "
+                f"target not met within {schedule.max_stages} stages")
+        stage, eff = next(fits)
         stages.append(stage)
-        idx += 1
-    return stages, eff
 
 
 def _decompose_adaptive(tgt: np.ndarray, cb: np.ndarray,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import shiftadd as sa
+from shiftadd.cli import cell_plans
 from shiftadd.pot import DYADIC_ZERO
 
 from helpers import columns, exact_matvec, random_dyadic_vector, \
@@ -121,19 +122,24 @@ def test_06_lower_bound_tracking():
                f"{dt:.1f}s)")
 
 
-def _table1_cell(n, k, bits, samples, seed):
+def _cell_mean(shape, schedule, target_kind, samples, seed):
+    """Mean adds/entry over the plans of one bench cell of self-designed
+    codebooks; every plan must meet the bit width, and an adaptive plan
+    must hold one stage."""
     vals = []
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
-        target = rng.standard_normal((n, k))
-        cb = sa.make_codebook("self-designing", n, k, target=target,
-                              aux="target")
-        plan = sa.decompose(target, cb,
-                            sa.StageSchedule.fixed([1], target_bits=bits,
-                                                   max_stages=96))
-        assert plan.metadata["fit_rel_error"] <= sa.threshold(bits)
+    for plan in cell_plans(shape, schedule, "self-designing", target_kind,
+                           samples, (seed,)):
+        assert plan.metadata["fit_rel_error"] <= \
+            sa.threshold(schedule.target_bits)
+        if not schedule.sparsity:  # adaptive
+            assert plan.n_stages == 1
         vals.append(sa.cost_of(plan).adds_per_entry)
     return float(np.mean(vals))
+
+
+def _table1_cell(n, k, bits, samples, seed):
+    schedule = sa.StageSchedule.fixed([1], target_bits=bits, max_stages=96)
+    return _cell_mean((n, k), schedule, "gaussian", samples, seed)
 
 
 def test_07_table1_desk_scale():
@@ -150,20 +156,9 @@ def test_07_table1_desk_scale():
 
 def test_08_table2_desk_scale():
     t0 = time.time()
-    n, k, bits, samples = 10, 1024, 16, 20
-    vals = []
-    for i in range(samples):
-        rng = np.random.default_rng((8000, i))
-        target = rng.random((n, k))  # uniform [0, 1)
-        cb = sa.make_codebook("self-designing", n, k,
-                              seed=int(rng.integers(2 ** 62)),
-                              aux="gaussian")
-        plan = sa.decompose(target, cb,
-                            sa.StageSchedule.adaptive(bits, max_stages=96))
-        assert plan.n_stages == 1
-        assert plan.metadata["fit_rel_error"] <= sa.threshold(bits)
-        vals.append(sa.cost_of(plan).adds_per_entry)
-    mean = float(np.mean(vals))
+    # uniform [0, 1) targets, codebooks designed on Gaussian matrices
+    mean = _cell_mean((10, 1024), sa.StageSchedule.adaptive(16, max_stages=96),
+                      "uniform", 20, 8000)
     assert 1.8 <= mean <= 2.3, mean
     dt = time.time() - t0
     assert dt < 900.0

@@ -11,6 +11,7 @@ import pytest
 
 import shiftadd as sa
 from shiftadd.analysis import total_error_from_angle
+from shiftadd.pow2matrix import advance_effective
 
 
 def test_import_leaves_scipy_special_and_integrate_unloaded():
@@ -179,6 +180,34 @@ class TestSimulation:
         assert np.all(np.diff(mean) < 0)
         lb = np.array([sa.distortion_lower_bound(5, 32, int(v)) for v in s])
         assert np.all(mean >= 0.95 * lb)
+
+    @pytest.mark.parametrize("kind,n,k", [("two-sparse", 5, 32),
+                                          ("self-designing", 5, 32),
+                                          ("mailman", 4, 16)])
+    def test_decomposition_equals_fixed_plans(self, kind, n, k):
+        # the same draws decomposed one unit-sparsity stage at a time, each
+        # plan rolled forward from its codebook stage by stage
+        stages, samples, seed = 3, 3, 21
+        s, mean, err = sa.simulate_decomposition(n, k, stages, kind, seed,
+                                                 samples)
+        rng = np.random.default_rng(seed)
+        per = np.empty((samples, stages))
+        for m in range(samples):
+            target = rng.standard_normal((n, k))
+            cb = sa.make_codebook(kind, n, k, seed=int(rng.integers(2 ** 62)),
+                                  target=target)
+            plan = sa.decompose(target, cb,
+                                sa.StageSchedule.fixed([1] * stages))
+            eff = cb.dense()
+            for ell, stage in enumerate(plan.stages):
+                eff = advance_effective(eff, stage)
+                diff = target - eff
+                per[m, ell] = np.mean(np.sum(diff * diff, axis=0)
+                                      / np.sum(target * target, axis=0))
+        assert list(s) == [1, 2, 3]
+        assert mean.tobytes() == per.mean(axis=0).tobytes()
+        assert err.tobytes() == (per.std(axis=0, ddof=1)
+                                 / math.sqrt(samples)).tobytes()
 
     def test_decomposition_zero_stages_is_unit_distortion(self):
         s, mean, err = sa.simulate_decomposition(4, 16, 0)

@@ -268,6 +268,19 @@ class TestBench:
         assert code == 0
         assert pooled == serial
 
+    def test_uniform_adaptive_is_one_stage_for_any_jobs(self, capsys):
+        args = ["bench", "--shapes", "8x64,6x32", "--bits", "4,8",
+                "--target", "uniform", "--adaptive", "--samples", "2",
+                "--seed", "3", "--format", "json"]
+        code, serial, _ = run(capsys, *args, "--jobs", "1")
+        assert code == 0
+        code, pooled, _ = run(capsys, *args, "--jobs", "2")
+        assert code == 0
+        assert pooled == serial
+        rows = [r for r in json.loads(serial) if r["samples"]]
+        assert len(rows) == 4
+        assert all(r["mean_stages"] == 1 for r in rows)
+
 
 class TestAnalyze:
     def test_asymptote(self, capsys):

@@ -17,7 +17,7 @@ def test_dense_and_nnz():
             ((1, SignedPow2(1, 2)),))
     m = pow2matrix(3, 3, cols)
     assert m.nnz == 3
-    assert m.column_nnz() == [2, 0, 1]
+    assert m.col_len.tolist() == [2, 0, 1]
     assert m.dense().tolist() == [[1, 0, 0], [0, 0, 4], [-0.5, 0, 0]]
 
 
@@ -128,7 +128,7 @@ def test_advance_effective_bits_on_adaptive_stage():
     cb = sa.make_codebook("self-designing", 4, 64, seed=1, aux="gaussian")
     plan = sa.decompose(tgt, cb, sa.StageSchedule.adaptive(16))
     stage, = plan.stages
-    assert max(stage.column_nnz()) >= 8
+    assert stage.col_len.max() >= 8
     eff = cb.dense()
     assert same_bits(advance_effective(eff, stage),
                      advance_effective_oracle(eff, stage))
