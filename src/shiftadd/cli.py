@@ -132,7 +132,9 @@ def cell_plans(shape, schedule, kind, target_kind, samples, seed):
     """The plans of one bench cell: sample ``i`` draws its target and
     codebook seed from ``default_rng((*seed, i))``.  A uniform target gets
     a codebook designed on a Gaussian auxiliary matrix, a Gaussian one a
-    codebook designed on the target itself."""
+    codebook designed on the target itself.  A sample that cannot reach
+    its accuracy raises ``AccuracyUnreachableError`` naming the cell's
+    shape, its bit width and the sample."""
     n, k = shape
     for i in range(samples):
         rng = np.random.default_rng((*seed, i))
@@ -143,7 +145,13 @@ def cell_plans(shape, schedule, kind, target_kind, samples, seed):
         codebook = make_codebook(kind, n, k,
                                  seed=int(rng.integers(2 ** 62)),
                                  target=target, aux=aux)
-        yield wiring.decompose(target, codebook, schedule)
+        try:
+            plan = wiring.decompose(target, codebook, schedule)
+        except AccuracyUnreachableError as exc:
+            raise AccuracyUnreachableError(
+                f"cell {n}x{k} at {schedule.target_bits} bits, sample {i}: "
+                f"{exc}") from exc
+        yield plan
 
 
 def _bench_cell(cell) -> dict:
@@ -162,6 +170,8 @@ def _bench_cell(cell) -> dict:
 
 
 def cmd_bench(args) -> int:
+    if args.samples < 1:
+        raise _usage_error("--samples must be at least 1")
     bits = args.bits
     schedules = [
         _checked(StageSchedule.adaptive, q, args.max_stages) if args.adaptive

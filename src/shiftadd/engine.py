@@ -3,13 +3,15 @@
 Every scalar operation is a left shift, a sign flip, or an addition of
 integers over one shared exponent, so the output equals the exact
 reconstruction applied to the input bit for bit.  The input is aligned once
-(``pot.align``) into a numpy object array of Python ints; each stage then
-runs on its row view (``Pow2Matrix.by_row``, built once per matrix) through
-``pow2matrix.shift_add``: gather the input entry of every stored
+(``pot.align``) into a numpy object array of Python ints.  The plan's
+matrix chain, the one exact reconstruction walks, then runs last to first,
+each matrix on its row view (``Pow2Matrix.by_row``, built once per matrix)
+through ``pow2matrix.shift_add``: gather the input entry of every stored
 coefficient in row order, shift it by ``exp - min_exp``, negate the
 negative ones, sum each nonempty row's segment (``np.add.reduceat``), and
-add ``min_exp`` to the shared exponent.  Output ``Dyadic`` values are built
-once, at the end.
+add ``min_exp`` to the shared exponent.  The codebook's terminal follows:
+the mailman multiply, or the ``[I 0]`` selector that keeps the first
+``n_rows`` values.  Output ``Dyadic`` values are built once, at the end.
 
 Operation counters come from the arrays the engine executes (one shift per
 stored nonzero, one sign change per negative one) and follow the cost
@@ -63,9 +65,11 @@ def _apply_matrix(mat: Pow2Matrix, h: np.ndarray,
 def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
     """Evaluate ``reconstruct(plan) @ x`` exactly by shifts and additions.
 
-    Stages are applied in decreasing design order, then the codebook.
-    Plans over the Gaussian analysis codebook cannot be executed this way
-    and raise ``EngineError``.
+    The plan's matrix chain (``DecompositionPlan.chain``) is applied last
+    to first, the stages and then the codebook's stored factors, followed
+    by the codebook's terminal: the fast mailman multiply, or the free
+    ``[I 0]`` selector.  Plans over the Gaussian analysis codebook cannot
+    be executed this way and raise ``EngineError``.
     """
     x = list(x)
     if len(x) != plan.n_cols:
@@ -80,24 +84,21 @@ def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
             "shifts and additions")
 
     ops = _Counters()
-    per_stage = []
+    adds = []
     ints, e = align(x)
     h = np.array(ints, dtype=object)
-    for stage in reversed(plan.stages):
+    for mat in reversed(plan.chain):
         before = ops.additions
-        h, shift = _apply_matrix(stage, h, ops)
+        h, shift = _apply_matrix(mat, h, ops)
         e += shift
-        per_stage.append(ops.additions - before)
-    per_stage.reverse()
+        adds.append(ops.additions - before)
+    per_stage = adds[:plan.n_stages][::-1]
 
     cb = plan.codebook
     if cb.kind == "mailman":
-        y, adds = mailman_apply(cb.n_rows, h.tolist())
-        ops.additions += adds
+        y, terminal = mailman_apply(cb.n_rows, h.tolist())
+        ops.additions += terminal
     else:
-        for factor in reversed(cb.factors):
-            h, shift = _apply_matrix(factor, h, ops)
-            e += shift
         y = h[:cb.n_rows].tolist()  # implicit [I 0] selector, free
 
     entries = plan.n_rows * plan.n_cols

@@ -3,7 +3,12 @@
 A plan records a codebook descriptor and the wiring stages in design order
 ``W_1 ... W_L``; evaluation applies them in reverse, so the reconstructed
 matrix is ``B @ W_1 @ ... @ W_L``.  Stages and stored codebook factors are
-``Pow2Matrix`` integer arrays; the file keeps them as nested lists.
+``Pow2Matrix`` integer arrays; the file keeps them as nested lists.  The
+factors and the stages form one chain (``DecompositionPlan.chain``) that
+exact reconstruction walks forward and the engine backward.
+Reconstruction verifies a plan exactly: it carries every codebook row as
+a lane of one Python int per column (SIMD within a register), so each
+entry of the chain costs one big-integer operation for all rows at once.
 
 Cost accounting follows one convention everywhere: combining the ``m``
 terms a column selects costs ``m - 1`` additions, one shift per nonzero.
@@ -24,7 +29,7 @@ import numpy as np
 from .codebooks import CodebookDescriptor
 from .errors import DimensionError, PlanFormatError, PlanVersionError
 from .pot import Dyadic, align
-from .pow2matrix import Pow2Matrix, shift_add
+from .pow2matrix import Pow2Matrix, growth_bits, shift_add
 
 PLAN_FORMAT = "shiftadd-plan"
 PLAN_VERSION = 1
@@ -193,6 +198,14 @@ class DecompositionPlan:
     def n_stages(self) -> int:
         return len(self.stages)
 
+    @property
+    def chain(self) -> tuple[Pow2Matrix, ...]:
+        """The plan's power-of-two matrices in design order: the codebook's
+        stored factors, then the stages.  Led by the codebook's ``[I 0]``
+        selector, or by its dense matrix when it stores no factors, their
+        product is the reconstruction."""
+        return self.codebook.factors + self.stages
+
 
 def target_digest(target: np.ndarray) -> str:
     a = np.ascontiguousarray(target, dtype=np.float64)
@@ -209,38 +222,54 @@ def target_digest(target: np.ndarray) -> str:
 def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     """Exact dyadic reconstruction, one ``(mantissa, exponent)`` per entry.
 
-    Pushes the ``n_rows`` rows of the codebook forward through the stage
-    chain ``W_1 ... W_L`` in integer arithmetic, as one ``n_rows x width``
-    numpy object array of Python ints with one shared exponent per row.
-    Each stage is one ``pow2matrix.shift_add`` over its column view
-    (``Pow2Matrix.by_col``): gather the row block at each entry's row
-    index, shift by ``exp - min_exp``, negate the negative entries, sum
-    each nonempty column; the exponents gain the stage's ``min_exp``.
+    Pushes the ``n_rows`` rows of the codebook forward through the plan's
+    matrix chain (``DecompositionPlan.chain``) in integer arithmetic, with
+    one shared exponent per row.  The rows travel packed: row ``i`` is lane
+    ``i`` of one Python int per column, ``P_j = sum_i v_ij * 2**(w*i)``, and
+    each matrix is one ``pow2matrix.shift_add`` over its column view
+    (``Pow2Matrix.by_col``) of that vector: gather each entry's row,
+    shift by ``exp - min_exp``, negate the negative entries, sum each
+    nonempty column.  Every step is linear, so it acts on each lane alone
+    and the exponents gain each matrix's ``min_exp``.  The lane width ``w``
+    is a static bound: the start rows' bit length plus ``growth_bits`` of
+    every matrix, plus a sign bit and a bias bit, rounded up to whole
+    bytes.  Each column is unpacked once: a bias of ``2**(w-1)`` per lane
+    makes every lane nonnegative, one ``to_bytes`` writes them all, and
+    ``int.from_bytes`` reads each back.
+
     Codebooks with stored factors start from the rows of their leading
-    ``[I 0]`` selector (the identity for two-sparse) and push them through
-    the factors first; mailman and Gaussian codebooks start from the exact
-    values of their dense matrix.  Returned as a list of ``n_cols`` columns
-    of length ``n_rows``, zeros as ``(0, 0)``.
+    ``[I 0]`` selector (the identity for two-sparse); mailman and Gaussian
+    codebooks start from the exact values of their dense matrix.  Returned
+    as a list of ``n_cols`` columns of length ``n_rows``, zeros as ``(0,
+    0)``.
     """
-    cb = plan.codebook
-    n = plan.n_rows
+    cb, n, chain = plan.codebook, plan.n_rows, plan.chain
     if cb.factors:
         block = np.zeros((n, cb.factors[0].rows), dtype=object)
         block[np.arange(n), np.arange(n)] = 1
         exps = [0] * n
-        chain = cb.factors + plan.stages
     else:
         rows = [align([Dyadic.from_float(v) for v in row])
                 for row in cb.dense().tolist()]
-        block = np.array([r for r, _ in rows],
-                         dtype=object).reshape(n, plan.n_cols)
+        block = np.array([r for r, _ in rows], dtype=object)
         exps = [e for _, e in rows]
-        chain = plan.stages
-    for stage in chain:
-        block = shift_add(block, stage.by_col)
-        exps = [e + stage.min_exp for e in exps]
-    return [[(m, e) if m else (0, 0) for m, e in zip(col, exps)]
-            for col in block.T.tolist()]
+    bits = int(np.abs(block).max()).bit_length()
+    lane = -(-(bits + sum(growth_bits(m.by_col) for m in chain) + 2) // 8)
+    w = 8 * lane  # lane width in bits, whole bytes
+    h = (block << np.arange(0, w * n, w, dtype=object)[:, None]).sum(axis=0)
+    for mat in chain:
+        h = shift_add(h, mat.by_col)
+    shift = sum(m.min_exp for m in chain)
+    exps = [e + shift for e in exps]
+    half, size = 1 << (w - 1), lane * n
+    bias = int.from_bytes(half.to_bytes(lane, "little") * n, "little")
+    out = []
+    for p in h.tolist():
+        data = (p + bias).to_bytes(size, "little")
+        lanes = [int.from_bytes(data[b:b + lane], "little") - half
+                 for b in range(0, size, lane)]
+        out.append([(m, e) if m else (0, 0) for m, e in zip(lanes, exps)])
+    return out
 
 
 def reconstruct(plan: DecompositionPlan) -> np.ndarray:

@@ -10,9 +10,10 @@ and ``to_json`` writes that view's text.
 
 Exact products run on ``Segments``, the entries grouped by the output they
 sum into, through one shift-add kernel, ``shift_add``: ``by_row`` serves
-``mat @ h`` (the engine) and ``by_col`` serves ``block @ mat`` (exact
-reconstruction).  Each view, like ``min_exp`` and ``lshift``, is built on
-first use and cached on the read-only matrix.
+``mat @ h`` (the engine) and ``by_col`` serves ``h @ mat`` (exact
+reconstruction).  ``growth_bits`` bounds how many bits one such product
+adds to its input's magnitude.  Each view, like ``min_exp`` and
+``lshift``, is built on first use and cached on the read-only matrix.
 """
 
 from __future__ import annotations
@@ -60,6 +61,18 @@ def shift_add(x: np.ndarray, seg: Segments) -> np.ndarray:
     out = np.zeros(x.shape[:-1] + (seg.width,), dtype=object)
     out[..., seg.targets] = np.add.reduceat(terms, seg.starts, axis=-1)
     return out
+
+
+def growth_bits(seg: Segments) -> int:
+    """The most bits ``shift_add(x, seg)`` adds to the bit length of the
+    largest ``|x|``: a segment of ``m`` terms, each shifted by at most
+    ``max(lshift)``, sums to less than ``m * 2**max(lshift)`` times that
+    magnitude, so ``max(lshift) + (m - 1).bit_length()`` bits for the
+    longest segment."""
+    if not len(seg.source):
+        return 0
+    longest = int(np.diff(seg.starts, append=len(seg.source)).max())
+    return int(seg.lshift.max()) + (longest - 1).bit_length()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -156,7 +169,7 @@ class Pow2Matrix:
     @functools.cached_property
     def by_col(self) -> Segments:
         """The entries in stored order, one segment per nonempty column:
-        the view ``shift_add`` computes ``block @ self`` from."""
+        the view ``shift_add`` computes ``h @ self`` from."""
         filled = np.flatnonzero(self.col_len)
         return self._segments(slice(None), self.row, self.first[filled],
                               filled, self.cols)

@@ -133,7 +133,12 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     a row with ``second >= thr`` has such a ``k``; for those rows alone the
     correlations are computed again, chunk by chunk.  BLAS may sum a row's
     product differently beside other rows, so the second product can
-    differ from the first in the last bit; the slack covers that too.
+    differ from the first in the last bit.  The slack covers that for the
+    screen, but not for the pick, which compares scores and their ties
+    exactly.  So on each row with survivors the best candidate so far is
+    scored again from the second product, with its current weight, before
+    the survivors are compared with it; a row without survivors keeps its
+    first-product scores.
 
     **Why the slack covers float error** (``eps = 2**-53``).  Write ``x =
     |delta| sqrt(norms_k)`` and ``y = |u_k| / sqrt(norms_k)``, so that ``y**2
@@ -218,7 +223,8 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
         score[(sup == top[:, None]).any(axis=1), 0] = np.inf
         best = _pick(score, cand)
         pos = np.arange(act.size)
-        score, j, v, delta = (a[pos, best] for a in (score, cand, v, delta))
+        score, j, v, delta, w = (a[pos, best]
+                                 for a in (score, cand, v, delta, w_cand))
         # then every other k whose bound can reach the best of those, on
         # the rows that have one
         thr = rs - np.minimum(score, rs) - (rs * _SLACK_REL + _SLACK_ABS)
@@ -240,6 +246,12 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
             col = 1 + np.arange(rows.size) - first[rows]
             table = np.full((p.size, col.max(initial=0) + 1), -1)
             table[rows, col] = np.arange(rows.size)
+            # rescore the best so far from this same product, on the rows
+            # that have survivors, so that the pick compares like with like
+            hit = np.flatnonzero(table[:, 1] >= 0)
+            h = p[hit]
+            score[h], v[h], delta[h] = _score(u[hit, j[h]], w[h],
+                                              norms[j[h]], rs[h])
             pad = table < 0
             k_tab = np.where(pad, k_count, ks[table])
             s_tab = np.where(pad, np.inf, s_more[table])

@@ -286,27 +286,34 @@ def dyadic_apply_oracle(plan, x):
     return y, (ops[0], ops[1], ops[2], tuple(per_stage))
 
 
-def reconstruct_exact_oracle(plan):
-    """``reconstruct_exact`` as Python-int row lists pushed through each
-    stage column by column: the reference for its ``(mantissa, exponent)``
-    pairs, not only their values."""
+def chain_rows_oracle(plan):
+    """The codebook's rows as ``(ints, exponent)`` Python-int lists, pushed
+    through the plan's matrix chain column by column: yields the start
+    rows, then the rows after each matrix."""
     cb = plan.codebook
     if cb.factors:
         width = cb.factors[0].rows
         rows = [([0] * n + [1] + [0] * (width - n - 1), 0)
                 for n in range(plan.n_rows)]
-        chain = cb.factors + plan.stages
     else:
         rows = [align([Dyadic.from_float(v) for v in row])
                 for row in cb.dense().tolist()]
-        chain = plan.stages
-    for stage in chain:
-        cols = columns(stage)
+    yield rows
+    for mat in cb.factors + plan.stages:
+        cols = columns(mat)
         shift = min((c.exponent for col in cols for _, c in col), default=0)
         terms = [[(i, c.sign << (c.exponent - shift)) for i, c in col]
                  for col in cols]
         rows = [([sum(r[i] * f for i, f in col) for col in terms], e + shift)
                 for r, e in rows]
+        yield rows
+
+
+def reconstruct_exact_oracle(plan):
+    """``reconstruct_exact`` as plain row lists (``chain_rows_oracle``): the
+    reference for its ``(mantissa, exponent)`` pairs, not only their
+    values."""
+    *_, rows = chain_rows_oracle(plan)
     return [[(r[k], e) if r[k] else (0, 0) for r, e in rows]
             for k in range(plan.n_cols)]
 

@@ -281,6 +281,15 @@ class TestBench:
         assert len(rows) == 4
         assert all(r["mean_stages"] == 1 for r in rows)
 
+    def test_unreachable_sample_names_its_cell(self, capsys):
+        code, out, err = run(capsys, "bench", "--shapes", "6x32,4x16",
+                             "--bits", "6,10", "--target", "uniform",
+                             "--adaptive", "--samples", "2", "--seed", "3")
+        assert code == 4 and out == ""
+        assert err.startswith("error: cell 6x32 at 6 bits, sample 0: "
+                              "accuracy unreachable: column 4 stuck")
+        assert len(err.splitlines()) == 1
+
 
 class TestAnalyze:
     def test_asymptote(self, capsys):
@@ -370,6 +379,17 @@ class TestUsageErrors:
         assert err[-1] == last_line
         assert len(err) == 1 or err[0].startswith("usage: shiftadd")
         assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_bench_needs_a_sample(self, capsys, samples):
+        # used to print nan cells with numpy RuntimeWarnings and exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--shapes", "4x16", "--bits", "4", "--samples",
+                  samples])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: --samples must be at least 1\n"
+        assert captured.out == ""
 
     def test_analyze_checks_arguments_before_writing(self, tmp_path, capsys):
         argv = ["analyze", "--fig", "lb", "--N", "1", "--K", "8",

@@ -1,6 +1,7 @@
 """Plan model: thresholds, reconstruction, cost, distortion, serialization."""
 
 import dataclasses
+import functools
 import json
 import math
 from fractions import Fraction
@@ -12,11 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 import shiftadd as sa
 from shiftadd.plan import plan_to_dict, reconstruct_exact
 from shiftadd.pot import EXP_MAX, EXP_MIN, Dyadic, SignedPow2
-from shiftadd.pow2matrix import Pow2Matrix
+from shiftadd.pow2matrix import Pow2Matrix, growth_bits
 
-from helpers import (columns, fraction_reconstruction, from_records_oracle,
-                     pow2matrix, random_plan, reconstruct_exact_oracle,
-                     synthetic_plan, wide_mantissa_plan)
+from helpers import (chain_rows_oracle, columns, fraction_reconstruction,
+                     from_records_oracle, pow2matrix, random_plan,
+                     reconstruct_exact_oracle, synthetic_plan,
+                     wide_mantissa_plan)
 
 
 class TestThreshold:
@@ -118,6 +120,123 @@ class TestReconstruct:
         rep = sa.distortion(plan, tgt)
         assert rep.rel_error == pytest.approx(plan.metadata["fit_rel_error"],
                                               rel=1e-9)
+
+
+def _stage(k, entries):
+    """A ``k x k`` stage from one list of ``(row, sign, exp)`` per column."""
+    return pow2matrix(k, k, tuple(
+        tuple((i, SignedPow2(sign, e)) for i, sign, e in sorted(col))
+        for col in entries))
+
+
+def _edge_stages(k):
+    """Stages at the packed lanes' edges: a column of ``EXP_MIN`` and
+    ``EXP_MAX`` beside each other (the widest shift), every column holding
+    every row negated (the longest segments, all-negative sums), and empty
+    columns."""
+    extremes = _stage(k, [[(j, (-1) ** j, EXP_MIN),
+                           ((j + 1) % k, 1, EXP_MAX)] for j in range(k)])
+    negative = _stage(k, [[(i, -1, EXP_MIN if i % 2 else EXP_MAX)
+                           for i in range(k)] for _ in range(k)])
+    empty = _stage(k, [[] if j % 2 else [(k - 1 - j, -1, j - k // 2)]
+                       for j in range(k)])
+    return (extremes, negative, empty, extremes, negative)
+
+
+@functools.cache
+def _edge_codebooks():
+    """Every codebook kind, at one row and at 24 rows where the kind allows
+    (a mailman codebook has ``2**rows`` columns, two-sparse needs two rows
+    for more than one column)."""
+    make = sa.make_codebook
+    return (make("mailman", 1, 2), make("mailman", 5, 32),
+            make("two-sparse", 2, 32), make("two-sparse", 24, 32),
+            make("self-designing", 1, 32, seed=1, aux="gaussian"),
+            make("self-designing", 24, 32, seed=2, aux="gaussian"),
+            make("gaussian", 1, 32, seed=3), make("gaussian", 24, 32, seed=4))
+
+
+def _edge_plans():
+    return [sa.DecompositionPlan(cb.n_rows, cb.n_cols, cb,
+                                 _edge_stages(cb.n_cols))
+            for cb in _edge_codebooks()]
+
+
+def _assert_growth_bounds(plan):
+    """The bit length the oracle's rows reach after each matrix of the
+    chain is at most the start's plus ``growth_bits`` of every matrix so
+    far."""
+    def max_bits(rows):
+        return max(abs(v).bit_length() for ints, _ in rows for v in ints)
+
+    states = chain_rows_oracle(plan)
+    bits = max_bits(next(states))
+    for mat, rows in zip(plan.chain, states, strict=True):
+        bits += growth_bits(mat.by_col)
+        assert max_bits(rows) <= bits
+
+
+class TestPackedReconstruction:
+    """Rows packed as lanes of one integer per column reconstruct exactly
+    what the row lists of the oracle do, and the static bound that sizes
+    the lanes holds after every matrix."""
+
+    @pytest.mark.parametrize("plan", _edge_plans(),
+                             ids=lambda p: f"{p.codebook.kind}-{p.n_rows}")
+    def test_edge_plans_equal_the_oracle(self, plan):
+        assert reconstruct_exact(plan) == reconstruct_exact_oracle(plan)
+
+    def test_edge_plans_cover_their_cases(self):
+        mixed = 0
+        for plan in _edge_plans():
+            cols = [[m for m, _ in col] for col in reconstruct_exact(plan)]
+            assert max(abs(m).bit_length() for col in cols for m in col) > 380
+            assert any(m < 0 for col in cols for m in col) or plan.n_rows == 1
+            # negative and positive lanes side by side in one integer
+            mixed += any(min(col) < 0 < max(col) for col in cols)
+        assert mixed >= 3
+
+    @pytest.mark.parametrize("plan", _edge_plans(),
+                             ids=lambda p: f"{p.codebook.kind}-{p.n_rows}")
+    def test_growth_bounds_every_matrix(self, plan):
+        _assert_growth_bounds(plan)
+
+    def test_growth_of_one_matrix(self):
+        # a segment of m terms adds (m - 1).bit_length() bits, the widest
+        # shift its largest lshift
+        assert growth_bits(_stage(4, [[], [], [], []]).by_col) == 0
+        assert growth_bits(_stage(4, [[(0, 1, 3)]] * 4).by_col) == 0
+        for m, grow in ((2, 1), (3, 2), (4, 2)):
+            stage = _stage(4, [[(i, -1, 0) for i in range(m)], [], [],
+                               [(0, 1, 5)]])
+            assert growth_bits(stage.by_col) == 5 + grow
+            assert growth_bits(stage.by_row) == 5 + 1
+
+
+@st.composite
+def _lane_plans(draw):
+    """Up to six random stages over any edge codebook: exponents anywhere
+    in ``[EXP_MIN, EXP_MAX]``, often at either end, in columns of up to
+    three entries (the edge plans hold the long ones)."""
+    cb = draw(st.sampled_from(_edge_codebooks()))
+    k = cb.n_cols
+    exps = st.sampled_from([EXP_MIN, EXP_MAX]) | st.integers(EXP_MIN, EXP_MAX)
+    stages = []
+    for _ in range(draw(st.integers(0, 6))):
+        entries = []
+        for _ in range(k):
+            rows = draw(st.sets(st.integers(0, k - 1), max_size=3))
+            entries.append([(i, draw(st.sampled_from([1, -1])), draw(exps))
+                            for i in rows])
+        stages.append(_stage(k, entries))
+    return sa.DecompositionPlan(cb.n_rows, k, cb, tuple(stages))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=_lane_plans())
+def test_packed_lanes_equal_the_oracle(plan):
+    assert reconstruct_exact(plan) == reconstruct_exact_oracle(plan)
+    _assert_growth_bounds(plan)
 
 
 def _band_stage(exps):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import shiftadd as sa
 from shiftadd import wiring
@@ -408,8 +408,28 @@ def _fit_cases(draw):
     return tgt, cb, draw(st.integers(1, 10)), stop_sq, chunk
 
 
+# Falsifying examples of a kernel that compared a best-so-far score from
+# the first correlation product with survivors' scores from the second: each
+# codebook holds identical columns, and the kernel picked the larger index
+# of a pair the oracle scores as an exact tie.
 @settings(max_examples=400, deadline=None)
 @given(_fit_cases())
+@example((np.array([[0.0, 1.0, 1.0, 1.0, 0.0, 0.0, -2.0],
+                    [0.0, -2.0, -2.0, -2.0, 0.0, 0.0, -1.8080725195511707],
+                    [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+                    [1.0, 3.0, 3.0, 3.0, 1.0, 0.0, 2.0751369203593075]]),
+          np.array([[0.0] * 8 + [1.0, 1.0], [0.0] * 8 + [-2.0, -2.0],
+                    [0.0] * 10, [0.0] * 7 + [1.0, 3.0, 3.0]]),
+          1, None, 3))
+@example((np.array([[0.0, 0.0, 3.0], [1.0, 0.0, 1.0],
+                    [0.0, 0.0, -6.743707340325353e-05], [0.0, 0.0, 0.0]]),
+          np.array([[3.0, 2.0, 2.0], [0.0, -1.0, -1.0], [-3.0, 1.0, 1.0],
+                    [0.0, 0.0, 0.0]]),
+          2, None, wiring._CHUNK))
+@example((np.array([[4.0, 1.0, 0.99999], [-2.0, 0.0, 0.99999]]),
+          np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 3.0, 3.0, 1.0],
+                    [-1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0]]),
+          2, None, 2))
 def test_fit_columns_equal_the_oracle(case):
     tgt, cb, steps, stop_sq, chunk = case
     with mock.patch.object(wiring, "_CHUNK", chunk):
