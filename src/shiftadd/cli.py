@@ -154,13 +154,18 @@ def cell_plans(shape, schedule, kind, target_kind, samples, seed):
         yield plan
 
 
-def _bench_cell(cell) -> dict:
+def _bench_cell(cell) -> dict | AccuracyUnreachableError:
+    """The table row of one cell, or the error of its first sample that
+    cannot reach its accuracy."""
     idx, (shape, schedule), (kind, target_kind, samples, seed) = cell
     adds, stages = [], []
-    for plan in cell_plans(shape, schedule, kind, target_kind, samples,
-                           (seed, idx)):
-        adds.append(cost_of(plan).adds_per_entry)
-        stages.append(plan.n_stages)
+    try:
+        for plan in cell_plans(shape, schedule, kind, target_kind, samples,
+                               (seed, idx)):
+            adds.append(cost_of(plan).adds_per_entry)
+            stages.append(plan.n_stages)
+    except AccuracyUnreachableError as exc:
+        return exc
     arr = np.asarray(adds)
     return {"shape": "%dx%d" % shape, "bits": schedule.target_bits,
             "adds_per_entry": float(arr.mean()),
@@ -182,9 +187,11 @@ def cmd_bench(args) -> int:
              enumerate(itertools.product(args.shapes, schedules))]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_cell, cells))
+            results = list(pool.map(_bench_cell, cells))
     else:
-        rows = [_bench_cell(c) for c in cells]
+        results = [_bench_cell(c) for c in cells]
+    rows = [r for r in results if isinstance(r, dict)]
+    failed = [r for r in results if not isinstance(r, dict)]
 
     for q in bits:
         rows.append({"shape": "baseline(binary)", "bits": q,
@@ -200,7 +207,9 @@ def cmd_bench(args) -> int:
     finally:
         if args.out:
             out.close()
-    return EXIT_OK
+    for exc in failed:
+        print(f"error: {exc}", file=sys.stderr)
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 def _emit_rows(rows, fmt: str, out) -> None:

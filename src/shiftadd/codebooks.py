@@ -155,9 +155,10 @@ def gaussian_build(n_rows: int, n_cols: int, seed: int) -> np.ndarray:
 class CodebookDescriptor:
     """Everything needed to rebuild a codebook's effective matrix.
 
-    ``factors`` holds the stored power-of-two factors: the enumerated matrix
-    for two-sparse, the pair ``(B1, B2)`` for self-designing (the leading
-    ``[I 0]`` selector is implicit), nothing for mailman and gaussian.
+    ``factors`` holds the stored power-of-two factors behind an implicit
+    leading ``[I 0]`` selector: the enumerated matrix for two-sparse (whose
+    selector is the identity), the pair ``(B1, B2)`` for self-designing,
+    nothing for mailman and gaussian.
     """
 
     kind: str
@@ -179,8 +180,10 @@ class CodebookDescriptor:
                     f"mailman codebook needs K = 2**N, got {self.n_rows}x"
                     f"{self.n_cols}")
         elif self.kind == "two-sparse":
-            if len(self.factors) != 1:
-                raise ValueError("two-sparse descriptor stores one factor")
+            # the file records only the shape
+            if self.factors != (two_sparse_build(self.n_rows, self.n_cols),):
+                raise ValueError("two-sparse descriptor stores only its "
+                                 "enumerated factor")
         elif self.kind == "self-designing":
             if len(self.factors) != 2:
                 raise ValueError("self-designing descriptor stores B1 and B2")
@@ -200,33 +203,28 @@ class CodebookDescriptor:
     def is_shift_add(self) -> bool:
         return self.kind != "gaussian"
 
+    @property
+    def terminal_additions(self) -> int:
+        """Additions of the terminal multiply that leads the plan's chain:
+        the mailman recursion, the cost model's nominal ``2K`` for the
+        analysis-only Gaussian codebook, none for the ``[I 0]`` selector."""
+        if self.kind == "mailman":
+            return mailman_additions(self.n_rows)
+        if self.kind == "gaussian":
+            return 2 * self.n_cols
+        return 0
+
     def dense(self) -> np.ndarray:
-        """Effective real matrix of the codebook."""
+        """Effective real matrix of the codebook: the stored factors, if
+        any, rolled forward from the ``[I 0]`` selector."""
         if self.kind == "mailman":
             return mailman_dense(self.n_rows)
-        if self.kind == "two-sparse":
-            return self.factors[0].dense()
-        if self.kind == "self-designing":
-            eff = _selector(self.n_rows, self.n_cols)
-            b1, b2 = self.factors
-            return advance_effective(advance_effective(eff, b1), b2)
-        return gaussian_build(self.n_rows, self.n_cols, self.seed)
-
-    def application_cost(self) -> tuple[int, int, int, bool]:
-        """(additions, shifts, sign_changes, analytic_only) of one multiply.
-
-        Additions follow the per-column accounting used throughout the cost
-        model: combining ``m`` selected terms costs ``m - 1`` additions.  The
-        Gaussian codebook is not shift-add implementable; it reports the
-        nominal ``2K`` additions of the cost model and is flagged.
-        """
-        if self.kind == "mailman":
-            return mailman_additions(self.n_rows), 0, 0, False
         if self.kind == "gaussian":
-            return 2 * self.n_cols, 0, 0, True
-        counts = [f.op_counts() for f in self.factors]
-        adds, shifts, signs = (sum(c) for c in zip(*counts))
-        return adds, shifts, signs, False
+            return gaussian_build(self.n_rows, self.n_cols, self.seed)
+        eff = np.eye(self.n_rows, self.factors[0].rows)
+        for factor in self.factors:
+            eff = advance_effective(eff, factor)
+        return eff
 
     def to_dict(self, records=Pow2Matrix.to_records) -> dict:
         """The file's fields; ``records`` writes each stored factor."""
@@ -261,12 +259,6 @@ class CodebookDescriptor:
         return cls(kind, n, k)
 
 
-def _selector(n_rows: int, n_cols: int) -> np.ndarray:
-    """The ``[I 0]`` selector, the implicit leading factor of a
-    self-designing codebook."""
-    return np.eye(n_rows, n_cols)
-
-
 def self_design_build(aux_target: np.ndarray,
                       stage_sparsity: int = 1) -> CodebookDescriptor:
     """Let the codebook design itself against an auxiliary target.
@@ -285,7 +277,7 @@ def self_design_build(aux_target: np.ndarray,
     if k < n:
         raise DimensionError(
             f"self-designing codebook needs K >= N, got {n}x{k}")
-    (b1, _), (b2, _) = fit_stages(aux, _selector(n, k), [stage_sparsity] * 2)
+    (b1, _), (b2, _) = fit_stages(aux, np.eye(n, k), [stage_sparsity] * 2)
     return CodebookDescriptor("self-designing", n, k,
                               stage_sparsity=stage_sparsity, factors=(b1, b2))
 

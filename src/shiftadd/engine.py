@@ -13,21 +13,22 @@ add ``min_exp`` to the shared exponent.  The codebook's terminal follows:
 the mailman multiply, or the ``[I 0]`` selector that keeps the first
 ``n_rows`` values.  Output ``Dyadic`` values are built once, at the end.
 
-Operation counters come from the arrays the engine executes (one shift per
-stored nonzero, one sign change per negative one) and follow the cost
-model's convention for additions: ``m - 1`` to combine a column's ``m``
-terms, the cost of ``h^T W``.  ``W @ h`` as the engine runs it sums row
-segments instead, ``nnz - (nonempty rows)`` pairwise additions per matrix,
-so the two agree only where a matrix has as many nonempty rows as nonempty
-columns (on the 16x256 plan of the deploy benchmark, 10,496 counted against
-10,799 executed).  The counters do not depend on the data and must match
+Each matrix reports its ``(additions, shifts, sign_changes)``, counted
+from the arrays the engine executes (one shift per stored nonzero, one
+sign change per negative one), and ``CostReport.over_chain`` sums them
+with the terminal's additions as ``plan.cost_of`` sums ``op_counts``.
+Additions follow the cost model's convention: ``m - 1`` to combine a
+column's ``m`` terms, the cost of ``h^T W``.  ``W @ h`` as the engine runs
+it sums row segments instead, ``nnz - (nonempty rows)`` pairwise additions
+per matrix, so the two agree only where a matrix has as many nonempty rows
+as nonempty columns (on the 16x256 plan of the deploy benchmark, 10,496
+counted against 10,799 executed).  The counters do not depend on the data and must match
 what ``plan.cost_of`` counts without running anything.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,28 +39,20 @@ from .pot import Dyadic, align, pow2_round_array
 from .pow2matrix import Pow2Matrix, shift_add
 
 
-@dataclass
-class _Counters:
-    additions: int = 0
-    shifts: int = 0
-    sign_changes: int = 0
-
-
-def _apply_matrix(mat: Pow2Matrix, h: np.ndarray,
-                  ops: _Counters) -> tuple[np.ndarray, int]:
-    """``mat @ h`` for integers ``h``: the product's integers and the power
-    of two, ``2**min_exp``, that scales them."""
+def _apply_matrix(mat: Pow2Matrix,
+                  h: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """``mat @ h`` for integers ``h``: the product's integers, which
+    ``2**mat.min_exp`` scales, and the ``(additions, shifts,
+    sign_changes)`` of the arrays executed, additions in the ``m - 1`` per
+    column convention (see the module docstring)."""
     if len(h) != mat.cols:
         raise DimensionError(
             f"vector of length {len(h)} against {mat.rows}x{mat.cols}")
     seg = mat.by_row
-    out = shift_add(h, seg)
-    # counted from the executed arrays, not from op_counts(); additions in
-    # the m - 1 per column convention (see the module docstring)
-    ops.shifts += len(seg.source)
-    ops.sign_changes += int(np.count_nonzero(seg.negative))
-    ops.additions += len(seg.source) - int(np.count_nonzero(mat.col_len))
-    return out, mat.min_exp
+    # counted from the executed arrays, not from op_counts()
+    counts = (len(seg.source) - int(np.count_nonzero(mat.col_len)),
+              len(seg.source), int(np.count_nonzero(seg.negative)))
+    return shift_add(h, seg), counts
 
 
 def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
@@ -83,29 +76,22 @@ def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
             "gaussian codebooks are analysis-only and cannot be applied by "
             "shifts and additions")
 
-    ops = _Counters()
-    adds = []
     ints, e = align(x)
     h = np.array(ints, dtype=object)
+    counts = []
     for mat in reversed(plan.chain):
-        before = ops.additions
-        h, shift = _apply_matrix(mat, h, ops)
-        e += shift
-        adds.append(ops.additions - before)
-    per_stage = adds[:plan.n_stages][::-1]
+        h, c = _apply_matrix(mat, h)
+        e += mat.min_exp
+        counts.insert(0, c)
 
     cb = plan.codebook
     if cb.kind == "mailman":
         y, terminal = mailman_apply(cb.n_rows, h.tolist())
-        ops.additions += terminal
     else:
-        y = h[:cb.n_rows].tolist()  # implicit [I 0] selector, free
+        y, terminal = h[:cb.n_rows].tolist(), 0  # implicit [I 0] selector
 
-    entries = plan.n_rows * plan.n_cols
-    report = CostReport(ops.additions, ops.shifts, ops.sign_changes,
-                        ops.additions / entries if entries else 0.0,
-                        tuple(per_stage))
-    return [Dyadic(v, e) for v in y], report
+    return ([Dyadic(v, e) for v in y],
+            CostReport.over_chain(plan, terminal, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +148,11 @@ def baseline_apply(target, q: int, x) -> tuple[list[Dyadic], CostReport]:
         raise ValueError("baseline supports q up to 62 bits")
     tgt, x = _check_baseline_args(target, x)
     scale = q - 1
-    m_int = np.floor(np.abs(tgt) * math.ldexp(1.0, scale) + 0.5)
-    m_int = (np.sign(tgt) * m_int).astype(np.int64)
+    # ties away from zero, exactly: floor(mag + 0.5) would round mag + 0.5
+    # to even once mag >= 2**52, while mag - floor(mag) is exact
+    mag = np.abs(tgt) * math.ldexp(1.0, scale)
+    m_int = np.floor(mag)
+    m_int = (np.sign(tgt) * (m_int + (mag - m_int >= 0.5))).astype(np.int64)
     bits = np.bitwise_count(np.abs(m_int).astype(np.uint64)).astype(np.int64)
     return _baseline_result(m_int, -scale, bits, np.where(m_int < 0, bits, 0),
                             x)

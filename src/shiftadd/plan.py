@@ -10,10 +10,12 @@ Reconstruction verifies a plan exactly: it carries every codebook row as
 a lane of one Python int per column (SIMD within a register), so each
 entry of the chain costs one big-integer operation for all rows at once.
 
-Cost accounting follows one convention everywhere: combining the ``m``
-terms a column selects costs ``m - 1`` additions, one shift per nonzero.
-For a wiring stage with ``1 + s`` nonzeros per column that is ``s * K``
-additions, and every supported codebook costs at most ``2K``.
+Cost accounting walks the same chain after the codebook's terminal
+multiply (``CodebookDescriptor.terminal_additions``), with one convention
+everywhere: combining the ``m`` terms a column selects costs ``m - 1``
+additions, one shift per nonzero.  For a wiring stage with ``1 + s``
+nonzeros per column that is ``s * K`` additions, and every supported
+codebook costs at most ``2K``.
 """
 
 from __future__ import annotations
@@ -102,11 +104,6 @@ class StageSchedule:
                 "target_bits": self.target_bits,
                 "max_stages": self.max_stages}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StageSchedule":
-        return cls(d["mode"], tuple(d.get("sparsity", ())),
-                   d.get("target_bits"), d.get("max_stages", 64))
-
 
 def _integer(name: str, value, low: int, high: int | None = None) -> int:
     """``value`` as a Python int in ``[low, high]``; ``TypeError`` for a
@@ -132,6 +129,18 @@ class CostReport:
     adds_per_entry: float
     per_stage: tuple[int, ...]
     analytic_only: bool = False
+
+    @classmethod
+    def over_chain(cls, plan: "DecompositionPlan", terminal: int, counts,
+                   analytic_only: bool = False) -> "CostReport":
+        """The report of ``terminal`` additions plus the ``(additions,
+        shifts, sign_changes)`` of each matrix of ``plan.chain``, in
+        order; ``per_stage`` is the stages' share of the additions."""
+        additions, shifts, signs = map(sum, zip((terminal, 0, 0), *counts))
+        per_stage = tuple(c[0] for c in counts[len(plan.codebook.factors):])
+        return cls(additions, shifts, signs,
+                   additions / (plan.n_rows * plan.n_cols), per_stage,
+                   analytic_only)
 
 
 @dataclass(frozen=True)
@@ -245,8 +254,7 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     """
     cb, n, chain = plan.codebook, plan.n_rows, plan.chain
     if cb.factors:
-        block = np.zeros((n, cb.factors[0].rows), dtype=object)
-        block[np.arange(n), np.arange(n)] = 1
+        block = np.eye(n, cb.factors[0].rows, dtype=object)
         exps = [0] * n
     else:
         rows = [align([Dyadic.from_float(v) for v in row])
@@ -289,19 +297,13 @@ def reconstruct(plan: DecompositionPlan) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cost_of(plan: DecompositionPlan) -> CostReport:
-    """Structural operation counts of applying the plan to one vector."""
-    additions, shifts, signs, analytic = plan.codebook.application_cost()
-    per_stage = []
-    for stage in plan.stages:
-        stage_adds, stage_shifts, stage_signs = stage.op_counts()
-        additions += stage_adds
-        shifts += stage_shifts
-        signs += stage_signs
-        per_stage.append(stage_adds)
-    entries = plan.n_rows * plan.n_cols
-    return CostReport(additions, shifts, signs,
-                      additions / entries if entries else 0.0,
-                      tuple(per_stage), analytic)
+    """Structural operation counts of applying the plan to one vector: each
+    matrix of the chain by its ``op_counts``, then the codebook's terminal
+    multiply."""
+    cb = plan.codebook
+    return CostReport.over_chain(plan, cb.terminal_additions,
+                                 [m.op_counts() for m in plan.chain],
+                                 not cb.is_shift_add)
 
 
 def distortion(plan: DecompositionPlan,

@@ -282,13 +282,27 @@ class TestBench:
         assert all(r["mean_stages"] == 1 for r in rows)
 
     def test_unreachable_sample_names_its_cell(self, capsys):
-        code, out, err = run(capsys, "bench", "--shapes", "6x32,4x16",
-                             "--bits", "6,10", "--target", "uniform",
-                             "--adaptive", "--samples", "2", "--seed", "3")
-        assert code == 4 and out == ""
-        assert err.startswith("error: cell 6x32 at 6 bits, sample 0: "
-                              "accuracy unreachable: column 4 stuck")
-        assert len(err.splitlines()) == 1
+        # cell 1 (6x32 at 10 bits) finishes; cells 0, 2 and 3 cannot reach
+        # their accuracy, and the table still holds the finished cell
+        args = ["bench", "--shapes", "6x32,4x16", "--bits", "6,10",
+                "--target", "uniform", "--adaptive", "--samples", "2",
+                "--seed", "3", "--format", "json"]
+        code, out, err = run(capsys, *args, "--jobs", "1")
+        assert code == 4
+        assert run(capsys, *args, "--jobs", "2") == (code, out, err)
+        rows = json.loads(out)
+        assert [(r["shape"], r["bits"]) for r in rows] == [
+            ("6x32", 10), ("baseline(binary)", 6), ("baseline(csd)", 6),
+            ("baseline(binary)", 10), ("baseline(csd)", 10)]
+        assert rows[0]["samples"] == 2 and rows[0]["mean_stages"] == 1
+        lines = err.splitlines()
+        assert len(lines) == 3
+        for line, cell in zip(lines, ("6x32 at 6", "4x16 at 6",
+                                      "4x16 at 10")):
+            assert line.startswith(f"error: cell {cell} bits, sample 0: "
+                                   f"accuracy unreachable: column ")
+        assert lines[0].startswith("error: cell 6x32 at 6 bits, sample 0: "
+                                   "accuracy unreachable: column 4 stuck")
 
 
 class TestAnalyze:

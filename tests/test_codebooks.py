@@ -115,9 +115,9 @@ class TestSelfDesigning:
         rng = np.random.default_rng(202)
         aux = rng.standard_normal((8, 256))
         cb = sa.self_design_build(aux, stage_sparsity=1)
-        adds, shifts, _, analytic = cb.application_cost()
-        assert not analytic
-        assert adds <= 2 * 256
+        cost = sa.cost_of(sa.DecompositionPlan(8, 256, cb, ()))
+        assert not cost.analytic_only
+        assert cost.additions <= 2 * 256
         assert cb.dense().shape == (8, 256)
 
     def test_requires_wide_matrix(self):
@@ -155,11 +155,27 @@ class TestDescriptor:
 
     def test_gaussian_cost_flagged(self):
         cb = sa.make_codebook("gaussian", 4, 32, seed=1)
-        adds, _, _, analytic = cb.application_cost()
-        assert analytic and adds == 64
+        cost = sa.cost_of(sa.DecompositionPlan(4, 32, cb, ()))
+        assert cost.analytic_only and cost.additions == 64
         assert not cb.is_shift_add
 
     def test_mailman_cost(self):
         cb = sa.make_codebook("mailman", 3, 8)
-        adds, shifts, signs, analytic = cb.application_cost()
-        assert (adds, shifts, signs, analytic) == (10, 0, 0, False)
+        cost = sa.cost_of(sa.DecompositionPlan(3, 8, cb, ()))
+        assert (cost.additions, cost.shifts, cost.sign_changes,
+                cost.analytic_only) == (10, 0, 0, False)
+
+    def test_two_sparse_refuses_any_factor_but_its_enumeration(self):
+        # the file records only the shape, so another factor would be
+        # swapped for the enumeration on a round trip
+        wrong_shape = sa.two_sparse_build(5, 8)
+        with pytest.raises(ValueError):
+            sa.CodebookDescriptor("two-sparse", 3, 8, factors=(wrong_shape,))
+        enum = sa.two_sparse_build(3, 8)
+        flipped = sa.Pow2Matrix(3, 8, enum.row, ~enum.negative, enum.exp,
+                                enum.col_len)
+        for factors in ((flipped,), (enum, enum), ()):
+            with pytest.raises(ValueError):
+                sa.CodebookDescriptor("two-sparse", 3, 8, factors=factors)
+        assert sa.CodebookDescriptor("two-sparse", 3, 8, factors=(enum,)) \
+            == sa.make_codebook("two-sparse", 3, 8)

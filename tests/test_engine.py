@@ -192,10 +192,14 @@ class TestKernelEdgeCases:
 
     @pytest.mark.parametrize("missing", [set(), {0}, {2}, {1, 3}])
     def test_non_square_factor(self, missing):
-        # a two-sparse codebook's one factor is its n x K matrix
+        # a two-sparse codebook's one factor is its n x K matrix.  The
+        # descriptor refuses any factor but the enumeration, which hits
+        # every row, so this factor is set after construction: the chain
+        # walks must still handle a non-square matrix with rows missing
         rng = np.random.default_rng(514)
         factor = _missing_rows_stage(5, 8, missing)
-        cb = sa.CodebookDescriptor("two-sparse", 5, 8, factors=(factor,))
+        cb = sa.make_codebook("two-sparse", 5, 8)
+        object.__setattr__(cb, "factors", (factor,))
         full = _missing_rows_stage(8, 8, set())
         for stages in ((), (full,), (full, full)):
             self._check(sa.DecompositionPlan(5, 8, cb, stages), rng)
@@ -212,7 +216,7 @@ class TestCostWitnesses:
         want = cost_oracle(plan)
         for rep in (sa.cost_of(plan), ran):
             assert (rep.additions, rep.shifts, rep.sign_changes,
-                    rep.per_stage) == want
+                    rep.per_stage, rep.analytic_only) == (*want, False)
 
     def test_random_and_synthetic_plans(self):
         rng = np.random.default_rng(520)
@@ -227,6 +231,16 @@ class TestCostWitnesses:
         rng = np.random.default_rng(521)
         cb = sa.make_codebook(kind, n, k, target=rng.standard_normal((n, k)))
         self._check(sa.DecompositionPlan(n, k, cb, ()), rng)
+
+    def test_gaussian_plan_is_counted_and_flagged(self):
+        # the engine refuses it, so cost_of and the oracle are the witnesses
+        rng = np.random.default_rng(523)
+        cb = sa.make_codebook("gaussian", 3, 8, seed=5)
+        plan = sa.decompose(rng.standard_normal((3, 8)), cb,
+                            sa.StageSchedule.fixed([1, 2]))
+        rep = sa.cost_of(plan)
+        assert (rep.additions, rep.shifts, rep.sign_changes, rep.per_stage,
+                rep.analytic_only) == (*cost_oracle(plan), True)
 
     def test_table1_plan(self):
         rng = np.random.default_rng(522)
@@ -281,6 +295,16 @@ class TestBaseline:
     def test_range_check(self):
         with pytest.raises(ValueError):
             sa.baseline_apply(np.array([[1.5]]), 8, [sa.Dyadic(1)])
+
+    @pytest.mark.parametrize("q", range(54, 63))
+    def test_ties_round_away_from_zero_at_wide_q(self, q):
+        # at q = 54, t * 2**53 = 2**52 + 1, whose sum with 0.5 is a tie
+        # that rounds to even: floor(x + 0.5) read one unit too many
+        t = (2 ** 52 + 1) / 2 ** 53
+        for v in (t, -t):
+            y, _ = sa.baseline_apply(np.array([[v]]), q, [sa.Dyadic(1)])
+            want = sa.csd_decode(sa.binary_encode(v, q)).to_fraction()
+            assert y[0].to_fraction() == want
 
 
 class TestCsdBaseline:

@@ -17,7 +17,7 @@ from shiftadd.pow2matrix import Pow2Matrix, growth_bits
 
 from helpers import (chain_rows_oracle, columns, fraction_reconstruction,
                      from_records_oracle, pow2matrix, random_plan,
-                     reconstruct_exact_oracle, synthetic_plan,
+                     reconstruct_exact_oracle, same_bits, synthetic_plan,
                      wide_mantissa_plan)
 
 
@@ -49,10 +49,15 @@ class TestThreshold:
 
 class TestReconstruct:
     def test_empty_stage_list_gives_codebook(self):
-        for kind, n, k in [("mailman", 3, 8), ("two-sparse", 3, 7)]:
-            cb = sa.make_codebook(kind, n, k)
+        rng = np.random.default_rng(401)
+        for kind, n, k in [("mailman", 3, 8), ("two-sparse", 3, 7),
+                           ("two-sparse", 12, 4096),
+                           ("self-designing", 3, 7),
+                           ("self-designing", 16, 256), ("gaussian", 3, 7)]:
+            cb = sa.make_codebook(kind, n, k, seed=2,
+                                  target=rng.standard_normal((n, k)))
             plan = sa.DecompositionPlan(n, k, cb, ())
-            assert np.array_equal(sa.reconstruct(plan), cb.dense())
+            assert same_bits(sa.reconstruct(plan), cb.dense()), kind
 
     def test_identity_wiring_permutes_and_scales(self):
         cb = sa.make_codebook("mailman", 2, 4)
