@@ -201,6 +201,8 @@ def simulate_decomposition(n_rows: int, n_cols: int, n_stages: int,
     """
     if n_stages < 0:
         raise ValueError("n_stages must be >= 0")
+    if matrix_samples < 1:
+        raise ValueError("matrix_samples must be at least 1")
     s_values = np.arange(1, n_stages + 1)
     if n_stages == 0:
         return np.zeros(1, dtype=int), np.ones(1), np.zeros(1)

@@ -121,7 +121,7 @@ def cmd_apply(args) -> int:
         matio.save_vector(args.out, y)
     else:
         for v in y:
-            print(f"{v.mantissa},{v.exponent},{v.to_float()!r}")
+            print(matio.vector_line(v))
     print(f"additions {report.additions}  shifts {report.shifts}  "
           f"sign_changes {report.sign_changes}  "
           f"adds/entry {report.adds_per_entry:.4f}", file=sys.stderr)
@@ -177,6 +177,8 @@ def _bench_cell(cell) -> dict | AccuracyUnreachableError:
 def cmd_bench(args) -> int:
     if args.samples < 1:
         raise _usage_error("--samples must be at least 1")
+    if args.jobs < 1:
+        raise _usage_error("--jobs must be at least 1")
     bits = args.bits
     schedules = [
         _checked(StageSchedule.adaptive, q, args.max_stages) if args.adaptive

@@ -1,29 +1,36 @@
 """Shift-add execution of plans on exact dyadic vectors.
 
 Every scalar operation is a left shift, a sign flip, or an addition of
-integers over one shared exponent, so the output equals the exact
-reconstruction applied to the input bit for bit.  The input is aligned once
-(``pot.align``) into a numpy object array of Python ints.  The plan's
-matrix chain, the one exact reconstruction walks, then runs last to first,
-each matrix on its row view (``Pow2Matrix.by_row``, built once per matrix)
-through ``pow2matrix.shift_add``: gather the input entry of every stored
-coefficient in row order, shift it by ``exp - min_exp``, negate the
-negative ones, sum each nonempty row's segment (``np.add.reduceat``), and
-add ``min_exp`` to the shared exponent.  The codebook's terminal follows:
-the mailman multiply, or the ``[I 0]`` selector that keeps the first
-``n_rows`` values.  Output ``Dyadic`` values are built once, at the end.
+integers, so the output equals the exact reconstruction applied to the
+input bit for bit.  The input is aligned once (``pot.align``) into a numpy
+object array of Python ints over one exponent ``e``.  The plan's matrix
+chain, the one exact reconstruction walks, then runs last to first on
+static binary points, as a hardware build wires it: every wire ``i`` holds
+an integer worth ``2**(e + P_i)``, with ``P_i`` fixed by the plan alone
+(``DecompositionPlan.segments``, built by ``pow2matrix.walk`` on first use
+and kept with the plan).  Each matrix is one ``pow2matrix.shift_add`` over
+its row grouping (``pow2matrix.run`` runs them all): gather the input
+wire of every stored coefficient in row order, shift only the terms above
+their row's point (each row's lowest-weight term is never shifted), negate
+the negative ones, and sum each nonempty row's segment
+(``np.add.reduceat``) into a wire vector that stores the nonempty rows and
+one constant 0 for the others.  The codebook's terminal follows: the
+mailman multiply, on the wires aligned to their lowest point, or the
+``[I 0]`` selector that keeps the first ``n_rows`` wires at their own
+points.  Output ``Dyadic`` values are built once, at the end.
 
 Each matrix reports its ``(additions, shifts, sign_changes)``, counted
-from the arrays the engine executes (one shift per stored nonzero, one
-sign change per negative one), and ``CostReport.over_chain`` sums them
-with the terminal's additions as ``plan.cost_of`` sums ``op_counts``.
-Additions follow the cost model's convention: ``m - 1`` to combine a
-column's ``m`` terms, the cost of ``h^T W``.  ``W @ h`` as the engine runs
-it sums row segments instead, ``nnz - (nonempty rows)`` pairwise additions
-per matrix, so the two agree only where a matrix has as many nonempty rows
-as nonempty columns (on the 16x256 plan of the deploy benchmark, 10,496
-counted against 10,799 executed).  The counters do not depend on the data and must match
-what ``plan.cost_of`` counts without running anything.
+from the arrays the engine executes (one shift per stored nonzero, the
+cost model's count, one sign change per negative one), and
+``CostReport.over_chain`` sums them with the terminal's additions as
+``plan.cost_of`` sums ``op_counts``.  Additions follow the cost model's
+convention: ``m - 1`` to combine a column's ``m`` terms, the cost of
+``h^T W``.  ``W @ h`` as the engine runs it sums row segments instead,
+``nnz - (nonempty rows)`` pairwise additions per matrix, so the two agree
+only where a matrix has as many nonempty rows as nonempty columns (on the
+16x256 plan of the deploy benchmark, 10,496 counted against 10,799
+executed).  The counters do not depend on the data and must match what
+``plan.cost_of`` counts without running anything.
 """
 
 from __future__ import annotations
@@ -36,23 +43,17 @@ from .codebooks import mailman_apply
 from .errors import DimensionError, EngineError
 from .plan import CostReport, DecompositionPlan
 from .pot import Dyadic, align, pow2_round_array
-from .pow2matrix import Pow2Matrix, shift_add
+from .pow2matrix import UNWRITTEN, Pow2Matrix, Segments, run
 
 
-def _apply_matrix(mat: Pow2Matrix,
-                  h: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """``mat @ h`` for integers ``h``: the product's integers, which
-    ``2**mat.min_exp`` scales, and the ``(additions, shifts,
-    sign_changes)`` of the arrays executed, additions in the ``m - 1`` per
-    column convention (see the module docstring)."""
-    if len(h) != mat.cols:
-        raise DimensionError(
-            f"vector of length {len(h)} against {mat.rows}x{mat.cols}")
-    seg = mat.by_row
-    # counted from the executed arrays, not from op_counts()
-    counts = (len(seg.source) - int(np.count_nonzero(mat.col_len)),
-              len(seg.source), int(np.count_nonzero(seg.negative)))
-    return shift_add(h, seg), counts
+def _counts(mat: Pow2Matrix, seg: Segments) -> tuple[int, int, int]:
+    """``(additions, shifts, sign_changes)`` of ``mat`` as the engine runs
+    it, counted from ``seg``, the arrays it executes, not from
+    ``op_counts()``; additions in the ``m - 1`` per column convention (see
+    the module docstring).  The last term only carries the constant 0."""
+    terms = len(seg.source) - 1
+    return (terms - int(np.count_nonzero(mat.col_len)), terms,
+            len(seg.negated))
 
 
 def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
@@ -77,20 +78,21 @@ def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
             "shifts and additions")
 
     ints, e = align(x)
-    h = np.array(ints, dtype=object)
-    counts = []
-    for mat in reversed(plan.chain):
-        h, c = _apply_matrix(mat, h)
-        e += mat.min_exp
-        counts.insert(0, c)
-
+    h, point = run(np.array(ints, dtype=object), plan.segments,
+                   np.zeros(len(ints), dtype=np.int64))
     cb = plan.codebook
     if cb.kind == "mailman":
+        low = int(point.min())  # an unwritten wire holds 0 and stays put
+        h <<= np.where(point == UNWRITTEN, 0, point - low).astype(object)
         y, terminal = mailman_apply(cb.n_rows, h.tolist())
-    else:
-        y, terminal = h[:cb.n_rows].tolist(), 0  # implicit [I 0] selector
+        points = [low] * cb.n_rows
+    else:  # implicit [I 0] selector
+        y, terminal = h[:cb.n_rows].tolist(), 0
+        points = point[:cb.n_rows].tolist()
+    counts = [_counts(mat, seg)
+              for mat, seg in zip(plan.chain, reversed(plan.segments))]
 
-    return ([Dyadic(v, e) for v in y],
+    return ([Dyadic(v, e + p) for v, p in zip(y, points)],
             CostReport.over_chain(plan, terminal, counts))
 
 

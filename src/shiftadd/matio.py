@@ -12,6 +12,7 @@ engine's exact additions otherwise build integers as wide as the exponent.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
@@ -148,8 +149,19 @@ def load_vector(path) -> list[Dyadic]:
     return out
 
 
+def vector_line(v: Dyadic) -> str:
+    """``mantissa,exponent,decimal`` of ``v``: the decimal is ``v`` rounded
+    to nearest float64, ``inf`` or ``-inf`` beyond its range, where
+    ``Dyadic.to_float`` raises (``load_vector`` reads the first two)."""
+    try:
+        rounded = v.to_float()
+    except OverflowError:
+        rounded = math.copysign(math.inf, v.mantissa)
+    return f"{v.mantissa},{v.exponent},{rounded!r}"
+
+
 def save_vector(path, values: list[Dyadic]) -> None:
     with open(path, "w") as fh:
         fh.write("# mantissa,exponent,decimal\n")
         for v in values:
-            fh.write(f"{v.mantissa},{v.exponent},{v.to_float()!r}\n")
+            fh.write(vector_line(v) + "\n")

@@ -5,7 +5,8 @@ A plan records a codebook descriptor and the wiring stages in design order
 matrix is ``B @ W_1 @ ... @ W_L``.  Stages and stored codebook factors are
 ``Pow2Matrix`` integer arrays; the file keeps them as nested lists.  The
 factors and the stages form one chain (``DecompositionPlan.chain``) that
-exact reconstruction walks forward and the engine backward.
+exact reconstruction walks forward and the engine backward, each wire at a
+static binary point (``pow2matrix.walk``).
 Reconstruction verifies a plan exactly: it carries every codebook row as
 a lane of one Python int per column (SIMD within a register), so each
 entry of the chain costs one big-integer operation for all rows at once.
@@ -20,6 +21,7 @@ codebook costs at most ``2K``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -31,7 +33,7 @@ import numpy as np
 from .codebooks import CodebookDescriptor
 from .errors import DimensionError, PlanFormatError, PlanVersionError
 from .pot import Dyadic, align
-from .pow2matrix import Pow2Matrix, growth_bits, shift_add
+from .pow2matrix import UNWRITTEN, Pow2Matrix, Segments, run, walk
 
 PLAN_FORMAT = "shiftadd-plan"
 PLAN_VERSION = 1
@@ -215,6 +217,17 @@ class DecompositionPlan:
         product is the reconstruction."""
         return self.codebook.factors + self.stages
 
+    @functools.cached_property
+    def segments(self) -> tuple[Segments, ...]:
+        """The engine's executable form of ``chain``: each matrix's row
+        grouping (``Pow2Matrix.by_row``), last to first, as
+        ``pow2matrix.walk`` schedules it from inputs at point 0 with 0-bit
+        bounds, so each wire's ``bits`` is its growth over the inputs'
+        widest integer.  Built on first use and kept with the plan."""
+        zero = np.zeros(self.n_cols, dtype=np.int64)
+        return tuple(walk([m.by_row for m in reversed(self.chain)], zero,
+                          zero))
+
 
 def target_digest(target: np.ndarray) -> str:
     a = np.ascontiguousarray(target, dtype=np.float64)
@@ -233,18 +246,22 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
 
     Pushes the ``n_rows`` rows of the codebook forward through the plan's
     matrix chain (``DecompositionPlan.chain``) in integer arithmetic, with
-    one shared exponent per row.  The rows travel packed: row ``i`` is lane
-    ``i`` of one Python int per column, ``P_j = sum_i v_ij * 2**(w*i)``, and
-    each matrix is one ``pow2matrix.shift_add`` over its column view
-    (``Pow2Matrix.by_col``) of that vector: gather each entry's row,
-    shift by ``exp - min_exp``, negate the negative entries, sum each
-    nonempty column.  Every step is linear, so it acts on each lane alone
-    and the exponents gain each matrix's ``min_exp``.  The lane width ``w``
-    is a static bound: the start rows' bit length plus ``growth_bits`` of
-    every matrix, plus a sign bit and a bias bit, rounded up to whole
-    bytes.  Each column is unpacked once: a bias of ``2**(w-1)`` per lane
-    makes every lane nonnegative, one ``to_bytes`` writes them all, and
-    ``int.from_bytes`` reads each back.
+    one exponent per row and one static binary point per column.  The rows
+    travel packed: row ``i`` is lane ``i`` of one Python int per column,
+    ``H_j = sum_i v_ij * 2**(w*i)``, and each matrix is one
+    ``pow2matrix.shift_add`` over its column grouping
+    (``Pow2Matrix.by_col``) as ``pow2matrix.walk`` schedules it from the
+    start columns (point 0, or unwritten where all zero): gather each
+    entry's row, shift the entries above their column's point, negate the
+    negative entries, sum each nonempty column.  Every step is linear, so
+    it acts on each lane alone.  The lane width ``w`` is static: the widest
+    bound ``walk`` gives a final column, plus a sign bit and a bias bit,
+    rounded up to whole bytes.  Each column is unpacked once: a bias of
+    ``2**(w-1)`` per lane makes every lane nonnegative, one ``to_bytes``
+    writes them all, and ``int.from_bytes`` reads each back.  Each column
+    is returned over the exponent the chain's per-matrix smallest exponents
+    sum to, which no point is below: its mantissas are shifted left by the
+    difference from its own point.
 
     Codebooks with stored factors start from the rows of their leading
     ``[I 0]`` selector (the identity for two-sparse); mailman and Gaussian
@@ -261,22 +278,25 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
                 for row in cb.dense().tolist()]
         block = np.array([r for r, _ in rows], dtype=object)
         exps = [e for _, e in rows]
-    bits = int(np.abs(block).max()).bit_length()
-    lane = -(-(bits + sum(growth_bits(m.by_col) for m in chain) + 2) // 8)
+    bits = np.array([v.bit_length() for v in np.abs(block).max(axis=0)])
+    start = np.where(bits > 0, 0, UNWRITTEN)
+    steps = list(walk([m.by_col for m in chain], start, bits))
+    top = int((steps[-1].bits if steps else bits).max())
+    lane = -(-(top + 2) // 8)
     w = 8 * lane  # lane width in bits, whole bytes
     h = (block << np.arange(0, w * n, w, dtype=object)[:, None]).sum(axis=0)
-    for mat in chain:
-        h = shift_add(h, mat.by_col)
-    shift = sum(m.min_exp for m in chain)
-    exps = [e + shift for e in exps]
+    h, point = run(h, steps, start)
+    low = sum(int(m.exp.min()) for m in chain if m.nnz)
+    exps = [e + low for e in exps]
     half, size = 1 << (w - 1), lane * n
     bias = int.from_bytes(half.to_bytes(lane, "little") * n, "little")
     out = []
-    for p in h.tolist():
+    for p, d in zip(h.tolist(),
+                    np.where(point == UNWRITTEN, 0, point - low).tolist()):
         data = (p + bias).to_bytes(size, "little")
         lanes = [int.from_bytes(data[b:b + lane], "little") - half
                  for b in range(0, size, lane)]
-        out.append([(m, e) if m else (0, 0) for m, e in zip(lanes, exps)])
+        out.append([(m << d, e) if m else (0, 0) for m, e in zip(lanes, exps)])
     return out
 
 

@@ -8,12 +8,15 @@ reconstruction, the effective-codebook roll-forward ``advance_effective``
 and the cost accounting all run on them.  ``to_records`` is the file view,
 and ``to_json`` writes that view's text.
 
-Exact products run on ``Segments``, the entries grouped by the output they
-sum into, through one shift-add kernel, ``shift_add``: ``by_row`` serves
-``mat @ h`` (the engine) and ``by_col`` serves ``h @ mat`` (exact
-reconstruction).  ``growth_bits`` bounds how many bits one such product
-adds to its input's magnitude.  Each view, like ``min_exp`` and
-``lshift``, is built on first use and cached on the read-only matrix.
+Exact products group the entries by the output they sum into: ``by_row``
+is the grouping of ``mat @ h`` (the engine), ``by_col`` that of ``h @ mat``
+(exact reconstruction); each is built on first use and cached on the
+read-only matrix.  ``walk`` gives every wire of a chain of such products a
+static binary point, as a hardware build fixes it, and turns each grouping
+into executable ``Segments``: only the terms above their output's point are
+shifted, and each output carries a static bound on its integer's bits.
+One shift-add kernel, ``shift_add``, runs them, and ``run`` runs a chain of
+them from its input wires to its last outputs.
 """
 
 from __future__ import annotations
@@ -34,45 +37,120 @@ _FIELDS = ("row", "negative", "exp", "col_len")
 _DTYPES = (np.int32, bool, np.int16, np.int32)
 
 
-class Segments(NamedTuple):
+class Grouping(NamedTuple):
     """A matrix's entries grouped by the output each one sums into.
 
-    On the last axis of an input, entry ``t`` reads position ``source[t]``,
-    is shifted left by ``lshift[t]`` and negated where ``negative[t]``;
-    the segment of entries from ``starts[j]`` to the next start sums into
-    output ``targets[j]`` of ``width``, and the other outputs are zero.
-    ``lshift`` holds Python ints, so the shifts run on them directly.
+    Entry ``t`` reads input position ``source[t]``, is scaled by
+    ``2**exp[t]`` and negated where ``negative[t]``; the
+    ``lengths[j]`` entries from ``starts[j]`` on sum into output
+    ``targets[j]`` of ``width``, and the other outputs are zero.
     """
 
     source: np.ndarray
-    lshift: np.ndarray
+    exp: np.ndarray
     negative: np.ndarray
     starts: np.ndarray
+    lengths: np.ndarray
     targets: np.ndarray
     width: int
 
 
+class Segments(NamedTuple):
+    """One ``Grouping`` made executable on wire vectors at static points.
+
+    A wire vector holds one Python int per stored wire and, last, a
+    constant 0 that every wire nothing writes shares.  Term ``t`` reads
+    position ``source[t]`` of the input vector; the terms at ``shifted``
+    are shifted left by ``lshift`` (Python ints, all positive), the rest
+    not at all, and the terms at ``negated`` are negated; the terms from
+    ``starts[j]`` to the next start sum into position ``j`` of the output
+    vector.  The last term reads the input's constant 0 and alone makes
+    the output's.  Output ``r`` of the grouping's width is at position
+    ``slot[r]``, the constant 0 if no entry writes it.  Position ``j``
+    holds an integer ``v`` worth ``v * 2**point[j]`` (``UNWRITTEN`` where
+    it is always 0), with ``|v| < 2**bits[j]`` while each input wire's
+    integer stays below ``2**`` its own bound.
+    """
+
+    source: np.ndarray
+    shifted: np.ndarray
+    lshift: np.ndarray
+    negated: np.ndarray
+    starts: np.ndarray
+    slot: np.ndarray
+    point: np.ndarray
+    bits: np.ndarray
+
+
+# The point of a wire that nothing writes, which always holds 0: far above
+# any point a chain reaches (each matrix moves one by at most 64), and an
+# exponent added to it cannot overflow int64.
+UNWRITTEN = 1 << 62
+
+
 def shift_add(x: np.ndarray, seg: Segments) -> np.ndarray:
-    """The segment sums of ``seg`` over the last axis of ``x``, an object
-    array of Python ints: gather, shift, negate, sum each segment in order
-    (``np.add.reduceat``) and place the sums in their outputs."""
-    terms = x[..., seg.source] << seg.lshift
-    np.negative(terms, out=terms, where=seg.negative)
-    out = np.zeros(x.shape[:-1] + (seg.width,), dtype=object)
-    out[..., seg.targets] = np.add.reduceat(terms, seg.starts, axis=-1)
-    return out
+    """The output wire vector of ``seg`` from the input wire vector ``x``,
+    an object array of Python ints: gather, shift the shifted terms,
+    negate the negated ones and sum each segment in order
+    (``np.add.reduceat``)."""
+    terms = x[seg.source]
+    terms[seg.shifted] <<= seg.lshift
+    terms[seg.negated] = -terms[seg.negated]
+    return np.add.reduceat(terms, seg.starts)
 
 
-def growth_bits(seg: Segments) -> int:
-    """The most bits ``shift_add(x, seg)`` adds to the bit length of the
-    largest ``|x|``: a segment of ``m`` terms, each shifted by at most
-    ``max(lshift)``, sums to less than ``m * 2**max(lshift)`` times that
-    magnitude, so ``max(lshift) + (m - 1).bit_length()`` bits for the
-    longest segment."""
-    if not len(seg.source):
-        return 0
-    longest = int(np.diff(seg.starts, append=len(seg.source)).max())
-    return int(seg.lshift.max()) + (longest - 1).bit_length()
+def run(x: np.ndarray, steps, point) -> tuple[np.ndarray, np.ndarray]:
+    """The integers and binary points of the last grouping's outputs when
+    ``steps`` (``walk``'s segments) run on the input wires ``x``, an object
+    array of Python ints at the points ``point`` that ``walk`` started
+    from; an output that no entry writes is 0 at ``UNWRITTEN``."""
+    h, slot, point = np.append(x, 0), np.arange(len(x)), np.asarray(point)
+    for seg in steps:
+        h = shift_add(h, seg)
+        slot, point = seg.slot, seg.point
+    return h[slot], point[slot]
+
+
+def walk(groupings, point, bits):
+    """Yield the executable ``Segments`` of each grouping in turn, the
+    outputs of one the inputs of the next, from input wires at the binary
+    points ``point`` whose integers have at most ``bits`` bits; the first
+    input vector holds those wires in order, then its constant 0.
+
+    Output ``r`` sits at ``P_r = min(exp[t] + point[source[t]])`` over its
+    entries ``t``, so entry ``t`` is shifted left by ``exp[t] +
+    point[source[t]] - P_r >= 0`` and at least one entry per output is not
+    shifted at all.  A wire that nothing writes (an empty output, not
+    stored, or one whose entries all read such wires) holds 0 at
+    ``UNWRITTEN`` with 0 bits: the entries reading it are not shifted and
+    do not lower their output's point.  ``m`` terms below ``2**b`` sum
+    below ``m * 2**b``, so output ``r`` of ``m`` entries gets
+    ``max(bits[source[t]] + shift[t]) + (m - 1).bit_length()`` bits.
+    """
+    point = np.append(np.asarray(point, dtype=np.int64), UNWRITTEN)
+    bits = np.append(np.asarray(bits, dtype=np.int64), 0)
+    slot = np.arange(len(point) - 1)
+    for g in groupings:
+        source = slot[g.source]
+        read = point[source]
+        written = read != UNWRITTEN
+        at = np.where(written, g.exp + read, UNWRITTEN)
+        low = np.minimum.reduceat(at, g.starts)
+        shift = np.where(written, at - np.repeat(low, g.lengths), 0)
+        top = np.maximum.reduceat(bits[source] + shift, g.starts)
+        # (m - 1).bit_length() is frexp's exponent, exact below 2**53
+        grown = np.where(low == UNWRITTEN, 0,
+                         top + np.frexp(g.lengths - 1)[1])
+        slot = np.full(g.width, len(g.targets))
+        slot[g.targets] = np.arange(len(g.targets))
+        shifted = np.flatnonzero(shift)
+        seg = Segments(*map(_read_only, (
+            np.append(source, len(point) - 1), shifted,
+            shift[shifted].astype(object), np.flatnonzero(g.negative),
+            np.append(g.starts, len(g.source)), slot,
+            np.append(low, UNWRITTEN), np.append(grown, 0))))
+        yield seg
+        point, bits = seg.point, seg.bits
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -145,41 +223,31 @@ class Pow2Matrix:
         return len(self.row)
 
     @functools.cached_property
-    def min_exp(self) -> int:
-        """Smallest exponent, 0 for an empty matrix: every entry is a
-        left shift by ``lshift`` times ``2**min_exp``."""
-        return int(self.exp.min()) if len(self.exp) else 0
-
-    @functools.cached_property
-    def lshift(self) -> np.ndarray:
-        """``exp - min_exp`` of each entry, as int16: the constructor keeps
-        exponents in ``[EXP_MIN, EXP_MAX]``, so the difference cannot wrap."""
-        return _read_only(self.exp - self.min_exp)
-
-    @functools.cached_property
-    def by_row(self) -> Segments:
-        """The entries in row order, one segment per nonempty row: the view
-        ``shift_add`` computes ``self @ h`` from."""
+    def by_row(self) -> Grouping:
+        """The entries in row order, one segment per nonempty row: the
+        grouping of ``self @ h``."""
         row_len = np.bincount(self.row, minlength=self.rows)
         filled = np.flatnonzero(row_len)
-        return self._segments(np.argsort(self.row, kind="stable"), self.col,
-                              (np.cumsum(row_len) - row_len)[filled], filled,
-                              self.rows)
+        return self._grouping(np.argsort(self.row, kind="stable"), self.col,
+                              (np.cumsum(row_len) - row_len)[filled],
+                              row_len[filled], filled, self.rows)
 
     @functools.cached_property
-    def by_col(self) -> Segments:
+    def by_col(self) -> Grouping:
         """The entries in stored order, one segment per nonempty column:
-        the view ``shift_add`` computes ``h @ self`` from."""
+        the grouping of ``h @ self``."""
         filled = np.flatnonzero(self.col_len)
-        return self._segments(slice(None), self.row, self.first[filled],
-                              filled, self.cols)
+        return self._grouping(slice(None), self.row, self.first[filled],
+                              self.col_len[filled], filled, self.cols)
 
-    def _segments(self, order, source, starts, targets, width) -> Segments:
-        """``Segments`` over the stored entries taken in ``order``; stored
+    def _grouping(self, order, source, starts, lengths, targets,
+                  width) -> Grouping:
+        """``Grouping`` of the stored entries taken in ``order``; stored
         entry ``t`` reads input position ``source[t]``."""
-        return Segments(*map(_read_only, (
-            source[order], self.lshift[order].astype(object),
-            self.negative[order], starts, targets)), width)
+        return Grouping(*map(_read_only, (
+            source[order], self.exp[order].astype(np.int64),
+            self.negative[order], starts, lengths.astype(np.int64),
+            targets)), width)
 
     @property
     def col(self) -> np.ndarray:

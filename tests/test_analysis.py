@@ -212,3 +212,9 @@ class TestSimulation:
     def test_decomposition_zero_stages_is_unit_distortion(self):
         s, mean, err = sa.simulate_decomposition(4, 16, 0)
         assert list(s) == [0] and list(mean) == [1.0]
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_decomposition_needs_a_matrix_sample(self, samples):
+        # used to return nan means with numpy RuntimeWarnings
+        with pytest.raises(ValueError, match="matrix_samples"):
+            sa.simulate_decomposition(4, 16, 2, matrix_samples=samples)

@@ -237,6 +237,36 @@ class TestDecomposeApply:
         assert printed == [float(v.to_fraction()) for v in exact]
 
 
+    def test_apply_writes_inf_beyond_the_float_range(self, tmp_path,
+                                                     capsys):
+        # 2**63 and 2**62 entries on inputs of 2**1023: both outputs are
+        # beyond float64, one of each sign; the exact columns stand and the
+        # decimal column holds what round-to-nearest gives
+        stage = pow2matrix(4, 4, tuple(
+            ((i, sa.SignedPow2(s, e)),)
+            for i, (s, e) in enumerate([(1, 63), (1, 63), (-1, 63),
+                                        (1, 62)])))
+        plan = sa.DecompositionPlan(2, 4, sa.make_codebook("mailman", 2, 4),
+                                    (stage,))
+        plan_path = tmp_path / "p.json"
+        plan_path.write_bytes(sa.serialize(plan))
+        vec = tmp_path / "x.csv"
+        vec.write_text("1,1023\n" * 4)
+        exact = exact_matvec(plan, [sa.Dyadic(1, 1023)] * 4)
+        want = [f"{v.mantissa},{v.exponent},{d}"
+                for v, d in zip(exact, ("inf", "-inf"))]
+        assert [v.mantissa > 0 for v in exact] == [True, False]
+        code, out, _ = run(capsys, "apply", "--plan", str(plan_path),
+                           "--vector", str(vec))
+        assert code == 0
+        assert out.splitlines() == want
+        path = tmp_path / "y.csv"
+        code, out, _ = run(capsys, "apply", "--plan", str(plan_path),
+                           "--vector", str(vec), "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text().splitlines()[1:] == want
+
+
 class TestBench:
     def test_reproducible_and_has_baselines(self, tmp_path, capsys):
         args = ["bench", "--shapes", "4x16", "--bits", "4", "--samples", "2",
@@ -404,6 +434,29 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err == "usage error: --samples must be at least 1\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bench_needs_a_worker(self, capsys, jobs):
+        # used to run serially and exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--shapes", "4x16", "--bits", "4", "--samples",
+                  "1", "--jobs", jobs])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: --jobs must be at least 1\n"
+        assert captured.out == ""
+
+    def test_lower_bound_curve_needs_a_sample(self, tmp_path, capsys):
+        # used to print nan rows with two RuntimeWarnings and exit 0
+        path = tmp_path / "lb.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--fig", "lb", "--N", "4", "--K", "16",
+                  "--stages", "2", "--samples", "0", "--out", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("usage error: matrix_samples must be at "
+                                "least 1\n")
+        assert captured.out == "" and not path.exists()
 
     def test_analyze_checks_arguments_before_writing(self, tmp_path, capsys):
         argv = ["analyze", "--fig", "lb", "--N", "1", "--K", "8",

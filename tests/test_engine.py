@@ -7,7 +7,8 @@ import pytest
 
 import shiftadd as sa
 from shiftadd.plan import reconstruct_exact
-from shiftadd.pot import DYADIC_ZERO, SignedPow2
+from shiftadd.pot import DYADIC_ZERO, EXP_MAX, EXP_MIN, SignedPow2, align
+from shiftadd.pow2matrix import UNWRITTEN, shift_add
 
 from helpers import (cost_oracle, dyadic_apply_oracle, exact_matvec,
                      fraction_matvec, fraction_reconstruction, pow2matrix,
@@ -203,6 +204,60 @@ class TestKernelEdgeCases:
         full = _missing_rows_stage(8, 8, set())
         for stages in ((), (full,), (full, full)):
             self._check(sa.DecompositionPlan(5, 8, cb, stages), rng)
+
+
+def _width_plan(rng, cb):
+    """Up to five random stages over ``cb``: each hits a random subset of
+    rows (the rest stay empty) with up to three entries per column, often
+    at ``EXP_MIN`` or ``EXP_MAX``; about one stage in five is empty."""
+    k = cb.n_cols
+    stages = []
+    for _ in range(int(rng.integers(0, 6))):
+        hit = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        cols = []
+        for _ in range(k if rng.random() > 0.2 else 0):
+            rows = rng.choice(hit, size=int(rng.integers(
+                0, min(3, len(hit)) + 1)), replace=False)
+            cols.append(tuple(
+                (int(i), SignedPow2(int(rng.choice([-1, 1])), int(rng.choice(
+                    [EXP_MIN, EXP_MAX, rng.integers(EXP_MIN, EXP_MAX + 1)]))))
+                for i in sorted(rows)))
+        stages.append(pow2matrix(k, k, tuple(cols) or ((),) * k))
+    return sa.DecompositionPlan(cb.n_rows, k, cb, tuple(stages))
+
+
+class TestWireWidths:
+    """Every wire the engine computes stays within the static bound of its
+    binary point, on random 16-bit inputs: the inputs' widest integer plus
+    the wire's ``bits``; an unwritten wire holds 0."""
+
+    def test_every_wire_within_its_bound(self):
+        rng = np.random.default_rng(520)
+        codebooks = (sa.make_codebook("mailman", 3, 8),
+                     sa.make_codebook("two-sparse", 3, 8),
+                     sa.make_codebook("self-designing", 3, 8, seed=1,
+                                      aux="gaussian"))
+        widest = unwritten = 0
+        for trial in range(60):
+            plan = _width_plan(rng, codebooks[trial % 3])
+            x = [sa.Dyadic(int(m), -15)
+                 for m in rng.integers(-2 ** 15, 2 ** 15, plan.n_cols)]
+            ints, _ = align(x)
+            start = max(abs(v).bit_length() for v in ints)
+            h = np.array(ints + [0], dtype=object)
+            for seg in plan.segments:
+                h = shift_add(h, seg)
+                assert h[-1] == 0 and seg.point[-1] == UNWRITTEN
+                for v, p, bits in zip(h[:-1].tolist(), seg.point.tolist(),
+                                      seg.bits.tolist()):
+                    assert abs(v).bit_length() <= start + bits
+                    assert v == 0 or p != UNWRITTEN
+                    widest = max(widest, abs(v).bit_length())
+                    unwritten += p == UNWRITTEN
+            assert sa.apply(plan, x)[0] == exact_matvec(plan, x)
+        # the exponent extremes reached the wires, and empty rows and
+        # matrices left some stored wires unwritten
+        assert widest > 127 and unwritten > 20
 
 
 class TestCostWitnesses:

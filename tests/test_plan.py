@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import shiftadd as sa
 from shiftadd.plan import plan_to_dict, reconstruct_exact
 from shiftadd.pot import EXP_MAX, EXP_MIN, Dyadic, SignedPow2
-from shiftadd.pow2matrix import Pow2Matrix, growth_bits
+from shiftadd.pow2matrix import UNWRITTEN, Pow2Matrix, walk
 
 from helpers import (chain_rows_oracle, columns, fraction_reconstruction,
                      from_records_oracle, pow2matrix, random_plan,
@@ -167,18 +167,37 @@ def _edge_plans():
             for cb in _edge_codebooks()]
 
 
-def _assert_growth_bounds(plan):
-    """The bit length the oracle's rows reach after each matrix of the
-    chain is at most the start's plus ``growth_bits`` of every matrix so
-    far."""
-    def max_bits(rows):
-        return max(abs(v).bit_length() for ints, _ in rows for v in ints)
-
+def _column_walk(plan):
+    """``walk`` over the column groupings of ``plan.chain`` from the
+    oracle's start rows, as ``reconstruct_exact`` walks it: yields each
+    matrix's ``Segments`` with the oracle's rows after that matrix."""
     states = chain_rows_oracle(plan)
-    bits = max_bits(next(states))
-    for mat, rows in zip(plan.chain, states, strict=True):
-        bits += growth_bits(mat.by_col)
-        assert max_bits(rows) <= bits
+    start = next(states)
+    bits = [max(abs(ints[j]) for ints, _ in start).bit_length()
+            for j in range(len(start[0][0]))]
+    point = [0 if b else UNWRITTEN for b in bits]
+    yield from zip(walk([m.by_col for m in plan.chain], point, bits), states,
+                   strict=True)
+
+
+def _assert_growth_bounds(plan):
+    """After each matrix of the chain, each column of the oracle's rows
+    (over the exponent the chain's smallest exponents sum to) is its
+    static point's integer shifted left to that exponent, within the bits
+    ``walk`` bounds it by; an unwritten column holds 0."""
+    low = 0
+    for (seg, rows), mat in zip(_column_walk(plan), plan.chain):
+        low += int(mat.exp.min()) if mat.nnz else 0
+        for j, (p, bits) in enumerate(zip(seg.point[seg.slot].tolist(),
+                                          seg.bits[seg.slot].tolist())):
+            col = [ints[j] for ints, _ in rows]
+            if p == UNWRITTEN:
+                assert not any(col)
+                continue
+            assert p >= low
+            for v in col:
+                assert v == v >> (p - low) << (p - low)
+                assert abs(v >> (p - low)).bit_length() <= bits
 
 
 class TestPackedReconstruction:
@@ -207,15 +226,66 @@ class TestPackedReconstruction:
         _assert_growth_bounds(plan)
 
     def test_growth_of_one_matrix(self):
-        # a segment of m terms adds (m - 1).bit_length() bits, the widest
-        # shift its largest lshift
-        assert growth_bits(_stage(4, [[], [], [], []]).by_col) == 0
-        assert growth_bits(_stage(4, [[(0, 1, 3)]] * 4).by_col) == 0
+        # an output of m terms gains (m - 1).bit_length() bits over its
+        # widest shifted term, and its lowest term is not shifted
+        def one(grouping):
+            seg, = walk([grouping], [0] * 4, [0] * 4)
+            return (seg, seg.point[seg.slot].tolist(),
+                    seg.bits[seg.slot].tolist())
+
+        empty, point, bits = one(_stage(4, [[], [], [], []]).by_col)
+        assert point == [UNWRITTEN] * 4 and bits == [0] * 4
+        assert empty.slot.tolist() == [0] * 4  # all at the constant 0
+        single, point, bits = one(_stage(4, [[(0, 1, 3)]] * 4).by_col)
+        assert point == [3] * 4 and bits == [0] * 4
+        assert not len(single.shifted)
         for m, grow in ((2, 1), (3, 2), (4, 2)):
             stage = _stage(4, [[(i, -1, 0) for i in range(m)], [], [],
                                [(0, 1, 5)]])
-            assert growth_bits(stage.by_col) == 5 + grow
-            assert growth_bits(stage.by_row) == 5 + 1
+            _, point, bits = one(stage.by_col)
+            assert bits == [grow, 0, 0, 0]
+            assert point == [0, UNWRITTEN, UNWRITTEN, 5]
+            seg, point, bits = one(stage.by_row)
+            assert bits == [5 + 1] + [0] * 3
+            assert point == [0] * m + [UNWRITTEN] * (4 - m)
+            assert seg.lshift.tolist() == [5]
+
+    def test_unwritten_wires_do_not_lower_points(self):
+        # column 1 of the first matrix is empty, so the second matrix's
+        # 2**EXP_MIN entry on it neither shifts nor sets its column's point
+        first = _stage(4, [[(0, 1, 2)], [], [(1, 1, 0)], [(2, 1, 1)]])
+        second = _stage(4, [[(0, 1, 0), (1, -1, EXP_MIN), (2, 1, 3)],
+                            [(1, 1, EXP_MAX)], [], [(3, 1, 0)]])
+        head, seg = walk([first.by_col, second.by_col], [0] * 4, [1] * 4)
+        assert head.slot.tolist() == [0, 3, 1, 2]  # column 1 is not stored
+        assert seg.source.tolist() == [0, 3, 1, 3, 2, 3]
+        assert seg.point[seg.slot].tolist() == [2, UNWRITTEN, UNWRITTEN, 1]
+        # 2**0 on the wire at point 2 stays put, 2**3 on the one at point 0
+        # shifts by 1: three terms of at most 1 + 1 bits
+        assert seg.shifted.tolist() == [2] and seg.lshift.tolist() == [1]
+        assert seg.bits[seg.slot].tolist() == [4, 0, 0, 1]
+
+    def test_lane_width_of_a_deploy_size_plan(self):
+        # no wider than the bound of one exponent per matrix, which adds
+        # every matrix's exponent span and longest column
+        plan = _deploy_size_plan()
+        *_, (seg, _) = _column_walk(plan)
+        shared = 1 + sum(int(m.exp.max() - m.exp.min())
+                         + (int(m.col_len.max()) - 1).bit_length()
+                         for m in plan.chain)
+        assert int(seg.bits.max()) <= shared
+        _assert_growth_bounds(plan)
+        assert reconstruct_exact(plan) == reconstruct_exact_oracle(plan)
+
+
+@functools.cache
+def _deploy_size_plan():
+    """A 16x256 plan at 16 bits over a codebook designed on its target."""
+    target = np.random.default_rng(805).standard_normal((16, 256))
+    cb = sa.make_codebook("self-designing", 16, 256, target=target,
+                          aux="target")
+    return sa.decompose(target, cb, sa.StageSchedule.fixed(
+        [1], target_bits=16, max_stages=96))
 
 
 @st.composite

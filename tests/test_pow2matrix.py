@@ -5,7 +5,8 @@ import pytest
 
 import shiftadd as sa
 from shiftadd.pot import EXP_MAX, SignedPow2
-from shiftadd.pow2matrix import Pow2Matrix, advance_effective, shift_add
+from shiftadd.pow2matrix import (UNWRITTEN, Pow2Matrix, advance_effective,
+                                 shift_add, walk)
 
 from helpers import (advance_effective_oracle, columns, pow2matrix,
                      random_dyadic_vector, same_bits, synthetic_plan)
@@ -63,14 +64,17 @@ def test_array_storage():
     assert a.col_len.tolist() == [2, 0, 1]
     assert a.col.tolist() == [0, 0, 2]
     assert a.first.tolist() == [0, 2, 2]
-    assert a.min_exp == -1
     assert a.op_counts() == (1, 3, 1)
     stored = (a.row, a.negative, a.exp, a.col_len)
     assert [v.dtype for v in stored] == [np.int32, bool, np.int16, np.int32]
     assert not any(v.flags.writeable for v in stored)
+    # each output's point is the smallest exponent it sums
+    seg, = walk([a.by_col], [0] * 3, [0] * 3)
+    assert seg.point[seg.slot].tolist() == [-1, UNWRITTEN, 2]
     # only the cached derived values are kept, and only once asked for
-    assert set(vars(a)) == stored_fields | {"min_exp"}
-    assert pow2matrix(2, 2, ((), ())).min_exp == 0
+    assert set(vars(a)) == stored_fields | {"by_col"}
+    seg, = walk([pow2matrix(2, 2, ((), ())).by_row], [0] * 2, [0] * 2)
+    assert seg.point[seg.slot].tolist() == [UNWRITTEN] * 2
     assert columns(a) == cols
 
 
@@ -139,25 +143,30 @@ def test_derived_values_are_cached_read_only_and_fresh_after_loading():
     plan = synthetic_plan(rng, max_stages=3)
     while not plan.stages:
         plan = synthetic_plan(rng, max_stages=3)
-    derived = ("min_exp", "lshift", "by_row", "by_col")
+    derived = ("by_row", "by_col")
     x = random_dyadic_vector(rng, plan.n_cols)
     y, _ = sa.apply(plan, x)
     sa.reconstruct(plan)
     stage = plan.stages[0]
     for name in derived:  # built once, then the same object
         assert getattr(stage, name) is getattr(stage, name)
-    arrays = [stage.lshift, *stage.by_row[:5], *stage.by_col[:5]]
+    assert plan.segments is plan.segments
+    seg = plan.segments[0]
+    arrays = [*stage.by_row[:6], *stage.by_col[:6], *seg]
     assert not any(a.flags.writeable for a in arrays)
-    assert stage.by_row.lshift.dtype == object
-    assert type(stage.by_row.lshift.tolist()[0]) is int
+    assert seg.lshift.dtype == object
+    assert all(type(s) is int and s > 0 for s in seg.lshift.tolist())
     back = sa.deserialize(sa.serialize(plan))
     for mat in back.stages + back.codebook.factors:
         assert not set(derived) & set(vars(mat))
+    assert "segments" not in vars(back)  # loading schedules nothing
     assert sa.apply(back, x)[0] == y
+    assert "segments" in vars(back)
+    for old, new in zip(plan.segments, back.segments, strict=True):
+        assert new.shifted is not old.shifted
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
     for old, new in zip(plan.stages, back.stages):
-        assert new.min_exp == old.min_exp
-        assert new.lshift is not old.lshift
-        assert np.array_equal(new.lshift, old.lshift)
         for view in ("by_row", "by_col"):
             for a, b in zip(getattr(new, view), getattr(old, view)):
                 assert np.array_equal(a, b)
@@ -177,16 +186,34 @@ def test_shift_add_on_non_square_matrices():
                 tuple((int(i), SignedPow2(int(signs[i, k]), int(exps[i, k])))
                       for i in np.flatnonzero(pick[:, k]))
                 for k in range(cols)))
-            # integer entries of mat / 2**min_exp
-            ints = [[int(signs[i, k]) << int(exps[i, k] - mat.min_exp)
+            # integer entries of mat / 2**low
+            low = int(exps[pick].min(initial=0))
+            ints = [[int(signs[i, k]) << int(exps[i, k] - low)
                      if pick[i, k] else 0 for k in range(cols)]
                     for i in range(rows)]
             h = [int(v) for v in rng.integers(-2 ** 40, 2 ** 40, cols)]
-            got = shift_add(np.array(h, dtype=object), mat.by_row)
-            assert got.tolist() == [sum(a * b for a, b in zip(r, h))
-                                    for r in ints]
-            block = rng.integers(-2 ** 40, 2 ** 40, (2, rows)).tolist()
-            got = shift_add(np.array(block, dtype=object), mat.by_col)
-            assert got.tolist() == [
-                [sum(b[i] * ints[i][k] for i in range(rows))
-                 for k in range(cols)] for b in block]
+            seg, = walk([mat.by_row], [0] * cols, [41] * cols)
+            assert _product(h, seg, low) == [
+                sum(a * b for a, b in zip(r, h)) for r in ints]
+            for b in rng.integers(-2 ** 40, 2 ** 40, (2, rows)).tolist():
+                seg, = walk([mat.by_col], [0] * rows, [41] * rows)
+                assert _product(b, seg, low) == [
+                    sum(b[i] * ints[i][k] for i in range(rows))
+                    for k in range(cols)]
+
+
+def _product(h, seg, low):
+    """``shift_add`` of the wire vector of ``h`` (its constant 0 appended)
+    as integers over ``2**low`` per output, each within its bound; an
+    unwritten output holds 0."""
+    got = shift_add(np.array(h + [0], dtype=object), seg)
+    assert got[-1] == 0
+    out = []
+    for j in seg.slot.tolist():
+        v, p = got[j], int(seg.point[j])
+        assert abs(v).bit_length() <= seg.bits[j]
+        if p == UNWRITTEN:
+            assert v == 0
+            p = low
+        out.append(v << (p - low))
+    return out
