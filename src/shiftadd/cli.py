@@ -69,7 +69,11 @@ def _checked(build, *values) -> StageSchedule:
 
 
 def _build_schedule(args) -> StageSchedule:
-    if args.bits is not None and args.adaptive:
+    if args.adaptive and args.bits is None:
+        raise _usage_error("--adaptive needs --bits")
+    if args.bits is not None and args.stages is not None:
+        raise _usage_error("--stages cannot be combined with --bits")
+    if args.adaptive:
         return _checked(StageSchedule.adaptive, args.bits, args.max_stages)
     if args.bits is not None:
         return _checked(StageSchedule.fixed, [args.stage_sparsity], args.bits,
@@ -239,7 +243,21 @@ def _cell_text(v) -> str:
     return str(v)
 
 
+def _check_analyze(args) -> None:
+    """Refuse an out-of-range analyze option by its name."""
+    for name, values in (("--rate", [args.rate]), ("--rates", args.rates)):
+        if not all(0.0 < v < math.inf for v in values):
+            raise _usage_error(f"{name} must be positive and finite")
+    for name, values, low in (("--K", args.K, 1), ("--N", [args.N], 2),
+                              ("--points", [args.points], 1),
+                              ("--stages", [args.stages], 0),
+                              ("--samples", [args.samples], 1)):
+        if min(values) < low:
+            raise _usage_error(f"{name} must be at least {low}")
+
+
 def cmd_analyze(args) -> int:
+    _check_analyze(args)
     # built in memory first: arguments a model refuses leave no output
     buf = io.StringIO()
     try:
@@ -269,7 +287,6 @@ def _analyze(args, out) -> None:
             out.write(",".join(row) + "\n")
     elif args.fig == "lb":
         n, k = args.N, args.K[0]
-        analysis.distortion_lower_bound(n, k, 0)  # refuses bad N, K early
         s, mean, err = analysis.simulate_decomposition(
             n, k, args.stages, "gaussian", args.seed, args.samples)
         out.write("s,lower_bound,simulated,stderr\n")

@@ -8,16 +8,17 @@ chain, the one exact reconstruction walks, then runs last to first on
 static binary points, as a hardware build wires it: every wire ``i`` holds
 an integer worth ``2**(e + P_i)``, with ``P_i`` fixed by the plan alone
 (``DecompositionPlan.segments``, built by ``pow2matrix.walk`` on first use
-and kept with the plan).  Each matrix is one ``pow2matrix.shift_add`` over
-its row grouping (``pow2matrix.run`` runs them all): gather the input
-wire of every stored coefficient in row order, shift only the terms above
-their row's point (each row's lowest-weight term is never shifted), negate
-the negative ones, and sum each nonempty row's segment
-(``np.add.reduceat``) into a wire vector that stores the nonempty rows and
-one constant 0 for the others.  The codebook's terminal follows: the
-mailman multiply, on the wires aligned to their lowest point, or the
-``[I 0]`` selector that keeps the first ``n_rows`` wires at their own
-points.  Output ``Dyadic`` values are built once, at the end.
+and kept with the plan).  ``M @ h`` runs as ``(h @ M.T).T``: each matrix is
+one ``pow2matrix.shift_add`` over the columns of its transpose, that is its
+rows (``pow2matrix.run`` runs them all): gather the input wire of every
+stored coefficient in row order, shift only the terms above their row's
+point (each row's lowest-weight term is never shifted), negate the negative
+ones, and sum each nonempty row's segment (``np.add.reduceat``) into a wire
+vector that stores the nonempty rows and one constant 0 for the others.
+The codebook's terminal follows: the mailman multiply, on the wires
+aligned to their lowest point, or the ``[I 0]`` selector that keeps the
+first ``n_rows`` wires at their own points.  Output ``Dyadic`` values are
+built once, at the end.
 
 Each matrix reports its ``(additions, shifts, sign_changes)``, counted
 from the arrays the engine executes (one shift per stored nonzero, the
@@ -26,11 +27,12 @@ cost model's count, one sign change per negative one), and
 ``plan.cost_of`` sums ``op_counts``.  Additions follow the cost model's
 convention: ``m - 1`` to combine a column's ``m`` terms, the cost of
 ``h^T W``.  ``W @ h`` as the engine runs it sums row segments instead,
-``nnz - (nonempty rows)`` pairwise additions per matrix, so the two agree
-only where a matrix has as many nonempty rows as nonempty columns (on the
-16x256 plan of the deploy benchmark, 10,496 counted against 10,799
-executed).  The counters do not depend on the data and must match what
-``plan.cost_of`` counts without running anything.
+``nnz - (nonempty rows)`` pairwise additions per matrix, which is
+``W.transpose().op_counts()[0]``, so the two agree only where a matrix has
+as many nonempty rows as nonempty columns (on the 16x256 plan of the
+deploy benchmark, 10,496 counted against 10,799 executed).  The counters
+do not depend on the data and must match what ``plan.cost_of`` counts
+without running anything.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ A plan records a codebook descriptor and the wiring stages in design order
 matrix is ``B @ W_1 @ ... @ W_L``.  Stages and stored codebook factors are
 ``Pow2Matrix`` integer arrays; the file keeps them as nested lists.  The
 factors and the stages form one chain (``DecompositionPlan.chain``) that
-exact reconstruction walks forward and the engine backward, each wire at a
-static binary point (``pow2matrix.walk``).
+exact reconstruction walks forward and the engine walks transposed, last
+to first, each wire at a static binary point (``pow2matrix.walk``).
 Reconstruction verifies a plan exactly: it carries every codebook row as
 a lane of one Python int per column (SIMD within a register), so each
 entry of the chain costs one big-integer operation for all rows at once.
@@ -219,14 +219,14 @@ class DecompositionPlan:
 
     @functools.cached_property
     def segments(self) -> tuple[Segments, ...]:
-        """The engine's executable form of ``chain``: each matrix's row
-        grouping (``Pow2Matrix.by_row``), last to first, as
-        ``pow2matrix.walk`` schedules it from inputs at point 0 with 0-bit
-        bounds, so each wire's ``bits`` is its growth over the inputs'
-        widest integer.  Built on first use and kept with the plan."""
+        """The engine's executable form of ``chain``: ``M @ h`` as
+        ``(h @ M.T).T``, so ``pow2matrix.walk`` over each matrix's
+        transpose, last to first, from inputs at point 0 with 0-bit bounds;
+        each wire's ``bits`` is its growth over the inputs' widest integer.
+        Built on first use and kept with the plan, its one cache."""
         zero = np.zeros(self.n_cols, dtype=np.int64)
-        return tuple(walk([m.by_row for m in reversed(self.chain)], zero,
-                          zero))
+        return tuple(walk([m.transpose() for m in reversed(self.chain)],
+                          zero, zero))
 
 
 def target_digest(target: np.ndarray) -> str:
@@ -249,19 +249,19 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     one exponent per row and one static binary point per column.  The rows
     travel packed: row ``i`` is lane ``i`` of one Python int per column,
     ``H_j = sum_i v_ij * 2**(w*i)``, and each matrix is one
-    ``pow2matrix.shift_add`` over its column grouping
-    (``Pow2Matrix.by_col``) as ``pow2matrix.walk`` schedules it from the
-    start columns (point 0, or unwritten where all zero): gather each
-    entry's row, shift the entries above their column's point, negate the
-    negative entries, sum each nonempty column.  Every step is linear, so
-    it acts on each lane alone.  The lane width ``w`` is static: the widest
-    bound ``walk`` gives a final column, plus a sign bit and a bias bit,
-    rounded up to whole bytes.  Each column is unpacked once: a bias of
-    ``2**(w-1)`` per lane makes every lane nonnegative, one ``to_bytes``
-    writes them all, and ``int.from_bytes`` reads each back.  Each column
-    is returned over the exponent the chain's per-matrix smallest exponents
-    sum to, which no point is below: its mantissas are shifted left by the
-    difference from its own point.
+    ``pow2matrix.shift_add`` over its stored columns as ``pow2matrix.walk``
+    schedules the chain from the start columns (point 0, or unwritten
+    where all zero): gather each entry's row, shift the entries above
+    their column's point, negate the negative entries, sum each nonempty
+    column.  Every step is linear, so it acts on each lane alone.  The
+    lane width ``w`` is static: the widest bound ``walk`` gives a final
+    column, plus a sign bit and a bias bit, rounded up to whole bytes.
+    Each column is unpacked once: a bias of ``2**(w-1)`` per lane makes
+    every lane nonnegative, one ``to_bytes`` writes them all, and
+    ``int.from_bytes`` reads each back.  Each column is returned over the
+    exponent the chain's per-matrix smallest exponents sum to, which no
+    point is below: its mantissas are shifted left by the difference from
+    its own point.
 
     Codebooks with stored factors start from the rows of their leading
     ``[I 0]`` selector (the identity for two-sparse); mailman and Gaussian
@@ -280,7 +280,7 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
         exps = [e for _, e in rows]
     bits = np.array([v.bit_length() for v in np.abs(block).max(axis=0)])
     start = np.where(bits > 0, 0, UNWRITTEN)
-    steps = list(walk([m.by_col for m in chain], start, bits))
+    steps = list(walk(chain, start, bits))
     top = int((steps[-1].bits if steps else bits).max())
     lane = -(-(top + 2) // 8)
     w = 8 * lane  # lane width in bits, whole bytes

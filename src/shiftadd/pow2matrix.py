@@ -8,15 +8,15 @@ reconstruction, the effective-codebook roll-forward ``advance_effective``
 and the cost accounting all run on them.  ``to_records`` is the file view,
 and ``to_json`` writes that view's text.
 
-Exact products group the entries by the output they sum into: ``by_row``
-is the grouping of ``mat @ h`` (the engine), ``by_col`` that of ``h @ mat``
-(exact reconstruction); each is built on first use and cached on the
-read-only matrix.  ``walk`` gives every wire of a chain of such products a
-static binary point, as a hardware build fixes it, and turns each grouping
-into executable ``Segments``: only the terms above their output's point are
-shifted, and each output carries a static bound on its integer's bits.
-One shift-add kernel, ``shift_add``, runs them, and ``run`` runs a chain of
-them from its input wires to its last outputs.
+Exact products run on the stored columns: ``walk`` schedules ``h @ mat``,
+one sum per nonempty column, so exact reconstruction walks a chain as it
+is, and the engine's ``mat @ h = (h @ mat.T).T`` walks the transposes
+(``transpose``).  ``walk`` gives every wire of such a chain a static binary
+point, as a hardware build fixes it, and turns each matrix into executable
+``Segments``: only the terms above their output's point are shifted, and
+each output carries a static bound on its integer's bits.  One shift-add
+kernel, ``shift_add``, runs them, and ``run`` runs a chain of them from
+its input wires to its last outputs.
 """
 
 from __future__ import annotations
@@ -37,26 +37,9 @@ _FIELDS = ("row", "negative", "exp", "col_len")
 _DTYPES = (np.int32, bool, np.int16, np.int32)
 
 
-class Grouping(NamedTuple):
-    """A matrix's entries grouped by the output each one sums into.
-
-    Entry ``t`` reads input position ``source[t]``, is scaled by
-    ``2**exp[t]`` and negated where ``negative[t]``; the
-    ``lengths[j]`` entries from ``starts[j]`` on sum into output
-    ``targets[j]`` of ``width``, and the other outputs are zero.
-    """
-
-    source: np.ndarray
-    exp: np.ndarray
-    negative: np.ndarray
-    starts: np.ndarray
-    lengths: np.ndarray
-    targets: np.ndarray
-    width: int
-
-
 class Segments(NamedTuple):
-    """One ``Grouping`` made executable on wire vectors at static points.
+    """``h @ mat`` for one ``Pow2Matrix`` made executable on wire vectors at
+    static points.
 
     A wire vector holds one Python int per stored wire and, last, a
     constant 0 that every wire nothing writes shares.  Term ``t`` reads
@@ -65,7 +48,7 @@ class Segments(NamedTuple):
     not at all, and the terms at ``negated`` are negated; the terms from
     ``starts[j]`` to the next start sum into position ``j`` of the output
     vector.  The last term reads the input's constant 0 and alone makes
-    the output's.  Output ``r`` of the grouping's width is at position
+    the output's.  Column ``r`` of the matrix is at position
     ``slot[r]``, the constant 0 if no entry writes it.  Position ``j``
     holds an integer ``v`` worth ``v * 2**point[j]`` (``UNWRITTEN`` where
     it is always 0), with ``|v| < 2**bits[j]`` while each input wire's
@@ -111,43 +94,46 @@ def run(x: np.ndarray, steps, point) -> tuple[np.ndarray, np.ndarray]:
     return h[slot], point[slot]
 
 
-def walk(groupings, point, bits):
-    """Yield the executable ``Segments`` of each grouping in turn, the
-    outputs of one the inputs of the next, from input wires at the binary
-    points ``point`` whose integers have at most ``bits`` bits; the first
-    input vector holds those wires in order, then its constant 0.
+def walk(mats, point, bits):
+    """Yield the executable ``Segments`` of ``h @ mat`` for each
+    ``Pow2Matrix`` ``mat`` of ``mats`` in turn, the outputs of one the
+    inputs of the next, from input wires at the binary points ``point``
+    whose integers have at most ``bits`` bits; the first input vector holds
+    those wires in order, then its constant 0.  Each nonempty column is one
+    segment of its stored entries, in stored order.
 
-    Output ``r`` sits at ``P_r = min(exp[t] + point[source[t]])`` over its
+    Column ``r`` sits at ``P_r = min(exp[t] + point[row[t]])`` over its
     entries ``t``, so entry ``t`` is shifted left by ``exp[t] +
-    point[source[t]] - P_r >= 0`` and at least one entry per output is not
-    shifted at all.  A wire that nothing writes (an empty output, not
+    point[row[t]] - P_r >= 0`` and at least one entry per column is not
+    shifted at all.  A wire that nothing writes (an empty column, not
     stored, or one whose entries all read such wires) holds 0 at
     ``UNWRITTEN`` with 0 bits: the entries reading it are not shifted and
-    do not lower their output's point.  ``m`` terms below ``2**b`` sum
-    below ``m * 2**b``, so output ``r`` of ``m`` entries gets
-    ``max(bits[source[t]] + shift[t]) + (m - 1).bit_length()`` bits.
+    do not lower their column's point.  ``m`` terms below ``2**b`` sum
+    below ``m * 2**b``, so column ``r`` of ``m`` entries gets
+    ``max(bits[row[t]] + shift[t]) + (m - 1).bit_length()`` bits.
     """
     point = np.append(np.asarray(point, dtype=np.int64), UNWRITTEN)
     bits = np.append(np.asarray(bits, dtype=np.int64), 0)
     slot = np.arange(len(point) - 1)
-    for g in groupings:
-        source = slot[g.source]
+    for mat in mats:
+        filled = np.flatnonzero(mat.col_len)
+        starts, lengths = mat.first[filled], mat.col_len[filled]
+        source = slot[mat.row]
         read = point[source]
         written = read != UNWRITTEN
-        at = np.where(written, g.exp + read, UNWRITTEN)
-        low = np.minimum.reduceat(at, g.starts)
-        shift = np.where(written, at - np.repeat(low, g.lengths), 0)
-        top = np.maximum.reduceat(bits[source] + shift, g.starts)
+        at = np.where(written, mat.exp + read, UNWRITTEN)
+        low = np.minimum.reduceat(at, starts)
+        shift = np.where(written, at - np.repeat(low, lengths), 0)
+        top = np.maximum.reduceat(bits[source] + shift, starts)
         # (m - 1).bit_length() is frexp's exponent, exact below 2**53
-        grown = np.where(low == UNWRITTEN, 0,
-                         top + np.frexp(g.lengths - 1)[1])
-        slot = np.full(g.width, len(g.targets))
-        slot[g.targets] = np.arange(len(g.targets))
+        grown = np.where(low == UNWRITTEN, 0, top + np.frexp(lengths - 1)[1])
+        slot = np.full(mat.cols, len(filled))
+        slot[filled] = np.arange(len(filled))
         shifted = np.flatnonzero(shift)
         seg = Segments(*map(_read_only, (
             np.append(source, len(point) - 1), shifted,
-            shift[shifted].astype(object), np.flatnonzero(g.negative),
-            np.append(g.starts, len(g.source)), slot,
+            shift[shifted].astype(object), np.flatnonzero(mat.negative),
+            np.append(starts, mat.nnz), slot,
             np.append(low, UNWRITTEN), np.append(grown, 0))))
         yield seg
         point, bits = seg.point, seg.bits
@@ -222,32 +208,14 @@ class Pow2Matrix:
     def nnz(self) -> int:
         return len(self.row)
 
-    @functools.cached_property
-    def by_row(self) -> Grouping:
-        """The entries in row order, one segment per nonempty row: the
-        grouping of ``self @ h``."""
-        row_len = np.bincount(self.row, minlength=self.rows)
-        filled = np.flatnonzero(row_len)
-        return self._grouping(np.argsort(self.row, kind="stable"), self.col,
-                              (np.cumsum(row_len) - row_len)[filled],
-                              row_len[filled], filled, self.rows)
-
-    @functools.cached_property
-    def by_col(self) -> Grouping:
-        """The entries in stored order, one segment per nonempty column:
-        the grouping of ``h @ self``."""
-        filled = np.flatnonzero(self.col_len)
-        return self._grouping(slice(None), self.row, self.first[filled],
-                              self.col_len[filled], filled, self.cols)
-
-    def _grouping(self, order, source, starts, lengths, targets,
-                  width) -> Grouping:
-        """``Grouping`` of the stored entries taken in ``order``; stored
-        entry ``t`` reads input position ``source[t]``."""
-        return Grouping(*map(_read_only, (
-            source[order], self.exp[order].astype(np.int64),
-            self.negative[order], starts, lengths.astype(np.int64),
-            targets)), width)
+    def transpose(self) -> "Pow2Matrix":
+        """The ``cols x rows`` transpose: its column ``r`` holds row ``r``'s
+        entries in column order.  Built through the constructor's checks
+        each time it is asked for, and kept nowhere."""
+        order = np.argsort(self.row, kind="stable")
+        return Pow2Matrix(self.cols, self.rows, self.col[order],
+                          self.negative[order], self.exp[order],
+                          np.bincount(self.row, minlength=self.rows))
 
     @property
     def col(self) -> np.ndarray:

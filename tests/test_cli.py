@@ -454,8 +454,57 @@ class TestUsageErrors:
                   "--stages", "2", "--samples", "0", "--out", str(path)])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err == ("usage error: matrix_samples must be at "
-                                "least 1\n")
+        assert captured.err == "usage error: --samples must be at least 1\n"
+        assert captured.out == "" and not path.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # a ZeroDivisionError traceback, exit 1
+        (["--fig", "cdf", "--K", "16", "--rate", "0"],
+         "--rate must be positive and finite"),
+        (["--fig", "total", "--K", "16", "--rates", "0"],
+         "--rates must be positive and finite"),
+        # rows for a negative rate, exit 0
+        (["--fig", "total", "--K", "16", "--rates", "0.5,-1"],
+         "--rates must be positive and finite"),
+        (["--asymptote", "--rate", "nan"],
+         "--rate must be positive and finite"),
+        # "math domain error"
+        (["--fig", "cdf", "--K", "16,0"], "--K must be at least 1"),
+        (["--fig", "cdf", "--points", "0"], "--points must be at least 1"),
+        # the library's parameter names, matrix_samples and n_stages
+        (["--fig", "lb", "--stages", "-1"], "--stages must be at least 0"),
+        (["--fig", "lb", "--N", "1"], "--N must be at least 2")])
+    def test_analyze_names_an_out_of_range_option(self, tmp_path, capsys,
+                                                  argv, message):
+        path = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", *argv, "--out", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert captured.out == "" and not path.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        # ran two fixed stages
+        (["--adaptive", "--stages", "2"], "--adaptive needs --bits"),
+        (["--adaptive"], "--adaptive needs --bits"),
+        # ignored --stages and ran to the accuracy of 8 bits
+        (["--bits", "8", "--stages", "2"],
+         "--stages cannot be combined with --bits"),
+        (["--bits", "8", "--adaptive", "--stages", "1"],
+         "--stages cannot be combined with --bits")])
+    def test_decompose_refuses_contradictory_schedules(self, tmp_path, capsys,
+                                                       flags, message):
+        mat = tmp_path / "m.csv"
+        matio.save_matrix_csv(mat, np.random.default_rng(702)
+                              .standard_normal((4, 16)))
+        path = tmp_path / "p.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--matrix", str(mat), "--out", str(path),
+                  *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
         assert captured.out == "" and not path.exists()
 
     def test_analyze_checks_arguments_before_writing(self, tmp_path, capsys):

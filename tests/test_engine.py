@@ -146,7 +146,8 @@ def _missing_rows_stage(rows, cols, missing):
                                         (i * 5 + c) % 13 - 6))
                          for i in sorted(picks)))
     stage = pow2matrix(rows, cols, tuple(out))
-    assert stage.by_row.targets.tolist() == hit  # the rows it hits
+    # the rows it hits
+    assert np.flatnonzero(stage.transpose().col_len).tolist() == hit
     return stage
 
 

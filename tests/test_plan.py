@@ -168,16 +168,15 @@ def _edge_plans():
 
 
 def _column_walk(plan):
-    """``walk`` over the column groupings of ``plan.chain`` from the
-    oracle's start rows, as ``reconstruct_exact`` walks it: yields each
-    matrix's ``Segments`` with the oracle's rows after that matrix."""
+    """``walk`` over ``plan.chain`` from the oracle's start rows, as
+    ``reconstruct_exact`` walks it: yields each matrix's ``Segments`` with
+    the oracle's rows after that matrix."""
     states = chain_rows_oracle(plan)
     start = next(states)
     bits = [max(abs(ints[j]) for ints, _ in start).bit_length()
             for j in range(len(start[0][0]))]
     point = [0 if b else UNWRITTEN for b in bits]
-    yield from zip(walk([m.by_col for m in plan.chain], point, bits), states,
-                   strict=True)
+    yield from zip(walk(plan.chain, point, bits), states, strict=True)
 
 
 def _assert_growth_bounds(plan):
@@ -228,24 +227,24 @@ class TestPackedReconstruction:
     def test_growth_of_one_matrix(self):
         # an output of m terms gains (m - 1).bit_length() bits over its
         # widest shifted term, and its lowest term is not shifted
-        def one(grouping):
-            seg, = walk([grouping], [0] * 4, [0] * 4)
+        def one(mat):
+            seg, = walk([mat], [0] * 4, [0] * 4)
             return (seg, seg.point[seg.slot].tolist(),
                     seg.bits[seg.slot].tolist())
 
-        empty, point, bits = one(_stage(4, [[], [], [], []]).by_col)
+        empty, point, bits = one(_stage(4, [[], [], [], []]))
         assert point == [UNWRITTEN] * 4 and bits == [0] * 4
         assert empty.slot.tolist() == [0] * 4  # all at the constant 0
-        single, point, bits = one(_stage(4, [[(0, 1, 3)]] * 4).by_col)
+        single, point, bits = one(_stage(4, [[(0, 1, 3)]] * 4))
         assert point == [3] * 4 and bits == [0] * 4
         assert not len(single.shifted)
         for m, grow in ((2, 1), (3, 2), (4, 2)):
             stage = _stage(4, [[(i, -1, 0) for i in range(m)], [], [],
                                [(0, 1, 5)]])
-            _, point, bits = one(stage.by_col)
+            _, point, bits = one(stage)
             assert bits == [grow, 0, 0, 0]
             assert point == [0, UNWRITTEN, UNWRITTEN, 5]
-            seg, point, bits = one(stage.by_row)
+            seg, point, bits = one(stage.transpose())
             assert bits == [5 + 1] + [0] * 3
             assert point == [0] * m + [UNWRITTEN] * (4 - m)
             assert seg.lshift.tolist() == [5]
@@ -256,7 +255,7 @@ class TestPackedReconstruction:
         first = _stage(4, [[(0, 1, 2)], [], [(1, 1, 0)], [(2, 1, 1)]])
         second = _stage(4, [[(0, 1, 0), (1, -1, EXP_MIN), (2, 1, 3)],
                             [(1, 1, EXP_MAX)], [], [(3, 1, 0)]])
-        head, seg = walk([first.by_col, second.by_col], [0] * 4, [1] * 4)
+        head, seg = walk([first, second], [0] * 4, [1] * 4)
         assert head.slot.tolist() == [0, 3, 1, 2]  # column 1 is not stored
         assert seg.source.tolist() == [0, 3, 1, 3, 2, 3]
         assert seg.point[seg.slot].tolist() == [2, UNWRITTEN, UNWRITTEN, 1]

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import shiftadd as sa
-from shiftadd.pot import EXP_MAX, SignedPow2
+from shiftadd.pot import EXP_MAX, EXP_MIN, SignedPow2
 from shiftadd.pow2matrix import (UNWRITTEN, Pow2Matrix, advance_effective,
                                  shift_add, walk)
 
 from helpers import (advance_effective_oracle, columns, pow2matrix,
                      random_dyadic_vector, same_bits, synthetic_plan)
+
+# all a Pow2Matrix holds: nothing derived from its arrays is kept on it
+STORED_FIELDS = {"rows", "cols", "row", "negative", "exp", "col_len"}
 
 
 def test_dense_and_nnz():
@@ -56,8 +59,7 @@ def test_array_storage():
             (),
             ((1, SignedPow2(1, 2)),))
     a = pow2matrix(3, 3, cols)
-    stored_fields = {"rows", "cols", "row", "negative", "exp", "col_len"}
-    assert set(vars(a)) == stored_fields  # nothing derived is built eagerly
+    assert set(vars(a)) == STORED_FIELDS
     assert a.row.tolist() == [0, 2, 1]
     assert a.negative.tolist() == [False, True, False]
     assert a.exp.tolist() == [0, -1, 2]
@@ -68,12 +70,14 @@ def test_array_storage():
     stored = (a.row, a.negative, a.exp, a.col_len)
     assert [v.dtype for v in stored] == [np.int32, bool, np.int16, np.int32]
     assert not any(v.flags.writeable for v in stored)
-    # each output's point is the smallest exponent it sums
-    seg, = walk([a.by_col], [0] * 3, [0] * 3)
+    # each column's point is the smallest exponent it sums
+    seg, = walk([a], [0] * 3, [0] * 3)
     assert seg.point[seg.slot].tolist() == [-1, UNWRITTEN, 2]
-    # only the cached derived values are kept, and only once asked for
-    assert set(vars(a)) == stored_fields | {"by_col"}
-    seg, = walk([pow2matrix(2, 2, ((), ())).by_row], [0] * 2, [0] * 2)
+    seg, = walk([a.transpose()], [0] * 3, [0] * 3)  # and each row's
+    assert seg.point[seg.slot].tolist() == [0, 2, -1]
+    # walking or transposing keeps nothing on the matrix
+    assert set(vars(a)) == STORED_FIELDS
+    seg, = walk([pow2matrix(2, 2, ((), ())).transpose()], [0] * 2, [0] * 2)
     assert seg.point[seg.slot].tolist() == [UNWRITTEN] * 2
     assert columns(a) == cols
 
@@ -138,38 +142,86 @@ def test_advance_effective_bits_on_adaptive_stage():
                      advance_effective_oracle(eff, stage))
 
 
-def test_derived_values_are_cached_read_only_and_fresh_after_loading():
+def test_matrices_keep_nothing_and_segments_are_built_once():
     rng = np.random.default_rng(803)
     plan = synthetic_plan(rng, max_stages=3)
     while not plan.stages:
         plan = synthetic_plan(rng, max_stages=3)
-    derived = ("by_row", "by_col")
     x = random_dyadic_vector(rng, plan.n_cols)
     y, _ = sa.apply(plan, x)
     sa.reconstruct(plan)
-    stage = plan.stages[0]
-    for name in derived:  # built once, then the same object
-        assert getattr(stage, name) is getattr(stage, name)
+    for mat in plan.chain:  # neither exact path caches on a matrix
+        assert set(vars(mat)) == STORED_FIELDS
     assert plan.segments is plan.segments
     seg = plan.segments[0]
-    arrays = [*stage.by_row[:6], *stage.by_col[:6], *seg]
-    assert not any(a.flags.writeable for a in arrays)
+    assert not any(a.flags.writeable for a in seg)
     assert seg.lshift.dtype == object
     assert all(type(s) is int and s > 0 for s in seg.lshift.tolist())
     back = sa.deserialize(sa.serialize(plan))
-    for mat in back.stages + back.codebook.factors:
-        assert not set(derived) & set(vars(mat))
     assert "segments" not in vars(back)  # loading schedules nothing
     assert sa.apply(back, x)[0] == y
     assert "segments" in vars(back)
+    for mat in back.chain:
+        assert set(vars(mat)) == STORED_FIELDS
     for old, new in zip(plan.segments, back.segments, strict=True):
         assert new.shifted is not old.shifted
         for a, b in zip(new, old):
             assert np.array_equal(a, b)
-    for old, new in zip(plan.stages, back.stages):
-        for view in ("by_row", "by_col"):
-            for a, b in zip(getattr(new, view), getattr(old, view)):
-                assert np.array_equal(a, b)
+
+
+def _edge_matrices(rng):
+    """Random sparse matrices of many shapes, with empty rows and columns,
+    exponents often at ``EXP_MIN`` or ``EXP_MAX``, and the empty ones."""
+    out = [pow2matrix(0, 0, ()), pow2matrix(0, 3, ((), (), ())),
+           pow2matrix(3, 0, ()), pow2matrix(2, 2, ((), ()))]
+    for rows, cols in ((1, 5), (5, 1), (3, 7), (7, 3), (6, 6), (16, 40)):
+        for density in (0.1, 0.4, 1.0):
+            pick = rng.random((rows, cols)) < density
+            pick[rng.integers(rows)] = False
+            pick[:, rng.integers(cols)] = False
+            exps = rng.choice([EXP_MIN, EXP_MAX, 0, -7, 12], (rows, cols))
+            signs = rng.choice([-1, 1], (rows, cols))
+            out.append(pow2matrix(rows, cols, tuple(
+                tuple((int(i), SignedPow2(int(signs[i, k]), int(exps[i, k])))
+                      for i in np.flatnonzero(pick[:, k]))
+                for k in range(cols))))
+    return out
+
+
+def test_transpose():
+    rng = np.random.default_rng(806)
+    for mat in _edge_matrices(rng):
+        t = mat.transpose()
+        assert (t.rows, t.cols) == (mat.cols, mat.rows)
+        assert t.transpose() == mat
+        assert np.array_equal(t.dense(), mat.dense().T)
+        assert t.nnz == mat.nnz
+        # the engine's pairwise additions: nnz - (nonempty rows)
+        rows_hit = len(np.unique(mat.row))
+        assert t.op_counts() == (mat.nnz - rows_hit, mat.nnz,
+                                 mat.op_counts()[2])
+        # built by the constructor, into its narrow read-only arrays
+        stored = (t.row, t.negative, t.exp, t.col_len)
+        assert [v.dtype for v in stored] == [np.int32, bool, np.int16,
+                                             np.int32]
+        assert not any(v.flags.writeable for v in stored)
+        assert mat.transpose() is not t  # and not cached
+
+
+def test_transposed_chain_counts_what_the_engine_executes():
+    # the 16x256 plan of the deploy benchmark at seed 0: cost_of counts
+    # m - 1 per column, the engine sums rows, and the gap is the transpose
+    target = np.random.default_rng([0, 3, 0]).standard_normal((16, 256))
+    cb = sa.make_codebook("self-designing", 16, 256, target=target,
+                          aux="target")
+    plan = sa.decompose(target, cb, sa.StageSchedule.fixed(
+        [1], target_bits=16, max_stages=96))
+    executed = [m.transpose().op_counts()[0] for m in plan.chain]
+    assert sum(executed) == 10_799
+    assert sa.cost_of(plan).additions == 10_496
+    # nnz - (nonempty rows), from the segments the engine runs
+    assert executed == [len(seg.source) - len(seg.starts)
+                        for seg in reversed(plan.segments)]
 
 
 def test_shift_add_on_non_square_matrices():
@@ -192,11 +244,11 @@ def test_shift_add_on_non_square_matrices():
                      if pick[i, k] else 0 for k in range(cols)]
                     for i in range(rows)]
             h = [int(v) for v in rng.integers(-2 ** 40, 2 ** 40, cols)]
-            seg, = walk([mat.by_row], [0] * cols, [41] * cols)
+            seg, = walk([mat.transpose()], [0] * cols, [41] * cols)
             assert _product(h, seg, low) == [
                 sum(a * b for a, b in zip(r, h)) for r in ints]
             for b in rng.integers(-2 ** 40, 2 ** 40, (2, rows)).tolist():
-                seg, = walk([mat.by_col], [0] * rows, [41] * rows)
+                seg, = walk([mat], [0] * rows, [41] * rows)
                 assert _product(b, seg, low) == [
                     sum(b[i] * ints[i][k] for i in range(rows))
                     for k in range(cols)]

@@ -430,6 +430,14 @@ def _fit_cases(draw):
           np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 3.0, 3.0, 1.0],
                     [-1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0]]),
           2, None, 2))
+# The first target column against this codebook is an exact tie in real
+# arithmetic: the kernel picks column 0 by the smallest-index rule, while
+# the oracle's gemv scores round apart towards column 4.
+@example((np.array([[1.974956489855447, 0.0, 0.0, 0.0, -2.0],
+                    [1.974956489855447, 0.0, 0.0, 0.0, -3.0]]),
+          np.array([[-2.0, -2.0, -2.0, -2.0, -3.0],
+                    [-3.0, -3.0, -3.0, -3.0, -2.0]]),
+          1, None, 2))
 def test_fit_columns_equal_the_oracle(case):
     tgt, cb, steps, stop_sq, chunk = case
     with mock.patch.object(wiring, "_CHUNK", chunk):
