@@ -1,7 +1,8 @@
 """Command-line surface: decompose, apply, bench, analyze, quantize.
 
-Exit codes: 0 success, 2 usage, 3 I/O, 4 numeric failure (including an
-unreachable accuracy target).  Every command is deterministic given
+Exit codes: 0 success, 2 usage (each option's range is declared with it
+in ``build_parser``), 3 I/O, 4 numeric failure (including an unreachable
+accuracy target) or out of memory.  Every command is deterministic given
 ``--seed``; bench cells derive their generators from the root seed plus the
 cell index, so tables reproduce bit for bit regardless of worker count.
 """
@@ -22,7 +23,7 @@ from . import analysis, engine, matio, wiring
 from .codebooks import make_codebook
 from .errors import (AccuracyUnreachableError, MatrixFormatError,
                      PlanFormatError, ShiftAddError)
-from .plan import (MAX_STAGES, StageSchedule, cost_of, deserialize,
+from .plan import (MAX_BITS, MAX_STAGES, StageSchedule, cost_of, deserialize,
                    serialize)
 from .pot import binary_encode, csd_decode, csd_encode
 
@@ -40,6 +41,25 @@ def _usage_error(msg: str) -> SystemExit:
     return SystemExit(EXIT_USAGE)
 
 
+def _number(name: str, parse, low=None, high=None):
+    """An argparse type: ``parse(text)`` in ``[low, high]`` (unbounded above
+    when ``high`` is None; positive and finite when ``low`` is too), else a
+    usage error naming ``name``.  Unreadable text stays argparse's error."""
+    def convert(text: str):
+        value = parse(text)
+        if low is None:
+            inside, want = 0.0 < value < math.inf, "positive and finite"
+        elif high is None:
+            inside, want = value >= low, f"at least {low}"
+        else:
+            inside, want = low <= value <= high, f"in [{low}, {high}]"
+        if not inside:
+            raise _usage_error(f"{name} must be {want}")
+        return value
+    convert.__name__ = parse.__name__
+    return convert
+
+
 def _list_of(parse, name: str):
     """An argparse type: a nonempty comma-separated list of ``parse`` items
     (argparse makes a ``ValueError`` a usage error, exit 2)."""
@@ -52,20 +72,12 @@ def _list_of(parse, name: str):
     return convert
 
 
+_size = _number("--shapes sizes", int, 1)
+
+
 def _shape(text: str) -> tuple[int, int]:
     n, _, k = text.lower().partition("x")
-    return int(n), int(k)
-
-
-_int_list = _list_of(int, "integer list")
-
-
-def _checked(build, *values) -> StageSchedule:
-    """``build(*values)``: a schedule it refuses is a usage error."""
-    try:
-        return build(*values)
-    except ValueError as exc:
-        raise _usage_error(str(exc))
+    return _size(n), _size(k)
 
 
 def _build_schedule(args) -> StageSchedule:
@@ -74,15 +86,15 @@ def _build_schedule(args) -> StageSchedule:
     if args.bits is not None and args.stages is not None:
         raise _usage_error("--stages cannot be combined with --bits")
     if args.adaptive:
-        return _checked(StageSchedule.adaptive, args.bits, args.max_stages)
+        return StageSchedule.adaptive(args.bits, args.max_stages)
     if args.bits is not None:
-        return _checked(StageSchedule.fixed, [args.stage_sparsity], args.bits,
-                        args.max_stages)
+        return StageSchedule.fixed([args.stage_sparsity], args.bits,
+                                   args.max_stages)
     if args.stages is None:
         raise _usage_error("one of --bits or --stages is required")
-    if not 0 <= args.stages <= MAX_STAGES:  # before the list is built
-        raise _usage_error(f"--stages must be in [0, {MAX_STAGES}]")
-    return _checked(StageSchedule.fixed, [args.stage_sparsity] * args.stages)
+    if args.stages == 0:  # a schedule without --bits lists at least one
+        raise _usage_error("--stages must be at least 1 without --bits")
+    return StageSchedule.fixed([args.stage_sparsity] * args.stages)
 
 
 def _print_summary(plan, out=None) -> None:
@@ -179,15 +191,9 @@ def _bench_cell(cell) -> dict | AccuracyUnreachableError:
 
 
 def cmd_bench(args) -> int:
-    if args.samples < 1:
-        raise _usage_error("--samples must be at least 1")
-    if args.jobs < 1:
-        raise _usage_error("--jobs must be at least 1")
-    bits = args.bits
-    schedules = [
-        _checked(StageSchedule.adaptive, q, args.max_stages) if args.adaptive
-        else _checked(StageSchedule.fixed, [1], q, args.max_stages)
-        for q in bits]
+    schedules = [StageSchedule.adaptive(q, args.max_stages) if args.adaptive
+                 else StageSchedule.fixed([1], q, args.max_stages)
+                 for q in args.bits]
     common = (CLI_KINDS[args.codebook], args.target, args.samples, args.seed)
     cells = [(idx, cell, common) for idx, cell in
              enumerate(itertools.product(args.shapes, schedules))]
@@ -199,12 +205,12 @@ def cmd_bench(args) -> int:
     rows = [r for r in results if isinstance(r, dict)]
     failed = [r for r in results if not isinstance(r, dict)]
 
-    for q in bits:
+    for q in args.bits:
         rows.append({"shape": "baseline(binary)", "bits": q,
                      "adds_per_entry": (q - 1) / 2.0, "stderr": 0.0,
                      "samples": 0, "mean_stages": 0.0})
         rows.append({"shape": "baseline(csd)", "bits": q,
-                     "adds_per_entry": math.log(4.0 ** (q - 1), 28.0) + 1.0,
+                     "adds_per_entry": (q - 1) * math.log(4.0, 28.0) + 1.0,
                      "stderr": 0.0, "samples": 0, "mean_stages": 0.0})
 
     out = open(args.out, "w") if args.out else sys.stdout
@@ -243,21 +249,7 @@ def _cell_text(v) -> str:
     return str(v)
 
 
-def _check_analyze(args) -> None:
-    """Refuse an out-of-range analyze option by its name."""
-    for name, values in (("--rate", [args.rate]), ("--rates", args.rates)):
-        if not all(0.0 < v < math.inf for v in values):
-            raise _usage_error(f"{name} must be positive and finite")
-    for name, values, low in (("--K", args.K, 1), ("--N", [args.N], 2),
-                              ("--points", [args.points], 1),
-                              ("--stages", [args.stages], 0),
-                              ("--samples", [args.samples], 1)):
-        if min(values) < low:
-            raise _usage_error(f"{name} must be at least {low}")
-
-
 def cmd_analyze(args) -> int:
-    _check_analyze(args)
     # built in memory first: arguments a model refuses leave no output
     buf = io.StringIO()
     try:
@@ -273,6 +265,8 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze(args, out) -> None:
+    if args.N is not None and (args.asymptote or args.fig != "lb"):
+        raise _usage_error("--N is used only by --fig lb")
     if args.asymptote:
         out.write(f"{analysis.asymptotic_threshold(args.rate)!r}\n")
     elif args.fig == "cdf":
@@ -286,7 +280,9 @@ def _analyze(args, out) -> None:
             row = [f"{rv:.6g}"] + [f"{c[i]:.6g}" for c in curves]
             out.write(",".join(row) + "\n")
     elif args.fig == "lb":
-        n, k = args.N, args.K[0]
+        if len(args.K) > 1:
+            raise _usage_error("--K takes one value with --fig lb")
+        n, k = args.N or 8, args.K[0]
         s, mean, err = analysis.simulate_decomposition(
             n, k, args.stages, "gaussian", args.seed, args.samples)
         out.write("s,lower_bound,simulated,stderr\n")
@@ -310,6 +306,8 @@ def cmd_quantize(args) -> int:
         value = float(args.value)
     except ValueError:
         raise _usage_error(f"cannot parse value {args.value!r}")
+    if args.mode == "binary" and args.budget < 1:
+        raise _usage_error("--budget must be at least 1 with --mode binary")
     if args.mode == "binary":
         form = binary_encode(value, args.budget)
     else:
@@ -329,18 +327,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "products and evaluate them with shifts and adds only.")
     sub = p.add_subparsers(dest="command", required=True)
 
+    bits = _number("--bits", int, 1, MAX_BITS)
+    max_stages = _number("--max-stages", int, 0, MAX_STAGES)
+    samples = _number("--samples", int, 1)
+    seed = _number("--seed", int, 0)
+
     d = sub.add_parser("decompose", help="fit a plan to a matrix file")
     d.add_argument("--matrix", required=True)
     d.add_argument("--codebook", choices=sorted(CLI_KINDS), default="self")
-    d.add_argument("--bits", type=int, default=None)
-    d.add_argument("--stages", type=int, default=None)
-    d.add_argument("--stage-sparsity", type=int, default=1)
+    d.add_argument("--bits", type=bits, default=None)
+    d.add_argument("--stages", type=_number("--stages", int, 0, MAX_STAGES),
+                   default=None)
+    d.add_argument("--stage-sparsity", type=_number("--stage-sparsity", int,
+                                                    0), default=1)
     d.add_argument("--adaptive", action="store_true",
                    help="single wiring stage, per-column adaptive budget")
-    d.add_argument("--max-stages", type=int, default=64)
+    d.add_argument("--max-stages", type=max_stages, default=64)
     d.add_argument("--aux", choices=["auto", "target", "gaussian"],
                    default="auto")
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=seed, default=0)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_decompose)
 
@@ -353,15 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="adds-per-entry table over shapes/bits")
     b.add_argument("--shapes", type=_list_of(_shape, "NxK list"),
                    default="16x1024")
-    b.add_argument("--bits", type=_int_list, default="2,4,8,16,24")
+    b.add_argument("--bits", type=_list_of(bits, "integer list"),
+                   default="2,4,8,16,24")
     b.add_argument("--codebook", choices=sorted(CLI_KINDS), default="self")
     b.add_argument("--target", choices=["gaussian", "uniform"],
                    default="gaussian")
     b.add_argument("--adaptive", action="store_true")
-    b.add_argument("--samples", type=int, default=20)
-    b.add_argument("--max-stages", type=int, default=96)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--jobs", type=int, default=1)
+    b.add_argument("--samples", type=samples, default=20)
+    b.add_argument("--max-stages", type=max_stages, default=96)
+    b.add_argument("--seed", type=seed, default=0)
+    b.add_argument("--jobs", type=_number("--jobs", int, 1), default=1)
     b.add_argument("--format", choices=["csv", "md", "json"], default="csv")
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_bench)
@@ -369,22 +375,25 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="error-model curves as CSV")
     an.add_argument("--fig", choices=["cdf", "lb", "total"], default=None)
     an.add_argument("--asymptote", action="store_true")
-    an.add_argument("--rate", type=float, default=1.0)
-    an.add_argument("--rates", type=_list_of(float, "number list"),
+    an.add_argument("--rate", type=_number("--rate", float), default=1.0)
+    an.add_argument("--rates", type=_list_of(_number("--rates", float),
+                                             "number list"),
                     default="0.25,0.5,1,2")
-    an.add_argument("--N", type=int, default=8)
-    an.add_argument("--K", type=_int_list, default="256")
-    an.add_argument("--points", type=int, default=201)
-    an.add_argument("--stages", type=int, default=20)
-    an.add_argument("--samples", type=int, default=20)
-    an.add_argument("--seed", type=int, default=0)
+    an.add_argument("--N", type=_number("--N", int, 2), default=None,
+                    help="rows of --fig lb (default 8)")
+    an.add_argument("--K", type=_list_of(_number("--K", int, 1),
+                                         "integer list"), default="256")
+    an.add_argument("--points", type=_number("--points", int, 1), default=201)
+    an.add_argument("--stages", type=_number("--stages", int, 0), default=20)
+    an.add_argument("--samples", type=samples, default=20)
+    an.add_argument("--seed", type=seed, default=0)
     an.add_argument("--out", default=None)
     an.set_defaults(func=cmd_analyze)
 
     q = sub.add_parser("quantize", help="show a scalar's digit form")
     q.add_argument("value")
     q.add_argument("--mode", choices=["binary", "csd"], default="csd")
-    q.add_argument("--budget", type=int, default=2)
+    q.add_argument("--budget", type=_number("--budget", int, 0), default=2)
     q.set_defaults(func=cmd_quantize)
     return p
 
@@ -399,6 +408,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (AccuracyUnreachableError, ShiftAddError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # numpy's names the size; Python's is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

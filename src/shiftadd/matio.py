@@ -39,9 +39,7 @@ def load_matrix_csv(path) -> np.ndarray:
         with warnings.catch_warnings():  # an empty file is reported below
             warnings.simplefilter("ignore", UserWarning)
             mat = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, OSError):
-            raise
+    except ValueError as exc:
         raise MatrixFormatError(f"cannot parse matrix CSV {path}: {exc}") \
             from exc
     if mat.size == 0:

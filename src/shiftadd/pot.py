@@ -158,12 +158,6 @@ class CsdForm:
         return " ".join(f"{'+' if s > 0 else '-'}2^{e}" for s, e in self.terms)
 
 
-def _round_half_away(f: Fraction) -> int:
-    if f >= 0:
-        return int(f + Fraction(1, 2))
-    return -int(-f + Fraction(1, 2))
-
-
 def binary_encode(t: float, num_bits: int) -> CsdForm:
     """Sign-magnitude binary expansion of ``t`` in a ``num_bits`` budget.
 
@@ -176,7 +170,7 @@ def binary_encode(t: float, num_bits: int) -> CsdForm:
     if not abs(t) <= 1.0:
         raise ValueError(f"binary_encode expects t in [-1, 1], got {t!r}")
     frac_bits = num_bits - 1
-    q = _round_half_away(Fraction(abs(t)) * (1 << frac_bits))
+    q = int(Fraction(abs(t)) * (1 << frac_bits) + Fraction(1, 2))
     sign = 1 if t > 0 else -1
     terms = []
     bit = q.bit_length() - 1

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -289,6 +290,41 @@ class TestBench:
         header = out.splitlines()[0]
         assert header.startswith("shape,bits,adds_per_entry")
 
+    def test_md_format(self, capsys):
+        code, out, _ = run(capsys, "bench", "--shapes", "4x16", "--bits",
+                           "2", "--samples", "1", "--format", "md")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == [
+            "| shape | bits | adds_per_entry | stderr | samples | "
+            "mean_stages |", "|---|---|---|---|---|---|"]
+        assert len(lines) == 5
+        assert all(ln.startswith("| ") and ln.endswith(" |")
+                   and ln.count(" | ") == 5 for ln in lines[2:])
+
+    def test_out_file_equals_stdout(self, tmp_path, capsys):
+        args = ["bench", "--shapes", "4x16", "--bits", "2,4", "--samples",
+                "2", "--seed", "4"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        path = tmp_path / "table.csv"
+        assert run(capsys, *args, "--out", str(path)) == (0, "", "")
+        assert path.read_text() == out
+
+    def test_wide_bits_keep_their_baselines(self, capsys):
+        # used to end in an OverflowError traceback from 4.0 ** 519, with
+        # no row printed
+        code, out, err = run(capsys, "bench", "--shapes", "2x4", "--bits",
+                             "520", "--samples", "1", "--max-stages", "0",
+                             "--format", "json")
+        assert code == 4
+        rows = json.loads(out)
+        assert [(r["shape"], r["bits"]) for r in rows] == [
+            ("baseline(binary)", 520), ("baseline(csd)", 520)]
+        assert rows[1]["adds_per_entry"] == pytest.approx(
+            519 * math.log(4.0, 28.0) + 1.0)
+        assert err.startswith("error: cell 2x4 at 520 bits, sample 0: ")
+
     def test_worker_pool_matches_serial(self, capsys):
         args = ["bench", "--shapes", "4x16,3x8", "--bits", "2,4",
                 "--samples", "2", "--seed", "9", "--format", "csv"]
@@ -374,6 +410,56 @@ class TestAnalyze:
         assert lines[0] == "K,rate,total_error,total_error_pow_1_over_R"
         assert len(lines) == 5
 
+    def test_out_file_equals_stdout(self, tmp_path, capsys):
+        args = ["analyze", "--fig", "lb", "--N", "5", "--K", "32",
+                "--stages", "3", "--samples", "3", "--seed", "2"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        path = tmp_path / "lb.csv"
+        assert run(capsys, *args, "--out", str(path)) == (0, "", "")
+        assert path.read_text() == out
+
+
+# each ranged option with one value out of its range, and the one line
+# that refuses it
+RANGE_CASES = [
+    (["decompose", "--bits", "0"], "--bits must be in [1, 537]"),
+    (["decompose", "--bits", "538"], "--bits must be in [1, 537]"),
+    (["decompose", "--stages", "-1"], "--stages must be in [0, 4096]"),
+    (["decompose", "--stages", "0"],
+     "--stages must be at least 1 without --bits"),
+    (["decompose", "--stages", "1", "--stage-sparsity", "-1"],
+     "--stage-sparsity must be at least 0"),
+    (["decompose", "--bits", "8", "--max-stages", "4097"],
+     "--max-stages must be in [0, 4096]"),
+    (["decompose", "--stages", "1", "--seed", "-1"],
+     "--seed must be at least 0"),
+    (["bench", "--bits", "4,538"], "--bits must be in [1, 537]"),
+    (["bench", "--max-stages", "-1"], "--max-stages must be in [0, 4096]"),
+    (["bench", "--seed", "-1"], "--seed must be at least 0"),
+    (["bench", "--samples", "0"], "--samples must be at least 1"),
+    (["bench", "--jobs", "0"], "--jobs must be at least 1"),
+    (["bench", "--shapes", "0x4"], "--shapes sizes must be at least 1"),
+    (["bench", "--shapes", "4x16,4x0"],
+     "--shapes sizes must be at least 1"),
+    (["analyze", "--fig", "cdf", "--rate", "0"],
+     "--rate must be positive and finite"),
+    (["analyze", "--fig", "total", "--rates", "1,inf"],
+     "--rates must be positive and finite"),
+    (["analyze", "--fig", "lb", "--N", "1"], "--N must be at least 2"),
+    (["analyze", "--fig", "cdf", "--K", "16,0"], "--K must be at least 1"),
+    (["analyze", "--fig", "cdf", "--points", "0"],
+     "--points must be at least 1"),
+    (["analyze", "--fig", "lb", "--stages", "-1"],
+     "--stages must be at least 0"),
+    (["analyze", "--fig", "lb", "--samples", "0"],
+     "--samples must be at least 1"),
+    (["analyze", "--fig", "lb", "--seed", "-1"],
+     "--seed must be at least 0"),
+    (["quantize", "--budget", "-1"], "--budget must be at least 0"),
+    (["quantize", "--mode", "binary", "--budget", "0"],
+     "--budget must be at least 1 with --mode binary")]
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -401,7 +487,7 @@ class TestUsageErrors:
             main(argv + ["--bits", str(10 ** 310)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err == "usage error: target_bits must be in [1, 537]\n"
+        assert err == "usage error: --bits must be in [1, 537]\n"
 
     @pytest.mark.parametrize("stages, last_line", [
         (str(10 ** 20), "usage error: --stages must be in [0, 4096]"),
@@ -506,6 +592,68 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err == f"usage error: {message}\n"
         assert captured.out == "" and not path.exists()
+
+    @pytest.mark.parametrize("argv, message", RANGE_CASES,
+                             ids=[" ".join(argv) for argv, _ in RANGE_CASES])
+    def test_every_range_names_its_option(self, tmp_path, capsys, argv,
+                                          message):
+        mat = tmp_path / "m.csv"
+        matio.save_matrix_csv(mat, np.eye(4))
+        path = tmp_path / "out"
+        command, *flags = argv
+        # a valid command line before the one bad value
+        base = {"decompose": ["--matrix", str(mat), "--out", str(path)],
+                "bench": ["--shapes", "4x16", "--bits", "4", "--samples", "1",
+                          "--out", str(path)],
+                "analyze": ["--K", "16", "--stages", "2", "--samples", "2",
+                            "--points", "11", "--out", str(path)],
+                "quantize": ["0.5"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *base, *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert message.startswith(flags[-2])
+        assert captured.out == "" and not path.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # printed the K=16 curve alone, exit 0
+        (["--fig", "lb", "--K", "16,64"], "--K takes one value with --fig lb"),
+        # these derive N from the rate
+        (["--fig", "cdf", "--N", "4"], "--N is used only by --fig lb"),
+        (["--fig", "total", "--N", "4"], "--N is used only by --fig lb"),
+        (["--asymptote", "--N", "4"], "--N is used only by --fig lb")],
+        ids=["lb-K", "cdf-N", "total-N", "asymptote-N"])
+    def test_analyze_refuses_an_option_its_figure_ignores(self, tmp_path,
+                                                          capsys, argv,
+                                                          message):
+        path = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--stages", "2", "--samples", "2", *argv,
+                  "--out", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert captured.out == "" and not path.exists()
+
+    @pytest.mark.parametrize("argv, callee, message, line", [
+        (["bench", "--shapes", "4x16", "--bits", "4", "--samples", "1"],
+         "shiftadd.cli.make_codebook",
+         "Unable to allocate 8.00 EiB for an array with shape "
+         "(1048576, 1099511627776) and data type float64", None),
+        (["analyze", "--fig", "cdf", "--K", "16"],
+         "shiftadd.analysis.angle_error_cdf", "", "out of memory")],
+        ids=["bench", "analyze"])
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch, argv,
+                                       callee, message, line):
+        # used to end in a MemoryError traceback, exit 1
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(callee, no_memory)
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == "" and err == f"error: {line or message}\n"
 
     def test_analyze_checks_arguments_before_writing(self, tmp_path, capsys):
         argv = ["analyze", "--fig", "lb", "--N", "1", "--K", "8",
