@@ -92,8 +92,6 @@ def _build_schedule(args) -> StageSchedule:
                                    args.max_stages)
     if args.stages is None:
         raise _usage_error("one of --bits or --stages is required")
-    if args.stages == 0:  # a schedule without --bits lists at least one
-        raise _usage_error("--stages must be at least 1 without --bits")
     return StageSchedule.fixed([args.stage_sparsity] * args.stages)
 
 
@@ -273,7 +271,7 @@ def _analyze(args, out) -> None:
         r = np.linspace(0.0, 1.0, args.points)
         curves = []
         for k in args.K:
-            n = max(2, round(math.log2(k) / args.rate))
+            n = _rows_at(args.rate, k, "--rate")
             curves.append(analysis.angle_error_cdf(n, k, r))
         out.write("r," + ",".join(f"K{k}" for k in args.K) + "\n")
         for i, rv in enumerate(r):
@@ -293,12 +291,23 @@ def _analyze(args, out) -> None:
         out.write("K,rate,total_error,total_error_pow_1_over_R\n")
         for rate in args.rates:
             for k in args.K:
-                n = max(2, round(math.log2(k) / rate))
+                n = _rows_at(rate, k, "--rates")
                 eps = analysis.total_error(n, k)
                 out.write(f"{k},{rate:.6g},{eps:.6g},"
                           f"{eps ** (1.0 / rate):.6g}\n")
     else:
         raise _usage_error("choose --fig {cdf,lb,total} or --asymptote")
+
+
+def _rows_at(rate: float, k: int, name: str) -> int:
+    """The row count ``round(log2(K) / rate)``, at least 2, of a figure
+    that derives N from the rate; a usage error naming ``name`` when that
+    count is infinite in float64."""
+    n = math.log2(k) / rate
+    if not math.isfinite(n):
+        raise _usage_error(f"{name} is too small for --K {k}: the row "
+                           "count log2(K)/rate overflows")
+    return max(2, round(n))
 
 
 def cmd_quantize(args) -> int:
@@ -336,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--matrix", required=True)
     d.add_argument("--codebook", choices=sorted(CLI_KINDS), default="self")
     d.add_argument("--bits", type=bits, default=None)
-    d.add_argument("--stages", type=_number("--stages", int, 0, MAX_STAGES),
+    d.add_argument("--stages", type=_number("--stages", int, 1, MAX_STAGES),
                    default=None)
     d.add_argument("--stage-sparsity", type=_number("--stage-sparsity", int,
                                                     0), default=1)

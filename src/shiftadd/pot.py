@@ -172,13 +172,12 @@ def binary_encode(t: float, num_bits: int) -> CsdForm:
     frac_bits = num_bits - 1
     q = int(Fraction(abs(t)) * (1 << frac_bits) + Fraction(1, 2))
     sign = 1 if t > 0 else -1
-    terms = []
-    bit = q.bit_length() - 1
-    while bit >= 0:
-        if q >> bit & 1:
-            terms.append((sign, bit - frac_bits))
-        bit -= 1
-    return CsdForm(tuple(terms))
+    # bin() reads every bit in one pass; shifting q once per bit would
+    # copy the whole integer each time
+    digits = bin(q)[2:]
+    top = len(digits) - 1 - frac_bits
+    return CsdForm(tuple((sign, top - i) for i, d in enumerate(digits)
+                         if d == "1"))
 
 
 def csd_encode(t: float, max_terms: int) -> CsdForm:

@@ -21,6 +21,18 @@ the sense of El Ghaoui et al. (2012).  Besides the support, one or two
 columns per step remain to be scored, and every fit equals the full
 scan's, float for float.
 
+From the second stage of a fixed-stage fit on, the first step of a column
+often needs no scan at all.  The rolled codebook's column ``e_k`` then
+approximates target column ``t_k``: with ``gap = max_j |t_j - e_j| /
+|t_j|`` and ``c_k`` the largest ``|cos(t_k, t_j)|`` over the other target
+columns, Cauchy-Schwarz bounds the cosine of ``t_k`` with every other
+``e_j`` by ``(c_k + gap) / (1 - gap)``.  Where that keeps every other
+column's bound below what ``e_k`` achieves, ``e_k`` is the first pick,
+proven from one dot product: a safe rule of the same kind (Fercoq,
+Gramfort and Salmon, ICML 2015).  ``fit_stages`` computes ``c`` once, when
+a gap first falls below 1/2; on the 16x1024 Table-1 design the proof holds
+for about 80% of the (later stage, column) pairs.
+
 One kernel, ``_fit_columns``, runs every fit: ``fit_stage``, ``fit_column``,
 the adaptive fit and codebook self-design.  Each greedy step runs once over
 all live target columns, one per row of an array, and each column leaves
@@ -35,7 +47,10 @@ recorded.
 One loop, ``fit_stages``, fits stages one after another, each against the
 codebook rolled forward through the stages before it: the fixed-stage
 ``decompose``, codebook self-design and ``analysis.simulate_decomposition``
-all run on it.
+all run on it.  Only it proves first steps, as the adaptive fit has no
+earlier stage.  Codebook self-design runs on it too, but on the paper's
+Table-1 and Table-2 cells its second stage starts at a gap above 1/2 (0.87
+and 0.83), so it never computes ``c``.
 """
 
 from __future__ import annotations
@@ -57,6 +72,9 @@ _CHUNK = 128
 # covers subnormal rounding; see _fit_columns for why it suffices.
 _SLACK_REL = 2.0 ** -40
 _SLACK_ABS = 2.0 ** -1000
+# The least squared norm of a target column at which a first pick may be
+# proven; see _fit_columns.
+_NORM_FLOOR = 2.0 ** -400
 
 
 @dataclass(frozen=True)
@@ -89,7 +107,8 @@ def _check_finite(tgt: np.ndarray, cb: np.ndarray) -> float:
 
 
 def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
-                 stop_sq: np.ndarray | None = None
+                 stop_sq: np.ndarray | None = None,
+                 cos_max: np.ndarray | None = None
                  ) -> tuple[Pow2Matrix, np.ndarray, np.ndarray, np.ndarray]:
     """Greedy-fit every column of ``tgt`` over the columns of ``cb``.
 
@@ -153,6 +172,49 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     absolute floor covers subnormal rounding when ``r_sq`` is tiny.  Scales
     at which ``2 u`` could overflow are refused up front, so no score is
     NaN.
+
+    **The proven first pick.**  With ``cos_max``, target column ``t_k`` is
+    paired with codebook column ``e_k``, as in a later stage of
+    ``fit_stages``.  Let ``c_k = cos_max[k]``, at least ``|cos(t_k, t_j)|``
+    for every ``j != k``, and ``gap = max_j |t_j - e_j| / |t_j|``.  As
+    ``t_k . e_j = t_k . t_j + t_k . (e_j - t_j)`` and ``|e_j| >= (1 - gap)
+    |t_j|``, Cauchy-Schwarz gives ``|cos(t_k, e_j)| <= rho_k = (c_k + gap)
+    / (1 - gap)``, so ``bound_j <= r_sq rho_k**2`` for every ``j != k`` at
+    step 1, where the weights are 0 and ``r_sq = |t_k|**2``.  If ``r_sq
+    rho_k**2 < r_sq - score_k - slack``, the screen's argument shows that
+    every other column scores above ``e_k``, and that ``e_k`` improves.  A
+    row that passes this test takes ``e_k`` as its ``top`` from one dot
+    product and leaves the step's ``(chunk x K)`` passes: it has nothing
+    left to scan.  As ``rho_k < 1`` needs ``gap < 1/2``, no row is tested
+    otherwise.  ``gap < 1/2`` also gives every ``e_j`` a nonzero norm, so
+    ``usable`` indexes all of ``cb``.  A target column whose squared norm
+    is below ``_NORM_FLOOR = 2**-400`` makes ``gap`` infinite.
+
+    **Margins of the proof** (``g = N eps / (1 - N eps)``, ``N`` the
+    rows).  The floats differ from the quantities above by at most:
+    ``2 g + 6 eps`` for ``c_k`` (a norm, a division and a dot product of
+    unit columns); ``g + 3 eps`` for ``gap < 1/2`` (a difference, two sums,
+    a division and a square root); and ``2 g`` on ``rho`` for the kernel's
+    own ``u_j`` (error at most ``g |t_k| |e_j|``) and ``norms_j`` (at least
+    ``(1 - g) |e_j|**2``), from which its bound is formed.  These sum to
+    less than ``5 g + 9 eps``, so ``rho`` is computed with ``margin = (N +
+    2) 2**-50 = 8 (N + 2) eps`` added to ``c_k + gap`` and taken from ``1 -
+    gap``.  The threshold gives up ``margin r_sq`` as well: the kernel's
+    gemm ``u_k`` may differ from the dot product's by ``2 g |t_k| |e_k|``,
+    which moves ``score_k`` by at most ``2 |v| 2 g |t_k| |e_k| <= 6 g
+    r_sq`` (``|v| <= 4/3 |u_k| / norms_k``), and forming ``r_sq rho**2``
+    and the threshold adds a few ``eps r_sq``, all within ``slack``.  The
+    norm floor keeps each product's underflow error, at most ``N
+    2**-1074``, far below these relative errors.  It also keeps the full
+    scan exact where the proof applies: a proven row has ``bound_k >=
+    2**-40 r_sq`` and ``norms_k >= r_sq / 4``, so ``u_k * u_k >= 2**-842``
+    does not underflow, and every other bound's subnormal rounding, scaled
+    by ``1 / norms_j <= 2**402``, stays below ``2**-672``, far below the
+    slack of at least ``2**-440``.  (Below the floor, ``u * u`` can
+    underflow to 0 and the scan can miss the pick the oracle finds.)  The
+    pick is forced; its weight ``pow2_round(u_k / norms_k)`` can differ
+    from the full scan's only where that ratio sits at a rounding
+    midpoint, the near-tie of the first paragraph.
     """
     norm_sq = _check_finite(tgt, cb)
     cb_t = np.ascontiguousarray(cb.T)
@@ -164,6 +226,7 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
             < 2.0 ** 1020):
         raise ValueError("the target and codebook scales overflow float64 "
                          "in the fit; rescale them by powers of two")
+    gap = math.inf if cos_max is None else _max_gap(tgt, cb)
     # a column of zero norm can never be picked: fit over the others only,
     # and take no step when there are none
     usable = np.flatnonzero(norms_all > 0.0)
@@ -203,8 +266,18 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
         top = np.empty(act.size, dtype=np.intp)
         u_cand = np.empty((act.size, t + 1))
         second = np.empty(act.size)
-        for lo in range(0, act.size, _CHUNK):
-            c = slice(lo, lo + _CHUNK)
+        chunks = [slice(lo, lo + _CHUNK) for lo in range(0, act.size, _CHUNK)]
+        if t == 0 and gap < 0.5:
+            # a proven row's top is its own column, with nothing left to
+            # score after it
+            proven, u_own = _proven_first(r[act], cb_t[act], norms[act], rs,
+                                          cos_max[act], gap)
+            top[proven], u_cand[proven, 0] = act[proven], u_own[proven]
+            second[proven] = -np.inf
+            scan = np.flatnonzero(~proven)
+            chunks = [scan[lo:lo + _CHUNK] for lo in range(0, scan.size,
+                                                           _CHUNK)]
+        for c in chunks:
             u, bound = _bounds(r[act[c]], cb, inv_norms, work)
             pos = np.arange(u.shape[0])
             bound[pos[:, None], sup[c]] = -np.inf
@@ -293,6 +366,52 @@ def _score(u, w, n, r_sq):
     return (delta * n + 2.0 * u) * delta + r_sq, v, delta
 
 
+def _proven_first(r, e, norms, r_sq, cos_max, gap):
+    """Per row, whether its first pick is proven to be its own codebook
+    column (see ``_fit_columns``), and that column's correlation."""
+    u = np.vecdot(r, e)
+    score = _score(u, 0.0, norms, r_sq)[0]
+    margin = (r.shape[1] + 2) * 2.0 ** -50
+    rho = (cos_max + gap + margin) / (1.0 - gap - margin)
+    thr = r_sq - score - (r_sq * (_SLACK_REL + margin) + _SLACK_ABS)
+    return r_sq * rho * rho < thr, u
+
+
+def _max_gap(tgt, eff):
+    """``max_j |t_j - e_j| / |t_j|`` over the columns of ``tgt`` and
+    ``eff``; infinite when their shapes differ or a target column's squared
+    norm is below ``_NORM_FLOOR``."""
+    if tgt.shape != eff.shape:
+        return math.inf
+    with np.errstate(all="ignore"):
+        d = tgt - eff
+        t_sq = np.einsum("nk,nk->k", tgt, tgt)
+        ratio = np.einsum("nk,nk->k", d, d) / t_sq
+    if not t_sq.min(initial=math.inf) >= _NORM_FLOOR:
+        return math.inf
+    return math.sqrt(ratio.max(initial=0.0))
+
+
+def _max_cosines(tgt):
+    """``max_{j != k} |cos(t_k, t_j)|`` for every column ``t_k`` of
+    ``tgt`` (0 when it has no other column), in one chunked pass."""
+    unit = tgt / np.sqrt(np.einsum("nk,nk->k", tgt, tgt))
+    k = unit.shape[1]
+    out = np.empty(k)
+    # one small block of rows, reused: a block of _CHUNK rows (1 MB at
+    # K = 1024) raised the peak RSS of a Table-1 run by 0.6 MB, while 8
+    # rows cost about 1.4 ms more per decomposition
+    rows = 8
+    gram = np.empty((min(rows, k), k))
+    for lo in range(0, k, rows):
+        g = gram[:min(rows, k - lo)]
+        np.matmul(unit[:, lo:lo + rows].T, unit, out=g)
+        np.abs(g, out=g)
+        g[np.arange(g.shape[0]), np.arange(lo, lo + g.shape[0])] = 0.0
+        g.max(axis=1, out=out[lo:lo + g.shape[0]])
+    return out
+
+
 def _bounds(r, cb, inv_norms, work):
     """The correlations ``u = r @ cb`` and bounds ``u**2 / norms`` of the
     rows ``r``, written into the work arrays."""
@@ -326,9 +445,16 @@ def fit_column(target_col: np.ndarray, codebook_cols: np.ndarray,
                      tuple(trace[0, :steps[0]].tolist()))
 
 
-def fit_stage(target: np.ndarray, codebook_cols: np.ndarray,
-              s: int) -> Pow2Matrix:
-    """Fit every target column independently with per-column budget ``s``."""
+def fit_stage(target: np.ndarray, codebook_cols: np.ndarray, s: int, *,
+              cos_max: np.ndarray | None = None) -> Pow2Matrix:
+    """Fit every target column independently with per-column budget ``s``.
+
+    ``cos_max``, when given, holds for each target column ``t_k`` an upper
+    bound on ``max_{j != k} |cos(t_k, t_j)|``; with it, the first pick of a
+    column whose codebook column ``k`` lies close enough to ``t_k`` is
+    proven instead of scanned for, and the fit is unchanged.  A smaller
+    value than the true one can change the fit.
+    """
     if s < 0:
         raise ValueError("s must be >= 0")
     tgt = np.asarray(target, dtype=np.float64)
@@ -336,7 +462,12 @@ def fit_stage(target: np.ndarray, codebook_cols: np.ndarray,
     if tgt.ndim != 2 or cb.ndim != 2 or tgt.shape[0] != cb.shape[0]:
         raise DimensionError(
             f"target {tgt.shape} and codebook {cb.shape} row counts differ")
-    return _fit_columns(tgt, cb, 1 + s)[0]
+    if cos_max is not None:
+        cos_max = np.asarray(cos_max, dtype=np.float64)
+        if cos_max.shape != (tgt.shape[1],):
+            raise DimensionError(f"cos_max {cos_max.shape} does not match "
+                                 f"target {tgt.shape}")
+    return _fit_columns(tgt, cb, 1 + s, cos_max=cos_max)[0]
 
 
 def decompose(target: np.ndarray, codebook, schedule: StageSchedule,
@@ -384,10 +515,17 @@ def fit_stages(target: np.ndarray, eff: np.ndarray, sparsity):
     eff)`` after each, ``eff`` being the codebook rolled through it too.
 
     Lazy: a stage is fitted only when asked for, so a caller may stop at
-    any accuracy, and ``sparsity`` may be endless.
+    any accuracy, and ``sparsity`` may be endless.  So is ``cos_max``, the
+    input of the proven first pick (see ``_fit_columns``): it is computed
+    once, before the first stage whose codebook lies within a gap of 1/2
+    of the target, and handed to every stage from there on.
     """
+    cos_max = None
     for s in sparsity:
-        stage = fit_stage(target, eff, s)
+        # no first pick can be proven while the gap is 1/2 or more
+        if cos_max is None and _max_gap(target, eff) < 0.5:
+            cos_max = _max_cosines(target)
+        stage = fit_stage(target, eff, s, cos_max=cos_max)
         eff = advance_effective(eff, stage)
         yield stage, eff
 

@@ -425,9 +425,8 @@ class TestAnalyze:
 RANGE_CASES = [
     (["decompose", "--bits", "0"], "--bits must be in [1, 537]"),
     (["decompose", "--bits", "538"], "--bits must be in [1, 537]"),
-    (["decompose", "--stages", "-1"], "--stages must be in [0, 4096]"),
-    (["decompose", "--stages", "0"],
-     "--stages must be at least 1 without --bits"),
+    (["decompose", "--stages", "-1"], "--stages must be in [1, 4096]"),
+    (["decompose", "--stages", "0"], "--stages must be in [1, 4096]"),
     (["decompose", "--stages", "1", "--stage-sparsity", "-1"],
      "--stage-sparsity must be at least 0"),
     (["decompose", "--bits", "8", "--max-stages", "4097"],
@@ -446,6 +445,12 @@ RANGE_CASES = [
      "--rate must be positive and finite"),
     (["analyze", "--fig", "total", "--rates", "1,inf"],
      "--rates must be positive and finite"),
+    # positive and finite, but log2(K)/rate, the derived row count, is not
+    (["analyze", "--fig", "cdf", "--rate", "1e-320"],
+     "--rate is too small for --K 16: the row count log2(K)/rate overflows"),
+    (["analyze", "--fig", "total", "--rates", "1,1e-320"],
+     "--rates is too small for --K 16: the row count log2(K)/rate "
+     "overflows"),
     (["analyze", "--fig", "lb", "--N", "1"], "--N must be at least 2"),
     (["analyze", "--fig", "cdf", "--K", "16,0"], "--K must be at least 1"),
     (["analyze", "--fig", "cdf", "--points", "0"],
@@ -490,9 +495,9 @@ class TestUsageErrors:
         assert err == "usage error: --bits must be in [1, 537]\n"
 
     @pytest.mark.parametrize("stages, last_line", [
-        (str(10 ** 20), "usage error: --stages must be in [0, 4096]"),
-        (str(10 ** 9), "usage error: --stages must be in [0, 4096]"),
-        ("-1", "usage error: --stages must be in [0, 4096]"),
+        (str(10 ** 20), "usage error: --stages must be in [1, 4096]"),
+        (str(10 ** 9), "usage error: --stages must be in [1, 4096]"),
+        ("-1", "usage error: --stages must be in [1, 4096]"),
         ("2.5", "shiftadd decompose: error: argument --stages: invalid int "
                 "value: '2.5'")])
     def test_huge_or_non_integer_stage_count_exit_2(self, tmp_path, capsys,

@@ -94,6 +94,17 @@ class TestBinaryEncode:
         with pytest.raises(ValueError):
             sa.binary_encode(0.5, 0)
 
+    @given(st.floats(-1.0, 1.0), st.integers(1, 1200))
+    def test_terms_equal_the_shift_loop(self, t, num_bits):
+        # the former bit loop, one shift of the whole integer per bit
+        frac_bits = num_bits - 1
+        q = int(Fraction(abs(t)) * (1 << frac_bits) + Fraction(1, 2))
+        sign = 1 if t > 0 else -1
+        want = tuple((sign, bit - frac_bits)
+                     for bit in range(q.bit_length() - 1, -1, -1)
+                     if q >> bit & 1)
+        assert sa.binary_encode(t, num_bits).terms == want
+
     def test_distortion_law(self):
         # 5% of 4**-b / 3 at modest sample counts
         for b in (3, 5, 8):

@@ -448,6 +448,170 @@ def test_fit_columns_equal_the_oracle(case):
         for k in range(tgt.shape[1])]
 
 
+class _Spy:
+    """Counts, through ``mock.patch.object(wiring, name, spy)``, the rows
+    the kernel passes to ``_bounds`` and the rows ``_proven_first``
+    proves."""
+
+    def __init__(self, fn):
+        self.fn, self.rows, self.proven, self.calls = fn, 0, 0, 0
+        self.bounds = fn is wiring._bounds
+
+    def __call__(self, *args):
+        out = self.fn(*args)
+        self.calls += 1
+        if self.bounds:
+            self.rows += args[0].shape[0]
+        else:
+            self.proven += int(out[0].sum())
+        return out
+
+
+def _spied_fit(tgt, cb, steps, cos_max, prove=True):
+    """``_fit_columns`` with ``cos_max``, and its two spies; ``prove=False``
+    proves no row, so every row takes the full scan."""
+    bounds = _Spy(wiring._bounds)
+    first = _Spy(wiring._proven_first if prove else
+                 lambda *a: (np.zeros(a[0].shape[0], bool), a[0][:, 0]))
+    with mock.patch.object(wiring, "_bounds", bounds), \
+            mock.patch.object(wiring, "_proven_first", first):
+        fits = wiring._fit_columns(tgt, cb, steps, cos_max=cos_max)
+    return fits, bounds, first
+
+
+@st.composite
+def _near_cases(draw):
+    """Targets and a codebook equal to them up to a small perturbation, so
+    that most first picks are proven; a few rows per chunk spread them over
+    several chunks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, k = draw(st.integers(2, 12)), draw(st.integers(1, 80))
+    tgt = rng.standard_normal((n, k))
+    scale = 10.0 ** draw(st.integers(-9, -1))
+    cb = tgt + scale * rng.standard_normal((n, k))
+    chunk = draw(st.sampled_from([1, 3, wiring._CHUNK]))
+    return tgt, cb, draw(st.integers(1, 4)), chunk
+
+
+class TestProvenFirstPick:
+    """A first pick proven from ``cos_max`` gives the fit of the full
+    scan, and the proof declines wherever it cannot hold."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_near_cases())
+    def test_fits_equal_the_oracle(self, case):
+        tgt, cb, steps, chunk = case
+        with mock.patch.object(wiring, "_CHUNK", chunk):
+            fits, _, first = _spied_fit(tgt, cb, steps,
+                                        wiring._max_cosines(tgt))
+        assert first.calls == (wiring._max_gap(tgt, cb) < 0.5)
+        assert _fits(fits) == [greedy_fit_oracle(tgt[:, k], cb, steps)
+                               for k in range(tgt.shape[1])]
+
+    def test_most_first_picks_are_proven(self):
+        rng = np.random.default_rng(360)
+        tgt = rng.standard_normal((16, 300))
+        cb = tgt + 1e-3 * rng.standard_normal((16, 300))
+        cos_max = wiring._max_cosines(tgt)
+        fits, bounds, first = _spied_fit(tgt, cb, 3, cos_max)
+        full, all_rows, _ = _spied_fit(tgt, cb, 3, cos_max, prove=False)
+        assert first.proven > 250
+        # a proven row skips both passes of step 1 and nothing else
+        assert all_rows.rows - bounds.rows == first.proven
+        assert _fits(fits) == _fits(full) == [
+            greedy_fit_oracle(t, cb, 3) for t in tgt.T]
+        assert columns(sa.fit_stage(tgt, cb, 2, cos_max=cos_max)) == \
+            columns(sa.fit_stage(tgt, cb, 2))
+
+    def _declines(self, tgt, cb, steps=3):
+        fits, bounds, first = _spied_fit(tgt, cb, steps,
+                                         np.zeros(tgt.shape[1]))
+        assert first.calls == 0
+        assert _fits(fits) == [greedy_fit_oracle(t, cb, steps)
+                               for t in tgt.T]
+
+    @pytest.mark.parametrize("gap", [0.5, 1.0, 3.0])
+    def test_declines_at_a_gap_of_one_half_or_more(self, gap):
+        rng = np.random.default_rng(361)
+        tgt = rng.standard_normal((6, 40))
+        cb = tgt.copy()
+        cb[:, 7] = (1.0 - gap) * tgt[:, 7]
+        assert wiring._max_gap(tgt, cb) == pytest.approx(gap)
+        self._declines(tgt, cb)
+
+    def test_declines_on_a_zero_target_column(self):
+        rng = np.random.default_rng(362)
+        tgt = rng.standard_normal((6, 40))
+        tgt[:, 3] = 0.0
+        self._declines(tgt, tgt + 1e-3 * rng.standard_normal((6, 40)))
+
+    def test_declines_below_the_norm_floor(self):
+        # squared column norms near 2**-410, below _NORM_FLOOR
+        rng = np.random.default_rng(366)
+        tgt = rng.standard_normal((6, 40)) * 2.0 ** -205
+        assert np.einsum("nk,nk->k", tgt, tgt).max() < wiring._NORM_FLOOR
+        self._declines(tgt, tgt * (1.0 + 1e-3 * rng.standard_normal((6, 40))))
+
+    def test_declines_on_a_zero_codebook_column(self):
+        rng = np.random.default_rng(363)
+        tgt = rng.standard_normal((6, 40))
+        cb = tgt + 1e-3 * rng.standard_normal((6, 40))
+        cb[:, 5] = 0.0
+        self._declines(tgt, cb)
+
+    def test_declines_when_target_and_codebook_widths_differ(self):
+        rng = np.random.default_rng(364)
+        tgt = rng.standard_normal((6, 40))
+        cb = np.concatenate([tgt, rng.standard_normal((6, 3))], axis=1)
+        self._declines(tgt, cb)
+        self._declines(tgt, cb[:, :30])
+
+    def test_proves_no_row_of_a_duplicate_target_column(self):
+        # a second copy of a target column makes its cos_max 1: neither row
+        # of the pair can be proven
+        rng = np.random.default_rng(365)
+        tgt = rng.standard_normal((6, 40))
+        tgt[:, 9] = tgt[:, 8]
+        cb = tgt + 1e-3 * rng.standard_normal((6, 40))
+        cos_max = wiring._max_cosines(tgt)
+        assert cos_max[8] == cos_max[9] == pytest.approx(1.0)
+        fits, _, first = _spied_fit(tgt, cb, 3, cos_max)
+        assert first.calls == 1 and 0 < first.proven <= 38
+        assert _fits(fits) == [greedy_fit_oracle(t, cb, 3) for t in tgt.T]
+
+    def test_cos_max_must_match_the_target(self):
+        with pytest.raises(sa.DimensionError, match="cos_max"):
+            sa.fit_stage(np.eye(3), np.eye(3), 1, cos_max=np.zeros(2))
+
+    def test_max_cosines(self):
+        tgt = np.array([[1.0, 1.0, 0.0, 2.0], [0.0, 1.0, 1.0, 0.0]])
+        s = 2.0 ** -0.5
+        assert wiring._max_cosines(tgt) == pytest.approx([1.0, s, s, 1.0])
+        assert wiring._max_cosines(tgt[:, :1]) == [0.0]
+
+    def test_table1_design_proves_most_first_picks(self):
+        # the first target of the Table-1 benchmark workload at seed 0:
+        # later stages take the proven pick for 80% of their columns
+        tgt = np.random.default_rng([0, 1, 0]).standard_normal((16, 1024))
+        codebook = sa.make_codebook("self-designing", 16, 1024, target=tgt,
+                                    aux="target")
+        schedule = sa.StageSchedule.fixed([1], target_bits=16, max_stages=96)
+        bounds, first = _Spy(wiring._bounds), _Spy(wiring._proven_first)
+        with mock.patch.object(wiring, "_bounds", bounds), \
+                mock.patch.object(wiring, "_proven_first", first):
+            plan = sa.decompose(tgt, codebook, schedule)
+        later = 1024 * (plan.n_stages - 1)
+        assert plan.n_stages == 28 and first.proven > 0.78 * later
+        all_rows = _Spy(wiring._bounds)
+        with mock.patch.object(wiring, "_bounds", all_rows), \
+                mock.patch.object(wiring, "_max_gap",
+                                  lambda *a: float("inf")):
+            full = sa.decompose(tgt, codebook, schedule)
+        assert all_rows.rows - bounds.rows == first.proven
+        assert [columns(m) for m in plan.stages] == \
+            [columns(m) for m in full.stages]
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejected(self, bad):
