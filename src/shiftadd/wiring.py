@@ -14,12 +14,14 @@ A step need not score all K columns.  With ``u_k`` the correlation of the
 residual with column ``k``, no change of coefficient ``k`` lowers the
 squared residual by more than ``u_k**2 / |b_k|**2``, the reduction of the
 unrounded least-squares change, and rounding to the nearest power of two
-keeps at least 8/9 of it.  So once the column of largest bound and the
-current support are scored, every column whose bound falls short of the
-best reduction found cannot win, and is skipped: a safe screening rule in
-the sense of El Ghaoui et al. (2012).  Besides the support, one or two
-columns per step remain to be scored, and every fit equals the full
-scan's, float for float.
+keeps at least 8/9 of it.  That bound is the squared correlation of the
+residual with the column scaled to unit norm, so one product with the unit
+columns bounds a whole chunk of residuals.  Once the column of largest
+bound and the current support are scored, every column whose bound falls
+short of the best reduction found cannot win, and is skipped: a safe
+screening rule in the sense of El Ghaoui et al. (2012).  Besides the
+support, one or two columns per step remain to be scored, each from its
+own dot product, and every fit equals the full scan's, float for float.
 
 From the second stage of a fixed-stage fit on, the first step of a column
 often needs no scan at all.  The rolled codebook's column ``e_k`` then
@@ -37,11 +39,12 @@ One kernel, ``_fit_columns``, runs every fit: ``fit_stage``, ``fit_column``,
 the adaptive fit and codebook self-design.  Each greedy step runs once over
 all live target columns, one per row of an array, and each column leaves
 on its own stopping rule.  Only the passes over all K codebook columns run
-in chunks of ``_CHUNK`` rows, which bounds the work arrays.  The chunk
-size is a constant, not an option: it changes speed, and a result only
-through the last bit of a BLAS product (BLAS may sum a row differently
-beside other rows), which can matter only at a near-tie.  The fitted
-stage's arrays come straight from the picks and weights the kernel
+in chunks of ``_CHUNK`` rows, which bounds the work array.  The chunk
+size is a constant, not an option: it changes speed only.  Every score
+comes from the candidate's own dot product, never from a row of a shared
+product (BLAS may sum a row differently beside other rows), so a column's
+fit depends neither on the chunk nor on the columns fitted beside it.  The
+fitted stage's arrays come straight from the picks and weights the kernel
 recorded.
 
 One loop, ``fit_stages``, fits stages one after another, each against the
@@ -68,12 +71,14 @@ from .plan import (ADAPTIVE_SINGLE_STAGE, DecompositionPlan, StageSchedule,
                    distortion_of_matrix, target_digest, threshold)
 
 _CHUNK = 128
-# The screen's float slack relative to r_sq, and an absolute floor that
-# covers subnormal rounding; see _fit_columns for why it suffices.
+# The screen's float slack relative to r_sq, besides a term that grows
+# with the column length, and an absolute floor that covers subnormal
+# rounding; see _fit_columns for why it suffices.
 _SLACK_REL = 2.0 ** -40
 _SLACK_ABS = 2.0 ** -1000
 # The least squared norm of a target column at which a first pick may be
-# proven; see _fit_columns.
+# proven: above it, underflow in the proof's dot products is negligible
+# beside their rounding.  The screen needs no floor; see _fit_columns.
 _NORM_FLOOR = 2.0 ** -400
 
 
@@ -123,55 +128,61 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     loop over one column that scores every candidate: ``r_sq`` is the
     row's own BLAS dot product (``np.vecdot``, the same call as ``r @
     r``), every score is the one-column float expression, and the choice
-    is the lowest score with the smallest index among ties.  The two are
-    equal only up to the last bit of a BLAS product: the oracle's
-    correlations come from a one-row product (gemv), the kernel's from a
-    block of rows (gemm), which may sum in another order.  So at a
-    near-tie the two can pick differently, and so can one column fitted
-    beside different columns.
+    is the lowest score with the smallest index among ties.  Every
+    correlation a score uses is the pair's own dot product ``np.vecdot(r_i,
+    b_k)``, which gives the same float whatever the batch it is computed
+    in, so a column's fit does not depend on the columns fitted beside it.
+    The oracle's correlations come from a one-row product (gemv), which
+    may sum in another order, so at a near-tie the two can pick
+    differently.
 
     **One step for all columns.**  Each step runs once over every live
     column, one per row of ``r``.  Only the passes over all ``K`` codebook
-    columns run in ``_CHUNK``-row chunks, through two shared ``(chunk x K)``
-    work arrays: the correlations ``u = r @ cb``, the bound ``bound_k =
-    u_k**2 / norms_k`` (as ``u * u``, then scaled in place by ``1 /
-    norms``), the column ``top`` of largest bound off the support, and the
-    largest bound ``second`` left once the support and ``top`` are set
-    aside.  Scoring, the pick and the residual update run once per step,
-    on gathered entries.
+    columns run in ``_CHUNK``-row chunks, through one shared ``(chunk x
+    K)`` work array: the bound ``bound_k = (r . unit_k)**2``, one product
+    with the codebook's columns scaled to unit norm (``unit = cb /
+    sqrt(norms)``, formed once per fit) squared in place; the column
+    ``top`` of largest bound off the support; and the largest bound
+    ``second`` left once the support and ``top`` are set aside.  ``top``
+    and the support are scored from their own dot products.  Scoring, the
+    pick and the residual update run once per step, on gathered entries.
 
-    **The screen.**  Setting coefficient ``k`` to any value ``w_k - delta``
-    gives the squared residual ``r_sq + 2 delta u_k + delta**2 norms_k >=
-    r_sq - bound_k``.  This holds for support entries too.  A step scores
-    ``top`` and every support entry, and lets ``m`` be the best of those
-    scores, or ``r_sq`` if that is lower.  Only a column whose score can
-    reach ``m`` can be chosen (the tie-break included) or make a step
-    improve, and such a column has ``bound_k >= r_sq - m`` up to float
-    error.  So the step also scores every other ``k`` with ``bound_k >= thr
-    = r_sq - m - slack``, where ``slack = r_sq * 2**-40 + 2**-1000``.  Only
-    a row with ``second >= thr`` has such a ``k``; for those rows alone the
-    correlations are computed again, chunk by chunk.  BLAS may sum a row's
-    product differently beside other rows, so the second product can
-    differ from the first in the last bit.  The slack covers that for the
-    screen, but not for the pick, which compares scores and their ties
-    exactly.  So on each row with survivors the best candidate so far is
-    scored again from the second product, with its current weight, before
-    the survivors are compared with it; a row without survivors keeps its
-    first-product scores.
+    **The screen.**  Let ``u_k`` be the dot product a score uses and ``y_k
+    = |u_k| / sqrt(norms_k)``.  Setting coefficient ``k`` to any value
+    ``w_k - delta`` gives the squared residual ``r_sq + 2 delta u_k +
+    delta**2 norms_k >= r_sq - y_k**2``.  This holds for support entries
+    too.  A step scores ``top`` and every support entry, and lets ``m`` be
+    the best of those scores, or ``r_sq`` if that is lower.  Only a column
+    whose score can reach ``m`` can be chosen (the tie-break included) or
+    make a step improve, and such a column has ``y_k**2 >= r_sq - m``, so
+    ``bound_k >= r_sq - m`` up to float error.  So the step also scores
+    every other ``k`` with ``bound_k >= thr = r_sq - m - slack``, where
+    ``slack = r_sq (2**-40 + margin) + 2**-1000`` and ``margin = (N + 2)
+    2**-50``, ``N`` the rows of ``cb``.  Only a row with ``second >= thr``
+    has such a ``k``; for those rows alone the bounds are computed again,
+    chunk by chunk, and each ``k`` above ``thr`` is scored from its own dot
+    product.  The survivors and the best so far are then scores of the
+    same kind, and the pick compares them and their ties exactly.
 
-    **Why the slack covers float error** (``eps = 2**-53``).  Write ``x =
-    |delta| sqrt(norms_k)`` and ``y = |u_k| / sqrt(norms_k)``, so that ``y**2
-    = bound_k``, which is at most ``r_sq`` up to the dot products' error.
-    If ``x >= 4 y``, the exact score exceeds ``r_sq`` by at least ``x**2 /
-    2``.  Its float value stays above ``r_sq (1 - eps)``, and so above
-    ``m``, because ``m < r_sq - slack`` whenever a column is skipped.
-    Otherwise, every term of the score expression is at most ``24 y**2``.
-    Then the float score is within about ``90 eps r_sq`` of the exact one,
-    and the bound's three roundings (``1 / norms``, the square and the
-    scaling) add ``3 eps r_sq``.  Both are far below ``2**-40 r_sq``.  The
-    absolute floor covers subnormal rounding when ``r_sq`` is tiny.  Scales
-    at which ``2 u`` could overflow are refused up front, so no score is
-    NaN.
+    **Why the slack covers float error** (``eps = 2**-53``, ``g = N eps /
+    (1 - N eps)``).  Write ``x = |delta| sqrt(norms_k)``; ``y_k`` is at
+    most ``sqrt(r_sq)`` up to the dot product's error.  If ``x >= 4 y_k``,
+    the exact score exceeds ``r_sq`` by at least ``x**2 / 2``.  Its float
+    value stays above ``r_sq (1 - eps)``, and so above ``m``, because ``m <
+    r_sq - slack`` whenever a column is skipped.  Otherwise, every term of
+    the score expression is at most ``24 y_k**2``, and the float score is
+    within about ``90 eps r_sq`` of the exact one.  The bound comes from
+    another product: ``unit``'s entries carry two roundings (the square
+    root and the division), the gemm row ``r . unit_k`` errs by at most ``g
+    |r| |unit_k|``, and ``u_k`` by ``g |r| |b_k|``.  So ``r . unit_k`` lies
+    within about ``(2 g + 4 eps) |r|`` of ``y_k`` in size, and its square,
+    rounded once, within ``(4 g + 9 eps) r_sq`` of ``y_k**2``.  The ``eps``
+    terms fall far below ``2**-40 r_sq``, and ``4 g`` below ``margin = 8 (N
+    + 2) eps``.  A unit column keeps the bound at most about ``r_sq``: it
+    overflows nowhere ``r_sq`` does not, and its underflow costs at most
+    ``2**-1074``, which the absolute floor covers, as it covers subnormal
+    rounding in the scores when ``r_sq`` is tiny.  Scales at which ``2 u``
+    could overflow are refused up front, so no score is NaN.
 
     **The proven first pick.**  With ``cos_max``, target column ``t_k`` is
     paired with codebook column ``e_k``, as in a later stage of
@@ -179,7 +190,7 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     for every ``j != k``, and ``gap = max_j |t_j - e_j| / |t_j|``.  As
     ``t_k . e_j = t_k . t_j + t_k . (e_j - t_j)`` and ``|e_j| >= (1 - gap)
     |t_j|``, Cauchy-Schwarz gives ``|cos(t_k, e_j)| <= rho_k = (c_k + gap)
-    / (1 - gap)``, so ``bound_j <= r_sq rho_k**2`` for every ``j != k`` at
+    / (1 - gap)``, so ``y_j**2 <= r_sq rho_k**2`` for every ``j != k`` at
     step 1, where the weights are 0 and ``r_sq = |t_k|**2``.  If ``r_sq
     rho_k**2 < r_sq - score_k - slack``, the screen's argument shows that
     every other column scores above ``e_k``, and that ``e_k`` improves.  A
@@ -190,31 +201,21 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     ``usable`` indexes all of ``cb``.  A target column whose squared norm
     is below ``_NORM_FLOOR = 2**-400`` makes ``gap`` infinite.
 
-    **Margins of the proof** (``g = N eps / (1 - N eps)``, ``N`` the
-    rows).  The floats differ from the quantities above by at most:
-    ``2 g + 6 eps`` for ``c_k`` (a norm, a division and a dot product of
-    unit columns); ``g + 3 eps`` for ``gap < 1/2`` (a difference, two sums,
-    a division and a square root); and ``2 g`` on ``rho`` for the kernel's
-    own ``u_j`` (error at most ``g |t_k| |e_j|``) and ``norms_j`` (at least
-    ``(1 - g) |e_j|**2``), from which its bound is formed.  These sum to
-    less than ``5 g + 9 eps``, so ``rho`` is computed with ``margin = (N +
-    2) 2**-50 = 8 (N + 2) eps`` added to ``c_k + gap`` and taken from ``1 -
-    gap``.  The threshold gives up ``margin r_sq`` as well: the kernel's
-    gemm ``u_k`` may differ from the dot product's by ``2 g |t_k| |e_k|``,
-    which moves ``score_k`` by at most ``2 |v| 2 g |t_k| |e_k| <= 6 g
-    r_sq`` (``|v| <= 4/3 |u_k| / norms_k``), and forming ``r_sq rho**2``
-    and the threshold adds a few ``eps r_sq``, all within ``slack``.  The
-    norm floor keeps each product's underflow error, at most ``N
-    2**-1074``, far below these relative errors.  It also keeps the full
-    scan exact where the proof applies: a proven row has ``bound_k >=
-    2**-40 r_sq`` and ``norms_k >= r_sq / 4``, so ``u_k * u_k >= 2**-842``
-    does not underflow, and every other bound's subnormal rounding, scaled
-    by ``1 / norms_j <= 2**402``, stays below ``2**-672``, far below the
-    slack of at least ``2**-440``.  (Below the floor, ``u * u`` can
-    underflow to 0 and the scan can miss the pick the oracle finds.)  The
-    pick is forced; its weight ``pow2_round(u_k / norms_k)`` can differ
-    from the full scan's only where that ratio sits at a rounding
-    midpoint, the near-tie of the first paragraph.
+    **Margins of the proof.**  The floats differ from the quantities above
+    by at most: ``2 g + 6 eps`` for ``c_k`` (a norm, a division and a dot
+    product of unit columns); ``g + 3 eps`` for ``gap < 1/2`` (a
+    difference, two sums, a division and a square root); and ``2 g`` on
+    ``rho`` for the kernel's own ``u_j`` (error at most ``g |t_k| |e_j|``)
+    and ``norms_j`` (at least ``(1 - g) |e_j|**2``), from which ``y_j`` is
+    formed.  These sum to less than ``5 g + 9 eps``, so ``rho`` is computed
+    with ``margin`` added to ``c_k + gap`` and taken from ``1 - gap``.  The
+    threshold needs only the ``2**-40`` part of the slack: the scan scores
+    ``e_k`` from the same dot product as the proof, so ``score_k`` is the
+    scan's own, and forming ``r_sq rho**2`` and the threshold adds a few
+    ``eps r_sq``.  The norm floor keeps each product's underflow error, at
+    most ``N 2**-1074``, far below these relative errors.  The pick is
+    forced, and its weight ``pow2_round(u_k / norms_k)`` is the full
+    scan's.
     """
     norm_sq = _check_finite(tgt, cb)
     cb_t = np.ascontiguousarray(cb.T)
@@ -230,16 +231,18 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     # a column of zero norm can never be picked: fit over the others only,
     # and take no step when there are none
     usable = np.flatnonzero(norms_all > 0.0)
-    cb, cb_t, norms = cb[:, usable], cb_t[usable], norms_all[usable]
+    cb_t, norms = cb_t[usable], norms_all[usable]
     if not usable.size:
         max_steps = 0
-    inv_norms = 1.0 / norms
+    unit = cb[:, usable] / np.sqrt(norms)
     r = np.array(tgt.T, order="C")
-    n_cols, k_count = r.shape[0], cb.shape[1]
+    n_cols, k_count = r.shape[0], len(usable)
     r_sq = np.vecdot(r, r)
-    # (chunk x K) work arrays shared by every pass: allocating fresh ones
-    # each time costs page faults that tripled the time of a step
-    work = np.empty((2, min(_CHUNK, n_cols), k_count))
+    # the float error of a bound and of the proof, relative to r_sq
+    margin = (r.shape[1] + 2) * 2.0 ** -50
+    # one (chunk x K) work array shared by every pass: allocating a fresh
+    # one each time costs page faults that tripled the time of a step
+    work = np.empty((min(_CHUNK, n_cols), k_count))
     # row i's pick at step p is support[i, p] and that column's current
     # weight value[i, p] (every position holding a column has its weight);
     # its squared residual after the step is trace[i, p].  All three widen
@@ -271,21 +274,23 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
             # a proven row's top is its own column, with nothing left to
             # score after it
             proven, u_own = _proven_first(r[act], cb_t[act], norms[act], rs,
-                                          cos_max[act], gap)
+                                          cos_max[act], gap, margin)
             top[proven], u_cand[proven, 0] = act[proven], u_own[proven]
             second[proven] = -np.inf
             scan = np.flatnonzero(~proven)
             chunks = [scan[lo:lo + _CHUNK] for lo in range(0, scan.size,
                                                            _CHUNK)]
         for c in chunks:
-            u, bound = _bounds(r[act[c]], cb, inv_norms, work)
-            pos = np.arange(u.shape[0])
+            r_c = r[act[c]]
+            bound = _bounds(r_c, unit, work)
+            pos = np.arange(r_c.shape[0])
             bound[pos[:, None], sup[c]] = -np.inf
             top[c] = np.argmax(bound, axis=1)
-            u_cand[c, 0] = u[pos, top[c]]
-            u_cand[c, 1:] = u[pos[:, None], sup[c]]
             bound[pos, top[c]] = -np.inf
             second[c] = bound.max(axis=1)
+            # every score comes from the candidate's own dot product
+            u_cand[c, 0] = np.vecdot(r_c, cb_t[top[c]])
+            u_cand[c, 1:] = np.vecdot(r_c[:, None], cb_t[sup[c]])
         # score top and the support: top's weight is 0, and where it lies
         # in the support (which then covers every usable column) its
         # duplicate is dropped
@@ -296,15 +301,15 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
         score[(sup == top[:, None]).any(axis=1), 0] = np.inf
         best = _pick(score, cand)
         pos = np.arange(act.size)
-        score, j, v, delta, w = (a[pos, best]
-                                 for a in (score, cand, v, delta, w_cand))
+        score, j, v, delta = (a[pos, best] for a in (score, cand, v, delta))
         # then every other k whose bound can reach the best of those, on
         # the rows that have one
-        thr = rs - np.minimum(score, rs) - (rs * _SLACK_REL + _SLACK_ABS)
+        thr = rs - np.minimum(score, rs) - (rs * (_SLACK_REL + margin)
+                                            + _SLACK_ABS)
         more = np.flatnonzero(second >= thr)
         for lo in range(0, more.size, _CHUNK):
             p = more[lo:lo + _CHUNK]
-            u, bound = _bounds(r[act[p]], cb, inv_norms, work)
+            bound = _bounds(r[act[p]], unit, work)
             sub = np.arange(p.size)[:, None]
             bound[sub, sup[p]] = -np.inf
             bound[sub[:, 0], top[p]] = -np.inf
@@ -312,19 +317,14 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
             if not flat.size:
                 continue
             rows, ks = np.divmod(flat, k_count)
-            s_more, v_more, d_more = _score(u.ravel()[flat], 0.0, norms[ks],
-                                            rs[p][rows])
+            s_more, v_more, d_more = _score(
+                np.vecdot(r[act[p[rows]]], cb_t[ks]), 0.0, norms[ks],
+                rs[p[rows]])
             # pad each row's survivors behind its best so far, position 0
             first = np.searchsorted(rows, np.arange(p.size))
             col = 1 + np.arange(rows.size) - first[rows]
             table = np.full((p.size, col.max(initial=0) + 1), -1)
             table[rows, col] = np.arange(rows.size)
-            # rescore the best so far from this same product, on the rows
-            # that have survivors, so that the pick compares like with like
-            hit = np.flatnonzero(table[:, 1] >= 0)
-            h = p[hit]
-            score[h], v[h], delta[h] = _score(u[hit, j[h]], w[h],
-                                              norms[j[h]], rs[h])
             pad = table < 0
             k_tab = np.where(pad, k_count, ks[table])
             s_tab = np.where(pad, np.inf, s_more[table])
@@ -366,14 +366,13 @@ def _score(u, w, n, r_sq):
     return (delta * n + 2.0 * u) * delta + r_sq, v, delta
 
 
-def _proven_first(r, e, norms, r_sq, cos_max, gap):
+def _proven_first(r, e, norms, r_sq, cos_max, gap, margin):
     """Per row, whether its first pick is proven to be its own codebook
     column (see ``_fit_columns``), and that column's correlation."""
     u = np.vecdot(r, e)
     score = _score(u, 0.0, norms, r_sq)[0]
-    margin = (r.shape[1] + 2) * 2.0 ** -50
     rho = (cos_max + gap + margin) / (1.0 - gap - margin)
-    thr = r_sq - score - (r_sq * (_SLACK_REL + margin) + _SLACK_ABS)
+    thr = r_sq - score - (r_sq * _SLACK_REL + _SLACK_ABS)
     return r_sq * rho * rho < thr, u
 
 
@@ -412,14 +411,13 @@ def _max_cosines(tgt):
     return out
 
 
-def _bounds(r, cb, inv_norms, work):
-    """The correlations ``u = r @ cb`` and bounds ``u**2 / norms`` of the
-    rows ``r``, written into the work arrays."""
-    u, bound = work[:, :r.shape[0]]
-    np.matmul(r, cb, out=u)
-    np.square(u, out=bound)
-    bound *= inv_norms
-    return u, bound
+def _bounds(r, unit, work):
+    """The screen's bounds ``(r . b_k)**2 / |b_k|**2`` of the rows ``r``, as
+    their squared products with the unit columns ``unit``, written into
+    ``work``."""
+    bound = work[:r.shape[0]]
+    np.matmul(r, unit, out=bound)
+    return np.square(bound, out=bound)
 
 
 def _pick(score, k):
@@ -555,7 +553,7 @@ def _decompose_fixed(tgt: np.ndarray, eff: np.ndarray,
 
 def _decompose_adaptive(tgt: np.ndarray, cb: np.ndarray,
                         schedule: StageSchedule):
-    t_sq = np.array([float(t @ t) for t in tgt.T])
+    t_sq = np.vecdot(tgt.T, tgt.T)
     stop_sq = threshold(schedule.target_bits) * t_sq
     stage, r_sq, steps, _ = _fit_columns(tgt, cb, schedule.max_stages,
                                          stop_sq)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -448,6 +449,63 @@ def test_fit_columns_equal_the_oracle(case):
         for k in range(tgt.shape[1])]
 
 
+def _near_ties(seed, n, k, m):
+    """A codebook of signed and halved copies of three small-integer
+    columns of length ``n``, and ``m`` targets on their span, some moved
+    off it by 1e-3 steps: scores tie exactly or nearly."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-3, 4, (n, 3)).astype(float)
+    cb = base[:, rng.integers(0, 3, k)] * rng.choice([1.0, -1.0, 0.5], k)
+    tgt = base @ rng.integers(-2, 3, (3, m)).astype(float)
+    tgt += rng.integers(-2, 3, (n, m)) * rng.choice([0.0, 1e-3], m)
+    return tgt, cb
+
+
+@st.composite
+def _batch_cases(draw):
+    """A fit case, at column lengths and widths where OpenBLAS sums a row
+    of a matrix product differently with the rows beside it (``K`` of 3 or
+    257 with ``N`` of 16 or more) or from ``_fit_cases``, and a nonempty
+    selection of its target columns in some order."""
+    if draw(st.booleans()):
+        tgt, cb, steps, _, chunk = draw(_fit_cases())
+    else:
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        n, k = draw(st.sampled_from([16, 17, 24])), draw(st.sampled_from(
+            [3, 5, 257]))
+        m = draw(st.integers(1, 24))
+        if draw(st.booleans()):
+            rng = np.random.default_rng(seed)
+            tgt, cb = rng.standard_normal((n, m)), rng.standard_normal((n, k))
+        else:
+            tgt, cb = _near_ties(seed, n, k, m)
+        steps = draw(st.integers(1, 6))
+        chunk = draw(st.sampled_from([1, 3, wiring._CHUNK]))
+    m = tgt.shape[1]
+    keep = draw(st.permutations(range(m)))[:draw(st.integers(1, m))]
+    return tgt, cb, steps, chunk, keep
+
+
+# A case where the column-by-column fit and the whole stage picked apart
+# while scores came from rows of a shared matrix product (column 1 here).
+@settings(max_examples=200, deadline=None)
+@given(_batch_cases())
+@example((*_near_ties(0, 16, 5, 8), 3, wiring._CHUNK, [7, 1, 0]))
+def test_a_columns_fit_does_not_depend_on_its_batch(case):
+    # every score comes from the candidate's own dot product, so a column
+    # fits the same alone, in any order and beside any other columns
+    tgt, cb, steps, chunk, keep = case
+    with mock.patch.object(wiring, "_CHUNK", chunk):
+        whole = _fits(wiring._fit_columns(tgt, cb, steps))
+        part = _fits(wiring._fit_columns(tgt[:, keep], cb, steps))
+        stage = columns(sa.fit_stage(tgt, cb, steps - 1))
+    assert part == [whole[k] for k in keep]
+    assert stage == tuple(col for col, _, _ in whole)
+    for k in range(tgt.shape[1]):
+        fit = sa.fit_column(tgt[:, k], cb, steps - 1)
+        assert (entries(fit), fit.residual_sq, fit.trace) == whole[k]
+
+
 class _Spy:
     """Counts, through ``mock.patch.object(wiring, name, spy)``, the rows
     the kernel passes to ``_bounds`` and the rows ``_proven_first``
@@ -610,6 +668,36 @@ class TestProvenFirstPick:
         assert all_rows.rows - bounds.rows == first.proven
         assert [columns(m) for m in plan.stages] == \
             [columns(m) for m in full.stages]
+
+
+class TestExtremeScales:
+    """The screen's bounds are squared products with unit columns, so they
+    neither underflow nor overflow at scales the fit accepts."""
+
+    @staticmethod
+    def _draws():
+        rng = np.random.default_rng(0)
+        return rng.standard_normal((5, 40)), rng.standard_normal((5, 24))
+
+    def test_tiny_scales_fit_like_the_oracle(self):
+        # u * u of the unscaled correlations underflowed to 0 here, every
+        # bound read 0 and the screen skipped the winning column
+        tgt, cb = (a * 2.0 ** -290 for a in self._draws())
+        assert columns(sa.fit_stage(tgt, cb, 1)) == tuple(
+            greedy_fit_oracle(t, cb, 2)[0] for t in tgt.T)
+
+    @pytest.mark.parametrize("t_exp, b_exp", [(300, 250), (0, -520)])
+    def test_scales_fit_without_overflow(self, t_exp, b_exp):
+        # the bound once overflowed here, with a RuntimeWarning, although
+        # it is finite: u * u of the unscaled correlations at 2**300, and
+        # 1 / norms at a codebook scale of 2**-520
+        tgt, cb = self._draws()
+        tgt, cb = tgt * 2.0 ** t_exp, cb * 2.0 ** b_exp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stage = sa.fit_stage(tgt, cb, 1)
+        assert columns(stage) == tuple(greedy_fit_oracle(t, cb, 2)[0]
+                                       for t in tgt.T)
 
 
 class TestNonFiniteInputs:
