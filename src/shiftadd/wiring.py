@@ -130,11 +130,11 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     r``), every score is the one-column float expression, and the choice
     is the lowest score with the smallest index among ties.  Every
     correlation a score uses is the pair's own dot product ``np.vecdot(r_i,
-    b_k)``, which gives the same float whatever the batch it is computed
-    in, so a column's fit does not depend on the columns fitted beside it.
-    The oracle's correlations come from a one-row product (gemv), which
-    may sum in another order, so at a near-tie the two can pick
-    differently.
+    b_k)``, in the kernel as in the oracle.  It gives the same float
+    whatever the batch it is computed in, so a column's fit does not
+    depend on the columns fitted beside it, and the two agree float for
+    float, near-ties included: scores that tie in exact arithmetic may
+    round apart, and then the lower float wins in both.
 
     **One step for all columns.**  Each step runs once over every live
     column, one per row of ``r``.  Only the passes over all ``K`` codebook

@@ -209,12 +209,12 @@ def greedy_fit_oracle(t, cb, max_steps, stop_sq=None):
     """The greedy fit of one target column as a plain loop over steps:
     the reference the blocked kernel in ``wiring`` must equal.
 
-    Each step picks the smallest float score.  The candidates whose float
-    score lies within ``2**-40 * r_sq`` of it are rescored exactly
-    (``_exact_change``), and the smallest index whose exact score equals
-    the pick's wins: BLAS calls of different shapes round an exact tie
-    apart, and the kernel breaks ties by the smallest index.  The residual
-    stays in float.
+    Each step scores every candidate and picks the smallest float score,
+    the smallest index among equal scores.  Each correlation is the
+    candidate's own dot product with the residual (``np.vecdot``), the
+    call the kernel makes for every score it compares, so both round a
+    score alike; scores that tie in exact arithmetic may round apart, and
+    then the lower float score wins in both.  The residual stays in float.
 
     Returns ``(entries, residual_sq, trace)`` like ``FitResult``.
     """
@@ -232,7 +232,7 @@ def greedy_fit_oracle(t, cb, max_steps, stop_sq=None):
             break
         if r_sq == 0.0:
             break
-        u = cb_t @ r
+        u = np.vecdot(r, cb_t)
         coeff = (u + w * norms) / safe_norms
         m, e = np.frexp(np.abs(coeff))
         exp = np.clip(np.where(m >= 0.75, e, e - 1), EXP_MIN, EXP_MAX)
@@ -244,11 +244,6 @@ def greedy_fit_oracle(t, cb, max_steps, stop_sq=None):
         j = int(np.argmin(score))
         if not score[j] < r_sq:
             break
-        near = np.flatnonzero(score - score[j] <= 2.0 ** -40 * r_sq)
-        if len(near) > 1:  # a tie the float scores may round apart
-            exact = {k: _exact_change(cb_t[k], r, w[k])
-                     for k in near.tolist()}
-            j = min(k for k in exact if exact[k] == exact[j])
         w[j] = v[j]
         r += delta[j] * cb_t[j]
         r_sq = float(r @ r)
@@ -259,25 +254,6 @@ def greedy_fit_oracle(t, cb, max_steps, stop_sq=None):
         entries.append((int(j), sa.SignedPow2(1 if w[j] > 0 else -1,
                                               int(e) - 1)))
     return tuple(entries), r_sq, tuple(trace)
-
-
-def _exact_change(b, r, w):
-    """The exact change ``delta * (2u + delta * |b|**2)`` in ``|r|**2`` of
-    the residual ``r`` when a column ``b`` of weight ``w`` takes the
-    power-of-two rounding of ``w + u / |b|**2``, with ``u = b . r``."""
-    b = [Fraction(v) for v in b.tolist()]
-    u = sum(x * Fraction(y) for x, y in zip(b, r.tolist()))
-    norm = sum(x * x for x in b)
-    c = Fraction(w) + u / norm
-    if c:
-        # 2**(e - 1) <= |c| < 2**e, frexp's exponent; round up from 3/4
-        e = abs(c.numerator).bit_length() - c.denominator.bit_length()
-        e += abs(c) >= Fraction(2) ** e
-        e -= abs(c) < Fraction(3, 4) * Fraction(2) ** e
-        c = (1 if c > 0 else -1) * Fraction(2) ** min(max(e, EXP_MIN),
-                                                      EXP_MAX)
-    delta = Fraction(w) - c
-    return delta * (2 * u + delta * norm)
 
 
 def dyadic_apply_oracle(plan, x):

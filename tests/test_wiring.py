@@ -431,14 +431,23 @@ def _fit_cases(draw):
           np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 3.0, 3.0, 1.0],
                     [-1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0]]),
           2, None, 2))
-# The first target column against this codebook is an exact tie in real
-# arithmetic: the kernel picks column 0 by the smallest-index rule, while
-# the oracle's gemv scores round apart towards column 4.
+# Ties in exact arithmetic.  The first target column against this
+# codebook ties columns 0 and 4: gemv scores round apart towards column
+# 4, the per-pair ones towards column 0, the kernel's pick.  In the second,
+# column 2's second step ties column 1 with columns 3 to 9, and every
+# per-pair score rounds the tie apart towards column 3: an oracle that
+# settled exact ties by the smallest index picked column 1.
 @example((np.array([[1.974956489855447, 0.0, 0.0, 0.0, -2.0],
                     [1.974956489855447, 0.0, 0.0, 0.0, -3.0]]),
           np.array([[-2.0, -2.0, -2.0, -2.0, -3.0],
                     [-3.0, -3.0, -3.0, -3.0, -2.0]]),
           1, None, 2))
+@example((np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3.5],
+                    [0.0, 0.0, -0.3571684915504525]]),
+          np.array([[0.0, 0.0, -1.0] + [2.0] * 7,
+                    [0.0, -2.0, -3.0] + [-2.0] * 7,
+                    [0.0, -3.0, 3.0] + [-3.0] * 7]),
+          2, None, 1))
 def test_fit_columns_equal_the_oracle(case):
     tgt, cb, steps, stop_sq, chunk = case
     with mock.patch.object(wiring, "_CHUNK", chunk):
