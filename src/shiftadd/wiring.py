@@ -14,14 +14,17 @@ A step need not score all K columns.  With ``u_k`` the correlation of the
 residual with column ``k``, no change of coefficient ``k`` lowers the
 squared residual by more than ``u_k**2 / |b_k|**2``, the reduction of the
 unrounded least-squares change, and rounding to the nearest power of two
-keeps at least 8/9 of it.  That bound is the squared correlation of the
-residual with the column scaled to unit norm, so one product with the unit
-columns bounds a whole chunk of residuals.  Once the column of largest
-bound and the current support are scored, every column whose bound falls
-short of the best reduction found cannot win, and is skipped: a safe
+keeps at least 8/9 of it.  Relative to the squared residual, that bound is
+the squared correlation of the residual scaled to unit norm with the column
+scaled to unit norm, so one float32 product of unit rows with unit columns
+bounds a whole chunk of residuals, each bound at most about 1.  Once the
+column of largest bound and the current support are scored, every column
+whose bound falls short of the best reduction found, by more than a slack
+proven to cover the float32 error, cannot win, and is skipped: a safe
 screening rule in the sense of El Ghaoui et al. (2012).  Besides the
 support, one or two columns per step remain to be scored, each from its
-own dot product, and every fit equals the full scan's, float for float.
+own float64 dot product, and every fit equals the full scan's, float for
+float.
 
 From the second stage of a fixed-stage fit on, the first step of a column
 often needs no scan at all.  The rolled codebook's column ``e_k`` then
@@ -138,14 +141,16 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
 
     **One step for all columns.**  Each step runs once over every live
     column, one per row of ``r``.  Only the passes over all ``K`` codebook
-    columns run in ``_CHUNK``-row chunks, through one shared ``(chunk x
-    K)`` work array: the bound ``bound_k = (r . unit_k)**2``, one product
-    with the codebook's columns scaled to unit norm (``unit = cb /
-    sqrt(norms)``, formed once per fit) squared in place; the column
-    ``top`` of largest bound off the support; and the largest bound
-    ``second`` left once the support and ``top`` are set aside.  ``top``
-    and the support are scored from their own dot products.  Scoring, the
-    pick and the residual update run once per step, on gathered entries.
+    columns run in ``_CHUNK``-row chunks, through one shared float32
+    ``(chunk x K)`` work array: the relative bound ``bound_k = (r /
+    sqrt(r_sq) . unit_k)**2``, one float32 product of the rows scaled to
+    unit norm with the codebook's columns scaled to unit norm (``unit = cb
+    / sqrt(norms)``, formed once per fit and held in float32), squared in
+    place (``_bounds``); the column ``top`` of largest bound off the
+    support; and the largest bound ``second`` left once the support and
+    ``top`` are set aside.  ``top`` and the support are scored from their
+    own float64 dot products.  Scoring, the pick and the residual update
+    run once per step in float64, on gathered entries.
 
     **The screen.**  Let ``u_k`` be the dot product a score uses and ``y_k
     = |u_k| / sqrt(norms_k)``.  Setting coefficient ``k`` to any value
@@ -155,34 +160,50 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     the best of those scores, or ``r_sq`` if that is lower.  Only a column
     whose score can reach ``m`` can be chosen (the tie-break included) or
     make a step improve, and such a column has ``y_k**2 >= r_sq - m``, so
-    ``bound_k >= r_sq - m`` up to float error.  So the step also scores
-    every other ``k`` with ``bound_k >= thr = r_sq - m - slack``, where
-    ``slack = r_sq (2**-40 + margin) + 2**-1000`` and ``margin = (N + 2)
-    2**-50``, ``N`` the rows of ``cb``.  Only a row with ``second >= thr``
-    has such a ``k``; for those rows alone the bounds are computed again,
-    chunk by chunk, and each ``k`` above ``thr`` is scored from its own dot
-    product.  The survivors and the best so far are then scores of the
-    same kind, and the pick compares them and their ties exactly.
+    ``bound_k >= (r_sq - m) / r_sq`` up to float error.  So the step also
+    scores every other ``k`` with ``bound_k >= thr = (r_sq - m) / r_sq -
+    slack - 2**-1000 / r_sq``, where ``slack = 2**-40 + margin + 2 g32 + 5
+    eps32`` and ``margin = (N + 2) 2**-50``, ``N`` the rows of ``cb``
+    (``_margins``), capped at 2, which it reaches from ``N = 2**23`` on.
+    From a slack of about 1 on, ``thr`` is negative and every column
+    survives but the support and ``top``, whose bounds the step sets to
+    ``-inf``, below any finite ``thr``: the same code then scores them
+    all.  Only a row with ``second >= thr`` has such a ``k``; for those
+    rows alone the bounds are computed again, chunk by chunk, and each
+    ``k`` above ``thr`` is scored from its own dot product.  The survivors
+    and the best so far are then scores of the same kind, and the pick
+    compares them and their ties exactly.
 
     **Why the slack covers float error** (``eps = 2**-53``, ``g = N eps /
-    (1 - N eps)``).  Write ``x = |delta| sqrt(norms_k)``; ``y_k`` is at
-    most ``sqrt(r_sq)`` up to the dot product's error.  If ``x >= 4 y_k``,
-    the exact score exceeds ``r_sq`` by at least ``x**2 / 2``.  Its float
-    value stays above ``r_sq (1 - eps)``, and so above ``m``, because ``m <
-    r_sq - slack`` whenever a column is skipped.  Otherwise, every term of
-    the score expression is at most ``24 y_k**2``, and the float score is
+    (1 - N eps)``, ``eps32 = 2**-24``, ``g32 = N eps32 / (1 - N eps32)``).
+    Write ``x = |delta| sqrt(norms_k)``; ``y_k`` is at most ``sqrt(r_sq)``
+    up to the dot product's error.  If ``x >= 4 y_k``, the exact score
+    exceeds ``r_sq`` by at least ``x**2 / 2``.  Its float value stays above
+    ``r_sq (1 - eps)``, and so above ``m``, because ``m < r_sq (1 -
+    slack)`` whenever a column is skipped.  Otherwise, every term of the
+    score expression is at most ``24 y_k**2``, and the float score is
     within about ``90 eps r_sq`` of the exact one.  The bound comes from
-    another product: ``unit``'s entries carry two roundings (the square
-    root and the division), the gemm row ``r . unit_k`` errs by at most ``g
-    |r| |unit_k|``, and ``u_k`` by ``g |r| |b_k|``.  So ``r . unit_k`` lies
-    within about ``(2 g + 4 eps) |r|`` of ``y_k`` in size, and its square,
-    rounded once, within ``(4 g + 9 eps) r_sq`` of ``y_k**2``.  The ``eps``
-    terms fall far below ``2**-40 r_sq``, and ``4 g`` below ``margin = 8 (N
-    + 2) eps``.  A unit column keeps the bound at most about ``r_sq``: it
-    overflows nowhere ``r_sq`` does not, and its underflow costs at most
-    ``2**-1074``, which the absolute floor covers, as it covers subnormal
-    rounding in the scores when ``r_sq`` is tiny.  Scales at which ``2 u``
-    could overflow are refused up front, so no score is NaN.
+    another product, in float32; it estimates ``x_k = y_k / sqrt(r_sq)``,
+    at most about 1.  The scaled row and ``unit_k`` carry two float64
+    roundings each (a square root and a division) and one float32 rounding
+    per entry, or an absolute error of at most 2**-150 where an entry
+    flushes to a float32 subnormal or zero.  The absolute values of the
+    product's terms sum to at most about 1, so the exact product of the
+    float32 vectors lies within ``2 eps32 + 4 eps`` of ``(r . b_k) /
+    sqrt(r_sq norms_k)``; the float32 gemm errs by at most ``g32`` of that
+    sum, and ``u_k`` by ``g |r| |b_k|``, which is ``g`` on this scale.
+    Underflow adds at most ``N 2**-148`` more, far below ``eps32``.  So
+    the float32 product lies within ``E = g32 + 2 eps32 + g + 4 eps`` of
+    ``x_k`` in size, and its square, rounded once in float32, within ``2 E
+    + eps32`` of ``x_k**2`` (``(x_k - E)**2 >= x_k**2 - 2 E x_k`` even
+    where ``E`` is large), that is ``2 g32 + 5 eps32 + 2 g + 8 eps``.  The
+    ``g32`` and ``eps32`` terms are the slack's float32 part; ``2 g`` falls
+    below ``margin = 8 (N + 2) eps``; the ``eps`` terms, the score's error
+    and the roundings that form ``thr`` fall far below ``2**-40``.  Scaled
+    to unit norm, no bound overflows float32 at any scale the fit accepts.
+    The absolute floor ``2**-1000``, taken relative to ``r_sq``, covers
+    subnormal rounding in the scores when ``r_sq`` is tiny.  Scales at
+    which ``2 u`` could overflow are refused up front, so no score is NaN.
 
     **The proven first pick.**  With ``cos_max``, target column ``t_k`` is
     paired with codebook column ``e_k``, as in a later stage of
@@ -234,15 +255,14 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     cb_t, norms = cb_t[usable], norms_all[usable]
     if not usable.size:
         max_steps = 0
-    unit = cb[:, usable] / np.sqrt(norms)
+    unit = (cb[:, usable] / np.sqrt(norms)).astype(np.float32)
     r = np.array(tgt.T, order="C")
     n_cols, k_count = r.shape[0], len(usable)
     r_sq = np.vecdot(r, r)
-    # the float error of a bound and of the proof, relative to r_sq
-    margin = (r.shape[1] + 2) * 2.0 ** -50
+    margin, slack = _margins(r.shape[1])
     # one (chunk x K) work array shared by every pass: allocating a fresh
     # one each time costs page faults that tripled the time of a step
-    work = np.empty((min(_CHUNK, n_cols), k_count))
+    work = np.empty((min(_CHUNK, n_cols), k_count), dtype=np.float32)
     # row i's pick at step p is support[i, p] and that column's current
     # weight value[i, p] (every position holding a column has its weight);
     # its squared residual after the step is trace[i, p].  All three widen
@@ -268,7 +288,7 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
         sup = support[act, :t]
         top = np.empty(act.size, dtype=np.intp)
         u_cand = np.empty((act.size, t + 1))
-        second = np.empty(act.size)
+        second = np.empty(act.size, dtype=np.float32)
         chunks = [slice(lo, lo + _CHUNK) for lo in range(0, act.size, _CHUNK)]
         if t == 0 and gap < 0.5:
             # a proven row's top is its own column, with nothing left to
@@ -282,7 +302,7 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
                                                            _CHUNK)]
         for c in chunks:
             r_c = r[act[c]]
-            bound = _bounds(r_c, unit, work)
+            bound = _bounds(r_c, rs[c], unit, work)
             pos = np.arange(r_c.shape[0])
             bound[pos[:, None], sup[c]] = -np.inf
             top[c] = np.argmax(bound, axis=1)
@@ -304,12 +324,11 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
         score, j, v, delta = (a[pos, best] for a in (score, cand, v, delta))
         # then every other k whose bound can reach the best of those, on
         # the rows that have one
-        thr = rs - np.minimum(score, rs) - (rs * (_SLACK_REL + margin)
-                                            + _SLACK_ABS)
+        thr = (rs - np.minimum(score, rs)) / rs - (slack + _SLACK_ABS / rs)
         more = np.flatnonzero(second >= thr)
         for lo in range(0, more.size, _CHUNK):
             p = more[lo:lo + _CHUNK]
-            bound = _bounds(r[act[p]], unit, work)
+            bound = _bounds(r[act[p]], rs[p], unit, work)
             sub = np.arange(p.size)[:, None]
             bound[sub, sup[p]] = -np.inf
             bound[sub[:, 0], top[p]] = -np.inf
@@ -411,13 +430,28 @@ def _max_cosines(tgt):
     return out
 
 
-def _bounds(r, unit, work):
-    """The screen's bounds ``(r . b_k)**2 / |b_k|**2`` of the rows ``r``, as
-    their squared products with the unit columns ``unit``, written into
-    ``work``."""
+def _bounds(r, r_sq, unit, work):
+    """The screen's bounds ``(r . b_k)**2 / (|b_k|**2 r_sq)`` of the rows
+    ``r``, relative to their squared norms ``r_sq``: the squared float32
+    products of the rows scaled to unit norm with the float32 unit columns
+    ``unit``, written into the float32 array ``work``.  Each lies within
+    the screen's slack of its exact value (see ``_fit_columns``)."""
     bound = work[:r.shape[0]]
-    np.matmul(r, unit, out=bound)
+    np.matmul((r / np.sqrt(r_sq)[:, None]).astype(np.float32), unit,
+              out=bound)
     return np.square(bound, out=bound)
+
+
+def _margins(n):
+    """The float error margins, relative to ``r_sq``, for codebook columns
+    of length ``n`` (see ``_fit_columns``): the proof's ``margin = (n + 2)
+    2**-50``, and the screen's slack, which adds ``_SLACK_REL`` and a
+    float32 bound's error ``2 g32 + 5 eps32`` to it, capped at 2, where
+    every column passes."""
+    margin = (n + 2) * 2.0 ** -50
+    eps32 = 2.0 ** -24
+    g32 = n * eps32 / (1.0 - n * eps32) if n * eps32 < 1.0 else math.inf
+    return margin, min(_SLACK_REL + margin + 2.0 * g32 + 5.0 * eps32, 2.0)
 
 
 def _pick(score, k):

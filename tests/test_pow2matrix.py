@@ -129,6 +129,27 @@ def test_advance_effective_equals_loop_bit_for_bit():
                                             stage)).any()
 
 
+@pytest.mark.parametrize("empty", [False, True])
+def test_advance_effective_mask_free_positions(empty):
+    # positions that every column reaches are added without a mask: a
+    # stage whose every column holds two entries, and one with empty
+    # columns, over -0.0 entries that a first term reads
+    rng = np.random.default_rng(803)
+    eff = rng.standard_normal((4, 6))
+    eff[:, [0, 3]] = -0.0
+    cols = [tuple((int(i), SignedPow2(int(rng.choice([-1, 1])),
+                                      int(rng.integers(-8, 8))))
+                  for i in sorted(rng.choice(6, 2, replace=False)))
+            for _ in range(5)]
+    cols[0] = ((0, SignedPow2(1, 0)), (3, SignedPow2(1, 2)))
+    if empty:
+        cols[2] = cols[4] = ()
+    stage = pow2matrix(6, 5, tuple(cols))
+    out = advance_effective(eff, stage)
+    assert same_bits(out, advance_effective_oracle(eff, stage))
+    assert not np.signbit(out[:, 0]).any()
+
+
 def test_advance_effective_bits_on_adaptive_stage():
     # one adaptive stage: many terms per column
     rng = np.random.default_rng(802)

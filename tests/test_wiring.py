@@ -3,6 +3,7 @@
 import itertools
 import json
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -707,6 +708,109 @@ class TestExtremeScales:
             stage = sa.fit_stage(tgt, cb, 1)
         assert columns(stage) == tuple(greedy_fit_oracle(t, cb, 2)[0]
                                        for t in tgt.T)
+
+
+def _exact_bound(r, b):
+    """``(r . b)**2 / (|b|**2 |r|**2)`` in exact rational arithmetic on the
+    float64 entries of ``r`` and ``b``."""
+    # every float64 is an integer multiple of 2**-1074
+    r, b = ([int(Fraction(float(v)) * 2 ** 1074) for v in a] for a in (r, b))
+    return Fraction(sum(x * y for x, y in zip(r, b)) ** 2,
+                    sum(y * y for y in b) * sum(x * x for x in r))
+
+
+@st.composite
+def _bound_cases(draw):
+    """A residual row and a few codebook columns of length ``N`` up to 512,
+    at scales from 2**-300 to 2**300.  Entries may span more than 2**150,
+    so that a row or column scaled to unit norm holds entries that flush to
+    zero in float32, and the row may lie along a column, where its bound
+    is close to 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, k = draw(st.integers(1, 512)), draw(st.integers(1, 4))
+    r, cb = rng.standard_normal(n), rng.standard_normal((n, k))
+    if draw(st.booleans()):
+        r *= 2.0 ** rng.integers(-200, 1, n)
+        cb *= 2.0 ** rng.integers(-200, 1, (n, k))
+    if draw(st.booleans()):
+        r = cb[:, 0] + 2.0 ** -draw(st.integers(10, 60)) * r
+    r *= 2.0 ** draw(st.integers(-300, 300))
+    cb *= 2.0 ** draw(st.integers(-300, 300))
+    return r, cb
+
+
+class TestFloat32Screen:
+    """The screen's float32 bounds, relative to ``r_sq``, lie within its
+    slack of their exact values, and the fit equals the oracle where that
+    slack is widest."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_bound_cases())
+    def test_bounds_lie_within_the_slack(self, case):
+        r, cb = case
+        # the unit columns as _fit_columns forms them
+        cb_t = np.ascontiguousarray(cb.T)
+        unit = (cb / np.sqrt(np.einsum("kn,kn->k", cb_t, cb_t))).astype(
+            np.float32)
+        work = np.empty((1, cb.shape[1]), dtype=np.float32)
+        bound = wiring._bounds(r[None], np.vecdot(r, r)[None], unit, work)[0]
+        slack = Fraction(wiring._margins(r.size)[1])
+        for k in range(cb.shape[1]):
+            assert abs(Fraction(float(bound[k])) - _exact_bound(r, cb[:, k])) \
+                <= slack
+
+    def test_slack_grows_with_the_column_length(self):
+        slacks = [wiring._margins(n)[1] for n in (1, 16, 2048, 2 ** 23)]
+        assert slacks == sorted(slacks) and slacks[0] < 2.0 ** -21
+        # where the float32 error alone reaches 1, every column passes
+        assert wiring._margins(2 ** 24)[1] == 2.0
+
+    def test_a_slack_that_passes_every_column_keeps_the_fit(self):
+        # support entries and top are masked out of the survivors even
+        # when every bound passes the threshold
+        tgt, cb = _near_ties(7, 6, 12, 10)
+        with mock.patch.object(wiring, "_margins",
+                               lambda n: ((n + 2) * 2.0 ** -50, 2.0)):
+            fits = wiring._fit_columns(tgt, cb, 4)
+        assert _fits(fits) == [greedy_fit_oracle(t, cb, 4) for t in tgt.T]
+
+
+def _near_duplicates(seed, n, k, m):
+    """A codebook of ``k`` columns of length ``n`` in pairs whose entries
+    differ by about 2**-30 relative, below float32 resolution, so that both
+    columns of a pair get equal float32 bounds but different float64
+    scores; and ``m`` targets, each a power-of-two multiple of one column,
+    where its bound meets the threshold, moved off it by steps of 0,
+    2**-30 or 1e-3."""
+    rng = np.random.default_rng(seed)
+    cb = np.repeat(rng.standard_normal((n, (k + 1) // 2)), 2, axis=1)[:, :k]
+    cb[:, 1::2] *= 1.0 + 2.0 ** -30 * rng.standard_normal((n, k // 2))
+    tgt = cb[:, rng.integers(0, k, m)] * 2.0 ** rng.integers(-2, 3, m)
+    tgt += rng.standard_normal((n, m)) * rng.choice([0.0, 2.0 ** -30, 1e-3],
+                                                    m)
+    return tgt, cb
+
+
+@st.composite
+def _long_column_cases(draw):
+    """A near-duplicate fit case at a column length where the float32
+    slack is widest."""
+    tgt, cb = _near_duplicates(draw(st.integers(0, 2 ** 32 - 1)),
+                               draw(st.sampled_from([512, 2048])),
+                               draw(st.integers(2, 24)),
+                               draw(st.integers(1, 6)))
+    return tgt, cb, draw(st.integers(1, 4)), draw(
+        st.sampled_from([1, 3, wiring._CHUNK]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_column_cases())
+@example((*_near_duplicates(3, 2048, 8, 6), 3, wiring._CHUNK))
+def test_long_columns_fit_like_the_oracle(case):
+    tgt, cb, steps, chunk = case
+    with mock.patch.object(wiring, "_CHUNK", chunk):
+        fits = wiring._fit_columns(tgt, cb, steps)
+    assert _fits(fits) == [greedy_fit_oracle(t, cb, steps) for t in tgt.T]
 
 
 class TestNonFiniteInputs:
