@@ -18,13 +18,15 @@ keeps at least 8/9 of it.  Relative to the squared residual, that bound is
 the squared correlation of the residual scaled to unit norm with the column
 scaled to unit norm, so one float32 product of unit rows with unit columns
 bounds a whole chunk of residuals, each bound at most about 1.  Once the
-column of largest bound and the current support are scored, every column
-whose bound falls short of the best reduction found, by more than a slack
-proven to cover the float32 error, cannot win, and is skipped: a safe
-screening rule in the sense of El Ghaoui et al. (2012).  Besides the
-support, one or two columns per step remain to be scored, each from its
-own float64 dot product, and every fit equals the full scan's, float for
-float.
+two columns of largest bound off the support are scored, every column whose
+bound falls short of the best reduction found, by more than a slack proven
+to cover the float32 error, cannot win, and is skipped: a safe screening
+rule in the sense of El Ghaoui et al. (2012).  The bound holds for a
+change of a support coefficient too, so the support is screened by it like
+any other column.  A row scans its bounds again only when the largest one
+left beside those two can still reach the best score found; per step, a
+few columns are scored, each from its own float64 dot product, and every
+fit equals the full scan's, float for float.
 
 From the second stage of a fixed-stage fit on, the first step of a column
 often needs no scan at all.  The rolled codebook's column ``e_k`` then
@@ -125,7 +127,8 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     residual is at most its entry of ``stop_sq``.  Returns the fitted
     ``K x M`` stage, each column's final squared residual and step count,
     and an ``M x width`` array whose row ``i`` holds column ``i``'s squared
-    residual after each of its steps.
+    residual after each of its steps and NaN past them, so that two runs
+    of one fit return the same bytes.
 
     Per column, every result follows ``greedy_fit_oracle`` in the tests, a
     loop over one column that scores every candidate: ``r_sq`` is the
@@ -146,33 +149,42 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     sqrt(r_sq) . unit_k)**2``, one float32 product of the rows scaled to
     unit norm with the codebook's columns scaled to unit norm (``unit = cb
     / sqrt(norms)``, formed once per fit and held in float32), squared in
-    place (``_bounds``); the column ``top`` of largest bound off the
-    support; and the largest bound ``second`` left once the support and
-    ``top`` are set aside.  ``top`` and the support are scored from their
-    own float64 dot products.  Scoring, the pick and the residual update
-    run once per step in float64, on gathered entries.
+    place (``_bounds``); then three ``argmax`` passes, each cheaper than
+    one ``max`` pass: the column ``top`` of largest bound off the support,
+    the runner-up, of largest bound once ``top`` is set aside too, and the
+    largest bound ``second`` left after both, read where its ``argmax``
+    lands.  The support's bounds are gathered before the support is set
+    aside.  ``top`` and the runner-up are scored from their own float64
+    dot products.  Scoring, the pick and the residual update run once per
+    step in float64, on gathered entries.
 
     **The screen.**  Let ``u_k`` be the dot product a score uses and ``y_k
     = |u_k| / sqrt(norms_k)``.  Setting coefficient ``k`` to any value
     ``w_k - delta`` gives the squared residual ``r_sq + 2 delta u_k +
     delta**2 norms_k >= r_sq - y_k**2``.  This holds for support entries
-    too.  A step scores ``top`` and every support entry, and lets ``m`` be
-    the best of those scores, or ``r_sq`` if that is lower.  Only a column
-    whose score can reach ``m`` can be chosen (the tie-break included) or
-    make a step improve, and such a column has ``y_k**2 >= r_sq - m``, so
-    ``bound_k >= (r_sq - m) / r_sq`` up to float error.  So the step also
-    scores every other ``k`` with ``bound_k >= thr = (r_sq - m) / r_sq -
-    slack - 2**-1000 / r_sq``, where ``slack = 2**-40 + margin + 2 g32 + 5
-    eps32`` and ``margin = (N + 2) 2**-50``, ``N`` the rows of ``cb``
-    (``_margins``), capped at 2, which it reaches from ``N = 2**23`` on.
-    From a slack of about 1 on, ``thr`` is negative and every column
-    survives but the support and ``top``, whose bounds the step sets to
-    ``-inf``, below any finite ``thr``: the same code then scores them
-    all.  Only a row with ``second >= thr`` has such a ``k``; for those
-    rows alone the bounds are computed again, chunk by chunk, and each
-    ``k`` above ``thr`` is scored from its own dot product.  The survivors
-    and the best so far are then scores of the same kind, and the pick
-    compares them and their ties exactly.
+    too.  A step scores ``top`` and the runner-up, at weight 0, and lets
+    ``m`` be the better of those scores, or ``r_sq`` if that is lower.  A
+    candidate whose bound was already set aside repeats ``top`` or a
+    support entry, which happens only when fewer than two usable columns
+    lie off the support, and scores ``inf``.  Only a column whose score can
+    reach ``m`` can be chosen (the tie-break included) or make a step
+    improve, and such a column has ``y_k**2 >= r_sq - m``, so ``bound_k >=
+    (r_sq - m) / r_sq`` up to float error.  So the step scores, at its
+    current weight, each support entry with ``bound_k >= thr = (r_sq - m)
+    / r_sq - slack - 2**-1000 / r_sq``, where ``slack = 2**-40 + margin + 2
+    g32 + 5 eps32`` and ``margin = (N + 2) 2**-50``, ``N`` the rows of
+    ``cb`` (``_margins``), capped at 2, which it reaches from ``N = 2**23``
+    on; ``m`` and ``thr`` then follow the best score so far.  Among the
+    other columns, only a row with ``second >= thr`` can have such a
+    ``k``; for those rows alone the bounds are computed again, chunk by
+    chunk, and each ``k`` above ``thr`` is scored from its own dot product.
+    From a slack of about 1 on, ``thr`` is negative: every support entry
+    survives, and so does every other column but ``top`` and the
+    runner-up, whose bounds the rescan sets to ``-inf`` with the support's,
+    below any finite ``thr``, so the same code scores each column once.
+    Every
+    survivor and the best so far are scores of the same kind, and one
+    merge (``_merge``) compares them and their ties exactly.
 
     **Why the slack covers float error** (``eps = 2**-53``, ``g = N eps /
     (1 - N eps)``, ``eps32 = 2**-24``, ``g32 = N eps32 / (1 - N eps32)``).
@@ -216,11 +228,12 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     rho_k**2 < r_sq - score_k - slack``, the screen's argument shows that
     every other column scores above ``e_k``, and that ``e_k`` improves.  A
     row that passes this test takes ``e_k`` as its ``top`` from one dot
-    product and leaves the step's ``(chunk x K)`` passes: it has nothing
-    left to scan.  As ``rho_k < 1`` needs ``gap < 1/2``, no row is tested
-    otherwise.  ``gap < 1/2`` also gives every ``e_j`` a nonzero norm, so
-    ``usable`` indexes all of ``cb``.  A target column whose squared norm
-    is below ``_NORM_FLOOR = 2**-400`` makes ``gap`` infinite.
+    product, with a runner-up that repeats it, and leaves the step's
+    ``(chunk x K)`` passes: it has nothing left to scan.  As ``rho_k < 1``
+    needs ``gap < 1/2``, no row is tested otherwise.  ``gap < 1/2`` also
+    gives every ``e_j`` a nonzero norm, so ``usable`` indexes all of
+    ``cb``.  A target column whose squared norm is below ``_NORM_FLOOR =
+    2**-400`` makes ``gap`` infinite.
 
     **Margins of the proof.**  The floats differ from the quantities above
     by at most: ``2 g + 6 eps`` for ``c_k`` (a norm, a division and a dot
@@ -266,7 +279,8 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     # row i's pick at step p is support[i, p] and that column's current
     # weight value[i, p] (every position holding a column has its weight);
     # its squared residual after the step is trace[i, p].  All three widen
-    # on demand, as max_steps may be far beyond the steps a fit takes
+    # on demand, as max_steps may be far beyond the steps a fit takes, and
+    # hold -1 or NaN past each row's steps
     support = np.empty((n_cols, 0), dtype=np.intp)
     value, trace = np.empty((2, n_cols, 0))
     steps = np.zeros(n_cols, dtype=np.intp)
@@ -281,22 +295,29 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
         if t == support.shape[1]:
             extra = min(max(t, 8), max_steps - t)
             support, value, trace = (
-                np.concatenate([a, np.empty((n_cols, extra), a.dtype)],
-                               axis=1) for a in (support, value, trace))
+                np.concatenate([a, np.full((n_cols, extra), fill, a.dtype)],
+                               axis=1)
+                for a, fill in ((support, -1), (value, np.nan),
+                                (trace, np.nan)))
         rs = r_sq[act]
         # a live row picked at every earlier step, so sup has no filler
         sup = support[act, :t]
-        top = np.empty(act.size, dtype=np.intp)
-        u_cand = np.empty((act.size, t + 1))
+        # per row: top and the runner-up with their bounds, the largest
+        # bound left after them, and the bounds of the support
+        pair = np.empty((act.size, 2), dtype=np.intp)
+        u_pair = np.empty((act.size, 2))
+        b_pair = np.empty((act.size, 2), dtype=np.float32)
         second = np.empty(act.size, dtype=np.float32)
+        b_sup = np.empty((act.size, t), dtype=np.float32)
         chunks = [slice(lo, lo + _CHUNK) for lo in range(0, act.size, _CHUNK)]
         if t == 0 and gap < 0.5:
             # a proven row's top is its own column, with nothing left to
-            # score after it
+            # score after it: its runner-up repeats it
             proven, u_own = _proven_first(r[act], cb_t[act], norms[act], rs,
                                           cos_max[act], gap, margin)
-            top[proven], u_cand[proven, 0] = act[proven], u_own[proven]
-            second[proven] = -np.inf
+            pair[proven] = act[proven, None]
+            u_pair[proven] = u_own[proven, None]
+            b_pair[proven], second[proven] = (0.0, -np.inf), -np.inf
             scan = np.flatnonzero(~proven)
             chunks = [scan[lo:lo + _CHUNK] for lo in range(0, scan.size,
                                                            _CHUNK)]
@@ -304,54 +325,48 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
             r_c = r[act[c]]
             bound = _bounds(r_c, rs[c], unit, work)
             pos = np.arange(r_c.shape[0])
+            b_sup[c] = bound[pos[:, None], sup[c]]
             bound[pos[:, None], sup[c]] = -np.inf
-            top[c] = np.argmax(bound, axis=1)
-            bound[pos, top[c]] = -np.inf
-            second[c] = bound.max(axis=1)
+            for i in range(2):
+                at = np.argmax(bound, axis=1)
+                pair[c, i], b_pair[c, i] = at, bound[pos, at]
+                bound[pos, at] = -np.inf
+            # an argmax pass and a gather cost less than one max pass
+            second[c] = bound[pos, np.argmax(bound, axis=1)]
             # every score comes from the candidate's own dot product
-            u_cand[c, 0] = np.vecdot(r_c, cb_t[top[c]])
-            u_cand[c, 1:] = np.vecdot(r_c[:, None], cb_t[sup[c]])
-        # score top and the support: top's weight is 0, and where it lies
-        # in the support (which then covers every usable column) its
-        # duplicate is dropped
-        cand = np.concatenate([top[:, None], sup], axis=1)
-        w_cand = np.concatenate([np.zeros((act.size, 1)), value[act, :t]],
-                                axis=1)
-        score, v, delta = _score(u_cand, w_cand, norms[cand], rs[:, None])
-        score[(sup == top[:, None]).any(axis=1), 0] = np.inf
-        best = _pick(score, cand)
+            u_pair[c] = np.vecdot(r_c[:, None], cb_t[pair[c]])
+        # score top and the runner-up at weight 0; one whose bound was set
+        # aside repeats an earlier pick or the support, which happens only
+        # when fewer than two usable columns lie off the support
+        score, v, delta = _score(u_pair, 0.0, norms[pair], rs[:, None])
+        score[b_pair == -np.inf] = np.inf
+        won = _pick(score, pair)
         pos = np.arange(act.size)
-        score, j, v, delta = (a[pos, best] for a in (score, cand, v, delta))
-        # then every other k whose bound can reach the best of those, on
-        # the rows that have one
-        thr = (rs - np.minimum(score, rs)) / rs - (slack + _SLACK_ABS / rs)
+        best = [a[pos, won] for a in (score, pair, v, delta)]
+        # then the support entries whose bound can reach the best of those
+        thr = _cut(best[0], rs, slack)
+        # flatnonzero and divmod: a 2-D nonzero took several times as long
+        rows, at = np.divmod(np.flatnonzero(b_sup >= thr[:, None]), t)
+        ks = sup[rows, at]
+        _merge(best, pos, rows, ks, _score(np.vecdot(r[act[rows]], cb_t[ks]),
+                                           value[act[rows], at], norms[ks],
+                                           rs[rows]))
+        # then every other k whose bound can reach the best so far, on the
+        # rows that have one
+        thr = _cut(best[0], rs, slack)
         more = np.flatnonzero(second >= thr)
         for lo in range(0, more.size, _CHUNK):
             p = more[lo:lo + _CHUNK]
             bound = _bounds(r[act[p]], rs[p], unit, work)
             sub = np.arange(p.size)[:, None]
             bound[sub, sup[p]] = -np.inf
-            bound[sub[:, 0], top[p]] = -np.inf
-            flat = np.flatnonzero(bound >= thr[p, None])
-            if not flat.size:
-                continue
-            rows, ks = np.divmod(flat, k_count)
-            s_more, v_more, d_more = _score(
+            bound[sub, pair[p]] = -np.inf
+            rows, ks = np.divmod(np.flatnonzero(bound >= thr[p, None]),
+                                 k_count)
+            _merge(best, p, rows, ks, _score(
                 np.vecdot(r[act[p[rows]]], cb_t[ks]), 0.0, norms[ks],
-                rs[p[rows]])
-            # pad each row's survivors behind its best so far, position 0
-            first = np.searchsorted(rows, np.arange(p.size))
-            col = 1 + np.arange(rows.size) - first[rows]
-            table = np.full((p.size, col.max(initial=0) + 1), -1)
-            table[rows, col] = np.arange(rows.size)
-            pad = table < 0
-            k_tab = np.where(pad, k_count, ks[table])
-            s_tab = np.where(pad, np.inf, s_more[table])
-            k_tab[:, 0], s_tab[:, 0] = j[p], score[p]
-            won = table[np.arange(p.size), _pick(s_tab, k_tab)]
-            q, won = p[won >= 0], won[won >= 0]
-            score[q], j[q], v[q], delta[q] = (s_more[won], ks[won],
-                                              v_more[won], d_more[won])
+                rs[p[rows]]))
+        score, j, v, delta = best
         better = score < rs
         act, j, v, delta = act[better], j[better], v[better], delta[better]
         if not act.size:
@@ -383,6 +398,37 @@ def _score(u, w, n, r_sq):
     v = pow2_round_array((w * n + u) / n)
     delta = w - v
     return (delta * n + 2.0 * u) * delta + r_sq, v, delta
+
+
+def _cut(score, r_sq, slack):
+    """The screen's threshold on the relative bounds of rows whose best
+    score so far is ``score`` (see ``_fit_columns``)."""
+    return ((r_sq - np.minimum(score, r_sq)) / r_sq
+            - (slack + _SLACK_ABS / r_sq))
+
+
+def _merge(best, p, rows, ks, scored):
+    """Fold scored candidates into the best so far of live rows ``p``, in
+    place.  ``best`` holds the score, column, value and change of each live
+    row's best candidate; candidate ``i`` belongs to row ``p[rows[i]]``
+    (``rows`` ascending), is column ``ks[i]``, and ``scored`` holds its
+    score, value and change.  A row keeps the lowest score, the smallest
+    column among ties."""
+    if not rows.size:
+        return
+    # pad each row's candidates behind its best so far, position 0
+    first = np.searchsorted(rows, np.arange(p.size))
+    col = 1 + np.arange(rows.size) - first[rows]
+    table = np.full((p.size, col.max() + 1), -1)
+    table[rows, col] = np.arange(rows.size)
+    pad = table < 0
+    k_tab = np.where(pad, np.iinfo(np.intp).max, ks[table])
+    s_tab = np.where(pad, np.inf, scored[0][table])
+    k_tab[:, 0], s_tab[:, 0] = best[1][p], best[0][p]
+    won = table[np.arange(p.size), _pick(s_tab, k_tab)]
+    q, won = p[won >= 0], won[won >= 0]
+    for a, b in zip(best, (scored[0], ks, scored[1], scored[2])):
+        a[q] = b[won]
 
 
 def _proven_first(r, e, norms, r_sq, cos_max, gap, margin):
