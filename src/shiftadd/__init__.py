@@ -14,7 +14,7 @@ from .codebooks import (CodebookDescriptor, gaussian_build, mailman_additions,
                         mailman_apply, mailman_build, mailman_dense,
                         make_codebook, self_design_build, two_sparse_build)
 from .engine import apply, baseline_apply, csd_baseline_apply
-from .errors import (AccuracyUnreachableError, DimensionError, EngineError,
+from .errors import (AccuracyUnreachableError, DimensionError,
                      MatrixFormatError, PlanFormatError, PlanVersionError,
                      ShiftAddError)
 from .plan import (CostReport, DecompositionPlan, DistortionReport,
@@ -37,9 +37,8 @@ __all__ = [
     "mailman_additions", "mailman_apply", "mailman_build", "mailman_dense",
     "make_codebook", "self_design_build", "two_sparse_build",
     "apply", "baseline_apply", "csd_baseline_apply",
-    "AccuracyUnreachableError", "DimensionError", "EngineError",
-    "MatrixFormatError", "PlanFormatError", "PlanVersionError",
-    "ShiftAddError",
+    "AccuracyUnreachableError", "DimensionError", "MatrixFormatError",
+    "PlanFormatError", "PlanVersionError", "ShiftAddError",
     "CostReport", "DecompositionPlan", "DistortionReport", "StageSchedule",
     "achieved_bits", "cost_of", "deserialize", "distortion", "reconstruct",
     "serialize", "threshold",

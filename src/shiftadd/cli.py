@@ -33,7 +33,7 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 CLI_KINDS = {"mailman": "mailman", "two-sparse": "two-sparse",
-             "self": "self-designing", "gaussian": "gaussian"}
+             "self": "self-designing"}
 
 
 def _usage_error(msg: str) -> SystemExit:

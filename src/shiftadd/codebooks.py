@@ -1,9 +1,11 @@
-"""Codebook matrices: binary mailman, two-sparse, self-designing, Gaussian.
+"""Codebook matrices: binary mailman, two-sparse, self-designing.
 
 A codebook is the cheap left factor of the decomposition: its columns are
-the building vectors that wiring stages select and scale.  All kinds except
-the Gaussian one (which exists for analysis only) can be applied with
-additions and bit shifts alone.
+the building vectors that wiring stages select and scale.  Every kind has
+entries that are zero or signed powers of two, so it is applied with
+additions and bit shifts alone.  The i.i.d. Gaussian matrix of the paper's
+error analysis (``gaussian_build``) is no codebook kind: it serves the
+analysis and the auxiliary target a self-designing codebook is fitted to.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import DimensionError, PlanFormatError
 from .pow2matrix import Pow2Matrix, advance_effective
 
-KINDS = ("mailman", "two-sparse", "self-designing", "gaussian")
+KINDS = ("mailman", "two-sparse", "self-designing")
 
 MAILMAN_MAX_ROWS = 24
 
@@ -138,7 +140,7 @@ def _two_sparse_pairs(n_rows: int, max_level: int):
 
 
 # ---------------------------------------------------------------------------
-# gaussian (analysis only)
+# gaussian (analysis and auxiliary targets)
 # ---------------------------------------------------------------------------
 
 def gaussian_build(n_rows: int, n_cols: int, seed: int) -> np.ndarray:
@@ -158,13 +160,12 @@ class CodebookDescriptor:
     ``factors`` holds the stored power-of-two factors behind an implicit
     leading ``[I 0]`` selector: the enumerated matrix for two-sparse (whose
     selector is the identity), the pair ``(B1, B2)`` for self-designing,
-    nothing for mailman and gaussian.
+    nothing for mailman.
     """
 
     kind: str
     n_rows: int
     n_cols: int
-    seed: int | None = None
     stage_sparsity: int = 1
     factors: tuple[Pow2Matrix, ...] = field(default=())
 
@@ -194,24 +195,16 @@ class CodebookDescriptor:
             for f in self.factors:
                 if f.rows != self.n_cols or f.cols != self.n_cols:
                     raise DimensionError("self-designing factors must be KxK")
-        elif self.kind == "gaussian":
-            if self.seed is None or self.seed < 0:
-                raise ValueError(
-                    f"gaussian descriptor needs a seed >= 0, got {self.seed}")
-
-    @property
-    def is_shift_add(self) -> bool:
-        return self.kind != "gaussian"
+            if self.stage_sparsity < 0:
+                raise ValueError(f"stage_sparsity must be >= 0, got "
+                                 f"{self.stage_sparsity}")
 
     @property
     def terminal_additions(self) -> int:
         """Additions of the terminal multiply that leads the plan's chain:
-        the mailman recursion, the cost model's nominal ``2K`` for the
-        analysis-only Gaussian codebook, none for the ``[I 0]`` selector."""
+        the mailman recursion, none for the ``[I 0]`` selector."""
         if self.kind == "mailman":
             return mailman_additions(self.n_rows)
-        if self.kind == "gaussian":
-            return 2 * self.n_cols
         return 0
 
     def dense(self) -> np.ndarray:
@@ -219,8 +212,6 @@ class CodebookDescriptor:
         any, rolled forward from the ``[I 0]`` selector."""
         if self.kind == "mailman":
             return mailman_dense(self.n_rows)
-        if self.kind == "gaussian":
-            return gaussian_build(self.n_rows, self.n_cols, self.seed)
         eff = np.eye(self.n_rows, self.factors[0].rows)
         for factor in self.factors:
             eff = advance_effective(eff, factor)
@@ -229,9 +220,7 @@ class CodebookDescriptor:
     def to_dict(self, records=Pow2Matrix.to_records) -> dict:
         """The file's fields; ``records`` writes each stored factor."""
         d = {"kind": self.kind, "rows": self.n_rows, "cols": self.n_cols}
-        if self.kind == "gaussian":
-            d["seed"] = self.seed
-        elif self.kind == "self-designing":
+        if self.kind == "self-designing":
             d["stage_sparsity"] = self.stage_sparsity
             d["factors"] = [records(f) for f in self.factors]
         return d
@@ -254,8 +243,6 @@ class CodebookDescriptor:
                             for rec in d["factors"])
             return cls(kind, n, k, stage_sparsity=operator.index(
                 d.get("stage_sparsity", 1)), factors=factors)
-        if kind == "gaussian":
-            return cls(kind, n, k, seed=operator.index(d["seed"]))
         return cls(kind, n, k)
 
 
@@ -297,8 +284,6 @@ def make_codebook(kind: str, n_rows: int, n_cols: int, *, seed: int = 0,
     if kind == "two-sparse":
         return CodebookDescriptor("two-sparse", n_rows, n_cols,
                                   factors=(two_sparse_build(n_rows, n_cols),))
-    if kind == "gaussian":
-        return CodebookDescriptor("gaussian", n_rows, n_cols, seed=seed)
     if kind == "self-designing":
         if aux == "target" or (aux == "auto" and target is not None):
             if target is None:

@@ -17,8 +17,9 @@ ones, and sum each nonempty row's segment (``np.add.reduceat``) into a wire
 vector that stores the nonempty rows and one constant 0 for the others.
 The codebook's terminal follows: the mailman multiply, on the wires
 aligned to their lowest point, or the ``[I 0]`` selector that keeps the
-first ``n_rows`` wires at their own points.  Output ``Dyadic`` values are
-built once, at the end.
+first ``n_rows`` wires at their own points; every codebook kind has one
+of the two, so every plan that loads can be applied.  Output ``Dyadic``
+values are built once, at the end.
 
 Each matrix reports its ``(additions, shifts, sign_changes)``, counted
 from the arrays the engine executes (one shift per stored nonzero, the
@@ -42,7 +43,7 @@ import math
 import numpy as np
 
 from .codebooks import mailman_apply
-from .errors import DimensionError, EngineError
+from .errors import DimensionError
 from .plan import CostReport, DecompositionPlan
 from .pot import Dyadic, align, pow2_round_array
 from .pow2matrix import UNWRITTEN, Pow2Matrix, Segments, run
@@ -64,8 +65,7 @@ def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
     The plan's matrix chain (``DecompositionPlan.chain``) is applied last
     to first, the stages and then the codebook's stored factors, followed
     by the codebook's terminal: the fast mailman multiply, or the free
-    ``[I 0]`` selector.  Plans over the Gaussian analysis codebook cannot
-    be executed this way and raise ``EngineError``.
+    ``[I 0]`` selector.
     """
     x = list(x)
     if len(x) != plan.n_cols:
@@ -74,10 +74,6 @@ def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
     for v in x:
         if not isinstance(v, Dyadic):
             raise TypeError(f"engine inputs must be Dyadic, got {type(v)!r}")
-    if not plan.codebook.is_shift_add:
-        raise EngineError(
-            "gaussian codebooks are analysis-only and cannot be applied by "
-            "shifts and additions")
 
     ints, e = align(x)
     h, point = run(np.array(ints, dtype=object), plan.segments,

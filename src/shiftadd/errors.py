@@ -23,7 +23,3 @@ class PlanVersionError(PlanFormatError):
 
 class MatrixFormatError(ShiftAddError, ValueError):
     """A matrix or vector file is malformed."""
-
-
-class EngineError(ShiftAddError):
-    """A plan cannot be executed with shifts and additions only."""

@@ -7,16 +7,18 @@ matrix is ``B @ W_1 @ ... @ W_L``.  Stages and stored codebook factors are
 factors and the stages form one chain (``DecompositionPlan.chain``) that
 exact reconstruction walks forward and the engine walks transposed, last
 to first, each wire at a static binary point (``pow2matrix.walk``).
-Reconstruction verifies a plan exactly: it carries every codebook row as
-a lane of one Python int per column (SIMD within a register), so each
-entry of the chain costs one big-integer operation for all rows at once.
+Reconstruction verifies a plan exactly: it starts every codebook from
+its ``[I 0]`` selector, walking a mailman codebook's matrix as the first
+of the chain, and carries every row as a lane of one Python int per
+column (SIMD within a register), so each entry of the chain costs one
+big-integer operation for all rows at once.
 
 Cost accounting walks the same chain after the codebook's terminal
 multiply (``CodebookDescriptor.terminal_additions``), with one convention
 everywhere: combining the ``m`` terms a column selects costs ``m - 1``
 additions, one shift per nonzero.  For a wiring stage with ``1 + s``
-nonzeros per column that is ``s * K`` additions, and every supported
-codebook costs at most ``2K``.
+nonzeros per column that is ``s * K`` additions, and every codebook
+costs at most ``2K``.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebooks import CodebookDescriptor
+from .codebooks import CodebookDescriptor, mailman_build
 from .errors import DimensionError, PlanFormatError, PlanVersionError
-from .pot import Dyadic, align
 from .pow2matrix import UNWRITTEN, Pow2Matrix, Segments, run, walk
 
 PLAN_FORMAT = "shiftadd-plan"
@@ -130,19 +131,17 @@ class CostReport:
     sign_changes: int
     adds_per_entry: float
     per_stage: tuple[int, ...]
-    analytic_only: bool = False
 
     @classmethod
-    def over_chain(cls, plan: "DecompositionPlan", terminal: int, counts,
-                   analytic_only: bool = False) -> "CostReport":
+    def over_chain(cls, plan: "DecompositionPlan", terminal: int,
+                   counts) -> "CostReport":
         """The report of ``terminal`` additions plus the ``(additions,
         shifts, sign_changes)`` of each matrix of ``plan.chain``, in
         order; ``per_stage`` is the stages' share of the additions."""
         additions, shifts, signs = map(sum, zip((terminal, 0, 0), *counts))
         per_stage = tuple(c[0] for c in counts[len(plan.codebook.factors):])
         return cls(additions, shifts, signs,
-                   additions / (plan.n_rows * plan.n_cols), per_stage,
-                   analytic_only)
+                   additions / (plan.n_rows * plan.n_cols), per_stage)
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,7 @@ class DecompositionPlan:
     def chain(self) -> tuple[Pow2Matrix, ...]:
         """The plan's power-of-two matrices in design order: the codebook's
         stored factors, then the stages.  Led by the codebook's ``[I 0]``
-        selector, or by its dense matrix when it stores no factors, their
+        selector, or by the mailman matrix when it stores no factors, their
         product is the reconstruction."""
         return self.codebook.factors + self.stages
 
@@ -244,50 +243,38 @@ def target_digest(target: np.ndarray) -> str:
 def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     """Exact dyadic reconstruction, one ``(mantissa, exponent)`` per entry.
 
-    Pushes the ``n_rows`` rows of the codebook forward through the plan's
-    matrix chain (``DecompositionPlan.chain``) in integer arithmetic, with
-    one exponent per row and one static binary point per column.  The rows
-    travel packed: row ``i`` is lane ``i`` of one Python int per column,
-    ``H_j = sum_i v_ij * 2**(w*i)``, and each matrix is one
-    ``pow2matrix.shift_add`` over its stored columns as ``pow2matrix.walk``
-    schedules the chain from the start columns (point 0, or unwritten
-    where all zero): gather each entry's row, shift the entries above
-    their column's point, negate the negative entries, sum each nonempty
-    column.  Every step is linear, so it acts on each lane alone.  The
-    lane width ``w`` is static: the widest bound ``walk`` gives a final
-    column, plus a sign bit and a bias bit, rounded up to whole bytes.
-    Each column is unpacked once: a bias of ``2**(w-1)`` per lane makes
-    every lane nonnegative, one ``to_bytes`` writes them all, and
-    ``int.from_bytes`` reads each back.  Each column is returned over the
-    exponent the chain's per-matrix smallest exponents sum to, which no
-    point is below: its mantissas are shifted left by the difference from
-    its own point.
-
-    Codebooks with stored factors start from the rows of their leading
-    ``[I 0]`` selector (the identity for two-sparse); mailman and Gaussian
-    codebooks start from the exact values of their dense matrix.  Returned
-    as a list of ``n_cols`` columns of length ``n_rows``, zeros as ``(0,
-    0)``.
+    Pushes the ``n_rows`` rows of the codebook's ``[I 0]`` selector forward
+    through the plan's matrix chain (``DecompositionPlan.chain``), led by
+    ``mailman_build(n_rows)`` for a mailman codebook, in integer arithmetic
+    with one static binary point per column.  The rows travel packed: row
+    ``i`` is lane ``i`` of one Python int per column, ``H_j = sum_i v_ij *
+    2**(w*i)``, and each matrix is one ``pow2matrix.shift_add`` over its
+    stored columns as ``pow2matrix.walk`` schedules the chain from the
+    selector's columns (point 0, the others unwritten): gather each entry's
+    row, shift the entries above their column's point, negate the negative
+    entries, sum each nonempty column.  Every step is linear, so it acts on
+    each lane alone.  The lane width ``w`` is static: the widest bound
+    ``walk`` gives a final column, plus a sign bit and a bias bit, rounded
+    up to whole bytes.  Each column is unpacked once: a bias of
+    ``2**(w-1)`` per lane makes every lane nonnegative, one ``to_bytes``
+    writes them all, and ``int.from_bytes`` reads each back.  Every entry
+    is returned over the one exponent the chain's per-matrix smallest
+    exponents sum to, which no point is below: its mantissa is shifted left
+    by the difference from its column's point.  Returned as a list of
+    ``n_cols`` columns of length ``n_rows``, zeros as ``(0, 0)``.
     """
-    cb, n, chain = plan.codebook, plan.n_rows, plan.chain
-    if cb.factors:
-        block = np.eye(n, cb.factors[0].rows, dtype=object)
-        exps = [0] * n
-    else:
-        rows = [align([Dyadic.from_float(v) for v in row])
-                for row in cb.dense().tolist()]
-        block = np.array([r for r, _ in rows], dtype=object)
-        exps = [e for _, e in rows]
-    bits = np.array([v.bit_length() for v in np.abs(block).max(axis=0)])
-    start = np.where(bits > 0, 0, UNWRITTEN)
-    steps = list(walk(chain, start, bits))
-    top = int((steps[-1].bits if steps else bits).max())
-    lane = -(-(top + 2) // 8)
+    n, chain = plan.n_rows, plan.chain
+    if plan.codebook.kind == "mailman":
+        chain = (mailman_build(n),) + chain
+    selected = np.arange(chain[0].rows) < n
+    start = np.where(selected, 0, UNWRITTEN)
+    steps = list(walk(chain, start, selected))
+    lane = -(-(int(steps[-1].bits.max()) + 2) // 8)
     w = 8 * lane  # lane width in bits, whole bytes
-    h = (block << np.arange(0, w * n, w, dtype=object)[:, None]).sum(axis=0)
+    h = np.zeros(len(start), dtype=object)
+    h[:n] = [1 << (w * i) for i in range(n)]
     h, point = run(h, steps, start)
     low = sum(int(m.exp.min()) for m in chain if m.nnz)
-    exps = [e + low for e in exps]
     half, size = 1 << (w - 1), lane * n
     bias = int.from_bytes(half.to_bytes(lane, "little") * n, "little")
     out = []
@@ -296,7 +283,7 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
         data = (p + bias).to_bytes(size, "little")
         lanes = [int.from_bytes(data[b:b + lane], "little") - half
                  for b in range(0, size, lane)]
-        out.append([(m << d, e) if m else (0, 0) for m, e in zip(lanes, exps)])
+        out.append([(m << d, low) if m else (0, 0) for m in lanes])
     return out
 
 
@@ -320,10 +307,8 @@ def cost_of(plan: DecompositionPlan) -> CostReport:
     """Structural operation counts of applying the plan to one vector: each
     matrix of the chain by its ``op_counts``, then the codebook's terminal
     multiply."""
-    cb = plan.codebook
-    return CostReport.over_chain(plan, cb.terminal_additions,
-                                 [m.op_counts() for m in plan.chain],
-                                 not cb.is_shift_add)
+    return CostReport.over_chain(plan, plan.codebook.terminal_additions,
+                                 [m.op_counts() for m in plan.chain])
 
 
 def distortion(plan: DecompositionPlan,

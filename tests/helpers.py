@@ -70,8 +70,6 @@ def cost_oracle(plan):
     cb = plan.codebook
     if cb.kind == "mailman":
         total = [sa.mailman_additions(cb.n_rows), 0, 0]
-    elif cb.kind == "gaussian":
-        total = [2 * cb.n_cols, 0, 0]
     else:
         total = [sum(c) for c in zip(*map(count, cb.factors))]
     per_stage = []

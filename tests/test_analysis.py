@@ -183,10 +183,11 @@ class TestSimulation:
 
     @pytest.mark.parametrize("kind,n,k", [("two-sparse", 5, 32),
                                           ("self-designing", 5, 32),
-                                          ("mailman", 4, 16)])
+                                          ("mailman", 4, 16),
+                                          ("gaussian", 5, 32)])
     def test_decomposition_equals_fixed_plans(self, kind, n, k):
-        # the same draws decomposed one unit-sparsity stage at a time, each
-        # plan rolled forward from its codebook stage by stage
+        # the same draws fitted one unit-sparsity stage at a time, each
+        # codebook rolled forward stage by stage
         stages, samples, seed = 3, 3, 21
         s, mean, err = sa.simulate_decomposition(n, k, stages, kind, seed,
                                                  samples)
@@ -194,13 +195,12 @@ class TestSimulation:
         per = np.empty((samples, stages))
         for m in range(samples):
             target = rng.standard_normal((n, k))
-            cb = sa.make_codebook(kind, n, k, seed=int(rng.integers(2 ** 62)),
-                                  target=target)
-            plan = sa.decompose(target, cb,
-                                sa.StageSchedule.fixed([1] * stages))
-            eff = cb.dense()
-            for ell, stage in enumerate(plan.stages):
-                eff = advance_effective(eff, stage)
+            cb_seed = int(rng.integers(2 ** 62))
+            eff = sa.gaussian_build(n, k, cb_seed) if kind == "gaussian" \
+                else sa.make_codebook(kind, n, k, seed=cb_seed,
+                                      target=target).dense()
+            for ell in range(stages):
+                eff = advance_effective(eff, sa.fit_stage(target, eff, 1))
                 diff = target - eff
                 per[m, ell] = np.mean(np.sum(diff * diff, axis=0)
                                       / np.sum(target * target, axis=0))

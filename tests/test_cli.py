@@ -189,6 +189,27 @@ class TestDecomposeApply:
         assert code == 3
         assert "exceeds the largest" in err
 
+    @pytest.mark.parametrize("codebook, message", [
+        ({"kind": "gaussian", "rows": 2, "cols": 4, "seed": 3},
+         "unknown codebook kind 'gaussian'"),
+        ({"stage_sparsity": -5}, "stage_sparsity must be >= 0")],
+        ids=["gaussian-kind", "negative-stage-sparsity"])
+    def test_refused_codebook_exits_3(self, tmp_path, capsys, codebook,
+                                      message):
+        cb = sa.make_codebook("self-designing", 2, 4, seed=3, aux="gaussian")
+        doc = json.loads(sa.serialize(sa.DecompositionPlan(2, 4, cb, ())))
+        doc["codebook"] = codebook if "kind" in codebook else \
+            {**doc["codebook"], **codebook}
+        plan_path = tmp_path / "p.json"
+        plan_path.write_text(json.dumps(doc))
+        vec = tmp_path / "x.csv"
+        vec.write_text("1,0\n" * 4)
+        code, out, err = run(capsys, "apply", "--plan", str(plan_path),
+                             "--vector", str(vec))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("entry", [[0.9, 1, 0], [0, 1.0, -1.0]])
     def test_float_plan_entry_exits_3(self, tmp_path, capsys, entry):
         def edit(doc):
@@ -513,6 +534,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == last_line
         assert len(err) == 1 or err[0].startswith("usage: shiftadd")
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("command", ["decompose", "bench"])
+    def test_gaussian_codebook_is_no_choice(self, tmp_path, capsys, command):
+        # the Gaussian matrix is no codebook kind; --aux and --target keep it
+        argv = [command, "--codebook", "gaussian", "--bits", "4"]
+        if command == "decompose":
+            mat = tmp_path / "m.csv"
+            matio.save_matrix_csv(mat, np.eye(4))
+            argv += ["--matrix", str(mat), "--out", str(tmp_path / "p.json")]
+        else:
+            argv += ["--shapes", "4x16", "--samples", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'gaussian'" in capsys.readouterr().err
         assert not (tmp_path / "p.json").exists()
 
     @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -116,7 +116,6 @@ class TestSelfDesigning:
         aux = rng.standard_normal((8, 256))
         cb = sa.self_design_build(aux, stage_sparsity=1)
         cost = sa.cost_of(sa.DecompositionPlan(8, 256, cb, ()))
-        assert not cost.analytic_only
         assert cost.additions <= 2 * 256
         assert cb.dense().shape == (8, 256)
 
@@ -147,23 +146,24 @@ class TestDescriptor:
     def test_round_trips(self):
         rng = np.random.default_rng(203)
         target = rng.standard_normal((3, 8))
-        for kind in ("mailman", "two-sparse", "self-designing", "gaussian"):
+        for kind in ("mailman", "two-sparse", "self-designing"):
             cb = sa.make_codebook(kind, 3, 8, seed=5, target=target)
             back = sa.CodebookDescriptor.from_dict(cb.to_dict())
             assert back == cb
             assert np.array_equal(back.dense(), cb.dense())
 
-    def test_gaussian_cost_flagged(self):
-        cb = sa.make_codebook("gaussian", 4, 32, seed=1)
-        cost = sa.cost_of(sa.DecompositionPlan(4, 32, cb, ()))
-        assert cost.analytic_only and cost.additions == 64
-        assert not cb.is_shift_add
+    def test_gaussian_is_no_codebook_kind(self):
+        # the Gaussian matrix serves the analysis and auxiliary targets only
+        with pytest.raises(ValueError, match="unknown codebook kind"):
+            sa.make_codebook("gaussian", 4, 32, seed=1)
+        with pytest.raises(ValueError, match="unknown codebook kind"):
+            sa.CodebookDescriptor("gaussian", 4, 32)
 
     def test_mailman_cost(self):
         cb = sa.make_codebook("mailman", 3, 8)
         cost = sa.cost_of(sa.DecompositionPlan(3, 8, cb, ()))
-        assert (cost.additions, cost.shifts, cost.sign_changes,
-                cost.analytic_only) == (10, 0, 0, False)
+        assert (cost.additions, cost.shifts,
+                cost.sign_changes) == (10, 0, 0)
 
     def test_two_sparse_refuses_any_factor_but_its_enumeration(self):
         # the file records only the shape, so another factor would be

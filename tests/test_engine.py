@@ -68,12 +68,6 @@ class TestApply:
         for m, u, v in zip(ym, yx, yz):
             assert m == u.times_pow2(*a) + v.times_pow2(*b)
 
-    def test_gaussian_plans_refused(self):
-        cb = sa.make_codebook("gaussian", 3, 8, seed=1)
-        plan = sa.DecompositionPlan(3, 8, cb, ())
-        with pytest.raises(sa.EngineError):
-            sa.apply(plan, [sa.Dyadic(1)] * 8)
-
     def test_input_validation(self):
         plan = sa.DecompositionPlan(3, 8, sa.make_codebook("mailman", 3, 8), ())
         with pytest.raises(sa.DimensionError):
@@ -272,7 +266,7 @@ class TestCostWitnesses:
         want = cost_oracle(plan)
         for rep in (sa.cost_of(plan), ran):
             assert (rep.additions, rep.shifts, rep.sign_changes,
-                    rep.per_stage, rep.analytic_only) == (*want, False)
+                    rep.per_stage) == want
 
     def test_random_and_synthetic_plans(self):
         rng = np.random.default_rng(520)
@@ -287,16 +281,6 @@ class TestCostWitnesses:
         rng = np.random.default_rng(521)
         cb = sa.make_codebook(kind, n, k, target=rng.standard_normal((n, k)))
         self._check(sa.DecompositionPlan(n, k, cb, ()), rng)
-
-    def test_gaussian_plan_is_counted_and_flagged(self):
-        # the engine refuses it, so cost_of and the oracle are the witnesses
-        rng = np.random.default_rng(523)
-        cb = sa.make_codebook("gaussian", 3, 8, seed=5)
-        plan = sa.decompose(rng.standard_normal((3, 8)), cb,
-                            sa.StageSchedule.fixed([1, 2]))
-        rep = sa.cost_of(plan)
-        assert (rep.additions, rep.shifts, rep.sign_changes, rep.per_stage,
-                rep.analytic_only) == (*cost_oracle(plan), True)
 
     def test_table1_plan(self):
         rng = np.random.default_rng(522)

@@ -53,7 +53,7 @@ class TestReconstruct:
         for kind, n, k in [("mailman", 3, 8), ("two-sparse", 3, 7),
                            ("two-sparse", 12, 4096),
                            ("self-designing", 3, 7),
-                           ("self-designing", 16, 256), ("gaussian", 3, 7)]:
+                           ("self-designing", 16, 256), ("mailman", 1, 2)]:
             cb = sa.make_codebook(kind, n, k, seed=2,
                                   target=rng.standard_normal((n, k)))
             plan = sa.DecompositionPlan(n, k, cb, ())
@@ -72,10 +72,12 @@ class TestReconstruct:
         rng = np.random.default_rng(400)
         plans = [random_plan(rng, max_cols=16, max_stages=3)[0]
                  for _ in range(10)]
-        # float codebook rows as the starting point of row propagation
-        gauss = sa.make_codebook("gaussian", 3, 8, seed=5)
-        plans.append(sa.decompose(rng.standard_normal((3, 8)), gauss,
-                                  sa.StageSchedule.fixed([1, 2])))
+        # the mailman matrix walked from the selector, against the
+        # oracles' dense start
+        for n in (1, 3, 5):
+            plans.append(sa.decompose(rng.standard_normal((n, 1 << n)),
+                                      sa.make_codebook("mailman", n, 1 << n),
+                                      sa.StageSchedule.fixed([1, 2])))
         # stage exponents from -40 to 40
         plans += [synthetic_plan(rng) for _ in range(10)]
         return plans
@@ -157,8 +159,7 @@ def _edge_codebooks():
     return (make("mailman", 1, 2), make("mailman", 5, 32),
             make("two-sparse", 2, 32), make("two-sparse", 24, 32),
             make("self-designing", 1, 32, seed=1, aux="gaussian"),
-            make("self-designing", 24, 32, seed=2, aux="gaussian"),
-            make("gaussian", 1, 32, seed=3), make("gaussian", 24, 32, seed=4))
+            make("self-designing", 24, 32, seed=2, aux="gaussian"))
 
 
 def _edge_plans():
@@ -488,7 +489,7 @@ class TestSerialization:
                  for _ in range(8)]
         plans += [synthetic_plan(rng, max_stages=3) for _ in range(4)]
         tgt = rng.standard_normal((4, 16))
-        for kind in ("mailman", "two-sparse", "self-designing", "gaussian"):
+        for kind in ("mailman", "two-sparse", "self-designing"):
             cb = sa.make_codebook(kind, 4, 16, seed=5, target=tgt)
             plans += [sa.decompose(tgt, cb, sa.StageSchedule.adaptive(6)),
                       sa.decompose(tgt, cb, sa.StageSchedule.fixed([0, 2]))]
@@ -583,6 +584,8 @@ class TestSerialization:
                                             (10 ** 9, 1), (25, 1 << 24)])
     def test_oversized_codebook_refused_before_building(self, monkeypatch,
                                                         kind, rows, cols):
+        # the size is checked before the kind, so a document of the
+        # removed gaussian kind is refused as oversized too
         def no_build(*args, **kwargs):
             raise AssertionError("the codebook was built")
 
@@ -590,32 +593,43 @@ class TestSerialization:
             monkeypatch.setattr(f"shiftadd.codebooks.{name}", no_build)
         doc = {"format": sa.plan.PLAN_FORMAT, "version": sa.plan.PLAN_VERSION,
                "rows": rows, "cols": cols, "stages": [],
-               "codebook": {"kind": kind, "rows": rows, "cols": cols,
-                            "seed": 0}}
+               "codebook": {"kind": kind, "rows": rows, "cols": cols}}
         with pytest.raises(sa.PlanFormatError, match="exceeds the largest"):
             sa.deserialize(json.dumps(doc).encode())
-        # the largest codebook itself still loads, unbuilt
+        # the largest mailman codebook itself still loads, unbuilt
         doc["rows"] = doc["codebook"]["rows"] = 24
         doc["cols"] = doc["codebook"]["cols"] = 1 << 24
-        if kind != "two-sparse":
+        if kind == "mailman":
             assert sa.deserialize(json.dumps(doc).encode()).n_cols == 1 << 24
+        elif kind == "gaussian":
+            with pytest.raises(sa.PlanFormatError, match="'gaussian'"):
+                sa.deserialize(json.dumps(doc).encode())
 
-    def test_negative_gaussian_seed_is_a_format_error(self):
-        cb = sa.make_codebook("gaussian", 2, 4, seed=3)
+    @pytest.mark.parametrize("codebook, message", [
+        ({"kind": "gaussian", "rows": 2, "cols": 4, "seed": 3},
+         "unknown codebook kind 'gaussian'"),
+        ({"stage_sparsity": -5}, "stage_sparsity must be >= 0")],
+        ids=["gaussian-kind", "negative-stage-sparsity"])
+    def test_refused_codebook_is_a_format_error(self, codebook, message):
+        # a gaussian plan file, as earlier versions wrote one, no longer
+        # loads; a negative stage sparsity was loaded and written back
+        cb = sa.make_codebook("self-designing", 2, 4, seed=3, aux="gaussian")
         doc = json.loads(sa.serialize(sa.DecompositionPlan(2, 4, cb, ())))
-        doc["codebook"]["seed"] = -1
-        with pytest.raises(sa.PlanFormatError, match="seed"):
+        if "kind" in codebook:
+            doc["codebook"] = codebook
+        else:
+            doc["codebook"].update(codebook)
+        with pytest.raises(sa.PlanFormatError, match=message):
             sa.deserialize(json.dumps(doc).encode())
-        with pytest.raises(ValueError, match="seed"):
-            sa.make_codebook("gaussian", 2, 4, seed=-1)
 
 
 def _fuzz_base_docs():
     rng = np.random.default_rng(412)
     plans = [synthetic_plan(rng, max_stages=2) for _ in range(4)]
     tgt = rng.standard_normal((3, 8))
-    for kind in ("self-designing", "gaussian"):
-        cb = sa.make_codebook(kind, 3, 8, seed=3, target=tgt)
+    for sparsity in (1, 2):
+        cb = sa.make_codebook("self-designing", 3, 8, target=tgt,
+                              stage_sparsity=sparsity)
         plans.append(sa.decompose(tgt, cb, sa.StageSchedule.fixed([1])))
     return [json.loads(sa.serialize(p)) for p in plans]
 
@@ -707,12 +721,12 @@ def test_mutated_plan_that_loads_reconstructs(data):
     for _ in range(data.draw(st.integers(0, 3))):
         _mutate(doc, data)
     # the cases the single mutations rarely reach: a shape that plan and
-    # codebook agree on, and a negative Gaussian seed
+    # codebook agree on, and a negative stage sparsity
     if data.draw(st.booleans()):
         key = data.draw(st.sampled_from(["rows", "cols"]))
         doc[key] = doc["codebook"][key] = data.draw(_SHAPES)
-    if "seed" in doc["codebook"]:
-        doc["codebook"]["seed"] = data.draw(st.integers(-3, 3))
+    if "stage_sparsity" in doc["codebook"]:
+        doc["codebook"]["stage_sparsity"] = data.draw(st.integers(-3, 3))
     try:
         plan = sa.deserialize(json.dumps(doc).encode())
     except sa.PlanFormatError:

@@ -287,7 +287,8 @@ class TestBlockedKernel:
     def test_adaptive_decompose_matches_oracle(self):
         rng = np.random.default_rng(335)
         tgt = rng.random((4, 65))
-        codebook = sa.make_codebook("gaussian", 4, 65, seed=5)
+        codebook = sa.make_codebook("self-designing", 4, 65, seed=5,
+                                    aux="gaussian")
         cb = codebook.dense()
         rel = sa.threshold(12)
         plan = sa.decompose(tgt, codebook, sa.StageSchedule.adaptive(12, 96))
