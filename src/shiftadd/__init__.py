@@ -6,14 +6,14 @@ the product with a vector then needs only additions and bit shifts, with
 exact distortion and operation-cost accounting.
 """
 
-from .analysis import (AngleErrorModel, angle_error_cdf, asymptotic_threshold,
-                       code_rate, distortion_lower_bound, mean_sq_angle_error,
+from .analysis import (angle_error_cdf, asymptotic_threshold, code_rate,
+                       distortion_lower_bound, mean_sq_angle_error,
                        reg_inc_beta, rho2_cdf, simulate_angle_error,
                        simulate_decomposition, total_error)
 from .codebooks import (CodebookDescriptor, gaussian_build, mailman_additions,
                         mailman_apply, mailman_build, mailman_dense,
                         make_codebook, self_design_build, two_sparse_build)
-from .engine import apply, baseline_apply, csd_baseline_apply
+from .engine import apply, baseline_apply
 from .errors import (AccuracyUnreachableError, DimensionError,
                      MatrixFormatError, PlanFormatError, PlanVersionError,
                      ShiftAddError)
@@ -29,14 +29,14 @@ from .wiring import FitResult, decompose, fit_column, fit_stage
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleErrorModel", "angle_error_cdf", "asymptotic_threshold",
-    "code_rate", "distortion_lower_bound", "mean_sq_angle_error",
+    "angle_error_cdf", "asymptotic_threshold", "code_rate",
+    "distortion_lower_bound", "mean_sq_angle_error",
     "reg_inc_beta", "rho2_cdf", "simulate_angle_error",
     "simulate_decomposition", "total_error",
     "CodebookDescriptor", "gaussian_build",
     "mailman_additions", "mailman_apply", "mailman_build", "mailman_dense",
     "make_codebook", "self_design_build", "two_sparse_build",
-    "apply", "baseline_apply", "csd_baseline_apply",
+    "apply", "baseline_apply",
     "AccuracyUnreachableError", "DimensionError", "MatrixFormatError",
     "PlanFormatError", "PlanVersionError", "ShiftAddError",
     "CostReport", "DecompositionPlan", "DistortionReport", "StageSchedule",

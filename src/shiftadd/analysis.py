@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,38 +128,6 @@ def asymptotic_threshold(rate: float) -> float:
     if rate <= 0:
         raise ValueError("rate must be positive")
     return 4.0 ** (-rate)
-
-
-@dataclass(frozen=True)
-class AngleErrorModel:
-    """Convenience bundle for one (N, K) design point."""
-
-    n_rows: int
-    n_cols: int
-
-    def __post_init__(self):
-        if self.n_cols < 2:
-            raise ValueError("need at least two codewords")
-        if self.rate <= 0:
-            raise ValueError("code rate must be positive")
-
-    @property
-    def rate(self) -> float:
-        return code_rate(self.n_rows, self.n_cols)
-
-    def cdf(self, r):
-        return angle_error_cdf(self.n_rows, self.n_cols, r)
-
-    @property
-    def mean_angle_sq(self) -> float:
-        return mean_sq_angle_error(self.n_rows, self.n_cols)
-
-    @property
-    def mean_total_sq(self) -> float:
-        return total_error(self.n_rows, self.n_cols)
-
-    def lower_bound(self, s: int) -> float:
-        return distortion_lower_bound(self.n_rows, self.n_cols, s)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ import numpy as np
 from .codebooks import mailman_apply
 from .errors import DimensionError
 from .plan import CostReport, DecompositionPlan
-from .pot import Dyadic, align, pow2_round_array
+from .pot import Dyadic, align
 from .pow2matrix import UNWRITTEN, Pow2Matrix, Segments, run
 
 
@@ -95,10 +95,24 @@ def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
 
 
 # ---------------------------------------------------------------------------
-# fixed-point baselines
+# fixed-point baseline
 # ---------------------------------------------------------------------------
 
-def _check_baseline_args(target, x) -> tuple[np.ndarray, list[Dyadic]]:
+def baseline_apply(target, q: int, x) -> tuple[list[Dyadic], CostReport]:
+    """Sign-magnitude fixed-point reference: quantize every entry to ``q``
+    bits (sign plus ``q - 1`` fractional) and evaluate by shift-add.
+
+    One shift per set magnitude bit.  An entry of ``m >= 1`` set bits costs
+    ``m - 1`` internal additions; combining the nonzero entries of a row
+    costs one addition per entry beyond the first.  Zero entries cost
+    nothing.  Uniform entries at ``q = 16`` need about 7.5 additions per
+    entry: one per set magnitude bit, with the per-entry and across-row
+    accumulation bookkeeping cancelling to ``sum(bits) - rows``.
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if q > 62:
+        raise ValueError("baseline supports q up to 62 bits")
     tgt = np.asarray(target, dtype=np.float64)
     if tgt.ndim != 2:
         raise DimensionError("baseline target must be a matrix")
@@ -109,44 +123,6 @@ def _check_baseline_args(target, x) -> tuple[np.ndarray, list[Dyadic]]:
         raise DimensionError(
             f"input length {len(x)} does not match target width "
             f"{tgt.shape[1]}")
-    return tgt, x
-
-
-def _baseline_result(m_int: np.ndarray, scale_exp: int, terms: np.ndarray,
-                     negative: np.ndarray,
-                     x: list[Dyadic]) -> tuple[list[Dyadic], CostReport]:
-    """The exact product ``(m_int @ x) * 2**scale_exp`` of an integer
-    matrix, and its cost when entry ``(i, j)`` is formed from
-    ``terms[i, j]`` power-of-two terms, ``negative[i, j]`` of them negative.
-
-    One shift per term.  An entry of ``m >= 1`` terms costs ``m - 1``
-    internal additions; combining the nonzero entries of a row costs one
-    addition per entry beyond the first.  Zero terms cost nothing.
-    """
-    internal = int(np.sum(np.maximum(terms - 1, 0)))
-    row_nnz = np.sum(terms > 0, axis=1)
-    additions = internal + int(np.sum(np.maximum(row_nnz - 1, 0)))
-    aligned, e_base = align(x)
-    sums = m_int.astype(object) @ np.array(aligned, dtype=object)
-    y = [Dyadic(int(s), e_base + scale_exp) for s in sums]
-    entries = terms.size
-    return y, CostReport(additions, int(np.sum(terms)), int(np.sum(negative)),
-                         additions / entries if entries else 0.0, ())
-
-
-def baseline_apply(target, q: int, x) -> tuple[list[Dyadic], CostReport]:
-    """Sign-magnitude fixed-point reference: quantize every entry to ``q``
-    bits (sign plus ``q - 1`` fractional) and evaluate by shift-add.
-
-    Uniform entries at ``q = 16`` need about 7.5 additions per entry: one
-    per set magnitude bit, with the per-entry and across-row accumulation
-    bookkeeping cancelling to ``sum(bits) - rows``.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if q > 62:
-        raise ValueError("baseline supports q up to 62 bits")
-    tgt, x = _check_baseline_args(target, x)
     scale = q - 1
     # ties away from zero, exactly: floor(mag + 0.5) would round mag + 0.5
     # to even once mag >= 2**52, while mag - floor(mag) is exact
@@ -154,35 +130,14 @@ def baseline_apply(target, q: int, x) -> tuple[list[Dyadic], CostReport]:
     m_int = np.floor(mag)
     m_int = (np.sign(tgt) * (m_int + (mag - m_int >= 0.5))).astype(np.int64)
     bits = np.bitwise_count(np.abs(m_int).astype(np.uint64)).astype(np.int64)
-    return _baseline_result(m_int, -scale, bits, np.where(m_int < 0, bits, 0),
-                            x)
 
-
-def csd_baseline_apply(target, c_per_entry: int, x,
-                       target_mse: float | None = None,
-                       max_terms: int = 64) -> tuple[list[Dyadic], CostReport]:
-    """Signed-digit reference: encode every entry greedily with at most
-    ``c_per_entry`` power-of-two terms and evaluate exactly.
-
-    With ``target_mse`` set, each entry instead keeps adding terms until its
-    squared error is at most that value (or ``max_terms`` is hit), the
-    adaptive analogue of a fixed bit width.
-    """
-    if c_per_entry < 0:
-        raise ValueError("c_per_entry must be >= 0")
-    tgt, x = _check_baseline_args(target, x)
-    r = tgt.copy()
-    terms = np.zeros(tgt.shape, dtype=np.int64)
-    negative = np.zeros(tgt.shape, dtype=np.int64)
-    for _ in range(c_per_entry if target_mse is None else max_terms):
-        live = True if target_mse is None else r * r > target_mse
-        if not np.any(live):
-            break
-        v = np.where(live, pow2_round_array(r, e_min=None, e_max=None), 0.0)
-        terms += v != 0.0
-        negative += v < 0.0
-        r -= v
-    approx = tgt - r  # both residual chain and difference are exact
-    ints, e = align([Dyadic.from_float(a) for a in approx.ravel().tolist()])
-    return _baseline_result(np.array(ints, dtype=object).reshape(tgt.shape),
-                            e, terms, negative, x)
+    internal = int(np.sum(np.maximum(bits - 1, 0)))
+    row_nnz = np.sum(bits > 0, axis=1)
+    additions = internal + int(np.sum(np.maximum(row_nnz - 1, 0)))
+    aligned, e_base = align(x)
+    sums = m_int.astype(object) @ np.array(aligned, dtype=object)
+    y = [Dyadic(int(s), e_base - scale) for s in sums]
+    entries = bits.size
+    return y, CostReport(additions, int(np.sum(bits)),
+                         int(np.sum(bits[m_int < 0])),
+                         additions / entries if entries else 0.0, ())

@@ -150,7 +150,10 @@ def load_vector(path) -> list[Dyadic]:
 def vector_line(v: Dyadic) -> str:
     """``mantissa,exponent,decimal`` of ``v``: the decimal is ``v`` rounded
     to nearest float64, ``inf`` or ``-inf`` beyond its range, where
-    ``Dyadic.to_float`` raises (``load_vector`` reads the first two)."""
+    ``Dyadic.to_float`` raises.  ``load_vector`` reads the first two
+    columns, and refuses a line whose exponent exceeds ``VECTOR_EXP_MAX``
+    (1023): such an output is exact, but it does not load back as an
+    input."""
     try:
         rounded = v.to_float()
     except OverflowError:

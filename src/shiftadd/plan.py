@@ -167,8 +167,8 @@ def threshold(q: int) -> float:
 
 def achieved_bits(rel_error: float) -> float:
     """Largest bit width whose threshold the error meets (0 if none)."""
-    if rel_error < 0:
-        raise ValueError("relative error must be >= 0")
+    if not rel_error >= 0:  # also refuses NaN
+        raise ValueError(f"relative error must be >= 0, got {rel_error!r}")
     if rel_error == 0.0:
         return math.inf
     if rel_error > threshold(1):
@@ -320,6 +320,8 @@ def distortion(plan: DecompositionPlan,
         raise DimensionError(
             f"target shape {target.shape} does not match plan "
             f"{(plan.n_rows, plan.n_cols)}")
+    if not np.isfinite(target).all():
+        raise ValueError("target holds NaN or infinite entries")
     return distortion_of_matrix(reconstruct(plan), target)
 
 

@@ -30,6 +30,12 @@ def test_import_leaves_scipy_special_and_integrate_unloaded():
         "[]", "['scipy.integrate', 'scipy.special']"]
 
 
+def test_every_export_resolves():
+    assert all(hasattr(sa, name) for name in sa.__all__)
+    for gone in ("csd_baseline_apply", "AngleErrorModel"):
+        assert gone not in sa.__all__ and not hasattr(sa, gone)
+
+
 class TestRegIncBeta:
     def test_sqrt_law(self):
         for r in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
@@ -147,15 +153,21 @@ class TestAsymptote:
             sa.asymptotic_threshold(0.0)
 
 
-class TestModelBundle:
-    def test_fields(self):
-        m = sa.AngleErrorModel(8, 256)
-        assert m.rate == pytest.approx(1.0)
-        assert m.mean_total_sq == pytest.approx(sa.total_error(8, 256))
-        assert m.lower_bound(3) == pytest.approx(
-            sa.distortion_lower_bound(8, 256, 3))
-        with pytest.raises(ValueError):
-            sa.AngleErrorModel(8, 1)
+class TestDesignPoint:
+    def test_code_rate(self):
+        assert sa.code_rate(8, 256) == 1.0
+        assert sa.code_rate(16, 1024) == 0.625
+
+    def test_functions_agree(self):
+        # at (N, K) = (8, 256): the mean is the integral of the CDF's tail,
+        # and the total error and the bound are built from it
+        r = np.linspace(0.0, 1.0, 20001)
+        tail = 1.0 - sa.angle_error_cdf(8, 256, r)
+        mean = sa.mean_sq_angle_error(8, 256)
+        assert np.trapezoid(tail, r) == pytest.approx(mean, rel=1e-4)
+        assert sa.total_error(8, 256) == total_error_from_angle(mean)
+        assert sa.distortion_lower_bound(8, 256, 3) == \
+            sa.total_error(8, 256) ** 4
 
 
 class TestSimulation:

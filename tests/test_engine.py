@@ -345,49 +345,3 @@ class TestBaseline:
             y, _ = sa.baseline_apply(np.array([[v]]), q, [sa.Dyadic(1)])
             want = sa.csd_decode(sa.binary_encode(v, q)).to_fraction()
             assert y[0].to_fraction() == want
-
-
-class TestCsdBaseline:
-    def test_zero_budget(self):
-        y, rep = sa.csd_baseline_apply(np.array([[0.75, -0.3]]), 0,
-                                       [sa.Dyadic(1), sa.Dyadic(1)])
-        assert y[0].is_zero() and rep.additions == 0 and rep.shifts == 0
-
-    def test_single_term(self):
-        y, rep = sa.csd_baseline_apply(np.array([[0.75]]), 1, [sa.Dyadic(1)])
-        assert y[0] == sa.Dyadic(1)  # 0.75 rounds up to 2**0
-        assert rep.shifts == 1
-
-    def test_exact_against_fractions(self):
-        rng = np.random.default_rng(507)
-        tgt = rng.uniform(-1, 1, (3, 5))
-        x = random_dyadic_vector(rng, 5)
-        y, _ = sa.csd_baseline_apply(tgt, 3, x)
-        approx = tgt.copy()
-        res = tgt.copy()
-        for _ in range(3):
-            from shiftadd.pot import pow2_round_array
-            res = res - pow2_round_array(res, None, None)
-        approx = tgt - res
-        ref = fraction_matvec(approx, x)
-        assert [v.to_fraction() for v in y] == ref
-
-    def test_adaptive_target_mse(self):
-        from shiftadd.pot import pow2_round_array
-
-        rng = np.random.default_rng(508)
-        tgt = rng.uniform(-1, 1, (20, 40))
-        goal = 4.0 ** -15 / 3
-        _, rep = sa.csd_baseline_apply(tgt, 0, [sa.Dyadic(1)] * 40,
-                                       target_mse=goal)
-        # replay the per-entry rule: every residual must meet the target
-        res = tgt.copy()
-        for _ in range(64):
-            live = res * res > goal
-            if not live.any():
-                break
-            res = res - np.where(live, pow2_round_array(res, None, None), 0.0)
-        assert np.all(res * res <= goal)
-        # realized-error stopping undercuts the fixed-budget scalar law
-        # (log28(4**15) + 1 = 7.24) by roughly one term
-        assert 4.5 <= rep.adds_per_entry <= 7.24

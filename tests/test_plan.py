@@ -46,6 +46,10 @@ class TestThreshold:
             assert sa.achieved_bits(thr * 1.0001) == q - 1
             assert sa.achieved_bits(thr * 0.9999) == q
 
+    def test_achieved_bits_refuses_nan(self):
+        with pytest.raises(ValueError, match="relative error .* got nan"):
+            sa.achieved_bits(math.nan)
+
 
 class TestReconstruct:
     def test_empty_stage_list_gives_codebook(self):
@@ -467,6 +471,17 @@ class TestDistortion:
         plan, tgt = random_plan(rng, max_cols=8, max_stages=1)
         with pytest.raises(sa.DimensionError):
             sa.distortion(plan, np.zeros((plan.n_rows + 1, plan.n_cols)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target(self, bad):
+        # a NaN once read as rel_error inf and 0 bits; an inf ended in
+        # achieved_bits' float-to-int conversion
+        tgt = np.random.default_rng(411).standard_normal((4, 16))
+        plan = sa.decompose(tgt, sa.make_codebook("two-sparse", 4, 16),
+                            sa.StageSchedule.fixed([1]))
+        tgt[2, 5] = bad
+        with pytest.raises(ValueError, match="target holds NaN or infinite"):
+            sa.distortion(plan, tgt)
 
 
 class TestSerialization:
