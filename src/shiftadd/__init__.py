@@ -8,11 +8,11 @@ exact distortion and operation-cost accounting.
 
 from .analysis import (angle_error_cdf, asymptotic_threshold, code_rate,
                        distortion_lower_bound, mean_sq_angle_error,
-                       reg_inc_beta, rho2_cdf, simulate_angle_error,
-                       simulate_decomposition, total_error)
+                       simulate_angle_error, simulate_decomposition,
+                       total_error)
 from .codebooks import (CodebookDescriptor, gaussian_build, mailman_additions,
-                        mailman_apply, mailman_build, mailman_dense,
-                        make_codebook, self_design_build, two_sparse_build)
+                        mailman_apply, mailman_build, make_codebook,
+                        self_design_build, two_sparse_build)
 from .engine import apply, baseline_apply
 from .errors import (AccuracyUnreachableError, DimensionError,
                      MatrixFormatError, PlanFormatError, PlanVersionError,
@@ -31,10 +31,9 @@ __version__ = "0.1.0"
 __all__ = [
     "angle_error_cdf", "asymptotic_threshold", "code_rate",
     "distortion_lower_bound", "mean_sq_angle_error",
-    "reg_inc_beta", "rho2_cdf", "simulate_angle_error",
-    "simulate_decomposition", "total_error",
+    "simulate_angle_error", "simulate_decomposition", "total_error",
     "CodebookDescriptor", "gaussian_build",
-    "mailman_additions", "mailman_apply", "mailman_build", "mailman_dense",
+    "mailman_additions", "mailman_apply", "mailman_build",
     "make_codebook", "self_design_build", "two_sparse_build",
     "apply", "baseline_apply",
     "AccuracyUnreachableError", "DimensionError", "MatrixFormatError",

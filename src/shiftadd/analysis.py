@@ -23,21 +23,13 @@ import numpy as np
 from .codebooks import gaussian_build, make_codebook
 from .wiring import fit_stages
 
+# Trials drawn per batch by simulate_angle_error.
+_SIM_CHUNK = 1024
+
 
 def code_rate(n_rows: int, n_cols: int) -> float:
     """R = log2(K) / N, the logarithmic aspect ratio of the codebook."""
     return math.log2(n_cols) / n_rows
-
-
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function B(a, b, x)."""
-    from scipy import special
-
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x!r}")
-    return float(special.betainc(a, b, x))
 
 
 def _log_beta_cdf(a: float, b: float, x) -> np.ndarray:
@@ -49,16 +41,6 @@ def _log_beta_cdf(a: float, b: float, x) -> np.ndarray:
     tail = special.betainc(b, a, 1.0 - x)
     with np.errstate(divide="ignore"):
         return np.where(head < 0.9, np.log(head), np.log1p(-tail))
-
-
-def rho2_cdf(n_rows: int, r) -> np.ndarray | float:
-    """CDF of the squared correlation against one random codeword."""
-    from scipy import special
-
-    if n_rows < 2:
-        raise ValueError("need at least two dimensions")
-    out = special.betainc(0.5, (n_rows - 1) / 2.0, np.asarray(r, float))
-    return float(out) if np.isscalar(r) else out
 
 
 def angle_error_cdf(n_rows: int, n_cols: int, r) -> np.ndarray | float:
@@ -135,7 +117,7 @@ def asymptotic_threshold(rate: float) -> float:
 # ---------------------------------------------------------------------------
 
 def simulate_angle_error(n_rows: int, n_cols: int, trials: int,
-                         seed: int, chunk: int = 1024) -> np.ndarray:
+                         seed: int) -> np.ndarray:
     """Sorted samples of ``1 - max_k rho_k**2`` over Gaussian draws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -143,7 +125,7 @@ def simulate_angle_error(n_rows: int, n_cols: int, trials: int,
     out = np.empty(trials)
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(_SIM_CHUNK, trials - done)
         t = rng.standard_normal((m, n_rows))
         b = rng.standard_normal((m, n_rows, n_cols))
         dots = np.einsum("mn,mnk->mk", t, b)

@@ -263,9 +263,9 @@ def cmd_analyze(args) -> int:
 
 
 def _analyze(args, out) -> None:
-    if args.N is not None and (args.asymptote or args.fig != "lb"):
+    if args.N is not None and args.fig != "lb":
         raise _usage_error("--N is used only by --fig lb")
-    if args.asymptote:
+    if args.fig == "asymptote":
         out.write(f"{analysis.asymptotic_threshold(args.rate)!r}\n")
     elif args.fig == "cdf":
         r = np.linspace(0.0, 1.0, args.points)
@@ -287,7 +287,7 @@ def _analyze(args, out) -> None:
         for i, sv in enumerate(s):
             lb = analysis.distortion_lower_bound(n, k, int(sv))
             out.write(f"{sv},{lb:.6g},{mean[i]:.6g},{err[i]:.6g}\n")
-    elif args.fig == "total":
+    else:
         out.write("K,rate,total_error,total_error_pow_1_over_R\n")
         for rate in args.rates:
             for k in args.K:
@@ -295,8 +295,6 @@ def _analyze(args, out) -> None:
                 eps = analysis.total_error(n, k)
                 out.write(f"{k},{rate:.6g},{eps:.6g},"
                           f"{eps ** (1.0 / rate):.6g}\n")
-    else:
-        raise _usage_error("choose --fig {cdf,lb,total} or --asymptote")
 
 
 def _rows_at(rate: float, k: int, name: str) -> int:
@@ -352,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--adaptive", action="store_true",
                    help="single wiring stage, per-column adaptive budget")
     d.add_argument("--max-stages", type=max_stages, default=64)
-    d.add_argument("--aux", choices=["auto", "target", "gaussian"],
-                   default="auto")
+    d.add_argument("--aux", choices=["target", "gaussian"], default="target")
     d.add_argument("--seed", type=seed, default=0)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_decompose)
@@ -382,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bench)
 
     an = sub.add_parser("analyze", help="error-model curves as CSV")
-    an.add_argument("--fig", choices=["cdf", "lb", "total"], default=None)
-    an.add_argument("--asymptote", action="store_true")
+    an.add_argument("--fig", choices=["cdf", "lb", "total", "asymptote"],
+                    required=True)
     an.add_argument("--rate", type=_number("--rate", float), default=1.0)
     an.add_argument("--rates", type=_list_of(_number("--rates", float),
                                              "number list"),

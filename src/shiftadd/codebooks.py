@@ -17,11 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, PlanFormatError
-from .pow2matrix import Pow2Matrix, advance_effective
+from .pow2matrix import UNWRITTEN, Pow2Matrix, advance_effective
 
 KINDS = ("mailman", "two-sparse", "self-designing")
 
 MAILMAN_MAX_ROWS = 24
+
+# The largest exponent a two-sparse column may use; far beyond any shape
+# whose codebook fits in memory.
+TWO_SPARSE_MAX_LEVEL = 64
 
 
 # ---------------------------------------------------------------------------
@@ -32,20 +36,16 @@ def mailman_build(n_rows: int) -> Pow2Matrix:
     """The ``N x 2**N`` binary matrix whose column ``k`` spells ``k - 1``.
 
     Row ``n`` holds the n-th least significant bit, the digit order implied
-    by the halving recursion that makes the fast multiply work.
+    by the halving recursion that makes the fast multiply work.  The entries
+    are read from the bits of each column index.
     """
-    bits = mailman_dense(n_rows).T
-    _, row = np.nonzero(bits)
-    return Pow2Matrix(n_rows, 1 << n_rows, row, np.zeros(len(row), bool),
-                      np.zeros(len(row), np.int16),
-                      np.count_nonzero(bits, axis=1))
-
-
-def mailman_dense(n_rows: int) -> np.ndarray:
     _check_mailman_rows(n_rows)
-    k = np.arange(1 << n_rows)
-    n = np.arange(n_rows)
-    return ((k[None, :] >> n[:, None]) & 1).astype(np.float64)
+    index = np.arange(1 << n_rows, dtype=np.int32)
+    rows = np.arange(n_rows, dtype=np.int32)
+    bits = (index[:, None] >> rows & 1).astype(bool)
+    row = np.broadcast_to(rows, bits.shape)[bits]
+    return Pow2Matrix(n_rows, 1 << n_rows, row, np.zeros(len(row), bool),
+                      np.zeros(len(row), np.int16), np.bitwise_count(index))
 
 
 def mailman_additions(n_rows: int) -> int:
@@ -100,7 +100,7 @@ def _check_mailman_rows(n_rows: int) -> None:
 # two-sparse
 # ---------------------------------------------------------------------------
 
-def two_sparse_build(n_rows: int, n_cols: int, max_level: int = 64) -> Pow2Matrix:
+def two_sparse_build(n_rows: int, n_cols: int) -> Pow2Matrix:
     """Columns with one or two power-of-two nonzeros, no two collinear.
 
     Enumeration order: the unit columns first, then two-sparse patterns by
@@ -113,22 +113,21 @@ def two_sparse_build(n_rows: int, n_cols: int, max_level: int = 64) -> Pow2Matri
         raise DimensionError("two-sparse codebook needs at least one row")
     units = min(n_rows, n_cols)
     entries = [(i, 1, 0) for i in range(units)]
-    for pair in itertools.islice(_two_sparse_pairs(n_rows, max_level),
-                                 n_cols - units):
+    for pair in itertools.islice(_two_sparse_pairs(n_rows), n_cols - units):
         entries += pair
     if len(entries) < 2 * n_cols - units:
         raise ValueError(
             f"cannot enumerate {n_cols} non-collinear columns over {n_rows} "
-            f"rows within magnitude level {max_level}")
+            f"rows within magnitude level {TWO_SPARSE_MAX_LEVEL}")
     row, sign, exp = np.array(entries, dtype=np.int64).reshape(-1, 3).T
     return Pow2Matrix(n_rows, n_cols, row, sign < 0, exp,
                       np.array([1] * units + [2] * (n_cols - units)))
 
 
-def _two_sparse_pairs(n_rows: int, max_level: int):
+def _two_sparse_pairs(n_rows: int):
     """The two-sparse columns in enumeration order, as pairs of
     ``(row, sign, exp)`` entries."""
-    for level in range(max_level + 1):
+    for level in range(TWO_SPARSE_MAX_LEVEL + 1):
         if level == 0:
             patterns = [((1, 0), (1, 0)), ((1, 0), (-1, 0))]
         else:
@@ -157,10 +156,13 @@ def gaussian_build(n_rows: int, n_cols: int, seed: int) -> np.ndarray:
 class CodebookDescriptor:
     """Everything needed to rebuild a codebook's effective matrix.
 
-    ``factors`` holds the stored power-of-two factors behind an implicit
-    leading ``[I 0]`` selector: the enumerated matrix for two-sparse (whose
-    selector is the identity), the pair ``(B1, B2)`` for self-designing,
-    nothing for mailman.
+    A mailman or two-sparse codebook is built from its kind and shape
+    alone; a self-designing one stores its design.  ``factors`` holds the
+    stored power-of-two factors behind an implicit leading ``[I 0]``
+    selector: the pair ``(B1, B2)`` for self-designing, given, and the
+    enumerated matrix for two-sparse (whose selector is the identity),
+    derived here; mailman has none.  Only a self-designing codebook takes
+    ``factors`` or a ``stage_sparsity`` other than 1.
     """
 
     kind: str
@@ -174,6 +176,15 @@ class CodebookDescriptor:
             raise ValueError(f"unknown codebook kind {self.kind!r}")
         if self.n_rows < 1 or self.n_cols < 1:
             raise DimensionError(f"empty {self.n_rows}x{self.n_cols} codebook")
+        if self.kind != "self-designing":
+            # the file records only the shape: anything more would not
+            # survive a round trip
+            if self.factors:
+                raise ValueError(f"a {self.kind} codebook is built from its "
+                                 f"shape and takes no factors")
+            if self.stage_sparsity != 1:
+                raise ValueError(f"a {self.kind} codebook takes no "
+                                 f"stage_sparsity, got {self.stage_sparsity}")
         if self.kind == "mailman":
             _check_mailman_rows(self.n_rows)  # before 1 << n_rows
             if self.n_cols != 1 << self.n_rows:
@@ -181,11 +192,9 @@ class CodebookDescriptor:
                     f"mailman codebook needs K = 2**N, got {self.n_rows}x"
                     f"{self.n_cols}")
         elif self.kind == "two-sparse":
-            # the file records only the shape
-            if self.factors != (two_sparse_build(self.n_rows, self.n_cols),):
-                raise ValueError("two-sparse descriptor stores only its "
-                                 "enumerated factor")
-        elif self.kind == "self-designing":
+            object.__setattr__(self, "factors",
+                               (two_sparse_build(self.n_rows, self.n_cols),))
+        else:
             if len(self.factors) != 2:
                 raise ValueError("self-designing descriptor stores B1 and B2")
             if not 1 <= self.n_rows <= self.n_cols:
@@ -200,6 +209,13 @@ class CodebookDescriptor:
                                  f"{self.stage_sparsity}")
 
     @property
+    def lead(self) -> tuple[Pow2Matrix, ...]:
+        """The matrices that lead exact reconstruction, ahead of the stored
+        factors, in place of the terminal multiply: the mailman matrix, or
+        none after the ``[I 0]`` selector."""
+        return (mailman_build(self.n_rows),) if self.kind == "mailman" else ()
+
+    @property
     def terminal_additions(self) -> int:
         """Additions of the terminal multiply that leads the plan's chain:
         the mailman recursion, none for the ``[I 0]`` selector."""
@@ -207,11 +223,27 @@ class CodebookDescriptor:
             return mailman_additions(self.n_rows)
         return 0
 
+    def terminal(self, h: np.ndarray,
+                 point: np.ndarray) -> tuple[list, list, int]:
+        """The engine's last step on the wires ``h`` (Python ints, wire
+        ``i`` worth ``2**point[i]`` times the input's unit): the outputs,
+        their points and the additions performed.  Mailman multiplies by
+        ``mailman_apply`` on the wires aligned to their lowest point, all
+        outputs at that point; the ``[I 0]`` selector keeps the first
+        ``n_rows`` wires at their own points."""
+        n = self.n_rows
+        if self.kind != "mailman":
+            return h[:n].tolist(), point[:n].tolist(), 0
+        low = int(point.min())  # an unwritten wire holds 0 and stays put
+        h = h << np.where(point == UNWRITTEN, 0, point - low).astype(object)
+        y, additions = mailman_apply(n, h.tolist())
+        return y, [low] * n, additions
+
     def dense(self) -> np.ndarray:
-        """Effective real matrix of the codebook: the stored factors, if
-        any, rolled forward from the ``[I 0]`` selector."""
+        """Effective real matrix of the codebook: the mailman matrix, or
+        the stored factors rolled forward from the ``[I 0]`` selector."""
         if self.kind == "mailman":
-            return mailman_dense(self.n_rows)
+            return mailman_build(self.n_rows).dense()
         eff = np.eye(self.n_rows, self.factors[0].rows)
         for factor in self.factors:
             eff = advance_effective(eff, factor)
@@ -227,7 +259,6 @@ class CodebookDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodebookDescriptor":
-        kind = d["kind"]
         n, k = operator.index(d["rows"]), operator.index(d["cols"])
         # refused before anything is built, so a short document cannot make
         # the loader or dense() exhaust memory
@@ -236,14 +267,10 @@ class CodebookDescriptor:
             raise PlanFormatError(
                 f"a {n}x{k} codebook exceeds the largest, the "
                 f"{MAILMAN_MAX_ROWS}x{max_k} mailman codebook")
-        if kind == "two-sparse":
-            return cls(kind, n, k, factors=(two_sparse_build(n, k),))
-        if kind == "self-designing":
-            factors = tuple(Pow2Matrix.from_records(k, rec)
-                            for rec in d["factors"])
-            return cls(kind, n, k, stage_sparsity=operator.index(
-                d.get("stage_sparsity", 1)), factors=factors)
-        return cls(kind, n, k)
+        return cls(d["kind"], n, k,
+                   operator.index(d.get("stage_sparsity", 1)),
+                   tuple(Pow2Matrix.from_records(k, rec)
+                         for rec in d.get("factors", ())))
 
 
 def self_design_build(aux_target: np.ndarray,
@@ -271,27 +298,22 @@ def self_design_build(aux_target: np.ndarray,
 
 def make_codebook(kind: str, n_rows: int, n_cols: int, *, seed: int = 0,
                   target: np.ndarray | None = None,
-                  aux: str = "auto",
+                  aux: str = "target",
                   stage_sparsity: int = 1) -> CodebookDescriptor:
     """Build a codebook descriptor of the requested kind.
 
-    For the self-designing kind, ``aux`` picks the auxiliary target:
-    ``"target"`` uses ``target`` itself, ``"gaussian"`` a seeded Gaussian
-    matrix, and ``"auto"`` prefers ``target`` when given.
+    Only the self-designing kind reads the other arguments: ``aux`` picks
+    its auxiliary target, ``"target"`` for ``target`` itself or
+    ``"gaussian"`` for a Gaussian matrix drawn from ``seed``.
     """
-    if kind == "mailman":
-        return CodebookDescriptor("mailman", n_rows, n_cols)
-    if kind == "two-sparse":
-        return CodebookDescriptor("two-sparse", n_rows, n_cols,
-                                  factors=(two_sparse_build(n_rows, n_cols),))
-    if kind == "self-designing":
-        if aux == "target" or (aux == "auto" and target is not None):
-            if target is None:
-                raise ValueError("aux='target' requires a target matrix")
-            aux_mat = np.asarray(target, dtype=np.float64)
-        elif aux in ("gaussian", "auto"):
-            aux_mat = gaussian_build(n_rows, n_cols, seed)
-        else:
-            raise ValueError(f"unknown aux choice {aux!r}")
-        return self_design_build(aux_mat, stage_sparsity)
-    raise ValueError(f"unknown codebook kind {kind!r}")
+    if kind != "self-designing":
+        return CodebookDescriptor(kind, n_rows, n_cols)
+    if aux == "target":
+        if target is None:
+            raise ValueError("aux='target' requires a target matrix")
+        aux_mat = np.asarray(target, dtype=np.float64)
+    elif aux == "gaussian":
+        aux_mat = gaussian_build(n_rows, n_cols, seed)
+    else:
+        raise ValueError(f"unknown aux choice {aux!r}")
+    return self_design_build(aux_mat, stage_sparsity)

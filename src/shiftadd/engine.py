@@ -15,11 +15,11 @@ stored coefficient in row order, shift only the terms above their row's
 point (each row's lowest-weight term is never shifted), negate the negative
 ones, and sum each nonempty row's segment (``np.add.reduceat``) into a wire
 vector that stores the nonempty rows and one constant 0 for the others.
-The codebook's terminal follows: the mailman multiply, on the wires
-aligned to their lowest point, or the ``[I 0]`` selector that keeps the
-first ``n_rows`` wires at their own points; every codebook kind has one
-of the two, so every plan that loads can be applied.  Output ``Dyadic``
-values are built once, at the end.
+The codebook's terminal follows (``CodebookDescriptor.terminal``): the
+mailman multiply, on the wires aligned to their lowest point, or the
+``[I 0]`` selector that keeps the first ``n_rows`` wires at their own
+points; every codebook kind has one of the two, so every plan that loads
+can be applied.  Output ``Dyadic`` values are built once, at the end.
 
 Each matrix reports its ``(additions, shifts, sign_changes)``, counted
 from the arrays the engine executes (one shift per stored nonzero, the
@@ -42,11 +42,10 @@ import math
 
 import numpy as np
 
-from .codebooks import mailman_apply
 from .errors import DimensionError
 from .plan import CostReport, DecompositionPlan
 from .pot import Dyadic, align
-from .pow2matrix import UNWRITTEN, Pow2Matrix, Segments, run
+from .pow2matrix import Pow2Matrix, Segments, run
 
 
 def _counts(mat: Pow2Matrix, seg: Segments) -> tuple[int, int, int]:
@@ -78,15 +77,7 @@ def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
     ints, e = align(x)
     h, point = run(np.array(ints, dtype=object), plan.segments,
                    np.zeros(len(ints), dtype=np.int64))
-    cb = plan.codebook
-    if cb.kind == "mailman":
-        low = int(point.min())  # an unwritten wire holds 0 and stays put
-        h <<= np.where(point == UNWRITTEN, 0, point - low).astype(object)
-        y, terminal = mailman_apply(cb.n_rows, h.tolist())
-        points = [low] * cb.n_rows
-    else:  # implicit [I 0] selector
-        y, terminal = h[:cb.n_rows].tolist(), 0
-        points = point[:cb.n_rows].tolist()
+    y, points, terminal = plan.codebook.terminal(h, point)
     counts = [_counts(mat, seg)
               for mat, seg in zip(plan.chain, reversed(plan.segments))]
 

@@ -8,10 +8,10 @@ factors and the stages form one chain (``DecompositionPlan.chain``) that
 exact reconstruction walks forward and the engine walks transposed, last
 to first, each wire at a static binary point (``pow2matrix.walk``).
 Reconstruction verifies a plan exactly: it starts every codebook from
-its ``[I 0]`` selector, walking a mailman codebook's matrix as the first
-of the chain, and carries every row as a lane of one Python int per
-column (SIMD within a register), so each entry of the chain costs one
-big-integer operation for all rows at once.
+its ``[I 0]`` selector, walking the codebook's lead matrices (a mailman
+codebook's matrix) ahead of the chain, and carries every row as a lane of
+one Python int per column (SIMD within a register), so each entry of the
+chain costs one big-integer operation for all rows at once.
 
 Cost accounting walks the same chain after the codebook's terminal
 multiply (``CodebookDescriptor.terminal_additions``), with one convention
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebooks import CodebookDescriptor, mailman_build
+from .codebooks import CodebookDescriptor
 from .errors import DimensionError, PlanFormatError, PlanVersionError
 from .pow2matrix import UNWRITTEN, Pow2Matrix, Segments, run, walk
 
@@ -212,8 +212,8 @@ class DecompositionPlan:
     def chain(self) -> tuple[Pow2Matrix, ...]:
         """The plan's power-of-two matrices in design order: the codebook's
         stored factors, then the stages.  Led by the codebook's ``[I 0]``
-        selector, or by the mailman matrix when it stores no factors, their
-        product is the reconstruction."""
+        selector and its ``lead`` matrices, their product is the
+        reconstruction."""
         return self.codebook.factors + self.stages
 
     @functools.cached_property
@@ -244,9 +244,9 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     """Exact dyadic reconstruction, one ``(mantissa, exponent)`` per entry.
 
     Pushes the ``n_rows`` rows of the codebook's ``[I 0]`` selector forward
-    through the plan's matrix chain (``DecompositionPlan.chain``), led by
-    ``mailman_build(n_rows)`` for a mailman codebook, in integer arithmetic
-    with one static binary point per column.  The rows travel packed: row
+    through the codebook's ``lead`` matrices and the plan's matrix chain
+    (``DecompositionPlan.chain``), in integer arithmetic with one static
+    binary point per column.  The rows travel packed: row
     ``i`` is lane ``i`` of one Python int per column, ``H_j = sum_i v_ij *
     2**(w*i)``, and each matrix is one ``pow2matrix.shift_add`` over its
     stored columns as ``pow2matrix.walk`` schedules the chain from the
@@ -263,9 +263,7 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     by the difference from its column's point.  Returned as a list of
     ``n_cols`` columns of length ``n_rows``, zeros as ``(0, 0)``.
     """
-    n, chain = plan.n_rows, plan.chain
-    if plan.codebook.kind == "mailman":
-        chain = (mailman_build(n),) + chain
+    n, chain = plan.n_rows, plan.codebook.lead + plan.chain
     selected = np.arange(chain[0].rows) < n
     start = np.where(selected, 0, UNWRITTEN)
     steps = list(walk(chain, start, selected))
@@ -320,9 +318,21 @@ def distortion(plan: DecompositionPlan,
         raise DimensionError(
             f"target shape {target.shape} does not match plan "
             f"{(plan.n_rows, plan.n_cols)}")
+    check_target(target)
+    return distortion_of_matrix(reconstruct(plan), target)
+
+
+def check_target(target: np.ndarray) -> float:
+    """Refuse a target that cannot be scored: NaN or infinite entries, or
+    a squared norm that overflows float64.  Returns that squared norm."""
     if not np.isfinite(target).all():
         raise ValueError("target holds NaN or infinite entries")
-    return distortion_of_matrix(reconstruct(plan), target)
+    with np.errstate(over="ignore"):
+        norm_sq = float(np.sum(target * target))
+    if not math.isfinite(norm_sq):
+        raise ValueError("the target's squared norm overflows float64; "
+                         "rescale the target by a power of two")
+    return norm_sq
 
 
 def distortion_of_matrix(approx: np.ndarray,

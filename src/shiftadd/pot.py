@@ -301,14 +301,6 @@ class Dyadic:
             return -0.0 if m < 0 else 0.0
         return m / (1 << -e)  # int true division rounds correctly
 
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
-
-    def shifted(self, k: int) -> "Dyadic":
-        if self.mantissa == 0:
-            return self
-        return Dyadic(self.mantissa, self.exponent + k)
-
     def times_pow2(self, sign: int, exponent: int) -> "Dyadic":
         """Multiply by ``sign * 2**exponent`` (a shift plus a sign flip)."""
         if sign == 0 or self.mantissa == 0:
@@ -345,9 +337,6 @@ class Dyadic:
 
     def __repr__(self) -> str:
         return f"Dyadic({self.mantissa}, {self.exponent})"
-
-
-DYADIC_ZERO = Dyadic(0, 0)
 
 
 def align(values: list[Dyadic]) -> tuple[list[int], int]:

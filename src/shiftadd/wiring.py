@@ -73,7 +73,8 @@ from .errors import AccuracyUnreachableError, DimensionError
 from .pot import pow2_round_array
 from .pow2matrix import Pow2Matrix, advance_effective
 from .plan import (ADAPTIVE_SINGLE_STAGE, DecompositionPlan, StageSchedule,
-                   distortion_of_matrix, target_digest, threshold)
+                   check_target, distortion_of_matrix, target_digest,
+                   threshold)
 
 _CHUNK = 128
 # The screen's float slack relative to r_sq, besides a term that grows
@@ -103,16 +104,12 @@ class FitResult:
 
 
 def _check_finite(tgt: np.ndarray, cb: np.ndarray) -> float:
-    """Reject inputs the fit cannot score: non-finite entries, or a target
-    whose squared norm overflows float64.  Returns that squared norm."""
-    for name, a in (("target", tgt), ("codebook", cb)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} holds NaN or infinite entries")
-    with np.errstate(over="ignore"):
-        norm_sq = float(np.sum(tgt * tgt))
-    if not math.isfinite(norm_sq):
-        raise ValueError("the target's squared norm overflows float64; "
-                         "rescale the target by a power of two")
+    """Reject inputs the fit cannot score: a target ``check_target``
+    refuses, or a codebook with non-finite entries.  Returns the target's
+    squared norm."""
+    norm_sq = check_target(tgt)
+    if not np.isfinite(cb).all():
+        raise ValueError("codebook holds NaN or infinite entries")
     return norm_sq
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import shiftadd as sa
 from shiftadd.codebooks import mailman_apply
 from shiftadd.plan import reconstruct_exact
-from shiftadd.pot import (DYADIC_ZERO, EXP_MAX, EXP_MIN, Dyadic, SignedPow2,
+from shiftadd.pot import (EXP_MAX, EXP_MIN, Dyadic, SignedPow2,
                           align)
 
 
@@ -121,7 +121,7 @@ def random_plan(rng, max_cols=256, max_stages=8):
         n = int(rng.integers(2, min(k, 10) + 1))
     target = rng.standard_normal((n, k))
     codebook = sa.make_codebook(kind, n, k, seed=int(rng.integers(2 ** 62)),
-                                target=target, aux="auto")
+                                target=target)
     n_stages = int(rng.integers(0, max_stages + 1))
     if n_stages == 0:
         return sa.DecompositionPlan(n, k, codebook, ()), target
@@ -264,7 +264,7 @@ def dyadic_apply_oracle(plan, x):
 
     def apply_pow2(mat, vec):
         assert len(vec) == mat.cols
-        out = [DYADIC_ZERO] * mat.rows
+        out = [Dyadic(0)] * mat.rows
         for k, col in enumerate(columns(mat)):
             for i, c in col:
                 out[i] = out[i] + vec[k].times_pow2(c.sign, c.exponent)

@@ -13,7 +13,6 @@ import pytest
 
 import shiftadd as sa
 from shiftadd.cli import cell_plans
-from shiftadd.pot import DYADIC_ZERO
 
 from helpers import columns, exact_matvec, random_dyadic_vector, \
     random_plan, synthetic_plan
@@ -64,7 +63,7 @@ def test_03_mailman_exactness_and_counts():
             y, adds = sa.mailman_apply(n, h)
             assert adds == expected
             for row in range(n):
-                acc = DYADIC_ZERO
+                acc = sa.Dyadic(0)
                 for kk in bit_rows[row]:
                     acc = acc + h[kk]
                 assert acc == y[row]

@@ -32,46 +32,35 @@ def test_import_leaves_scipy_special_and_integrate_unloaded():
 
 def test_every_export_resolves():
     assert all(hasattr(sa, name) for name in sa.__all__)
-    for gone in ("csd_baseline_apply", "AngleErrorModel"):
+    for gone in ("csd_baseline_apply", "AngleErrorModel", "reg_inc_beta",
+                 "rho2_cdf", "mailman_dense"):
         assert gone not in sa.__all__ and not hasattr(sa, gone)
 
 
-class TestRegIncBeta:
-    def test_sqrt_law(self):
-        for r in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
-            assert sa.reg_inc_beta(0.5, 1.0, r) == pytest.approx(
-                math.sqrt(r), abs=1e-12)
-
-    def test_endpoints(self):
-        assert sa.reg_inc_beta(2.0, 3.0, 0.0) == 0.0
-        assert sa.reg_inc_beta(2.0, 3.0, 1.0) == 1.0
-
-    def test_arcsine_symmetry(self):
-        assert sa.reg_inc_beta(0.5, 0.5, 0.5) == pytest.approx(0.5, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            sa.reg_inc_beta(-1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            sa.reg_inc_beta(1.0, 1.0, 1.5)
-
-
 class TestRho2Cdf:
+    """The CDF of the squared correlation against one codeword, ``B(1/2,
+    (N-1)/2, r)``: at K = 1 the angle error is ``1 - rho**2``, so it is
+    ``1 - angle_error_cdf(N, 1, 1 - r)``."""
+
+    @staticmethod
+    def cdf(n, r):
+        return 1 - sa.angle_error_cdf(n, 1, 1 - np.asarray(r))
+
     def test_closed_form_n3(self):
         r = np.linspace(0, 1, 21)
-        assert np.allclose(sa.rho2_cdf(3, r), np.sqrt(r), atol=1e-12)
+        assert np.allclose(self.cdf(3, r), np.sqrt(r), atol=1e-12)
 
     def test_valid_cdf(self):
         for n in (2, 3, 8, 33):
             r = np.linspace(0, 1, 101)
-            c = sa.rho2_cdf(n, r)
+            c = self.cdf(n, r)
             assert c[0] == 0.0 and c[-1] == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.diff(c) >= -1e-15)
 
     def test_arcsine_case(self):
-        assert sa.rho2_cdf(2, 0.5) == pytest.approx(0.5, abs=1e-12)
-        with pytest.raises(ValueError):
-            sa.rho2_cdf(1, 0.5)
+        assert self.cdf(2, 0.5) == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(ValueError, match="two dimensions"):
+            self.cdf(1, 0.5)
 
 
 class TestAngleErrorCdf:

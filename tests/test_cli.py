@@ -192,8 +192,16 @@ class TestDecomposeApply:
     @pytest.mark.parametrize("codebook, message", [
         ({"kind": "gaussian", "rows": 2, "cols": 4, "seed": 3},
          "unknown codebook kind 'gaussian'"),
-        ({"stage_sparsity": -5}, "stage_sparsity must be >= 0")],
-        ids=["gaussian-kind", "negative-stage-sparsity"])
+        ({"stage_sparsity": -5}, "stage_sparsity must be >= 0"),
+        *[({"kind": kind, "rows": 2, "cols": 4, **fields}, message)
+          for kind in ("mailman", "two-sparse")
+          for fields, message in (
+              ({"factors": [[[[i, 1, 0]] for i in range(4)]]},
+               "takes no factors"),
+              ({"stage_sparsity": 2}, "takes no stage_sparsity"))]],
+        ids=["gaussian-kind", "negative-stage-sparsity", "mailman-factors",
+             "mailman-stage-sparsity", "two-sparse-factors",
+             "two-sparse-stage-sparsity"])
     def test_refused_codebook_exits_3(self, tmp_path, capsys, codebook,
                                       message):
         cb = sa.make_codebook("self-designing", 2, 4, seed=3, aux="gaussian")
@@ -394,7 +402,8 @@ class TestBench:
 
 class TestAnalyze:
     def test_asymptote(self, capsys):
-        code, out, _ = run(capsys, "analyze", "--asymptote", "--rate", "1")
+        code, out, _ = run(capsys, "analyze", "--fig", "asymptote", "--rate",
+                           "1")
         assert code == 0
         assert float(out.strip()) == 0.25
 
@@ -594,7 +603,7 @@ class TestUsageErrors:
         # rows for a negative rate, exit 0
         (["--fig", "total", "--K", "16", "--rates", "0.5,-1"],
          "--rates must be positive and finite"),
-        (["--asymptote", "--rate", "nan"],
+        (["--fig", "asymptote", "--rate", "nan"],
          "--rate must be positive and finite"),
         # "math domain error"
         (["--fig", "cdf", "--K", "16,0"], "--K must be at least 1"),
@@ -611,6 +620,18 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err == f"usage error: {message}\n"
         assert captured.out == "" and not path.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: --fig"),
+        (["--fig", "asymptote", "--asymptote"],
+         "unrecognized arguments: --asymptote")],
+        ids=["no-fig", "asymptote-flag"])
+    def test_analyze_needs_a_figure(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("flags, message", [
         # ran two fixed stages
@@ -664,7 +685,7 @@ class TestUsageErrors:
         # these derive N from the rate
         (["--fig", "cdf", "--N", "4"], "--N is used only by --fig lb"),
         (["--fig", "total", "--N", "4"], "--N is used only by --fig lb"),
-        (["--asymptote", "--N", "4"], "--N is used only by --fig lb")],
+        (["--fig", "asymptote", "--N", "4"], "--N is used only by --fig lb")],
         ids=["lb-K", "cdf-N", "total-N", "asymptote-N"])
     def test_analyze_refuses_an_option_its_figure_ignores(self, tmp_path,
                                                           capsys, argv,

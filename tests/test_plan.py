@@ -483,6 +483,20 @@ class TestDistortion:
         with pytest.raises(ValueError, match="target holds NaN or infinite"):
             sa.distortion(plan, tgt)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_target_norm(self):
+        # finite, but its squared norm overflows: numpy warned, then
+        # achieved_bits refused a NaN error without naming the target
+        tgt = np.random.default_rng(411).standard_normal((4, 16))
+        plan = sa.decompose(tgt, sa.make_codebook("two-sparse", 4, 16),
+                            sa.StageSchedule.fixed([1]))
+        for call in (lambda t: sa.distortion(plan, t),
+                     lambda t: sa.decompose(t, plan.codebook,
+                                            sa.StageSchedule.fixed([1]))):
+            with pytest.raises(ValueError, match="squared norm overflows "
+                               "float64; rescale the target by a power"):
+                call(tgt * 1e160)
+
 
 class TestSerialization:
     def test_round_trip_random_plans(self):
@@ -604,7 +618,7 @@ class TestSerialization:
         def no_build(*args, **kwargs):
             raise AssertionError("the codebook was built")
 
-        for name in ("two_sparse_build", "gaussian_build", "mailman_dense"):
+        for name in ("two_sparse_build", "gaussian_build", "mailman_build"):
             monkeypatch.setattr(f"shiftadd.codebooks.{name}", no_build)
         doc = {"format": sa.plan.PLAN_FORMAT, "version": sa.plan.PLAN_VERSION,
                "rows": rows, "cols": cols, "stages": [],
@@ -623,8 +637,16 @@ class TestSerialization:
     @pytest.mark.parametrize("codebook, message", [
         ({"kind": "gaussian", "rows": 2, "cols": 4, "seed": 3},
          "unknown codebook kind 'gaussian'"),
-        ({"stage_sparsity": -5}, "stage_sparsity must be >= 0")],
-        ids=["gaussian-kind", "negative-stage-sparsity"])
+        ({"stage_sparsity": -5}, "stage_sparsity must be >= 0"),
+        *[({"kind": kind, "rows": 2, "cols": 4, **fields}, message)
+          for kind in ("mailman", "two-sparse")
+          for fields, message in (
+              ({"factors": [[[[i, 1, 0]] for i in range(4)]]},
+               "takes no factors"),
+              ({"stage_sparsity": 2}, "takes no stage_sparsity"))]],
+        ids=["gaussian-kind", "negative-stage-sparsity", "mailman-factors",
+             "mailman-stage-sparsity", "two-sparse-factors",
+             "two-sparse-stage-sparsity"])
     def test_refused_codebook_is_a_format_error(self, codebook, message):
         # a gaussian plan file, as earlier versions wrote one, no longer
         # loads; a negative stage sparsity was loaded and written back
