@@ -85,13 +85,16 @@ def _build_schedule(args) -> StageSchedule:
         raise _usage_error("--adaptive needs --bits")
     if args.bits is not None and args.stages is not None:
         raise _usage_error("--stages cannot be combined with --bits")
+    max_stages = 64 if args.max_stages is None else args.max_stages
     if args.adaptive:
-        return StageSchedule.adaptive(args.bits, args.max_stages)
+        return StageSchedule.adaptive(args.bits, max_stages)
     if args.bits is not None:
         return StageSchedule.fixed([args.stage_sparsity], args.bits,
-                                   args.max_stages)
+                                   max_stages)
     if args.stages is None:
         raise _usage_error("one of --bits or --stages is required")
+    if args.max_stages is not None:
+        raise _usage_error("--max-stages is used only with --bits")
     return StageSchedule.fixed([args.stage_sparsity] * args.stages)
 
 
@@ -112,14 +115,20 @@ def _print_summary(plan, out=None) -> None:
 
 def cmd_decompose(args) -> int:
     schedule = _build_schedule(args)
+    kind = CLI_KINDS[args.codebook]
+    if kind != "self-designing":
+        for option, value in (("--aux", args.aux), ("--seed", args.seed)):
+            if value is not None:
+                raise _usage_error(f"{option} is used only by --codebook "
+                                   f"self")
+    seed = 0 if args.seed is None else args.seed
     target = matio.load_matrix(args.matrix)
     n, k = target.shape
-    kind = CLI_KINDS[args.codebook]
-    codebook = make_codebook(kind, n, k, seed=args.seed, target=target,
-                             aux=args.aux,
+    codebook = make_codebook(kind, n, k, seed=seed, target=target,
+                             aux=args.aux or "target",
                              stage_sparsity=args.stage_sparsity)
     plan = wiring.decompose(target, codebook, schedule,
-                            metadata={"seed": args.seed})
+                            metadata={"seed": seed})
     with open(args.out, "wb") as fh:
         fh.write(serialize(plan))
     _print_summary(plan)
@@ -349,9 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
                                                     0), default=1)
     d.add_argument("--adaptive", action="store_true",
                    help="single wiring stage, per-column adaptive budget")
-    d.add_argument("--max-stages", type=max_stages, default=64)
-    d.add_argument("--aux", choices=["target", "gaussian"], default="target")
-    d.add_argument("--seed", type=seed, default=0)
+    d.add_argument("--max-stages", type=max_stages, default=None,
+                   help="with --bits (default 64)")
+    d.add_argument("--aux", choices=["target", "gaussian"], default=None,
+                   help="with --codebook self (default target)")
+    d.add_argument("--seed", type=seed, default=None,
+                   help="with --codebook self (default 0)")
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_decompose)
 

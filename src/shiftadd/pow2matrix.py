@@ -272,10 +272,10 @@ class Pow2Matrix:
         """
         try:
             col_len = list(map(len, records))
-            entries = list(chain.from_iterable(records))
-            if not set(map(len, entries)) <= {3}:
+            if not set(map(len, chain.from_iterable(records))) <= {3}:
                 raise ValueError("an entry is not a triple")
-            leaves = array("q", list(chain.from_iterable(entries)))
+            leaves = array("q", list(chain.from_iterable(
+                chain.from_iterable(records))))
         except (TypeError, ValueError, OverflowError) as exc:
             raise PlanFormatError(
                 f"stage entries must be [row, sign, exp] integer triples: "

@@ -656,6 +656,58 @@ class TestUsageErrors:
         assert captured.err == f"usage error: {message}\n"
         assert captured.out == "" and not path.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        # each ran the same codebook and stages as without the option
+        (["--codebook", "mailman", "--aux", "gaussian", "--stages", "1"],
+         "--aux is used only by --codebook self"),
+        (["--codebook", "two-sparse", "--aux", "target", "--bits", "4"],
+         "--aux is used only by --codebook self"),
+        (["--codebook", "mailman", "--seed", "5", "--stages", "1"],
+         "--seed is used only by --codebook self"),
+        (["--codebook", "two-sparse", "--seed", "0", "--bits", "4"],
+         "--seed is used only by --codebook self"),
+        # ran one fixed stage
+        (["--stages", "1", "--max-stages", "7"],
+         "--max-stages is used only with --bits"),
+        (["--codebook", "two-sparse", "--aux", "gaussian", "--seed", "5",
+          "--stages", "1", "--max-stages", "7"],
+         "--max-stages is used only with --bits")],
+        ids=["mailman-aux", "two-sparse-aux", "mailman-seed",
+             "two-sparse-seed", "stages-max-stages", "all-three"])
+    def test_decompose_refuses_an_option_its_run_ignores(self, tmp_path,
+                                                         capsys, flags,
+                                                         message):
+        mat = tmp_path / "m.csv"
+        matio.save_matrix_csv(mat, np.random.default_rng(703)
+                              .standard_normal((4, 16)))
+        path = tmp_path / "p.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--matrix", str(mat), "--out", str(path),
+                  *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert captured.out == "" and not path.exists()
+
+    @pytest.mark.parametrize("flags, seed", [
+        (["--codebook", "mailman", "--stages", "1"], 0),
+        (["--codebook", "two-sparse", "--bits", "4", "--max-stages", "9"], 0),
+        (["--stages", "2"], 0),
+        (["--aux", "gaussian", "--seed", "5", "--bits", "4"], 5)])
+    def test_decompose_records_the_seed(self, tmp_path, capsys, flags, seed):
+        target = np.random.default_rng(704).standard_normal((4, 16))
+        mat = tmp_path / "m.csv"
+        matio.save_matrix_csv(mat, target)
+        path = tmp_path / "p.json"
+        code, _, _ = run(capsys, "decompose", "--matrix", str(mat),
+                         "--out", str(path), *flags)
+        assert code == 0
+        plan = sa.deserialize(path.read_bytes())
+        assert plan.metadata["seed"] == seed
+        if "--aux" in flags:
+            assert plan.codebook == sa.make_codebook(
+                "self-designing", 4, 16, seed=seed, aux="gaussian")
+
     @pytest.mark.parametrize("argv, message", RANGE_CASES,
                              ids=[" ".join(argv) for argv, _ in RANGE_CASES])
     def test_every_range_names_its_option(self, tmp_path, capsys, argv,

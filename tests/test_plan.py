@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import json
 import math
 from fractions import Fraction
@@ -599,6 +600,71 @@ class TestSerialization:
             assert [mat.row.dtype, mat.negative.dtype, mat.exp.dtype,
                     mat.col_len.dtype] == [np.int32, bool, np.int16,
                                            np.int32]
+
+    @pytest.mark.parametrize("entry, reason", [
+        ("abc", "'str' object cannot be interpreted as an integer"),
+        ([0, 1], "an entry is not a triple"),
+        ([0, 1, 0, 0], "an entry is not a triple"),
+        ([0, 1, 0.5], "'float' object cannot be interpreted as an integer"),
+        ([0, 1, None],
+         "'NoneType' object cannot be interpreted as an integer")],
+        ids=["string", "two-leaves", "four-leaves", "float", "none"])
+    def test_bad_entry_message(self, entry, reason):
+        doc = self._doc()
+        doc["stages"][0][0][0] = entry
+        with pytest.raises(sa.PlanFormatError) as exc:
+            sa.deserialize(json.dumps(doc).encode())
+        assert str(exc.value) == ("stage entries must be [row, sign, exp] "
+                                  f"integer triples: {reason}")
+
+    @pytest.mark.parametrize("data", ["{}", memoryview(b"{}"), None],
+                             ids=["str", "memoryview", "None"])
+    def test_only_bytes_are_read(self, data):
+        # each would end in an AttributeError from data.decode()
+        with pytest.raises(TypeError, match="a plan is read from bytes or "
+                           f"bytearray, got {type(data).__name__}$"):
+            sa.deserialize(data)
+
+    def test_bytes_and_bytearray_load(self):
+        plan = sa.DecompositionPlan(2, 4, sa.make_codebook("mailman", 2, 4),
+                                    ())
+        data = sa.serialize(plan)
+        assert sa.deserialize(data) == sa.deserialize(bytearray(data)) == plan
+
+    @pytest.fixture
+    def collector(self):
+        """Put the cyclic collector back as the test found it."""
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("edit", ["none", "malformed-json",
+                                      "float-leaf"])
+    def test_collector_state_is_restored(self, collector, enabled, edit):
+        doc = self._doc()
+        if edit == "float-leaf":
+            doc["stages"][0][0][0][2] = -1.0
+        data = json.dumps(doc).encode()
+        if edit == "malformed-json":
+            data = data[:-1]
+        (gc.enable if enabled else gc.disable)()
+        if edit == "none":
+            sa.deserialize(data)
+        else:
+            with pytest.raises(sa.PlanFormatError):
+                sa.deserialize(data)
+        assert gc.isenabled() is enabled
+
+    def test_loading_starts_no_collection(self, collector):
+        # with the collector left on, this load starts 42 young and 3
+        # middle collections
+        data = sa.serialize(_deploy_size_plan())
+        gc.enable()
+        gc.collect()
+        before = [g["collections"] for g in gc.get_stats()]
+        sa.deserialize(data)
+        assert [g["collections"] for g in gc.get_stats()] == before
 
     @pytest.mark.parametrize("leaf", [2 ** 63, -2 ** 63 - 1, 10 ** 30])
     def test_huge_integer_is_a_format_error(self, leaf):
