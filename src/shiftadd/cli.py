@@ -121,6 +121,8 @@ def cmd_decompose(args) -> int:
             if value is not None:
                 raise _usage_error(f"{option} is used only by --codebook "
                                    f"self")
+    elif args.seed is not None and args.aux != "gaussian":
+        raise _usage_error("--seed is used only with --aux gaussian")
     seed = 0 if args.seed is None else args.seed
     target = matio.load_matrix(args.matrix)
     n, k = target.shape
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--aux", choices=["target", "gaussian"], default=None,
                    help="with --codebook self (default target)")
     d.add_argument("--seed", type=seed, default=None,
-                   help="with --codebook self (default 0)")
+                   help="with --aux gaussian (default 0)")
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_decompose)
 

@@ -395,36 +395,54 @@ def plan_from_dict(d: dict) -> DecompositionPlan:
         raise PlanFormatError(f"malformed plan document: {exc}") from exc
 
 
-class _Text(str):
-    """JSON text already written, which ``_object`` places as it is."""
+class _Text(list):
+    """Pieces of JSON text already written, which ``_object`` places as
+    they are."""
 
 
 def _json(value) -> str:
     return json.dumps(value, separators=(",", ":"), sort_keys=True)
 
 
+def _enclose(opening: str, items, closing: str) -> _Text:
+    """The pieces of ``items`` (each a list of pieces), comma-separated
+    between ``opening`` and ``closing``."""
+    out = _Text([opening])
+    for i, pieces in enumerate(items):
+        if i:
+            out.append(",")
+        out += pieces
+    out.append(closing)
+    return out
+
+
 def _object(fields: dict) -> _Text:
     """``fields`` as ``_json`` writes a JSON object, keys sorted, with each
-    ``_Text`` value placed as it is."""
-    return _Text("{%s}" % ",".join(
-        f"{_json(k)}:{v if isinstance(v, _Text) else _json(v)}"
-        for k, v in sorted(fields.items())))
+    ``_Text`` value's pieces placed as they are."""
+    return _enclose("{", ([_json(k), ":",
+                           *(v if isinstance(v, _Text) else [_json(v)])]
+                          for k, v in sorted(fields.items())), "}")
 
 
 def _array(texts: list) -> _Text:
-    return _Text("[%s]" % ",".join(texts))
+    return _enclose("[", ([t] for t in texts), "]")
 
 
 def serialize(plan: DecompositionPlan) -> bytes:
-    """The plan file: byte for byte ``_json(plan_to_dict(plan))``, with every
-    matrix written straight from its arrays by ``Pow2Matrix.to_json``."""
+    """The plan file: byte for byte ``_json(plan_to_dict(plan))``.
+
+    Every matrix is written straight from its arrays by
+    ``Pow2Matrix.to_json``; the document is a list of pieces, those texts
+    among them, so one join copies each into the document's text, which
+    is then encoded.
+    """
     doc = plan_to_dict(plan, records=Pow2Matrix.to_json)
     cb = doc["codebook"]
     if "factors" in cb:
         cb["factors"] = _array(cb["factors"])
     doc["codebook"] = _object(cb)
     doc["stages"] = _array(doc["stages"])
-    return _object(doc).encode()
+    return "".join(_object(doc)).encode()
 
 
 def deserialize(data: bytes | bytearray) -> DecompositionPlan:

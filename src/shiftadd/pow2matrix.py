@@ -6,7 +6,10 @@ from the weights it wrote, the plan loader parses them from the file's
 nested ``[row, sign, exp]`` lists, and the exact engine, exact
 reconstruction, the effective-codebook roll-forward ``advance_effective``
 and the cost accounting all run on them.  ``to_records`` is the file view,
-and ``to_json`` writes that view's text.
+and ``to_json`` writes that view's text, byte for byte as ``json.dumps``
+does, by joining cached text pieces with no integer formatted: each entry
+is a row piece and a sign-and-exponent piece, looked up in one table per
+row count (only the last one is kept).
 
 Exact products run on the stored columns: ``walk`` schedules ``h @ mat``,
 one sum per nonempty column, so exact reconstruction walks a chain as it
@@ -253,12 +256,29 @@ class Pow2Matrix:
 
     def to_json(self) -> str:
         """``to_records`` as compact JSON text, the same as ``json.dumps``
-        writes it, straight from the arrays through one ``%``-template."""
-        template = "[%s]" % ",".join(map(_column_template,
-                                         self.col_len.tolist()))
-        return template % tuple(np.stack(
-            [self.row, np.where(self.negative, -1, 1), self.exp],
-            axis=1).ravel().tolist())
+        writes it, joined from cached pieces with no integer formatted.
+
+        Entry ``t`` is two pieces: its row, ``,[r,`` (``,[[r,`` if it opens
+        its column), and its coefficient, ``s,e]`` (``s,e]]`` if it closes
+        its column); an empty column is ``,[]``.  One pass computes every
+        piece's index into ``_pieces(rows)``, one gather fetches them, and
+        one join writes the text, with the first piece's comma made the
+        opening bracket and the closing one put after the last piece.
+        """
+        if not self.cols:
+            return "[]"
+        first, filled = self.first, self.col_len > 0
+        table = _pieces(self.rows)
+        rows = 2 * self.row.astype(np.intp)
+        rows[first[filled]] += 1
+        coefs = 2 * (self.rows + _EXPONENTS * self.negative
+                     + (self.exp - EXP_MIN))
+        coefs[(first + self.col_len - 1)[filled]] += 1
+        parts = table[np.insert(np.stack([rows, coefs], axis=1).ravel(),
+                                2 * first[~filled], len(table) - 1)]
+        parts[0] = "[" + parts[0][1:]
+        parts[-1] += "]"
+        return "".join(parts.tolist())
 
     @classmethod
     def from_records(cls, rows: int, records) -> "Pow2Matrix":
@@ -288,10 +308,23 @@ class Pow2Matrix:
                    np.array(col_len, dtype=np.int64))
 
 
-@functools.cache
-def _column_template(length: int) -> str:
-    """The ``%``-template of one column's records of ``length`` entries."""
-    return "[%s]" % ",".join(["[%d,%d,%d]"] * length)
+_EXPONENTS = EXP_MAX - EXP_MIN + 1
+# the coefficient pieces, ``s,e]`` at ``2 * (_EXPONENTS * negative + exp -
+# EXP_MIN)`` and ``s,e]]``, which closes its column, just after
+_SIGN_EXP = [f"{s},{e}]{']' * closes}" for s in (1, -1)
+             for e in range(EXP_MIN, EXP_MAX + 1) for closes in (0, 1)]
+
+
+@functools.lru_cache(maxsize=1)
+def _pieces(rows: int) -> np.ndarray:
+    """``to_json``'s pieces for a matrix of ``rows`` rows, as an object
+    array: row ``r``'s ``,[r,`` at ``2 * r`` and ``,[[r,``, which opens
+    its column, just after; then ``_SIGN_EXP`` and, last, an empty column's
+    ``,[]``.  Only the last row count's table is kept, which serves every
+    matrix of a plan (they all have ``K`` rows)."""
+    return _read_only(np.array([f",{'[' * (1 + opens)}{r},"
+                                for r in range(rows) for opens in (0, 1)]
+                               + _SIGN_EXP + [",[]"], dtype=object))
 
 
 def advance_effective(eff: np.ndarray, stage: Pow2Matrix) -> np.ndarray:

@@ -666,6 +666,11 @@ class TestUsageErrors:
          "--seed is used only by --codebook self"),
         (["--codebook", "two-sparse", "--seed", "0", "--bits", "4"],
          "--seed is used only by --codebook self"),
+        # designed the codebook on the target, which no seed draws
+        (["--seed", "5", "--stages", "2"],
+         "--seed is used only with --aux gaussian"),
+        (["--aux", "target", "--seed", "5", "--stages", "2"],
+         "--seed is used only with --aux gaussian"),
         # ran one fixed stage
         (["--stages", "1", "--max-stages", "7"],
          "--max-stages is used only with --bits"),
@@ -673,7 +678,8 @@ class TestUsageErrors:
           "--stages", "1", "--max-stages", "7"],
          "--max-stages is used only with --bits")],
         ids=["mailman-aux", "two-sparse-aux", "mailman-seed",
-             "two-sparse-seed", "stages-max-stages", "all-three"])
+             "two-sparse-seed", "self-seed", "target-aux-seed",
+             "stages-max-stages", "all-three"])
     def test_decompose_refuses_an_option_its_run_ignores(self, tmp_path,
                                                          capsys, flags,
                                                          message):

@@ -1,12 +1,17 @@
 """Sparse power-of-two matrix container."""
 
+import dataclasses
+import json
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftadd as sa
 from shiftadd.pot import EXP_MAX, EXP_MIN, SignedPow2
-from shiftadd.pow2matrix import (UNWRITTEN, Pow2Matrix, advance_effective,
-                                 shift_add, walk)
+from shiftadd.pow2matrix import (UNWRITTEN, Pow2Matrix, _pieces,
+                                 advance_effective, shift_add, walk)
 
 from helpers import (advance_effective_oracle, columns, pow2matrix,
                      random_dyadic_vector, same_bits, synthetic_plan)
@@ -227,6 +232,62 @@ def test_transpose():
                                              np.int32]
         assert not any(v.flags.writeable for v in stored)
         assert mat.transpose() is not t  # and not cached
+
+
+def _dumps(mat):
+    return json.dumps(mat.to_records(), separators=(",", ":"))
+
+
+# row counts whose indices run from 1 to 5 digits, and index edges
+_ROW_COUNTS = (0, 1, 2, 3, 10, 11, 100, 101, 1000, 1024, 10000, 12345)
+_ROW_EDGES = (0, 9, 10, 99, 100, 999, 1000, 9999, 10000)
+
+
+@st.composite
+def _json_matrices(draw):
+    rows = draw(st.sampled_from(_ROW_COUNTS))
+    edges = [i for i in _ROW_EDGES if i < rows] + [rows - 1]
+    index = st.integers(0, rows - 1) | st.sampled_from(edges)
+    coef = st.tuples(st.sampled_from([-1, 1]),
+                     st.sampled_from([EXP_MIN, EXP_MAX])
+                     | st.integers(EXP_MIN, EXP_MAX))
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        picked = sorted(draw(st.sets(index, max_size=min(rows, 5)))) \
+            if rows else []
+        records.append([[i, *draw(coef)] for i in picked])
+    return Pow2Matrix.from_records(rows, records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=_json_matrices())
+def test_to_json_is_json_dumps(mat):
+    # every example changes the row count between calls, so a row table
+    # kept from another count would write the wrong pieces
+    for m in (mat, dataclasses.replace(mat, rows=mat.rows + 1), mat):
+        assert m.to_json() == _dumps(m)
+
+
+def test_to_json_edge_matrices():
+    rng = np.random.default_rng(809)
+    for mat in _edge_matrices(rng):
+        assert mat.to_json() == _dumps(mat)
+    # no columns, no rows, all columns empty
+    assert pow2matrix(4, 0, ()).to_json() == "[]"
+    assert pow2matrix(0, 3, ((), (), ())).to_json() == "[[],[],[]]"
+    every = tuple(((i, SignedPow2(s, e)),) for i in (0, 9, 10, 99999)
+                  for s in (1, -1) for e in (EXP_MIN, -1, 0, EXP_MAX))
+    mat = pow2matrix(100000, len(every), every)
+    assert mat.to_json() == _dumps(mat)
+
+
+def test_to_json_keeps_only_the_last_row_table():
+    big = pow2matrix(1024, 2, (((1023, SignedPow2(1, 0)),), ()))
+    assert big.to_json() == "[[[1023,1,0]],[]]"
+    table = weakref.ref(_pieces(1024))
+    small = pow2matrix(3, 1, (((2, SignedPow2(-1, EXP_MIN)),),))
+    assert small.to_json() == "[[[2,-1,%d]]]" % EXP_MIN
+    assert table() is None and _pieces.cache_info().currsize == 1
 
 
 def test_transposed_chain_counts_what_the_engine_executes():
