@@ -24,7 +24,7 @@ from .pot import (CsdForm, Dyadic, SignedPow2, binary_distortion_oracle,
                   binary_encode, csd_decode, csd_distortion_oracle,
                   csd_encode, quantize_pow2)
 from .pow2matrix import Pow2Matrix
-from .wiring import FitResult, decompose, fit_column, fit_stage
+from .wiring import decompose, fit_stage
 
 __version__ = "0.1.0"
 
@@ -45,5 +45,5 @@ __all__ = [
     "binary_encode", "csd_decode", "csd_distortion_oracle", "csd_encode",
     "quantize_pow2",
     "Pow2Matrix",
-    "FitResult", "decompose", "fit_column", "fit_stage",
+    "decompose", "fit_stage",
 ]

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .codebooks import gaussian_build, make_codebook
+from .codebooks import gaussian_build
 from .wiring import fit_stages
 
 # Trials drawn per batch by simulate_angle_error.
@@ -139,16 +139,15 @@ def simulate_angle_error(n_rows: int, n_cols: int, trials: int,
 
 
 def simulate_decomposition(n_rows: int, n_cols: int, n_stages: int,
-                           codebook_kind: str = "gaussian", seed: int = 0,
-                           matrix_samples: int = 20):
+                           seed: int = 0, matrix_samples: int = 20):
     """Mean relative column error after each unit-sparsity wiring stage.
 
-    ``codebook_kind`` is ``"gaussian"``, the i.i.d. matrix of the paper's
-    error analysis (``gaussian_build``), or any codebook kind.  Returns
-    ``(s, mean, stderr)`` arrays where ``s`` runs from 1 to ``n_stages``
-    and the mean is over columns and matrices of ``|t_k - approx_k|^2 /
-    |t_k|^2``.  With no stages the zero approximation is reported: a
-    single row ``s = 0`` with distortion 1.
+    Each target matrix is fitted over a codebook drawn by
+    ``gaussian_build``, the i.i.d. matrix of the paper's error analysis.
+    Returns ``(s, mean, stderr)`` arrays where ``s`` runs from 1 to
+    ``n_stages`` and the mean is over columns and matrices of ``|t_k -
+    approx_k|^2 / |t_k|^2``.  With no stages the zero approximation is
+    reported: a single row ``s = 0`` with distortion 1.
     """
     if n_stages < 0:
         raise ValueError("n_stages must be >= 0")
@@ -161,11 +160,7 @@ def simulate_decomposition(n_rows: int, n_cols: int, n_stages: int,
     per_matrix = np.empty((matrix_samples, n_stages))
     for m in range(matrix_samples):
         target = rng.standard_normal((n_rows, n_cols))
-        cb_seed = int(rng.integers(2 ** 62))
-        eff = gaussian_build(n_rows, n_cols, cb_seed) \
-            if codebook_kind == "gaussian" else make_codebook(
-                codebook_kind, n_rows, n_cols, seed=cb_seed,
-                target=target).dense()
+        eff = gaussian_build(n_rows, n_cols, int(rng.integers(2 ** 62)))
         col_norms = np.sum(target * target, axis=0)
         fits = fit_stages(target, eff, [1] * n_stages)
         for ell, (_, eff) in enumerate(fits):

@@ -293,7 +293,7 @@ def _analyze(args, out) -> None:
             raise _usage_error("--K takes one value with --fig lb")
         n, k = args.N or 8, args.K[0]
         s, mean, err = analysis.simulate_decomposition(
-            n, k, args.stages, "gaussian", args.seed, args.samples)
+            n, k, args.stages, args.seed, args.samples)
         out.write("s,lower_bound,simulated,stderr\n")
         for i, sv in enumerate(s):
             lb = analysis.distortion_lower_bound(n, k, int(sv))
@@ -361,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--adaptive", action="store_true",
                    help="single wiring stage, per-column adaptive budget")
     d.add_argument("--max-stages", type=max_stages, default=None,
-                   help="with --bits (default 64)")
+                   help="with --bits: the most stages (default 64); with "
+                        "--adaptive, each column's greedy step budget")
     d.add_argument("--aux", choices=["target", "gaussian"], default=None,
                    help="with --codebook self (default target)")
     d.add_argument("--seed", type=seed, default=None,

@@ -302,18 +302,19 @@ def make_codebook(kind: str, n_rows: int, n_cols: int, *, seed: int = 0,
                   stage_sparsity: int = 1) -> CodebookDescriptor:
     """Build a codebook descriptor of the requested kind.
 
-    Only the self-designing kind reads the other arguments: ``aux`` picks
+    Only the self-designing kind uses the other arguments: ``aux`` picks
     its auxiliary target, ``"target"`` for ``target`` itself or
-    ``"gaussian"`` for a Gaussian matrix drawn from ``seed``.
+    ``"gaussian"`` for a Gaussian matrix drawn from ``seed``.  Any other
+    ``aux`` is refused for every kind.
     """
+    if aux not in ("target", "gaussian"):
+        raise ValueError(f"unknown aux choice {aux!r}")
     if kind != "self-designing":
         return CodebookDescriptor(kind, n_rows, n_cols)
-    if aux == "target":
+    if aux == "gaussian":
+        aux_mat = gaussian_build(n_rows, n_cols, seed)
+    else:
         if target is None:
             raise ValueError("aux='target' requires a target matrix")
         aux_mat = np.asarray(target, dtype=np.float64)
-    elif aux == "gaussian":
-        aux_mat = gaussian_build(n_rows, n_cols, seed)
-    else:
-        raise ValueError(f"unknown aux choice {aux!r}")
     return self_design_build(aux_mat, stage_sparsity)

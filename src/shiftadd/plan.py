@@ -80,6 +80,8 @@ class StageSchedule:
             raise ValueError("fixed-stages schedule needs a sparsity list")
         if self.mode == ADAPTIVE_SINGLE_STAGE and self.target_bits is None:
             raise ValueError("adaptive schedule needs target_bits")
+        if self.mode == ADAPTIVE_SINGLE_STAGE and self.sparsity:
+            raise ValueError("adaptive schedule takes no per-stage sparsity")
         if len(self.sparsity) > MAX_STAGES:
             raise ValueError(f"per-stage sparsity lists at most {MAX_STAGES} "
                              f"stages")

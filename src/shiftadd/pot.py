@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,13 +36,10 @@ class SignedPow2:
     """A scalar from the alphabet {0, +-2**e}.
 
     ``sign`` is -1, 0 or +1; ``exponent`` is meaningless when ``sign == 0``.
-    ``clamped`` records that a quantizer had to clip the exponent into the
-    configured range (the value is still the clipped power of two).
     """
 
     sign: int
     exponent: int = 0
-    clamped: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
@@ -54,11 +51,6 @@ class SignedPow2:
             return 0.0
         return math.ldexp(float(self.sign), self.exponent)
 
-    def __str__(self) -> str:
-        if self.sign == 0:
-            return "0"
-        return f"{'+' if self.sign > 0 else '-'}2^{self.exponent}"
-
 
 def quantize_pow2(x: float, e_min: int | None = EXP_MIN,
                   e_max: int | None = EXP_MAX) -> SignedPow2:
@@ -66,8 +58,8 @@ def quantize_pow2(x: float, e_min: int | None = EXP_MIN,
 
     With ``p = 2**floor(log2|x|)`` the result is ``2**(floor(log2|x|)+1)``
     when ``|x| >= 1.5 p`` and ``p`` otherwise, carrying the sign of ``x``.
-    Zero maps to zero.  Exponents outside ``[e_min, e_max]`` are clipped and
-    the ``clamped`` flag is set; pass ``None`` bounds to disable clipping.
+    Zero maps to zero.  Exponents outside ``[e_min, e_max]`` are clipped;
+    pass ``None`` bounds to disable clipping.
     """
     if not math.isfinite(x):
         raise ValueError(f"cannot quantize non-finite value {x!r}")
@@ -75,12 +67,11 @@ def quantize_pow2(x: float, e_min: int | None = EXP_MIN,
         return SignedPow2(0)
     m, e = math.frexp(abs(x))  # abs(x) = m * 2**e with 0.5 <= m < 1
     exp = e if m >= 0.75 else e - 1
-    clamped = False
-    if e_min is not None and exp < e_min:
-        exp, clamped = e_min, True
-    if e_max is not None and exp > e_max:
-        exp, clamped = e_max, True
-    return SignedPow2(1 if x > 0 else -1, exp, clamped)
+    if e_min is not None:
+        exp = max(exp, e_min)
+    if e_max is not None:
+        exp = min(exp, e_max)
+    return SignedPow2(1 if x > 0 else -1, exp)
 
 
 _MIN_NORMAL = 2.0 ** -1022
@@ -148,9 +139,6 @@ class CsdForm:
     @property
     def value(self) -> float:
         return math.fsum(math.ldexp(float(s), e) for s, e in self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -250,9 +238,10 @@ class Dyadic:
     """An exact number ``mantissa * 2**exponent``.
 
     The mantissa is an arbitrary-precision integer kept odd (or zero, with
-    exponent zero), so equal values have equal representations.  Addition,
-    negation and shifting are exact; these are the only operations the
-    evaluation engine needs.
+    exponent zero), so equal values have equal representations.  It is the
+    exact value type of the engine's inputs and outputs and of vector files
+    (``matio``); the engine itself computes on aligned ints (``align``).
+    Addition, negation and shifting by a signed power of two are exact.
     """
 
     __slots__ = ("mantissa", "exponent")

@@ -40,12 +40,12 @@ Gramfort and Salmon, ICML 2015).  ``fit_stages`` computes ``c`` once, when
 a gap first falls below 1/2; on the 16x1024 Table-1 design the proof holds
 for about 80% of the (later stage, column) pairs.
 
-One kernel, ``_fit_columns``, runs every fit: ``fit_stage``, ``fit_column``,
-the adaptive fit and codebook self-design.  Each greedy step runs once over
-all live target columns, one per row of an array, and each column leaves
-on its own stopping rule.  Only the passes over all K codebook columns run
-in chunks of ``_CHUNK`` rows, which bounds the work array.  The chunk
-size is a constant, not an option: it changes speed only.  Every score
+One kernel, ``_fit_columns``, runs every fit: ``fit_stage``, the adaptive
+fit and codebook self-design.  Each greedy step runs once over all live
+target columns, one per row of an array, and each column leaves on its
+own stopping rule.  Only the passes over all K codebook columns run in
+chunks of ``_CHUNK`` rows, which bounds the work array.  The chunk size
+is a constant, not an option: it changes speed only.  Every score
 comes from the candidate's own dot product, never from a row of a shared
 product (BLAS may sum a row differently beside other rows), so a column's
 fit depends neither on the chunk nor on the columns fitted beside it.  The
@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,21 +85,6 @@ _SLACK_ABS = 2.0 ** -1000
 # proven: above it, underflow in the proof's dot products is negligible
 # beside their rounding.  The screen needs no floor; see _fit_columns.
 _NORM_FLOOR = 2.0 ** -400
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Outcome of fitting one column: its coefficients as a ``K x 1``
-    matrix, the final squared residual, and the squared residual after
-    each applied step."""
-
-    column: Pow2Matrix
-    residual_sq: float
-    trace: tuple[float, ...]
-
-    @property
-    def steps(self) -> int:
-        return len(self.trace)
 
 
 def _check_finite(tgt: np.ndarray, cb: np.ndarray) -> float:
@@ -502,22 +486,6 @@ def _pick(score, k):
     ties."""
     low = score == score.min(axis=1, keepdims=True)
     return np.argmin(np.where(low, k, np.iinfo(k.dtype).max), axis=1)
-
-
-def fit_column(target_col: np.ndarray, codebook_cols: np.ndarray,
-               s: int) -> FitResult:
-    """Fit one target column with at most ``1 + s`` nonzero coefficients."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    t = np.asarray(target_col, dtype=np.float64)
-    cb = np.asarray(codebook_cols, dtype=np.float64)
-    if cb.ndim != 2 or t.shape != (cb.shape[0],):
-        raise DimensionError(
-            f"target column of length {t.shape} does not match codebook "
-            f"{cb.shape}")
-    stage, r_sq, steps, trace = _fit_columns(t[:, None], cb, 1 + s)
-    return FitResult(stage, float(r_sq[0]),
-                     tuple(trace[0, :steps[0]].tolist()))
 
 
 def fit_stage(target: np.ndarray, codebook_cols: np.ndarray, s: int, *,

@@ -214,7 +214,8 @@ def greedy_fit_oracle(t, cb, max_steps, stop_sq=None):
     score alike; scores that tie in exact arithmetic may round apart, and
     then the lower float score wins in both.  The residual stays in float.
 
-    Returns ``(entries, residual_sq, trace)`` like ``FitResult``.
+    Returns ``(entries, residual_sq, trace)``: the column's entries, its
+    final squared residual and its squared residual after each step.
     """
     cb_t = np.ascontiguousarray(np.asarray(cb, dtype=np.float64).T)
     norms = np.einsum("kn,kn->k", cb_t, cb_t)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import shiftadd as sa
+from shiftadd import wiring
 from shiftadd.cli import cell_plans
 
 from helpers import columns, exact_matvec, random_dyadic_vector, \
@@ -108,8 +109,8 @@ def test_05_angle_error_cdf():
 def test_06_lower_bound_tracking():
     t0 = time.time()
     n, k, stages = 8, 256, 20
-    s, mean, _ = sa.simulate_decomposition(n, k, stages, "gaussian",
-                                           seed=6000, matrix_samples=20)
+    s, mean, _ = sa.simulate_decomposition(n, k, stages, seed=6000,
+                                           matrix_samples=20)
     lb = np.array([sa.distortion_lower_bound(n, k, int(v)) for v in s])
     ratio = mean / lb
     assert np.all(mean >= 0.95 * lb), ratio.min()
@@ -194,14 +195,16 @@ def test_10_property_suites():
     t0 = time.time()
     rng = np.random.default_rng(10_000)
 
-    # greedy residual monotonicity, 1000 cases
+    # greedy residual monotonicity, 1000 cases, read from the kernel's
+    # per-step trace
     for _ in range(1000):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(2, 12))
         t = rng.standard_normal(n)
-        fit = sa.fit_column(t, rng.standard_normal((n, k)),
-                            int(rng.integers(0, 5)))
-        seq = [float(t @ t)] + list(fit.trace)
+        cb = rng.standard_normal((n, k))
+        _, _, steps, trace = wiring._fit_columns(
+            t[:, None], cb, 1 + int(rng.integers(0, 5)))
+        seq = [float(t @ t)] + trace[0, :steps[0]].tolist()
         assert all(b < a * (1 + 1e-12) for a, b in zip(seq, seq[1:]))
 
     # budget bound, 1000 cases
@@ -209,9 +212,9 @@ def test_10_property_suites():
         n = int(rng.integers(2, 6))
         k = int(rng.integers(2, 12))
         s = int(rng.integers(0, 5))
-        fit = sa.fit_column(rng.standard_normal(n),
-                            rng.standard_normal((n, k)), s)
-        assert len(columns(fit.column)[0]) <= 1 + s
+        t = rng.standard_normal(n)
+        stage = sa.fit_stage(t[:, None], rng.standard_normal((n, k)), s)
+        assert len(columns(stage)[0]) <= 1 + s
 
     # serialization round trip, 1000 randomized plans
     for _ in range(1000):

@@ -168,6 +168,16 @@ class TestDescriptor:
         with pytest.raises(ValueError, match="unknown codebook kind"):
             sa.CodebookDescriptor("gaussian", 4, 32)
 
+    @pytest.mark.parametrize("kind", ["mailman", "two-sparse",
+                                      "self-designing"])
+    def test_unknown_aux_refused_for_every_kind(self, kind):
+        # a mailman or two-sparse codebook reads no aux, but a bad one is
+        # still the caller's mistake
+        with pytest.raises(ValueError, match="unknown aux choice 'bogus'"):
+            sa.make_codebook(kind, 3, 8, aux="bogus")
+        with pytest.raises(ValueError, match="requires a target"):
+            sa.make_codebook("self-designing", 3, 8)
+
     def test_mailman_cost(self):
         cb = sa.make_codebook("mailman", 3, 8)
         cost = sa.cost_of(sa.DecompositionPlan(3, 8, cb, ()))

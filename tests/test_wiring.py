@@ -19,40 +19,47 @@ from helpers import (advance_effective_oracle, columns, greedy_fit_oracle,
                      same_bits)
 
 
-def entries(fit):
-    """A ``FitResult``'s coefficients as one column tuple."""
-    return columns(fit.column)[0]
+def _fits(fits):
+    stage, r_sq, steps, trace = fits
+    traces = [tuple(tr[:n]) for tr, n in zip(trace.tolist(), steps.tolist())]
+    return list(zip(columns(stage), r_sq.tolist(), traces))
+
+
+def fit_one(t, cb, s):
+    """The kernel's fit of the one column ``t`` with at most ``1 + s``
+    nonzero coefficients: its entries, final squared residual, and the
+    squared residual after each step."""
+    return _fits(wiring._fit_columns(t[:, None], cb, 1 + s))[0]
 
 
 class TestFitColumn:
     def test_two_dim_example(self):
-        fit = sa.fit_column(np.array([0.8, -0.3]), np.eye(2), 1)
-        assert entries(fit) == ((0, SignedPow2(1, 0)), (1, SignedPow2(-1, -2)))
-        assert fit.residual_sq == pytest.approx(0.0425, abs=1e-12)
+        col, r_sq, _ = fit_one(np.array([0.8, -0.3]), np.eye(2), 1)
+        assert col == ((0, SignedPow2(1, 0)), (1, SignedPow2(-1, -2)))
+        assert r_sq == pytest.approx(0.0425, abs=1e-12)
 
     def test_exact_power_is_found(self):
-        fit = sa.fit_column(np.array([0.5, 0.0]), np.eye(2), 0)
-        assert entries(fit) == ((0, SignedPow2(1, -1)),)
-        assert fit.residual_sq == 0.0
+        col, r_sq, _ = fit_one(np.array([0.5, 0.0]), np.eye(2), 0)
+        assert col == ((0, SignedPow2(1, -1)),)
+        assert r_sq == 0.0
 
     def test_zero_target_early_stop(self):
-        fit = sa.fit_column(np.zeros(3), np.ones((3, 4)), 2)
-        assert entries(fit) == () and fit.steps == 0
+        col, _, trace = fit_one(np.zeros(3), np.ones((3, 4)), 2)
+        assert col == () and len(trace) == 0
 
     def test_duplicate_columns_tie_break(self):
         # both duplicates score identically on the first pick; the smaller
         # index wins, deterministically
         cb = np.array([[1.0, 1.0], [1.0, 1.0]])
-        fit = sa.fit_column(np.array([0.9, 0.9]), cb, 0)
-        assert [j for j, _ in entries(fit)] == [0]
-        again = sa.fit_column(np.array([0.9, 0.9]), cb, 3)
-        assert entries(again) == \
-            entries(sa.fit_column(np.array([0.9, 0.9]), cb, 3))
+        col = fit_one(np.array([0.9, 0.9]), cb, 0)[0]
+        assert [j for j, _ in col] == [0]
+        again = fit_one(np.array([0.9, 0.9]), cb, 3)
+        assert again == fit_one(np.array([0.9, 0.9]), cb, 3)
 
     def test_zero_codebook_columns_skipped(self):
         cb = np.array([[0.0, 1.0], [0.0, 0.0]])
-        fit = sa.fit_column(np.array([0.5, 0.0]), cb, 1)
-        assert entries(fit) == ((1, SignedPow2(1, -1)),)
+        col = fit_one(np.array([0.5, 0.0]), cb, 1)[0]
+        assert col == ((1, SignedPow2(1, -1)),)
 
     def test_budget_bound(self):
         rng = np.random.default_rng(300)
@@ -60,9 +67,9 @@ class TestFitColumn:
             n = int(rng.integers(2, 6))
             k = int(rng.integers(2, 12))
             s = int(rng.integers(0, 4))
-            fit = sa.fit_column(rng.standard_normal(n),
-                                rng.standard_normal((n, k)), s)
-            assert len(entries(fit)) <= 1 + s
+            col = fit_one(rng.standard_normal(n),
+                          rng.standard_normal((n, k)), s)[0]
+            assert len(col) <= 1 + s
 
     def test_residual_monotone(self):
         rng = np.random.default_rng(301)
@@ -70,8 +77,8 @@ class TestFitColumn:
             n = int(rng.integers(2, 6))
             k = int(rng.integers(2, 16))
             t = rng.standard_normal(n)
-            fit = sa.fit_column(t, rng.standard_normal((n, k)), 6)
-            seq = [float(t @ t)] + list(fit.trace)
+            trace = fit_one(t, rng.standard_normal((n, k)), 6)[2]
+            seq = [float(t @ t)] + list(trace)
             for a, b in zip(seq, seq[1:]):
                 assert b < a * (1 + 1e-12)
 
@@ -83,30 +90,24 @@ class TestFitColumn:
             k = int(rng.integers(2, 5))
             cb = rng.standard_normal((2, k))
             t = rng.standard_normal(2)
-            w = np.zeros(k)
-            r_sq = float(t @ t)
             for step in range(3):
-                fit = sa.fit_column(t, cb, step)
                 w = np.zeros(k)
-                for j, c in entries(fit):
+                for j, c in fit_one(t, cb, step)[0]:
                     w[j] = c.value
-                best = r_sq
-                cur = t - cb @ w
                 # recompute from scratch at this sparsity, then try all
                 # single changes on top of it
-                cur_sq = float(cur @ cur)
-                best = cur_sq
+                cur = t - cb @ w
+                best = float(cur @ cur)
                 for j, v in itertools.product(range(k), powers):
                     trial = w.copy()
                     trial[j] = v
                     d = t - cb @ trial
                     best = min(best, float(d @ d))
-                nxt = sa.fit_column(t, cb, step + 1)
-                assert nxt.residual_sq <= best + 1e-12
+                assert fit_one(t, cb, step + 1)[1] <= best + 1e-12
 
     def test_dimension_error(self):
         with pytest.raises(sa.DimensionError):
-            sa.fit_column(np.zeros(3), np.zeros((2, 4)), 1)
+            sa.fit_stage(np.zeros((3, 1)), np.zeros((2, 4)), 1)
 
 
 class TestFitStage:
@@ -231,6 +232,8 @@ class TestDecompose:
         (lambda: sa.StageSchedule.fixed([1] * (sa.plan.MAX_STAGES + 1)),
          ValueError),
         (lambda: sa.StageSchedule.adaptive(8, sa.plan.MAX_STAGES + 1),
+         ValueError),
+        (lambda: sa.StageSchedule("adaptive-single-stage", (1, 2), 8),
          ValueError)])
     def test_schedule_refuses_non_integers_and_overflow(self, build, error):
         # these used to fail deep in the fit, or in threshold()
@@ -243,12 +246,6 @@ class TestDecompose:
         assert json.loads(json.dumps(schedule.to_dict())) == {
             "mode": "fixed-stages", "sparsity": [1], "target_bits": 8,
             "max_stages": 3}
-
-
-def _fits(fits):
-    stage, r_sq, steps, trace = fits
-    traces = [tuple(tr[:n]) for tr, n in zip(trace.tolist(), steps.tolist())]
-    return list(zip(columns(stage), r_sq.tolist(), traces))
 
 
 class TestBlockedKernel:
@@ -267,10 +264,6 @@ class TestBlockedKernel:
                                for k in range(m)]
         stage = sa.fit_stage(tgt, cb, 2)
         assert columns(stage) == columns(fits[0])
-        for k in (0, m - 1):
-            fit = sa.fit_column(tgt[:, k], cb, 2)
-            assert (entries(fit), fit.residual_sq, fit.trace) == \
-                greedy_fit_oracle(tgt[:, k], cb, 3)
 
     @pytest.mark.parametrize("m", [1, 33, 65, 257])
     def test_accuracy_driven_fit_matches_oracle(self, m):
@@ -566,9 +559,9 @@ def test_a_columns_fit_does_not_depend_on_its_batch(case):
         stage = columns(sa.fit_stage(tgt, cb, steps - 1))
     assert part == [whole[k] for k in keep]
     assert stage == tuple(col for col, _, _ in whole)
-    for k in range(tgt.shape[1]):
-        fit = sa.fit_column(tgt[:, k], cb, steps - 1)
-        assert (entries(fit), fit.residual_sq, fit.trace) == whole[k]
+    # each column fitted on its own, at the default chunk
+    assert [fit_one(tgt[:, k], cb, steps - 1)
+            for k in range(tgt.shape[1])] == whole
 
 
 class _Spy:
@@ -907,10 +900,6 @@ class TestNonFiniteInputs:
             sa.fit_stage(poisoned, cb, 1)
         with pytest.raises(ValueError, match="NaN or infinite"):
             sa.fit_stage(tgt, poisoned, 1)
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            sa.fit_column(poisoned[:, 2], cb, 1)
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            sa.fit_column(tgt[:, 2], poisoned, 1)
         mailman = sa.make_codebook("mailman", 3, 8)
         for schedule in (sa.StageSchedule.fixed([1], target_bits=8),
                          sa.StageSchedule.adaptive(8)):
@@ -925,8 +914,6 @@ class TestNonFiniteInputs:
             sa.decompose(tgt, mailman, sa.StageSchedule.fixed([1]))
         with pytest.raises(ValueError, match="power of two"):
             sa.fit_stage(tgt, mailman.dense(), 1)
-        with pytest.raises(ValueError, match="power of two"):
-            sa.fit_column(tgt[:, 0], mailman.dense(), 1)
 
     @pytest.mark.parametrize("t, b", [(1.0, 1e200), (1e154, 2e153)])
     def test_overflowing_scales_rejected(self, t, b):
@@ -935,5 +922,3 @@ class TestNonFiniteInputs:
         tgt, cb = np.full((1, 1), t), np.full((1, 3), b)
         with pytest.raises(ValueError, match="powers of two"):
             sa.fit_stage(tgt, cb, 1)
-        with pytest.raises(ValueError, match="powers of two"):
-            sa.fit_column(tgt[:, 0], cb, 1)
