@@ -280,7 +280,11 @@ def self_design_build(aux_target: np.ndarray,
     ``B = B0 B1 B2`` where ``B0 = [I 0]`` and ``B1, B2`` are the first two
     wiring stages of a decomposition of the auxiliary target over ``B0``
     (``wiring.fit_stages``), with ``1 + stage_sparsity`` nonzeros per
-    column.
+    column.  The first stage fits over the N unit columns of ``B0``; the
+    second over ``B0 B1``, whose columns are sums of ``1 + stage_sparsity``
+    signed powers of two on the N wires, so most are copies of another up
+    to sign and a power of two: the greedy fit screens one column per
+    class of copies (438 of the 1024 columns of a 16x1024 Table-1 cell).
     """
     from .wiring import fit_stages  # deferred: wiring sits above this module
 

@@ -9,7 +9,8 @@ and the cost accounting all run on them.  ``to_records`` is the file view,
 and ``to_json`` writes that view's text, byte for byte as ``json.dumps``
 does, by joining cached text pieces with no integer formatted: each entry
 is a row piece and a sign-and-exponent piece, looked up in one table per
-row count (only the last one is kept).
+row count (only the last one is kept; a matrix with fewer entries than
+rows gets a table of the rows it uses).
 
 Exact products run on the stored columns: ``walk`` schedules ``h @ mat``,
 one sum per nonempty column, so exact reconstruction walks a chain as it
@@ -263,15 +264,24 @@ class Pow2Matrix:
         its column); an empty column is ``,[]``.  One pass computes every
         piece's index into ``_pieces(rows)``, one gather fetches them, and
         one join writes the text, with the first piece's comma made the
-        opening bracket and the closing one put after the last piece.
+        opening bracket and the closing one put after the last piece.  A
+        matrix with fewer entries than rows gets a table of the rows it
+        uses instead, so that writing it costs its entries, not its rows.
         """
         if not self.cols:
             return "[]"
         first, filled = self.first, self.col_len > 0
-        table = _pieces(self.rows)
-        rows = 2 * self.row.astype(np.intp)
+        if self.row.size >= self.rows:
+            table, rows = _pieces(self.rows), self.row.astype(np.intp)
+            n_rows = self.rows
+        else:
+            # fewer entries than rows (a plan's matrices have K rows and at
+            # least K entries): pieces for the rows in use alone, uncached
+            used, rows = np.unique(self.row, return_inverse=True)
+            table, n_rows = _table(used.tolist()), len(used)
+        rows = 2 * rows
         rows[first[filled]] += 1
-        coefs = 2 * (self.rows + _EXPONENTS * self.negative
+        coefs = 2 * (n_rows + _EXPONENTS * self.negative
                      + (self.exp - EXP_MIN))
         coefs[(first + self.col_len - 1)[filled]] += 1
         parts = table[np.insert(np.stack([rows, coefs], axis=1).ravel(),
@@ -317,13 +327,19 @@ _SIGN_EXP = [f"{s},{e}]{']' * closes}" for s in (1, -1)
 
 @functools.lru_cache(maxsize=1)
 def _pieces(rows: int) -> np.ndarray:
-    """``to_json``'s pieces for a matrix of ``rows`` rows, as an object
-    array: row ``r``'s ``,[r,`` at ``2 * r`` and ``,[[r,``, which opens
-    its column, just after; then ``_SIGN_EXP`` and, last, an empty column's
-    ``,[]``.  Only the last row count's table is kept, which serves every
+    """``to_json``'s pieces for a matrix of ``rows`` rows, ``_table(range(
+    rows))``.  Only the last row count's table is kept, which serves every
     matrix of a plan (they all have ``K`` rows)."""
+    return _table(range(rows))
+
+
+def _table(rows) -> np.ndarray:
+    """``to_json``'s pieces for the row indices ``rows``, as an object
+    array: the ``i``-th row's ``,[r,`` at ``2 * i`` and ``,[[r,``, which
+    opens its column, just after; then ``_SIGN_EXP`` and, last, an empty
+    column's ``,[]``."""
     return _read_only(np.array([f",{'[' * (1 + opens)}{r},"
-                                for r in range(rows) for opens in (0, 1)]
+                                for r in rows for opens in (0, 1)]
                                + _SIGN_EXP + [",[]"], dtype=object))
 
 

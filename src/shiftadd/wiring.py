@@ -28,6 +28,18 @@ left beside those two can still reach the best score found; per step, a
 few columns are scored, each from its own float64 dot product, and every
 fit equals the full scan's, float for float.
 
+Nor need the screen hold every column.  Copies, columns equal up to sign
+and a power of two, score alike bit for bit, so the lowest-index one wins
+their tie, and the screen runs over one column per class of copies; a
+class with a column on the support also offers its lowest-index column off
+the support, scored from its own dot product.  Codebook self-design's
+second stage fits over ``[I 0] B1``, whose columns are one or two signed
+powers of two on the N wires: the screen of a 16x1024 Table-1 cell is 438
+columns wide, not 1024.  A hash of the columns finds the classes, and a
+fit without copies pays only for the hash and one sort.  ``_fit_columns``
+gives the scales at which copies score alike; at others, every column is
+screened.
+
 From the second stage of a fixed-stage fit on, the first step of a column
 often needs no scan at all.  The rolled codebook's column ``e_k`` then
 approximates target column ``t_k``: with ``gap = max_j |t_j - e_j| /
@@ -56,9 +68,9 @@ One loop, ``fit_stages``, fits stages one after another, each against the
 codebook rolled forward through the stages before it: the fixed-stage
 ``decompose``, codebook self-design and ``analysis.simulate_decomposition``
 all run on it.  Only it proves first steps, as the adaptive fit has no
-earlier stage.  Codebook self-design runs on it too, but on the paper's
-Table-1 and Table-2 cells its second stage starts at a gap above 1/2 (0.87
-and 0.83), so it never computes ``c``.
+earlier stage.  Codebook self-design's two stages gain from copies
+instead: on the paper's Table-1 and Table-2 cells its second stage starts
+at a gap above 1/2 (0.87 and 0.83), so it never computes ``c``.
 """
 
 from __future__ import annotations
@@ -69,7 +81,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyUnreachableError, DimensionError
-from .pot import pow2_round_array
+from .pot import EXP_MAX, EXP_MIN, pow2_round_array
 from .pow2matrix import Pow2Matrix, advance_effective
 from .plan import (ADAPTIVE_SINGLE_STAGE, DecompositionPlan, StageSchedule,
                    check_target, distortion_of_matrix, target_digest,
@@ -85,6 +97,26 @@ _SLACK_ABS = 2.0 ** -1000
 # proven: above it, underflow in the proof's dot products is negligible
 # beside their rounding.  The screen needs no floor; see _fit_columns.
 _NORM_FLOOR = 2.0 ** -400
+# Copies of one column up to sign and a power of two are screened as one
+# column while every live squared residual lies in [_CLIP_LOW * max norms,
+# _CLIP_HIGH * min norms): there no weight-0 coefficient rounds past
+# 2**EXP_MAX, and no class has both a copy whose score improves and one
+# whose weight clips at 2**EXP_MIN; see _fit_columns.
+_CLIP_HIGH = 4.0 ** EXP_MAX
+_CLIP_LOW = 2.0 ** (2 * EXP_MIN + 55)
+# A column's hash is the absolute value of its dot product with sqrt(i +
+# 0.618...) over rows i, scaled like the column: no two of these weights
+# are a power of two apart, and no two pairs differ alike (weights i *
+# 0.618... mod 1 do, and gave unlike classes of the Table-1 self-design one
+# value), so the 16x1024, 10x1024, 12x4096 and 16x4096 self-design
+# codebooks hash one value per class
+_HASH_OFFSET = 0.6180339887
+# Every intermediate of a copy's score is a multiple of 2**_Q_SUB, the
+# least subnormal, when no codebook entry uses a binary place below
+# 2**_Q_MIN and the finest places of target and codebook entries sum to at
+# least _Q_SUB - EXP_MIN; see _fit_columns
+_Q_SUB = -1074
+_Q_MIN = (_Q_SUB - 2 * EXP_MIN) // 2
 
 
 def _check_finite(tgt: np.ndarray, cb: np.ndarray) -> float:
@@ -198,6 +230,69 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     subnormal rounding in the scores when ``r_sq`` is tiny.  Scales at
     which ``2 u`` could overflow are refused up front, so no score is NaN.
 
+    **One column per class of copies.**  Column ``b_j = s 2**c b_i``
+    (``s = +-1``, ``c`` an integer) is a copy of ``b_i``.
+    ``_copy_classes`` finds the classes of copies, and the screen's float32
+    columns and work array hold one column per class, its lowest-index one
+    (``reps``); a class with a column on a row's support is set aside
+    whole, as the support is.  Every choice stays the full scan's:
+
+    - *Copies tie, and the lowest index wins.*  Where every float a score
+      is formed from is exact up to its power of two (below), a copy's
+      ``u``, squared norm, rounded weight-0 coefficient and change are its
+      class-mate's times ``s 2**c``, ``4**c``, ``s 2**-c`` and ``s 2**-c``,
+      so its score is the same float, and so is its float32 bound, as its
+      unit column is the same up to sign.  At weight 0 every copy off the
+      support scores the same bits, and the lowest index among them wins.
+    - *One extra candidate per support entry.*  A copy on the support is
+      scored as a re-pick, at its weight, like any support entry.  Its
+      class's weight-0 candidate is then the class's lowest-index column
+      off the support (``_off_support``), which has the support entry's
+      bound: where that bound reaches ``thr``, the candidate is scored
+      too, from its own dot product.  Without it, the fits of the 3x64 and
+      2x32 self-designs of ``default_rng([N, K]).standard_normal`` change.
+    - *The screen holds for any candidate set*, since it bounds each
+      column on its own: every column left out either has a bound below
+      ``thr`` or ties a scored candidate of smaller index.
+    - *Exact scaling, near subnormals and overflow.*  Let ``2**q_t`` and
+      ``2**q_b`` be the units in the last place of the least nonzero target
+      and codebook entries (``_quantum``), of which every entry is a
+      multiple.  Weights and changes are multiples of ``2**EXP_MIN``, so
+      the residual's entries stay multiples of ``2**min(q_t, q_b +
+      EXP_MIN)``.  With ``q_b >= -473`` and ``q_t + q_b >= -1010``
+      (``_Q_MIN``, ``_Q_SUB - EXP_MIN``), every sum and product that forms
+      a copy's squared norm, ``u``, change and score is a multiple of
+      ``2**-1074``: where it is subnormal it is exact, and elsewhere
+      rounding commutes with a power of two.  Nothing overflows, as the
+      scales that could are refused up front.  A quotient ``u / n`` that is
+      not normal clips to ``2**EXP_MIN``, which the next item covers.  At
+      other scales no column is merged.
+    - *No clipping.*  ``|u_k| / n_k <= (1 + g) / (1 - g) sqrt(r_sq /
+      n_k)``, so while every live ``r_sq < 4**EXP_MAX min(norms)``
+      (``_CLIP_HIGH``), no weight-0 coefficient rounds to ``2**(EXP_MAX +
+      1)``: that needs ``1.5 2**EXP_MAX``, and ``(1 + g) / (1 - g) < 1.5``
+      for any ``N`` below ``2**50``.  At the bottom, a weight clipped up to
+      ``2**EXP_MIN`` changes the squared residual by at most ``4**EXP_MIN
+      n_k``, exactly computed, and no change below ``r_sq 2**-54`` lowers a
+      float ``r_sq``.  A copy whose score does improve has ``u_k**2 / n_k >
+      r_sq 2**-54 / (1 + eps)``, a class invariant, so every copy's ``|u /
+      n| >= 2**(EXP_MIN + 1/2) (1 - 2 eps)``, which rounds without
+      clipping.  So while every live ``r_sq >= 2**(2 EXP_MIN + 55)
+      max(norms)`` (``_CLIP_LOW``), no class has both a copy that improves
+      and one whose weight clips.  A step checks both bounds on its live
+      rows, and from the first step that fails one, every column is
+      screened.  Target ``[[0, 2**64, 0, 0]]`` over codebook ``[[1, 1, 1,
+      2]]`` fails the first: the full scan picks column 3, whose weight
+      ``2**63`` cancels the residual, while column 0's weight clips at
+      ``2**63``.
+
+    Each column is scaled to a canonical power of two and hashed, its dot
+    product with fixed weights; a fit where no two absolute hashes are
+    equal has no copies and stops there.  Otherwise a column, scaled by
+    the sign of its hash too, joins the lowest-index column of its
+    absolute hash if the two scaled columns are equal, exactly.  A column
+    that does not stays alone, which only widens the screen.
+
     **The proven first pick.**  With ``cos_max``, target column ``t_k`` is
     paired with codebook column ``e_k``, as in a later stage of
     ``fit_stages``.  Let ``c_k = cos_max[k]``, at least ``|cos(t_k, t_j)|``
@@ -249,14 +344,24 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
     cb_t, norms = cb_t[usable], norms_all[usable]
     if not usable.size:
         max_steps = 0
-    unit = (cb[:, usable] / np.sqrt(norms)).astype(np.float32)
+    unit = unit_all = (cb[:, usable] / np.sqrt(norms)).astype(np.float32)
     r = np.array(tgt.T, order="C")
     n_cols, k_count = r.shape[0], len(usable)
     r_sq = np.vecdot(r, r)
     margin, slack = _margins(r.shape[1])
-    # one (chunk x K) work array shared by every pass: allocating a fresh
-    # one each time costs page faults that tripled the time of a step
-    work = np.empty((min(_CHUNK, n_cols), k_count), dtype=np.float32)
+    # the screen runs over one column per class of copies: cls maps each
+    # column to its class, reps each class to its lowest-index column, and
+    # nxt each column to its next copy
+    classes = _copy_classes(tgt, cb_t, norms)
+    cls = reps = np.arange(k_count)
+    if classes is not None:
+        cls, reps, nxt = classes
+        unit = unit[:, reps]
+        norm_lo, norm_hi = norms.min(), norms.max()
+    # one (chunk x screen width) work array shared by every pass: allocating
+    # a fresh one each time costs page faults that tripled the time of a
+    # step, and the leading columns of a K-wide one made table2 20% slower
+    work = np.empty((min(_CHUNK, n_cols), len(reps)), dtype=np.float32)
     # row i's pick at step p is support[i, p] and that column's current
     # weight value[i, p] (every position holding a column has its weight);
     # its squared residual after the step is trace[i, p].  All three widen
@@ -281,22 +386,31 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
                 for a, fill in ((support, -1), (value, np.nan),
                                 (trace, np.nan)))
         rs = r_sq[act]
+        if classes is not None and not (rs.max() < _CLIP_HIGH * norm_lo
+                                        and rs.min() >= _CLIP_LOW * norm_hi):
+            # a weight may clip: screen every column from here on
+            classes = None
+            cls = reps = np.arange(k_count)
+            unit = unit_all
+            work = np.empty((min(_CHUNK, n_cols), k_count), dtype=np.float32)
         # a live row picked at every earlier step, so sup has no filler
         sup = support[act, :t]
-        # per row: top and the runner-up with their bounds, the largest
-        # bound left after them, and the bounds of the support
-        pair = np.empty((act.size, 2), dtype=np.intp)
+        sup_cls = cls[sup]
+        # per row: the screen's positions of top and the runner-up, their
+        # bounds, the largest bound left after them, and the bounds of the
+        # support
+        top = np.zeros((act.size, 2), dtype=np.intp)
         u_pair = np.empty((act.size, 2))
         b_pair = np.empty((act.size, 2), dtype=np.float32)
         second = np.empty(act.size, dtype=np.float32)
         b_sup = np.empty((act.size, t), dtype=np.float32)
         chunks = [slice(lo, lo + _CHUNK) for lo in range(0, act.size, _CHUNK)]
+        proven = None
         if t == 0 and gap < 0.5:
             # a proven row's top is its own column, with nothing left to
             # score after it: its runner-up repeats it
             proven, u_own = _proven_first(r[act], cb_t[act], norms[act], rs,
                                           cos_max[act], gap, margin)
-            pair[proven] = act[proven, None]
             u_pair[proven] = u_own[proven, None]
             b_pair[proven], second[proven] = (0.0, -np.inf), -np.inf
             scan = np.flatnonzero(~proven)
@@ -306,16 +420,20 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
             r_c = r[act[c]]
             bound = _bounds(r_c, rs[c], unit, work)
             pos = np.arange(r_c.shape[0])
-            b_sup[c] = bound[pos[:, None], sup[c]]
-            bound[pos[:, None], sup[c]] = -np.inf
+            # a class with a column on the support is set aside whole
+            b_sup[c] = bound[pos[:, None], sup_cls[c]]
+            bound[pos[:, None], sup_cls[c]] = -np.inf
             for i in range(2):
                 at = np.argmax(bound, axis=1)
-                pair[c, i], b_pair[c, i] = at, bound[pos, at]
+                top[c, i], b_pair[c, i] = at, bound[pos, at]
                 bound[pos, at] = -np.inf
             # an argmax pass and a gather cost less than one max pass
             second[c] = bound[pos, np.argmax(bound, axis=1)]
             # every score comes from the candidate's own dot product
-            u_pair[c] = np.vecdot(r_c[:, None], cb_t[pair[c]])
+            u_pair[c] = np.vecdot(r_c[:, None], cb_t[reps[top[c]]])
+        pair = reps[top]
+        if proven is not None:
+            pair[proven] = act[proven, None]
         # score top and the runner-up at weight 0; one whose bound was set
         # aside repeats an earlier pick or the support, which happens only
         # when fewer than two usable columns lie off the support
@@ -332,6 +450,15 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
         _merge(best, pos, rows, ks, _score(np.vecdot(r[act[rows]], cb_t[ks]),
                                            value[act[rows], at], norms[ks],
                                            rs[rows]))
+        if classes is not None:
+            # and the copy of each such entry that its class offers at
+            # weight 0: the class's lowest-index column off the support
+            ks = _off_support(reps[sup_cls[rows, at]], sup[rows], nxt)
+            rows, ks = rows[ks >= 0], ks[ks >= 0]
+            if rows.size:
+                _merge(best, pos, rows, ks, _score(
+                    np.vecdot(r[act[rows]], cb_t[ks]), 0.0, norms[ks],
+                    rs[rows]))
         # then every other k whose bound can reach the best so far, on the
         # rows that have one
         thr = _cut(best[0], rs, slack)
@@ -340,10 +467,11 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
             p = more[lo:lo + _CHUNK]
             bound = _bounds(r[act[p]], rs[p], unit, work)
             sub = np.arange(p.size)[:, None]
-            bound[sub, sup[p]] = -np.inf
-            bound[sub, pair[p]] = -np.inf
+            bound[sub, sup_cls[p]] = -np.inf
+            bound[sub, top[p]] = -np.inf
             rows, ks = np.divmod(np.flatnonzero(bound >= thr[p, None]),
-                                 k_count)
+                                 len(reps))
+            ks = reps[ks]
             _merge(best, p, rows, ks, _score(
                 np.vecdot(r[act[p[rows]]], cb_t[ks]), 0.0, norms[ks],
                 rs[p[rows]]))
@@ -370,6 +498,97 @@ def _fit_columns(tgt: np.ndarray, cb: np.ndarray, max_steps: int,
                        np.frexp(vals)[1] - 1,
                        np.bincount(cols, minlength=n_cols))
     return stage, r_sq, steps, trace
+
+
+def _copy_classes(tgt, cb_t, norms):
+    """The classes of the codebook columns, the rows of ``cb_t`` with
+    squared norms ``norms``, that are copies of one another up to sign and
+    a power of two, as ``(cls, reps, nxt)``: each column's class, each
+    class's lowest-index column, and each column's next copy in index
+    order (-1 after the last).  ``None`` when no two columns are copies,
+    or when the scales of ``tgt`` and ``cb_t`` could leave some copy's
+    score inexact (see ``_fit_columns``).
+
+    A column scaled by ``2**-(e // 2)``, ``e`` the exponent of its squared
+    norm, is one of its copies' columns so scaled, up to sign, as their
+    squared norms differ by a power of four.  Its hash is the dot product
+    of the scaled column with fixed weights; a fit where no two absolute
+    hashes are equal stops there.  Scaled by the sign of its hash too, a
+    column joins the lowest-index column of its absolute hash when their
+    scaled columns are equal, exactly; a column that does not join stays
+    alone."""
+    k = len(norms)
+    # 2**-(e // 2) from its exponent bits (e // 2 lies in [-537, 512]);
+    # >> 1 is e // 2, with no floor-division code to map
+    power = ((1023 - (np.frexp(norms)[1] >> 1)).astype(np.int64) << 52).view(
+        np.float64)
+    # einsum sums every row in one order, so copies' hashes are equal up to
+    # sign (a BLAS product may sum a few last rows in another)
+    h = np.einsum("kn,n->k", cb_t,
+                  np.sqrt(np.arange(cb_t.shape[1]) + _HASH_OFFSET)) * power
+    # the bits of a float64 >= 0, read as an integer, keep its order
+    key = np.abs(h).view(np.int64)
+    # the columns by hash, then index: the stable argsort is the one the
+    # fit's np.unique runs, while np.sort's own kernels would map about
+    # 300 KB of code pages that no other step of a design touches
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.ones(k, dtype=bool)
+    head[1:] = key[1:] != key[:-1]
+    if head.all():
+        return None
+    q_cb, q_tgt = _quantum(cb_t), _quantum(tgt)
+    if not (q_cb >= _Q_MIN and q_tgt + q_cb >= _Q_SUB - EXP_MIN):
+        return None
+    # the columns that share their hash with another
+    shared = ~head
+    shared[:-1] |= ~head[1:]
+    cand = order[shared]
+    first = head[shared]
+    group = np.cumsum(first) - 1
+    anchor = np.flatnonzero(first)[group]
+    canon = cb_t[cand] * np.copysign(power[cand], h[cand])[:, None]
+    same = (canon == canon[anchor]).all(axis=1)
+    root = np.arange(k)
+    root[cand[same]] = cand[anchor[same]]
+    is_rep = root == np.arange(k)
+    if is_rep.all():
+        return None
+    # the columns of a class follow one another by index
+    chain, group = cand[same], group[same]
+    link = group[1:] == group[:-1]
+    nxt = np.full(k, -1)
+    nxt[chain[:-1][link]] = chain[1:][link]
+    return (np.cumsum(is_rep) - 1)[root], np.flatnonzero(is_rep), nxt
+
+
+def _quantum(x):
+    """The exponent of the unit in the last place of the least nonzero
+    entry of ``x``: every entry is a multiple of ``2**_quantum(x)``."""
+    # the least nonzero |x|: as integers, the bits of |x| - 1 keep the
+    # order of nonzero entries, and masking the sign bit sends 0 to the top
+    top = np.iinfo(np.int64).max
+    bits = np.abs(x).view(np.int64)
+    bits -= 1
+    bits &= top
+    low = bits.min(initial=top)
+    if low == top:
+        return math.inf
+    return int(np.frexp(np.int64(low + 1).view(np.float64))[1]) - 53
+
+
+def _off_support(k, sup, nxt):
+    """Per row ``i``, the first column in the chain from ``k[i]`` through
+    ``nxt`` that the support row ``sup[i]`` does not hold, or -1, where the
+    chain holds a column of ``sup[i]``: a chain of one column holds none
+    other."""
+    k = np.where(nxt[k] >= 0, k, -1)
+    todo = np.flatnonzero(k >= 0)
+    while todo.size:
+        todo = todo[(sup[todo] == k[todo, None]).any(axis=1)]
+        k[todo] = nxt[k[todo]]
+        todo = todo[k[todo] >= 0]
+    return k
 
 
 def _score(u, w, n, r_sq):

@@ -281,13 +281,37 @@ def test_to_json_edge_matrices():
     assert mat.to_json() == _dumps(mat)
 
 
+def _one_per_row(rows):
+    """A ``rows x rows`` matrix with one entry in each row, as many entries
+    as rows, like a plan's matrices: ``to_json`` caches its row table."""
+    return Pow2Matrix.from_records(
+        rows, [[[rows - 1 - i, 1, 0]] for i in range(rows)])
+
+
 def test_to_json_keeps_only_the_last_row_table():
-    big = pow2matrix(1024, 2, (((1023, SignedPow2(1, 0)),), ()))
-    assert big.to_json() == "[[[1023,1,0]],[]]"
+    big = _one_per_row(1024)
+    assert big.to_json() == _dumps(big)
     table = weakref.ref(_pieces(1024))
-    small = pow2matrix(3, 1, (((2, SignedPow2(-1, EXP_MIN)),),))
-    assert small.to_json() == "[[[2,-1,%d]]]" % EXP_MIN
+    small = _one_per_row(3)
+    assert small.to_json() == "[[[2,1,0]],[[1,1,0]],[[0,1,0]]]"
     assert table() is None and _pieces.cache_info().currsize == 1
+
+
+def test_to_json_of_a_tall_sparse_matrix_leaves_the_cached_table():
+    # a matrix with fewer entries than rows gets pieces for the rows in
+    # use alone (a table of all 2**19 rows took 572 ms and 80 MB), and the
+    # plan matrices' cached table stays
+    plan_matrix = _one_per_row(64)
+    plan_matrix.to_json()
+    table = _pieces(64)
+    calls = _pieces.cache_info()
+    for tall in (Pow2Matrix.from_records(2 ** 19, [[[2 ** 19 - 1, 1, 0]]]),
+                 pow2matrix(100000, 3, (((7, SignedPow2(1, EXP_MIN)),
+                                         (99999, SignedPow2(-1, EXP_MAX))),
+                                        (), ((7, SignedPow2(1, 0)),)))):
+        assert tall.to_json() == _dumps(tall)
+    assert _pieces.cache_info() == calls and _pieces(64) is table
+    assert plan_matrix.to_json() == _dumps(plan_matrix)
 
 
 def test_transposed_chain_counts_what_the_engine_executes():

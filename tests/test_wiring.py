@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -418,11 +419,13 @@ class TestBlockedKernel:
 
 @st.composite
 def _fit_cases(draw):
-    """A codebook of duplicate, negated, halved and zero copies of a few
-    small-integer columns, and targets that are random or exact power-of-two
-    combinations of those columns (exact score ties and zero residuals),
-    scaled near 2**60 or 2**-60, where clipping to [EXP_MIN, EXP_MAX] takes
-    the rounded coefficient far from its least-squares value.  A chunk size
+    """A codebook of copies of a few small-integer columns, up to sign and
+    a power of two, and zero columns, and targets that are random or exact
+    power-of-two combinations of those columns (exact score ties and zero
+    residuals), scaled near 2**60 or 2**-60, where clipping to [EXP_MIN,
+    EXP_MAX] takes the rounded coefficient far from its least-squares
+    value, and where the screen over one column per class of copies gives
+    way to the full screen.  A chunk size
     of a few rows makes the live columns span several chunks that shrink
     mid-fit, with survivors of the screen in some chunks and not others,
     and more steps than usable columns put the largest bound on the
@@ -431,9 +434,13 @@ def _fit_cases(draw):
     ints = st.integers(-3, 3)
     base = np.array(draw(st.lists(st.lists(ints, min_size=n, max_size=n),
                                   min_size=1, max_size=4)), dtype=float).T
+    # copies up to sign and a power of two, often three or more of one
+    # column, and negated zeros
+    factor = st.sampled_from([1.0, -1.0, 0.5, -0.25, 2.0, -8.0, 2.0 ** -20,
+                              0.0])
     copies = draw(st.lists(st.tuples(st.integers(0, base.shape[1] - 1),
-                                     st.sampled_from([1.0, -1.0, 0.5, 0.0])),
-                           min_size=1, max_size=10))
+                                     factor),
+                           min_size=1, max_size=12))
     cb = np.stack([base[:, i] * f for i, f in copies], axis=1)
     m = draw(st.integers(1, 8))
     tgt = np.empty((n, m))
@@ -505,6 +512,176 @@ def test_fit_columns_equal_the_oracle(case):
         greedy_fit_oracle(tgt[:, k], cb, steps,
                           None if stop_sq is None else stop_sq[k])
         for k in range(tgt.shape[1])]
+
+
+_BOUNDS = wiring._bounds
+
+
+class _Widths:
+    """Records, through ``mock.patch.object(wiring, "_bounds", spy)``, the
+    width of the screen (its float32 unit columns) at every call."""
+
+    def __init__(self):
+        self.widths = []
+
+    def __call__(self, r, r_sq, unit, work):
+        self.widths.append(unit.shape[1])
+        return _BOUNDS(r, r_sq, unit, work)
+
+
+def _class_count(cb):
+    """The number of classes of nonzero columns of ``cb`` equal up to sign
+    and a power of two, in exact arithmetic."""
+    keys = set()
+    for b in cb.T:
+        nz = [float(v) for v in b if v != 0.0]
+        if nz:
+            # scaled by the sign and power of two of the first nonzero entry
+            scale = Fraction(2) ** math.frexp(abs(nz[0]))[1] * (
+                1 if nz[0] > 0 else -1)
+            keys.add(tuple(Fraction(float(v)) / scale for v in b))
+    return len(keys)
+
+
+def _planted_copies(seed, n, classes, m):
+    """A codebook of ``classes`` random columns of length ``n``, each
+    three to five times, scaled by signs and powers of two from 2**-3 to
+    2**3, some entries zero (so negated copies hold -0.0), in shuffled
+    order; and ``m`` targets, half random and half exact power-of-two
+    combinations of the base columns."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((n, classes))
+    base[rng.random((n, classes)) < 0.3] = 0.0
+    pick = np.repeat(np.arange(classes), rng.integers(3, 6, classes))
+    scale = rng.choice([-1.0, 1.0], pick.size) * 2.0 ** rng.integers(
+        -3, 4, pick.size)
+    cb = (base[:, pick] * scale)[:, rng.permutation(pick.size)]
+    tgt = rng.standard_normal((n, m))
+    half = m // 2
+    tgt[:, :half] = base @ (rng.choice([0.0, 1.0, -1.0], (classes, half))
+                            * 2.0 ** rng.integers(-2, 3, (classes, half)))
+    return tgt, cb
+
+
+def _self_design_stage2(n, k):
+    """Self-design's second stage as ``fit_stages`` runs it on the
+    Gaussian ``default_rng([n, k])`` auxiliary target: the target and the
+    codebook ``[I 0] B1``."""
+    aux = np.random.default_rng([n, k]).standard_normal((n, k))
+    stage = sa.fit_stage(aux, np.eye(n, k), 1)
+    return aux, advance_effective(np.eye(n, k), stage)
+
+
+class TestCopies:
+    """The screen runs over one column per class of copies (columns equal
+    up to sign and a power of two), and every fit stays the oracle's."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, wiring._CHUNK])
+    @pytest.mark.parametrize("seed, n", [(0, 1), (1, 2), (2, 5), (3, 16)])
+    def test_planted_copies_fit_like_the_oracle(self, seed, n, chunk):
+        tgt, cb = _planted_copies(seed, n, 6, 12)
+        widths = _Widths()
+        with mock.patch.object(wiring, "_CHUNK", chunk), \
+                mock.patch.object(wiring, "_bounds", widths):
+            fits = wiring._fit_columns(tgt, cb, 6)
+        assert _fits(fits) == [greedy_fit_oracle(t, cb, 6) for t in tgt.T]
+        # one column per class, until the residual of an exact combination
+        # falls below _CLIP_LOW and every column is screened
+        assert widths.widths[0] == _class_count(cb) < cb.shape[1]
+        assert set(widths.widths) <= {_class_count(cb), cb.shape[1]}
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, wiring._CHUNK])
+    @pytest.mark.parametrize("n, k", [(3, 64), (2, 32)])
+    def test_support_siblings(self, n, k, chunk):
+        # a copy on the support leaves its class's weight-0 candidate to
+        # the class's next column: scoring the class's first column alone
+        # changed these fits
+        tgt, cb = _self_design_stage2(n, k)
+        for steps in (2, 5):
+            with mock.patch.object(wiring, "_CHUNK", chunk):
+                fits = wiring._fit_columns(tgt, cb, steps)
+            assert _fits(fits) == [greedy_fit_oracle(t, cb, steps)
+                                   for t in tgt.T]
+        # some column of the fit holds two copies of one column
+        assert any(_class_count(cb[:, [j for j, _ in col]]) < len(col)
+                   for col in columns(fits[0]))
+        with mock.patch.object(wiring, "_off_support",
+                               lambda k, sup, nxt: np.full(k.size, -1)):
+            assert _fits(wiring._fit_columns(tgt, cb, 5)) != _fits(fits)
+
+    def test_a_weight_clipped_at_the_top_screens_every_column(self):
+        # column 0's weight clips at 2**63, while column 3, a copy twice
+        # its size, takes 2**63 and leaves no residual
+        tgt, cb = np.array([[0.0, 2.0 ** 64, 0.0, 0.0]]), np.array(
+            [[1.0, 1.0, 1.0, 2.0]])
+        oracle = [greedy_fit_oracle(t, cb, 2) for t in tgt.T]
+        assert oracle[1][0] == ((3, SignedPow2(1, 63)),)
+        widths = _Widths()
+        with mock.patch.object(wiring, "_bounds", widths):
+            assert _fits(wiring._fit_columns(tgt, cb, 2)) == oracle
+        assert set(widths.widths) == {4}
+        with mock.patch.object(wiring, "_CLIP_HIGH", np.inf):
+            assert _fits(wiring._fit_columns(tgt, cb, 2)) != oracle
+
+    def test_a_weight_clipped_at_the_bottom_screens_every_column(self):
+        # after the first step the residual is 0.6 * 2**-64 on row 0: the
+        # weights of columns 0 and 1 clip up to 2**-64, and column 2, half
+        # column 0, takes 2**-64 and leaves the least residual
+        x = 0.6 * 2.0 ** -64
+        tgt = np.array([[x], [1.0]])
+        cb = np.array([[1.0, 2.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        oracle = [greedy_fit_oracle(t, cb, 3) for t in tgt.T]
+        assert [j for j, _ in oracle[0][0]] == [2, 3]
+        widths = _Widths()
+        with mock.patch.object(wiring, "_bounds", widths):
+            assert _fits(wiring._fit_columns(tgt, cb, 3)) == oracle
+        # two classes at the first step, every column from the second on
+        assert widths.widths[:2] == [2, 4]
+        with mock.patch.object(wiring, "_CLIP_LOW", 0.0):
+            assert _fits(wiring._fit_columns(tgt, cb, 3)) != oracle
+
+    @pytest.mark.parametrize("place_b, tiny, place_sum, merged", [
+        (-473, 67, -1010, True), (-473, 68, -1011, False),
+        (-474, 0, -945, False)])
+    def test_copies_merge_only_where_their_scores_are_exact(
+            self, place_b, tiny, place_sum, merged):
+        # near subnormals a copy's score may round apart from its class's:
+        # copies are merged only while the finest binary place of a
+        # codebook entry is 2**-473 or above, and those of a target and a
+        # codebook entry sum to -1010 or above; one target entry, 2**-tiny
+        # times the scale, sets the target's finest place
+        rng = np.random.default_rng(9)
+        base = np.array([[1.0, 0.5, 1.0], [0.5, -1.0, 0.0], [0.0, 0.25, 1.0]])
+        cb = base[:, [0, 1, 2, 0, 1, 2, 0]] * np.array(
+            [1.0, 1.0, 1.0, -2.0, 0.5, -4.0, 0.5])
+        scale = 2.0 ** (place_b - wiring._quantum(cb))
+        tgt = rng.integers(1, 8, (3, 6)) * rng.choice([-1.0, 1.0], (3, 6))
+        tgt[0, 0] = 2.0 ** -tiny
+        cb, tgt = cb * scale, tgt * scale
+        assert wiring._quantum(cb) == place_b
+        assert wiring._quantum(tgt) + place_b == place_sum
+        widths = _Widths()
+        with mock.patch.object(wiring, "_bounds", widths):
+            fits = wiring._fit_columns(tgt, cb, 4)
+        assert _fits(fits) == [greedy_fit_oracle(t, cb, 4) for t in tgt.T]
+        assert widths.widths[0] == (3 if merged else 7)
+
+    def test_self_design_screens_one_column_per_class(self):
+        # the second stage of the 16x1024 Table-1 cell of the benchmark at
+        # seed 0 fits over 438 classes; a codebook without copies keeps
+        # every column, so a lost gain cannot pass unseen
+        aux = np.random.default_rng([0, 1, 0]).standard_normal((16, 1024))
+        stage = sa.fit_stage(aux, np.eye(16, 1024), 1)
+        cb = advance_effective(np.eye(16, 1024), stage)
+        widths = _Widths()
+        with mock.patch.object(wiring, "_bounds", widths):
+            sa.fit_stage(aux, cb, 1)
+        assert set(widths.widths) == {_class_count(cb)} == {438}
+        gauss = np.random.default_rng(5).standard_normal((16, 1024))
+        widths = _Widths()
+        with mock.patch.object(wiring, "_bounds", widths):
+            sa.fit_stage(aux, gauss, 1)
+        assert set(widths.widths) == {1024}
 
 
 def _near_ties(seed, n, k, m):
