@@ -147,6 +147,12 @@ def cmd_apply(args) -> int:
     else:
         for v in y:
             print(matio.vector_line(v))
+    low, high = matio.VECTOR_EXP_MIN, matio.VECTOR_EXP_MAX
+    far = sum(not low <= v.exponent <= high for v in y)
+    if far:
+        print(f"warning: {far} of {len(y)} outputs have an exponent outside "
+              f"[{low}, {high}]: written exactly, they do not load back as "
+              f"a vector", file=sys.stderr)
     print(f"additions {report.additions}  shifts {report.shifts}  "
           f"sign_changes {report.sign_changes}  "
           f"adds/entry {report.adds_per_entry:.4f}", file=sys.stderr)

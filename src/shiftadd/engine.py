@@ -2,38 +2,41 @@
 
 Every scalar operation is a left shift, a sign flip, or an addition of
 integers, so the output equals the exact reconstruction applied to the
-input bit for bit.  The input is aligned once (``pot.align``) into a numpy
-object array of Python ints over one exponent ``e``.  The plan's matrix
-chain, the one exact reconstruction walks, then runs last to first on
-static binary points, as a hardware build wires it: every wire ``i`` holds
-an integer worth ``2**(e + P_i)``, with ``P_i`` fixed by the plan alone
-(``DecompositionPlan.segments``, built by ``pow2matrix.walk`` on first use
-and kept with the plan).  ``M @ h`` runs as ``(h @ M.T).T``: each matrix is
-one ``pow2matrix.shift_add`` over the columns of its transpose, that is its
-rows (``pow2matrix.run`` runs them all): gather the input wire of every
-stored coefficient in row order, shift only the terms above their row's
-point (each row's lowest-weight term is never shifted), negate the negative
-ones, and sum each nonempty row's segment (``np.add.reduceat``) into a wire
-vector that stores the nonempty rows and one constant 0 for the others.
-The codebook's terminal follows (``CodebookDescriptor.terminal``): the
-mailman multiply, on the wires aligned to their lowest point, or the
-``[I 0]`` selector that keeps the first ``n_rows`` wires at their own
-points; every codebook kind has one of the two, so every plan that loads
-can be applied.  Output ``Dyadic`` values are built once, at the end.
+input bit for bit.  The input is aligned once (``pot.align``) into Python
+ints over one exponent ``e``.  The plan's matrix chain, the one exact
+reconstruction walks, then runs last to first on static binary points, as
+a hardware build wires it: every wire ``i`` holds an integer worth
+``2**(e + P_i)``, with ``P_i`` fixed by the plan alone
+(``DecompositionPlan.schedule``, built by ``pow2matrix.schedule_rows`` on
+first use and kept with the plan).  All wires of a vector live in one
+store, a numpy object array (``pow2matrix.serve``): the input wires, a
+constant 0 that every unwritten wire shares, then one slice per matrix.
+Each matrix ``M`` runs ``M @ h`` by rows.  A row of one unnegated entry is
+an alias: it names its input's place in the store at its own point and
+costs no integer work.  For the other rows one ``pow2matrix.shift_add``
+gathers the input wire of every entry, shifts only the terms above their
+row's point (each row's lowest-weight term is never shifted), negates the
+negative ones and sums each row's segment (``np.add.reduceat``) into the
+matrix's slice.  The codebook's terminal follows
+(``CodebookDescriptor.terminal``): the mailman multiply, on the wires
+aligned to their lowest point, or the ``[I 0]`` selector that keeps the
+first ``n_rows`` wires at their own points; every codebook kind has one of
+the two, so every plan that loads can be applied.  Output ``Dyadic``
+values are built once, at the end.
 
-Each matrix reports its ``(additions, shifts, sign_changes)``, counted
-from the arrays the engine executes (one shift per stored nonzero, the
-cost model's count, one sign change per negative one), and
-``CostReport.over_chain`` sums them with the terminal's additions as
-``plan.cost_of`` sums ``op_counts``.  Additions follow the cost model's
-convention: ``m - 1`` to combine a column's ``m`` terms, the cost of
-``h^T W``.  ``W @ h`` as the engine runs it sums row segments instead,
-``nnz - (nonempty rows)`` pairwise additions per matrix, which is
-``W.transpose().op_counts()[0]``, so the two agree only where a matrix has
-as many nonempty rows as nonempty columns (on the 16x256 plan of the
-deploy benchmark, 10,496 counted against 10,799 executed).  The counters
-do not depend on the data and must match what ``plan.cost_of`` counts
-without running anything.
+Each matrix's ``(additions, shifts, sign_changes)`` is counted once, when
+the schedule is built, from the arrays its step executes, an alias as its
+one entry (one shift per stored nonzero, the cost model's count, and one
+sign change per negative one); ``apply`` sums the stored triples with the
+terminal's additions by ``CostReport.over_chain``, as ``plan.cost_of``
+sums ``op_counts``.  Additions follow the cost model's convention: ``m -
+1`` to combine a column's ``m`` terms, the cost of ``h^T W``.  ``W @ h``
+as the engine runs it sums rows instead, ``nnz - (nonempty rows)``
+pairwise additions per matrix, so the two agree only where a matrix has as
+many nonempty rows as nonempty columns (on the 16x256 plan of the deploy
+benchmark, 10,496 counted against 10,799 executed).  The counters do not
+depend on the data and must match what ``plan.cost_of`` counts without
+running anything.
 """
 
 from __future__ import annotations
@@ -45,17 +48,7 @@ import numpy as np
 from .errors import DimensionError
 from .plan import CostReport, DecompositionPlan
 from .pot import Dyadic, align
-from .pow2matrix import Pow2Matrix, Segments, run
-
-
-def _counts(mat: Pow2Matrix, seg: Segments) -> tuple[int, int, int]:
-    """``(additions, shifts, sign_changes)`` of ``mat`` as the engine runs
-    it, counted from ``seg``, the arrays it executes, not from
-    ``op_counts()``; additions in the ``m - 1`` per column convention (see
-    the module docstring).  The last term only carries the constant 0."""
-    terms = len(seg.source) - 1
-    return (terms - int(np.count_nonzero(mat.col_len)), terms,
-            len(seg.negated))
+from .pow2matrix import serve
 
 
 def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
@@ -75,14 +68,12 @@ def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
             raise TypeError(f"engine inputs must be Dyadic, got {type(v)!r}")
 
     ints, e = align(x)
-    h, point = run(np.array(ints, dtype=object), plan.segments,
-                   np.zeros(len(ints), dtype=np.int64))
+    schedule = plan.schedule
+    h, point = serve(ints, schedule)
     y, points, terminal = plan.codebook.terminal(h, point)
-    counts = [_counts(mat, seg)
-              for mat, seg in zip(plan.chain, reversed(plan.segments))]
 
     return ([Dyadic(v, e + p) for v, p in zip(y, points)],
-            CostReport.over_chain(plan, terminal, counts))
+            CostReport.over_chain(plan, terminal, schedule.counts[::-1]))
 
 
 # ---------------------------------------------------------------------------

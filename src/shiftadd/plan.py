@@ -5,8 +5,9 @@ A plan records a codebook descriptor and the wiring stages in design order
 matrix is ``B @ W_1 @ ... @ W_L``.  Stages and stored codebook factors are
 ``Pow2Matrix`` integer arrays; the file keeps them as nested lists.  The
 factors and the stages form one chain (``DecompositionPlan.chain``) that
-exact reconstruction walks forward and the engine walks transposed, last
-to first, each wire at a static binary point (``pow2matrix.walk``).
+exact reconstruction walks forward by columns (``pow2matrix.walk``) and
+the engine last to first by rows (``pow2matrix.schedule_rows``), each wire
+at a static binary point.
 Reconstruction verifies a plan exactly: it starts every codebook from
 its ``[I 0]`` selector, walking the codebook's lead matrices (a mailman
 codebook's matrix) ahead of the chain, and carries every row as a lane of
@@ -35,7 +36,8 @@ import numpy as np
 
 from .codebooks import CodebookDescriptor
 from .errors import DimensionError, PlanFormatError, PlanVersionError
-from .pow2matrix import UNWRITTEN, Pow2Matrix, Segments, run, walk
+from .pow2matrix import (UNWRITTEN, Pow2Matrix, Schedule, run,
+                         schedule_rows, walk)
 
 PLAN_FORMAT = "shiftadd-plan"
 PLAN_VERSION = 1
@@ -220,15 +222,12 @@ class DecompositionPlan:
         return self.codebook.factors + self.stages
 
     @functools.cached_property
-    def segments(self) -> tuple[Segments, ...]:
-        """The engine's executable form of ``chain``: ``M @ h`` as
-        ``(h @ M.T).T``, so ``pow2matrix.walk`` over each matrix's
-        transpose, last to first, from inputs at point 0 with 0-bit bounds;
-        each wire's ``bits`` is its growth over the inputs' widest integer.
-        Built on first use and kept with the plan, its one cache."""
-        zero = np.zeros(self.n_cols, dtype=np.int64)
-        return tuple(walk([m.transpose() for m in reversed(self.chain)],
-                          zero, zero))
+    def schedule(self) -> Schedule:
+        """The engine's executable form of ``chain``: each matrix summed by
+        rows, last to first (``pow2matrix.schedule_rows``), on one store of
+        wires.  Built from the stored arrays on first use and kept with
+        the plan, its one cache."""
+        return schedule_rows(reversed(self.chain), self.n_cols)
 
 
 def target_digest(target: np.ndarray) -> str:

@@ -12,15 +12,17 @@ is a row piece and a sign-and-exponent piece, looked up in one table per
 row count (only the last one is kept; a matrix with fewer entries than
 rows gets a table of the rows it uses).
 
-Exact products run on the stored columns: ``walk`` schedules ``h @ mat``,
-one sum per nonempty column, so exact reconstruction walks a chain as it
-is, and the engine's ``mat @ h = (h @ mat.T).T`` walks the transposes
-(``transpose``).  ``walk`` gives every wire of such a chain a static binary
-point, as a hardware build fixes it, and turns each matrix into executable
-``Segments``: only the terms above their output's point are shifted, and
-each output carries a static bound on its integer's bits.  One shift-add
-kernel, ``shift_add``, runs them, and ``run`` runs a chain of them from
-its input wires to its last outputs.
+Exact products run on the stored arrays, with every wire of a chain at a
+static binary point, as a hardware build fixes it, and a static bound on
+its integer's bits; only the terms above their output's point are
+shifted.  ``walk`` schedules ``h @ mat``, one sum per nonempty column, on
+one wire vector per matrix, so exact reconstruction walks a chain as it
+is.  ``schedule_rows`` schedules ``mat @ h``, one sum per row, straight
+from the column-major arrays, on one store of wires for the whole chain:
+a row of one unnegated entry is an alias of its input and is not
+executed.  Both turn each matrix into executable ``Segments``, which one
+shift-add kernel, ``shift_add``, runs; ``run`` runs ``walk``'s from the
+input wires to the last outputs, and ``serve`` a ``Schedule``.
 """
 
 from __future__ import annotations
@@ -42,21 +44,18 @@ _DTYPES = (np.int32, bool, np.int16, np.int32)
 
 
 class Segments(NamedTuple):
-    """``h @ mat`` for one ``Pow2Matrix`` made executable on wire vectors at
-    static points.
+    """One ``Pow2Matrix`` made executable as sums of its terms over wire
+    vectors at static points.
 
-    A wire vector holds one Python int per stored wire and, last, a
-    constant 0 that every wire nothing writes shares.  Term ``t`` reads
-    position ``source[t]`` of the input vector; the terms at ``shifted``
-    are shifted left by ``lshift`` (Python ints, all positive), the rest
-    not at all, and the terms at ``negated`` are negated; the terms from
-    ``starts[j]`` to the next start sum into position ``j`` of the output
-    vector.  The last term reads the input's constant 0 and alone makes
-    the output's.  Column ``r`` of the matrix is at position
-    ``slot[r]``, the constant 0 if no entry writes it.  Position ``j``
-    holds an integer ``v`` worth ``v * 2**point[j]`` (``UNWRITTEN`` where
-    it is always 0), with ``|v| < 2**bits[j]`` while each input wire's
-    integer stays below ``2**`` its own bound.
+    Term ``t`` reads position ``source[t]`` of the input vector; the terms
+    at ``shifted`` are shifted left by ``lshift`` (Python ints, all
+    positive), the rest not at all, and the terms at ``negated`` are
+    negated; the terms from ``starts[j]`` to the next start sum into the
+    ``j``-th sum.  Output ``r`` (a column of ``walk``'s matrix, a row of
+    ``schedule_rows``'s) is at position ``slot[r]`` and holds an integer
+    ``v`` worth ``v * 2**point[r]`` (``UNWRITTEN`` where it is always 0),
+    with ``|v| < 2**bits[r]`` while each input wire's integer stays below
+    ``2**`` its own bound.
     """
 
     source: np.ndarray
@@ -69,6 +68,24 @@ class Segments(NamedTuple):
     bits: np.ndarray
 
 
+class Schedule(NamedTuple):
+    """``schedule_rows``'s form of a chain: ``mat @ h`` for each matrix in
+    turn on one store of ``size`` wires (``serve`` runs it).
+
+    The store holds the input wires, then a constant 0 that every wire
+    nothing writes shares, then each step's sums, one slice per step in
+    order.  The outputs of the last matrix are at ``slot``, worth
+    ``2**point``.  ``counts`` holds each matrix's ``(additions, shifts,
+    sign_changes)``, counted from the arrays its step executes.
+    """
+
+    steps: tuple[Segments, ...]
+    size: int
+    slot: np.ndarray
+    point: np.ndarray
+    counts: tuple[tuple[int, int, int], ...]
+
+
 # The point of a wire that nothing writes, which always holds 0: far above
 # any point a chain reaches (each matrix moves one by at most 64), and an
 # exponent added to it cannot overflow int64.
@@ -76,10 +93,9 @@ UNWRITTEN = 1 << 62
 
 
 def shift_add(x: np.ndarray, seg: Segments) -> np.ndarray:
-    """The output wire vector of ``seg`` from the input wire vector ``x``,
-    an object array of Python ints: gather, shift the shifted terms,
-    negate the negated ones and sum each segment in order
-    (``np.add.reduceat``)."""
+    """The sums of ``seg`` from the input wire vector ``x``, an object
+    array of Python ints: gather, shift the shifted terms, negate the
+    negated ones and sum each segment in order (``np.add.reduceat``)."""
     terms = x[seg.source]
     terms[seg.shifted] <<= seg.lshift
     terms[seg.negated] = -terms[seg.negated]
@@ -87,7 +103,7 @@ def shift_add(x: np.ndarray, seg: Segments) -> np.ndarray:
 
 
 def run(x: np.ndarray, steps, point) -> tuple[np.ndarray, np.ndarray]:
-    """The integers and binary points of the last grouping's outputs when
+    """The integers and binary points of the last matrix's outputs when
     ``steps`` (``walk``'s segments) run on the input wires ``x``, an object
     array of Python ints at the points ``point`` that ``walk`` started
     from; an output that no entry writes is 0 at ``UNWRITTEN``."""
@@ -95,52 +111,140 @@ def run(x: np.ndarray, steps, point) -> tuple[np.ndarray, np.ndarray]:
     for seg in steps:
         h = shift_add(h, seg)
         slot, point = seg.slot, seg.point
-    return h[slot], point[slot]
+    return h[slot], point
+
+
+def serve(x: list, sched: Schedule) -> tuple[np.ndarray, np.ndarray]:
+    """The integers and binary points of the last matrix's outputs when
+    ``sched`` runs on the input wires ``x``, Python ints at point 0: each
+    step's sums go to the next slice of the store."""
+    store = np.empty(sched.size, dtype=object)
+    lo = len(x) + 1
+    store[:lo] = x + [0]
+    for seg in sched.steps:
+        hi = lo + len(seg.starts)
+        store[lo:hi] = shift_add(store, seg)
+        lo = hi
+    return store[sched.slot], sched.point
+
+
+def _sums(read, bits, exp, lengths):
+    """Static points of consecutive sums of ``lengths`` (all positive)
+    terms, term ``t`` worth ``2**exp[t]`` times a wire at point
+    ``read[t]`` whose integer has at most ``bits[t]`` bits.
+
+    Returns each sum's first term, point ``P = min(exp[t] + read[t])``
+    and bound on its bits, and each term's left shift ``exp[t] + read[t]
+    - P >= 0``, so at least one term per sum is not shifted at all.  A
+    term on an unwritten wire (at ``UNWRITTEN``, 0 bits) is not shifted
+    and does not lower its sum's point; a sum of such terms alone is
+    unwritten too.  ``m`` terms below ``2**b`` sum below ``m * 2**b``, so
+    a sum of ``m`` terms gets ``max(bits[t] + shift[t]) + (m -
+    1).bit_length()`` bits.
+    """
+    starts = np.cumsum(lengths) - lengths
+    written = read != UNWRITTEN
+    at = np.where(written, exp + read, UNWRITTEN)
+    low = np.minimum.reduceat(at, starts)
+    shift = np.where(written, at - np.repeat(low, lengths), 0)
+    top = np.maximum.reduceat(bits + shift, starts)
+    # (m - 1).bit_length() is frexp's exponent, exact below 2**53
+    grown = np.where(low == UNWRITTEN, 0, top + np.frexp(lengths - 1)[1])
+    return starts, low, shift, grown
+
+
+def _wires(n, filled, low, grown):
+    """Points and bounds of ``n`` outputs, of which ``filled`` are sums at
+    the points ``low`` with the bounds ``grown`` and the rest unwritten."""
+    point = np.full(n, UNWRITTEN, dtype=np.int64)
+    point[filled] = low
+    bits = np.zeros(n, dtype=np.int64)
+    bits[filled] = grown
+    return point, bits
 
 
 def walk(mats, point, bits):
     """Yield the executable ``Segments`` of ``h @ mat`` for each
     ``Pow2Matrix`` ``mat`` of ``mats`` in turn, the outputs of one the
     inputs of the next, from input wires at the binary points ``point``
-    whose integers have at most ``bits`` bits; the first input vector holds
-    those wires in order, then its constant 0.  Each nonempty column is one
-    segment of its stored entries, in stored order.
-
-    Column ``r`` sits at ``P_r = min(exp[t] + point[row[t]])`` over its
-    entries ``t``, so entry ``t`` is shifted left by ``exp[t] +
-    point[row[t]] - P_r >= 0`` and at least one entry per column is not
-    shifted at all.  A wire that nothing writes (an empty column, not
-    stored, or one whose entries all read such wires) holds 0 at
-    ``UNWRITTEN`` with 0 bits: the entries reading it are not shifted and
-    do not lower their column's point.  ``m`` terms below ``2**b`` sum
-    below ``m * 2**b``, so column ``r`` of ``m`` entries gets
-    ``max(bits[row[t]] + shift[t]) + (m - 1).bit_length()`` bits.
+    whose integers have at most ``bits`` bits (``_sums`` sets each
+    column's point and bound).  The first input vector holds those wires
+    in order, then a constant 0; each later one holds the nonempty columns
+    of the matrix before, one segment of its stored entries each, in
+    stored order, then a constant 0, which the last term reads and alone
+    makes, and which each empty column is at.
     """
-    point = np.append(np.asarray(point, dtype=np.int64), UNWRITTEN)
-    bits = np.append(np.asarray(bits, dtype=np.int64), 0)
-    slot = np.arange(len(point) - 1)
+    point = np.asarray(point, dtype=np.int64)
+    bits = np.asarray(bits, dtype=np.int64)
+    slot, zero = np.arange(len(point)), len(point)
     for mat in mats:
         filled = np.flatnonzero(mat.col_len)
-        starts, lengths = mat.first[filled], mat.col_len[filled]
-        source = slot[mat.row]
-        read = point[source]
-        written = read != UNWRITTEN
-        at = np.where(written, mat.exp + read, UNWRITTEN)
-        low = np.minimum.reduceat(at, starts)
-        shift = np.where(written, at - np.repeat(low, lengths), 0)
-        top = np.maximum.reduceat(bits[source] + shift, starts)
-        # (m - 1).bit_length() is frexp's exponent, exact below 2**53
-        grown = np.where(low == UNWRITTEN, 0, top + np.frexp(lengths - 1)[1])
-        slot = np.full(mat.cols, len(filled))
-        slot[filled] = np.arange(len(filled))
+        starts, low, shift, grown = _sums(point[mat.row], bits[mat.row],
+                                          mat.exp, mat.col_len[filled])
+        slot_out = np.full(mat.cols, len(filled))
+        slot_out[filled] = np.arange(len(filled))
         shifted = np.flatnonzero(shift)
         seg = Segments(*map(_read_only, (
-            np.append(source, len(point) - 1), shifted,
+            np.append(slot[mat.row], zero), shifted,
             shift[shifted].astype(object), np.flatnonzero(mat.negative),
-            np.append(starts, mat.nnz), slot,
-            np.append(low, UNWRITTEN), np.append(grown, 0))))
+            np.append(starts, mat.nnz), slot_out,
+            *_wires(mat.cols, filled, low, grown))))
         yield seg
-        point, bits = seg.point, seg.bits
+        slot, zero, point, bits = seg.slot, len(filled), seg.point, seg.bits
+
+
+def schedule_rows(mats, width: int) -> Schedule:
+    """The ``Schedule`` of ``mat @ h`` for each ``Pow2Matrix`` ``mat`` of
+    ``mats`` in turn, from ``width`` input wires at point 0 (a wire's
+    ``bits`` is its growth over the inputs' widest integer).
+
+    Each matrix is summed by rows, straight from its column-major arrays:
+    one stable argsort by row puts each nonempty row's entries together,
+    in column order, and ``_sums`` sets each row's point and bound.  A row
+    of one unnegated entry is an alias of its input: it stays at the
+    input's store position, at the point ``_sums`` gives it, and costs no
+    integer work.  Only the other nonempty rows are executed, and their
+    sums fill the step's slice of the store; an empty row is at the
+    constant 0.  Each matrix counts its ``(additions, shifts,
+    sign_changes)`` from the step's arrays, an alias as its one entry:
+    ``m - 1`` additions per nonempty column of ``m`` entries (the cost
+    model's convention), one shift per entry and one sign change per
+    negated one.
+    """
+    point = np.zeros(width, dtype=np.int64)
+    bits = np.zeros(width, dtype=np.int64)
+    slot, size = np.arange(width), width + 1
+    steps, counts = [], []
+    for mat in mats:
+        order = np.argsort(mat.row, kind="stable")
+        col, negative = mat.col[order], mat.negative[order]
+        lengths = np.bincount(mat.row, minlength=mat.rows)
+        filled = np.flatnonzero(lengths)
+        lengths = lengths[filled]
+        starts, low, shift, grown = _sums(point[col], bits[col],
+                                          mat.exp[order], lengths)
+        source = slot[col]
+        alias = (lengths == 1) & ~negative[starts]
+        summed = ~alias
+        slot_out = np.full(mat.rows, width)
+        slot_out[filled] = np.where(alias, source[starts],
+                                    size - 1 + np.cumsum(summed))
+        run_lengths = lengths[summed]
+        kept = np.repeat(summed, lengths)
+        shift = shift[kept]
+        shifted = np.flatnonzero(shift)
+        seg = Segments(*map(_read_only, (
+            source[kept], shifted, shift[shifted].astype(object),
+            np.flatnonzero(negative[kept]),
+            np.cumsum(run_lengths) - run_lengths, slot_out,
+            *_wires(mat.rows, filled, low, grown))))
+        terms = len(seg.source) + int(np.count_nonzero(alias))
+        counts.append((terms - int(np.count_nonzero(mat.col_len)), terms,
+                       len(seg.negated)))
+        steps.append(seg)
+        size += len(run_lengths)
+        slot, point, bits = seg.slot, seg.point, seg.bits
+    return Schedule(tuple(steps), size, slot, point, tuple(counts))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -211,15 +315,6 @@ class Pow2Matrix:
     @property
     def nnz(self) -> int:
         return len(self.row)
-
-    def transpose(self) -> "Pow2Matrix":
-        """The ``cols x rows`` transpose: its column ``r`` holds row ``r``'s
-        entries in column order.  Built through the constructor's checks
-        each time it is asked for, and kept nowhere."""
-        order = np.argsort(self.row, kind="stable")
-        return Pow2Matrix(self.cols, self.rows, self.col[order],
-                          self.negative[order], self.exp[order],
-                          np.bincount(self.row, minlength=self.rows))
 
     @property
     def col(self) -> np.ndarray:

@@ -35,6 +35,18 @@ def pow2matrix(rows, cols, cols_tuples):
     return dataclasses.replace(mat, cols=cols)
 
 
+def transpose(mat):
+    """The ``cols x rows`` transpose of ``mat``, built through the
+    constructor's checks: its column ``r`` holds row ``r``'s entries in
+    column order.  The engine sums the rows of each matrix straight from
+    its column-major arrays; the transpose's columns are the oracle for
+    those sums."""
+    order = np.argsort(mat.row, kind="stable")
+    return sa.Pow2Matrix(mat.cols, mat.rows, mat.col[order],
+                         mat.negative[order], mat.exp[order],
+                         np.bincount(mat.row, minlength=mat.rows))
+
+
 def from_records_oracle(rows, records):
     """``Pow2Matrix.from_records`` as it was per entry: the column tuples of
     a record list, or the exception the per-entry checks raise."""

@@ -286,15 +286,33 @@ class TestDecomposeApply:
         want = [f"{v.mantissa},{v.exponent},{d}"
                 for v, d in zip(exact, ("inf", "-inf"))]
         assert [v.mantissa > 0 for v in exact] == [True, False]
-        code, out, _ = run(capsys, "apply", "--plan", str(plan_path),
-                           "--vector", str(vec))
+        # both exponents exceed what load_vector reads: one warning line,
+        # with the outputs and the exit code as they are
+        warning = ("warning: 2 of 2 outputs have an exponent outside "
+                   "[-1074, 1023]: written exactly, they do not load back "
+                   "as a vector")
+        assert [v.exponent for v in exact] == [1085, 1085]
+        code, out, err = run(capsys, "apply", "--plan", str(plan_path),
+                             "--vector", str(vec))
         assert code == 0
         assert out.splitlines() == want
+        assert [line for line in err.splitlines()
+                if line.startswith("warning:")] == [warning]
         path = tmp_path / "y.csv"
-        code, out, _ = run(capsys, "apply", "--plan", str(plan_path),
-                           "--vector", str(vec), "--out", str(path))
+        code, out, err = run(capsys, "apply", "--plan", str(plan_path),
+                             "--vector", str(vec), "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_text().splitlines()[1:] == want
+        assert warning in err.splitlines()
+        # the written file is refused as a vector, as the warning says
+        code, _, err = run(capsys, "apply", "--plan", str(plan_path),
+                           "--vector", str(path))
+        assert code == 3 and "exponent 1085" in err
+        # in range, apply warns of nothing
+        vec.write_text("1,0\n" * 4)
+        code, _, err = run(capsys, "apply", "--plan", str(plan_path),
+                           "--vector", str(vec))
+        assert code == 0 and "warning" not in err
 
 
 class TestBench:

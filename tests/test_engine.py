@@ -13,7 +13,7 @@ from shiftadd.pow2matrix import UNWRITTEN, shift_add
 from helpers import (cost_oracle, dyadic_apply_oracle, exact_matvec,
                      fraction_matvec, fraction_reconstruction, pow2matrix,
                      random_dyadic_vector, random_plan, synthetic_plan,
-                     wide_mantissa_plan)
+                     transpose, wide_mantissa_plan)
 
 
 class TestApply:
@@ -127,6 +127,68 @@ class TestCompiledEngine:
         assert max(v.mantissa.bit_length() for v in y) > 1024
 
 
+def _one_term_plan(rng, cb):
+    """One to five stages over ``cb`` whose rows mostly hold one entry: a
+    random partial permutation with random signs (a third negative) and
+    exponents, which misses some rows, plus up to ``K / 2`` more entries,
+    which give some rows two or three."""
+    k = cb.n_cols
+    stages = []
+    for _ in range(int(rng.integers(1, 6))):
+        perm = rng.permutation(k)
+        entries = {(int(perm[c]), c) for c in range(k) if rng.random() < 0.8}
+        entries |= {(int(r), int(c)) for r, c in rng.integers(
+            k, size=(int(rng.integers(0, k // 2 + 1)), 2))}
+        cols = [[] for _ in range(k)]
+        for r, c in sorted(entries, key=lambda rc: (rc[1], rc[0])):
+            cols[c].append((r, SignedPow2(1 if rng.random() < 2 / 3 else -1,
+                                          int(rng.integers(-8, 9)))))
+        stages.append(pow2matrix(k, k, tuple(map(tuple, cols))))
+    return sa.DecompositionPlan(cb.n_rows, k, cb, tuple(stages))
+
+
+class TestOneTermRows:
+    """Rows of one entry, which the engine aliases unless negated, in every
+    arrangement: negated ones, chains of them across several matrices,
+    unwritten rows, all-zero inputs, and the mailman, two-sparse and
+    ``[I 0]`` terminals.  Outputs and counters equal the ``Dyadic`` loop,
+    and the counters equal ``cost_of``."""
+
+    def test_equal_the_dyadic_loop(self):
+        rng = np.random.default_rng(515)
+        codebooks = (sa.make_codebook("mailman", 3, 8),
+                     sa.make_codebook("two-sparse", 3, 8),
+                     sa.make_codebook("self-designing", 3, 8, seed=1,
+                                      aux="gaussian"))
+        seen = dict.fromkeys(("aliased", "negated", "chained", "unwritten"),
+                             0)
+        for trial in range(60):
+            plan = _one_term_plan(rng, codebooks[trial % 3])
+            for x in (random_dyadic_vector(rng, 8, exp_range=20),
+                      [sa.Dyadic(0)] * 8):
+                y, cost = sa.apply(plan, x)
+                y_ref, counts = dyadic_apply_oracle(plan, x)
+                assert y == y_ref
+                ran = (cost.additions, cost.shifts, cost.sign_changes,
+                       cost.per_stage)
+                ref = sa.cost_of(plan)
+                assert ran == counts == (ref.additions, ref.shifts,
+                                         ref.sign_changes, ref.per_stage)
+            for mat in plan.chain:
+                rows = transpose(mat)
+                one = rows.col_len == 1
+                negated = rows.negative[rows.first[one]]
+                seen["aliased"] += int(np.count_nonzero(~negated))
+                seen["negated"] += int(np.count_nonzero(negated))
+                seen["unwritten"] += int(np.count_nonzero(rows.col_len == 0))
+            # an output of a later step still at an input wire went through
+            # an alias in every matrix before it
+            seen["chained"] += sum(
+                int(np.count_nonzero(seg.slot < plan.n_cols))
+                for seg in plan.schedule.steps[1:])
+        assert min(seen.values()) > 50, seen
+
+
 def _missing_rows_stage(rows, cols, missing):
     """A ``rows x cols`` stage that never hits the rows in ``missing``:
     column ``c`` holds two entries over the other rows, with mixed signs and
@@ -141,7 +203,7 @@ def _missing_rows_stage(rows, cols, missing):
                          for i in sorted(picks)))
     stage = pow2matrix(rows, cols, tuple(out))
     # the rows it hits
-    assert np.flatnonzero(stage.transpose().col_len).tolist() == hit
+    assert np.flatnonzero(transpose(stage).col_len).tolist() == hit
     return stage
 
 
@@ -222,9 +284,9 @@ def _width_plan(rng, cb):
 
 
 class TestWireWidths:
-    """Every wire the engine computes stays within the static bound of its
-    binary point, on random 16-bit inputs: the inputs' widest integer plus
-    the wire's ``bits``; an unwritten wire holds 0."""
+    """Every wire the engine computes or aliases stays within the static
+    bound of its binary point, on random 16-bit inputs: the inputs' widest
+    integer plus the wire's ``bits``; an unwritten wire holds 0."""
 
     def test_every_wire_within_its_bound(self):
         rng = np.random.default_rng(520)
@@ -239,12 +301,17 @@ class TestWireWidths:
                  for m in rng.integers(-2 ** 15, 2 ** 15, plan.n_cols)]
             ints, _ = align(x)
             start = max(abs(v).bit_length() for v in ints)
-            h = np.array(ints + [0], dtype=object)
-            for seg in plan.segments:
-                h = shift_add(h, seg)
-                assert h[-1] == 0 and seg.point[-1] == UNWRITTEN
-                for v, p, bits in zip(h[:-1].tolist(), seg.point.tolist(),
-                                      seg.bits.tolist()):
+            # the store as pow2matrix.serve fills it, one step at a time
+            store = np.empty(plan.schedule.size, dtype=object)
+            lo = plan.n_cols + 1
+            store[:lo] = ints + [0]
+            for seg in plan.schedule.steps:
+                hi = lo + len(seg.starts)
+                store[lo:hi] = shift_add(store, seg)
+                lo = hi
+                assert store[plan.n_cols] == 0
+                for v, p, bits in zip(store[seg.slot].tolist(),
+                                      seg.point.tolist(), seg.bits.tolist()):
                     assert abs(v).bit_length() <= start + bits
                     assert v == 0 or p != UNWRITTEN
                     widest = max(widest, abs(v).bit_length())

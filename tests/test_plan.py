@@ -19,7 +19,7 @@ from shiftadd.pow2matrix import UNWRITTEN, Pow2Matrix, walk
 from helpers import (chain_rows_oracle, columns, fraction_reconstruction,
                      from_records_oracle, pow2matrix, random_plan,
                      reconstruct_exact_oracle, same_bits, synthetic_plan,
-                     wide_mantissa_plan)
+                     transpose, wide_mantissa_plan)
 
 
 class TestThreshold:
@@ -193,8 +193,8 @@ def _assert_growth_bounds(plan):
     low = 0
     for (seg, rows), mat in zip(_column_walk(plan), plan.chain):
         low += int(mat.exp.min()) if mat.nnz else 0
-        for j, (p, bits) in enumerate(zip(seg.point[seg.slot].tolist(),
-                                          seg.bits[seg.slot].tolist())):
+        for j, (p, bits) in enumerate(zip(seg.point.tolist(),
+                                          seg.bits.tolist())):
             col = [ints[j] for ints, _ in rows]
             if p == UNWRITTEN:
                 assert not any(col)
@@ -235,8 +235,7 @@ class TestPackedReconstruction:
         # widest shifted term, and its lowest term is not shifted
         def one(mat):
             seg, = walk([mat], [0] * 4, [0] * 4)
-            return (seg, seg.point[seg.slot].tolist(),
-                    seg.bits[seg.slot].tolist())
+            return seg, seg.point.tolist(), seg.bits.tolist()
 
         empty, point, bits = one(_stage(4, [[], [], [], []]))
         assert point == [UNWRITTEN] * 4 and bits == [0] * 4
@@ -250,7 +249,7 @@ class TestPackedReconstruction:
             _, point, bits = one(stage)
             assert bits == [grow, 0, 0, 0]
             assert point == [0, UNWRITTEN, UNWRITTEN, 5]
-            seg, point, bits = one(stage.transpose())
+            seg, point, bits = one(transpose(stage))
             assert bits == [5 + 1] + [0] * 3
             assert point == [0] * m + [UNWRITTEN] * (4 - m)
             assert seg.lshift.tolist() == [5]
@@ -264,11 +263,11 @@ class TestPackedReconstruction:
         head, seg = walk([first, second], [0] * 4, [1] * 4)
         assert head.slot.tolist() == [0, 3, 1, 2]  # column 1 is not stored
         assert seg.source.tolist() == [0, 3, 1, 3, 2, 3]
-        assert seg.point[seg.slot].tolist() == [2, UNWRITTEN, UNWRITTEN, 1]
+        assert seg.point.tolist() == [2, UNWRITTEN, UNWRITTEN, 1]
         # 2**0 on the wire at point 2 stays put, 2**3 on the one at point 0
         # shifts by 1: three terms of at most 1 + 1 bits
         assert seg.shifted.tolist() == [2] and seg.lshift.tolist() == [1]
-        assert seg.bits[seg.slot].tolist() == [4, 0, 0, 1]
+        assert seg.bits.tolist() == [4, 0, 0, 1]
 
     def test_lane_width_of_a_deploy_size_plan(self):
         # no wider than the bound of one exponent per matrix, which adds

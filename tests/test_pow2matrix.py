@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 import shiftadd as sa
 from shiftadd.pot import EXP_MAX, EXP_MIN, SignedPow2
 from shiftadd.pow2matrix import (UNWRITTEN, Pow2Matrix, _pieces,
-                                 advance_effective, shift_add, walk)
+                                 advance_effective, run, schedule_rows,
+                                 serve, shift_add, walk)
 
 from helpers import (advance_effective_oracle, columns, pow2matrix,
-                     random_dyadic_vector, same_bits, synthetic_plan)
+                     random_dyadic_vector, random_plan, same_bits,
+                     synthetic_plan, transpose)
 
 # all a Pow2Matrix holds: nothing derived from its arrays is kept on it
 STORED_FIELDS = {"rows", "cols", "row", "negative", "exp", "col_len"}
@@ -77,13 +79,18 @@ def test_array_storage():
     assert not any(v.flags.writeable for v in stored)
     # each column's point is the smallest exponent it sums
     seg, = walk([a], [0] * 3, [0] * 3)
-    assert seg.point[seg.slot].tolist() == [-1, UNWRITTEN, 2]
-    seg, = walk([a.transpose()], [0] * 3, [0] * 3)  # and each row's
-    assert seg.point[seg.slot].tolist() == [0, 2, -1]
-    # walking or transposing keeps nothing on the matrix
+    assert seg.point.tolist() == [-1, UNWRITTEN, 2]
+    seg, = walk([transpose(a)], [0] * 3, [0] * 3)  # and each row's
+    assert seg.point.tolist() == [0, 2, -1]
+    # the engine's row sums, straight from the columns: rows 0 and 1 are
+    # aliases of their one unnegated entry's input, row 2 is negated
+    sched = schedule_rows([a], 3)
+    assert sched.point.tolist() == [0, 2, -1]
+    assert sched.slot.tolist() == [0, 2, 4] and sched.size == 5
+    # walking keeps nothing on the matrix
     assert set(vars(a)) == STORED_FIELDS
-    seg, = walk([pow2matrix(2, 2, ((), ())).transpose()], [0] * 2, [0] * 2)
-    assert seg.point[seg.slot].tolist() == [UNWRITTEN] * 2
+    seg, = walk([pow2matrix(2, 2, ((), ()))], [0] * 2, [0] * 2)
+    assert seg.point.tolist() == [UNWRITTEN] * 2
     assert columns(a) == cols
 
 
@@ -178,21 +185,48 @@ def test_matrices_keep_nothing_and_segments_are_built_once():
     sa.reconstruct(plan)
     for mat in plan.chain:  # neither exact path caches on a matrix
         assert set(vars(mat)) == STORED_FIELDS
-    assert plan.segments is plan.segments
-    seg = plan.segments[0]
-    assert not any(a.flags.writeable for a in seg)
-    assert seg.lshift.dtype == object
-    assert all(type(s) is int and s > 0 for s in seg.lshift.tolist())
+    assert plan.schedule is plan.schedule
+    for seg in plan.schedule.steps:
+        assert not any(a.flags.writeable for a in seg)
+        assert seg.lshift.dtype == object
+        assert all(type(s) is int and s > 0 for s in seg.lshift.tolist())
     back = sa.deserialize(sa.serialize(plan))
-    assert "segments" not in vars(back)  # loading schedules nothing
+    assert "schedule" not in vars(back)  # loading schedules nothing
     assert sa.apply(back, x)[0] == y
-    assert "segments" in vars(back)
+    assert "schedule" in vars(back)
     for mat in back.chain:
         assert set(vars(mat)) == STORED_FIELDS
-    for old, new in zip(plan.segments, back.segments, strict=True):
+    old, new = plan.schedule, back.schedule
+    assert (new.size, new.counts) == (old.size, old.counts)
+    assert np.array_equal(new.slot, old.slot)
+    assert np.array_equal(new.point, old.point)
+    for old, new in zip(old.steps, new.steps, strict=True):
         assert new.shifted is not old.shifted
         for a, b in zip(new, old):
             assert np.array_equal(a, b)
+
+
+def test_building_a_loaded_plans_schedule_runs_no_constructor(monkeypatch):
+    # the schedule reads each matrix's stored arrays; no transpose or other
+    # checked matrix is built on the way, for any codebook kind
+    built = []
+    check = Pow2Matrix.__post_init__
+
+    def counted(mat):
+        built.append(mat)
+        check(mat)
+
+    rng = np.random.default_rng(807)
+    plans = [synthetic_plan(rng) for _ in range(4)] + \
+        [random_plan(rng, max_cols=16, max_stages=3)[0] for _ in range(4)]
+    loaded = [sa.deserialize(sa.serialize(plan)) for plan in plans]
+    monkeypatch.setattr(Pow2Matrix, "__post_init__", counted)
+    for plan in loaded:
+        assert plan.schedule.steps
+        sa.apply(plan, random_dyadic_vector(rng, plan.n_cols))
+    assert built == []
+    transpose(loaded[0].chain[0])  # the counter sees a constructor run
+    assert len(built) == 1
 
 
 def _edge_matrices(rng):
@@ -217,9 +251,9 @@ def _edge_matrices(rng):
 def test_transpose():
     rng = np.random.default_rng(806)
     for mat in _edge_matrices(rng):
-        t = mat.transpose()
+        t = transpose(mat)
         assert (t.rows, t.cols) == (mat.cols, mat.rows)
-        assert t.transpose() == mat
+        assert transpose(t) == mat
         assert np.array_equal(t.dense(), mat.dense().T)
         assert t.nnz == mat.nnz
         # the engine's pairwise additions: nnz - (nonempty rows)
@@ -231,7 +265,6 @@ def test_transpose():
         assert [v.dtype for v in stored] == [np.int32, bool, np.int16,
                                              np.int32]
         assert not any(v.flags.writeable for v in stored)
-        assert mat.transpose() is not t  # and not cached
 
 
 def _dumps(mat):
@@ -322,12 +355,20 @@ def test_transposed_chain_counts_what_the_engine_executes():
                           aux="target")
     plan = sa.decompose(target, cb, sa.StageSchedule.fixed(
         [1], target_bits=16, max_stages=96))
-    executed = [m.transpose().op_counts()[0] for m in plan.chain]
+    executed = [transpose(m).op_counts()[0] for m in plan.chain]
     assert sum(executed) == 10_799
     assert sa.cost_of(plan).additions == 10_496
-    # nnz - (nonempty rows), from the segments the engine runs
-    assert executed == [len(seg.source) - len(seg.starts)
-                        for seg in reversed(plan.segments)]
+    # nnz - (nonempty rows), from the steps the engine runs: an alias is a
+    # row of one entry, which adds nothing
+    steps = plan.schedule.steps[::-1]
+    assert executed == [len(seg.source) - len(seg.starts) for seg in steps]
+    # the counted triples, aliases as their one entry, are op_counts
+    assert plan.schedule.counts[::-1] == tuple(m.op_counts()
+                                               for m in plan.chain)
+    # 3,918 of the 20,992 entries are rows of their own: 17,074 terms in
+    # 6,275 sums run per vector
+    assert sum(len(seg.source) for seg in steps) == 17_074
+    assert sum(len(seg.starts) for seg in steps) == 6_275
 
 
 def test_shift_add_on_non_square_matrices():
@@ -350,9 +391,12 @@ def test_shift_add_on_non_square_matrices():
                      if pick[i, k] else 0 for k in range(cols)]
                     for i in range(rows)]
             h = [int(v) for v in rng.integers(-2 ** 40, 2 ** 40, cols)]
-            seg, = walk([mat.transpose()], [0] * cols, [41] * cols)
-            assert _product(h, seg, low) == [
-                sum(a * b for a, b in zip(r, h)) for r in ints]
+            want = [sum(a * b for a, b in zip(r, h)) for r in ints]
+            seg, = walk([transpose(mat)], [0] * cols, [41] * cols)
+            assert _product(h, seg, low) == want
+            # the engine's row sums over one store, from the columns
+            got, point = serve(h, schedule_rows([mat], cols))
+            assert _at(got, point, low) == want
             for b in rng.integers(-2 ** 40, 2 ** 40, (2, rows)).tolist():
                 seg, = walk([mat], [0] * rows, [41] * rows)
                 assert _product(b, seg, low) == [
@@ -360,16 +404,52 @@ def test_shift_add_on_non_square_matrices():
                     for k in range(cols)]
 
 
+def test_row_schedule_equals_the_walk_over_transposes():
+    # schedule_rows sums the rows of each matrix of a chain from its
+    # columns, aliasing rows of one unnegated entry; walk over the checked
+    # transposes sums the same rows as columns: both give every output the
+    # same point and bound, and the same integers
+    rng = np.random.default_rng(808)
+    for _ in range(40):
+        dims = rng.choice([1, 3, 8], size=int(rng.integers(2, 6)))
+        mats = []
+        for cols, rows in zip(dims[:-1].tolist(), dims[1:].tolist()):
+            pick = rng.random((rows, cols)) < rng.choice([0.1, 0.3, 0.6])
+            exps = rng.choice([EXP_MIN, EXP_MAX, 0, -7, 12], (rows, cols))
+            signs = rng.choice([-1, 1], (rows, cols))
+            mats.append(pow2matrix(rows, cols, tuple(
+                tuple((int(i), SignedPow2(int(signs[i, k]), int(exps[i, k])))
+                      for i in np.flatnonzero(pick[:, k]))
+                for k in range(cols))))
+        width = int(dims[0])
+        sched = schedule_rows(mats, width)
+        segs = list(walk(map(transpose, mats), [0] * width, [0] * width))
+        for step, seg in zip(sched.steps, segs, strict=True):
+            assert np.array_equal(step.point, seg.point)
+            assert np.array_equal(step.bits, seg.bits)
+        h = [int(v) for v in rng.integers(-2 ** 20, 2 ** 20, width)]
+        got, point = serve(h, sched)
+        want, want_point = run(np.array(h, dtype=object), segs, [0] * width)
+        assert got.tolist() == want.tolist()
+        assert point.tolist() == want_point.tolist()
+
+
 def _product(h, seg, low):
     """``shift_add`` of the wire vector of ``h`` (its constant 0 appended)
-    as integers over ``2**low`` per output, each within its bound; an
-    unwritten output holds 0."""
+    as integers over ``2**low`` per output, each within its bound."""
     got = shift_add(np.array(h + [0], dtype=object), seg)
     assert got[-1] == 0
+    out = got[seg.slot]
+    for v, bits in zip(out.tolist(), seg.bits.tolist()):
+        assert abs(v).bit_length() <= bits
+    return _at(out, seg.point, low)
+
+
+def _at(values, point, low):
+    """Integers worth ``2**point`` as integers over ``2**low``; an
+    unwritten one holds 0."""
     out = []
-    for j in seg.slot.tolist():
-        v, p = got[j], int(seg.point[j])
-        assert abs(v).bit_length() <= seg.bits[j]
+    for v, p in zip(values.tolist(), point.tolist()):
         if p == UNWRITTEN:
             assert v == 0
             p = low
