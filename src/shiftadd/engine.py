@@ -4,13 +4,15 @@ Every scalar operation is a left shift, a sign flip, or an addition of
 integers, so the output equals the exact reconstruction applied to the
 input bit for bit.  The input is aligned once (``pot.align``) into Python
 ints over one exponent ``e``.  The plan's matrix chain, the one exact
-reconstruction walks, then runs last to first on static binary points, as
-a hardware build wires it: every wire ``i`` holds an integer worth
-``2**(e + P_i)``, with ``P_i`` fixed by the plan alone
-(``DecompositionPlan.schedule``, built by ``pow2matrix.schedule_rows`` on
-first use and kept with the plan).  All wires of a vector live in one
-store, a numpy object array (``pow2matrix.serve``): the input wires, a
-constant 0 that every unwritten wire shares, then one slice per matrix.
+reconstruction runs by columns, then runs last to first by rows on static
+binary points, as a hardware build wires it: every wire ``i`` holds an
+integer worth ``2**(e + P_i)``, with ``P_i`` fixed by the plan alone
+(``DecompositionPlan.schedule``, built by ``pow2matrix.schedule`` on first
+use and kept with the plan).  All wires of a vector live in one store, a
+numpy object array (``pow2matrix.serve``): a constant 0 that every
+unwritten wire shares, the input wires, then one slice per matrix; after
+each matrix the wires below the lowest position a later matrix or an
+output reads are dropped.
 Each matrix ``M`` runs ``M @ h`` by rows.  A row of one unnegated entry is
 an alias: it names its input's place in the store at its own point and
 costs no integer work.  For the other rows one ``pow2matrix.shift_add``

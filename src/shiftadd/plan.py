@@ -5,11 +5,13 @@ A plan records a codebook descriptor and the wiring stages in design order
 matrix is ``B @ W_1 @ ... @ W_L``.  Stages and stored codebook factors are
 ``Pow2Matrix`` integer arrays; the file keeps them as nested lists.  The
 factors and the stages form one chain (``DecompositionPlan.chain``) that
-exact reconstruction walks forward by columns (``pow2matrix.walk``) and
-the engine last to first by rows (``pow2matrix.schedule_rows``), each wire
-at a static binary point.
+one builder, ``pow2matrix.schedule``, turns into steps on one store of
+wires, each wire at a static binary point, and one runner,
+``pow2matrix.serve``, runs while it drops the wires below the lowest
+position that anything later reads: exact reconstruction by columns,
+forward, and the engine by rows, last to first.
 Reconstruction verifies a plan exactly: it starts every codebook from
-its ``[I 0]`` selector, walking the codebook's lead matrices (a mailman
+its ``[I 0]`` selector, running the codebook's lead matrices (a mailman
 codebook's matrix) ahead of the chain, and carries every row as a lane of
 one Python int per column (SIMD within a register), so each entry of the
 chain costs one big-integer operation for all rows at once.
@@ -36,8 +38,7 @@ import numpy as np
 
 from .codebooks import CodebookDescriptor
 from .errors import DimensionError, PlanFormatError, PlanVersionError
-from .pow2matrix import (UNWRITTEN, Pow2Matrix, Schedule, run,
-                         schedule_rows, walk)
+from .pow2matrix import UNWRITTEN, Pow2Matrix, Schedule, schedule, serve
 
 PLAN_FORMAT = "shiftadd-plan"
 PLAN_VERSION = 1
@@ -224,10 +225,12 @@ class DecompositionPlan:
     @functools.cached_property
     def schedule(self) -> Schedule:
         """The engine's executable form of ``chain``: each matrix summed by
-        rows, last to first (``pow2matrix.schedule_rows``), on one store of
-        wires.  Built from the stored arrays on first use and kept with
-        the plan, its one cache."""
-        return schedule_rows(reversed(self.chain), self.n_cols)
+        rows, last to first (``pow2matrix.schedule``), on one store of
+        wires, from input wires at point 0 (a wire's ``bits`` is its
+        growth over the inputs' widest integer).  Built from the stored
+        arrays on first use and kept with the plan, its one cache."""
+        zeros = np.zeros(self.n_cols, dtype=np.int64)
+        return schedule(reversed(self.chain), zeros, zeros, "rows")
 
 
 def target_digest(target: np.ndarray) -> str:
@@ -250,14 +253,15 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     (``DecompositionPlan.chain``), in integer arithmetic with one static
     binary point per column.  The rows travel packed: row
     ``i`` is lane ``i`` of one Python int per column, ``H_j = sum_i v_ij *
-    2**(w*i)``, and each matrix is one ``pow2matrix.shift_add`` over its
-    stored columns as ``pow2matrix.walk`` schedules the chain from the
-    selector's columns (point 0, the others unwritten): gather each entry's
-    row, shift the entries above their column's point, negate the negative
-    entries, sum each nonempty column.  Every step is linear, so it acts on
-    each lane alone.  The lane width ``w`` is static: the widest bound
-    ``walk`` gives a final column, plus a sign bit and a bias bit, rounded
-    up to whole bytes.  Each column is unpacked once: a bias of
+    2**(w*i)``, and ``pow2matrix.serve`` runs the chain as
+    ``pow2matrix.schedule`` sums it by columns from the selector's columns
+    (point 0 and 1 bit, the others unwritten): per matrix, gather each
+    entry's row, shift the entries above their column's point, negate the
+    negative entries, sum each nonempty column that is not an alias, and
+    drop the wires below the lowest position a later matrix reads.  Every step is linear, so it acts
+    on each lane alone.  The lane width ``w`` is static: the widest bound
+    the schedule gives a final column, plus a sign bit and a bias bit,
+    rounded up to whole bytes.  Each column is unpacked once: a bias of
     ``2**(w-1)`` per lane makes every lane nonnegative, one ``to_bytes``
     writes them all, and ``int.from_bytes`` reads each back.  Every entry
     is returned over the one exponent the chain's per-matrix smallest
@@ -267,13 +271,12 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     """
     n, chain = plan.n_rows, plan.codebook.lead + plan.chain
     selected = np.arange(chain[0].rows) < n
-    start = np.where(selected, 0, UNWRITTEN)
-    steps = list(walk(chain, start, selected))
-    lane = -(-(int(steps[-1].bits.max()) + 2) // 8)
+    sched = schedule(chain, np.where(selected, 0, UNWRITTEN), selected,
+                     "columns")
+    lane = -(-(int(sched.steps[-1].bits.max()) + 2) // 8)
     w = 8 * lane  # lane width in bits, whole bytes
-    h = np.zeros(len(start), dtype=object)
-    h[:n] = [1 << (w * i) for i in range(n)]
-    h, point = run(h, steps, start)
+    h, point = serve([1 << (w * i) for i in range(n)]
+                     + [0] * (len(selected) - n), sched)
     low = sum(int(m.exp.min()) for m in chain if m.nnz)
     half, size = 1 << (w - 1), lane * n
     bias = int.from_bytes(half.to_bytes(lane, "little") * n, "little")
@@ -388,8 +391,10 @@ def plan_from_dict(d: dict) -> DecompositionPlan:
         codebook = CodebookDescriptor.from_dict(d["codebook"])
         stages = tuple(Pow2Matrix.from_records(cols, rec)
                        for rec in d["stages"])
-        return DecompositionPlan(rows, cols, codebook, stages,
-                                 d.get("metadata", {}))
+        metadata = d.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise PlanFormatError("plan metadata must be a JSON object")
+        return DecompositionPlan(rows, cols, codebook, stages, metadata)
     except PlanFormatError:
         raise
     except Exception as exc:

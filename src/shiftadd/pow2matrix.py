@@ -15,14 +15,15 @@ rows gets a table of the rows it uses).
 Exact products run on the stored arrays, with every wire of a chain at a
 static binary point, as a hardware build fixes it, and a static bound on
 its integer's bits; only the terms above their output's point are
-shifted.  ``walk`` schedules ``h @ mat``, one sum per nonempty column, on
-one wire vector per matrix, so exact reconstruction walks a chain as it
-is.  ``schedule_rows`` schedules ``mat @ h``, one sum per row, straight
-from the column-major arrays, on one store of wires for the whole chain:
-a row of one unnegated entry is an alias of its input and is not
-executed.  Both turn each matrix into executable ``Segments``, which one
-shift-add kernel, ``shift_add``, runs; ``run`` runs ``walk``'s from the
-input wires to the last outputs, and ``serve`` a ``Schedule``.
+shifted.  ``schedule`` turns a chain into executable ``Segments``, one per
+matrix, by rows (``mat @ h``, the engine) or by columns (``h @ mat``,
+exact reconstruction), straight from the column-major arrays, on one
+store of wires for the whole chain: a constant 0, the input wires, then
+one slice of sums per matrix.  An output of one unnegated term is an
+alias of its input and is not executed.  ``serve`` runs a ``Schedule``
+with one shift-add kernel, ``shift_add``, per matrix, and after each
+matrix drops the wires below the lowest position that a later matrix or
+a final output reads.
 """
 
 from __future__ import annotations
@@ -44,18 +45,18 @@ _DTYPES = (np.int32, bool, np.int16, np.int32)
 
 
 class Segments(NamedTuple):
-    """One ``Pow2Matrix`` made executable as sums of its terms over wire
-    vectors at static points.
+    """One ``Pow2Matrix`` made executable as sums of its terms over a store
+    of wires at static points.
 
-    Term ``t`` reads position ``source[t]`` of the input vector; the terms
-    at ``shifted`` are shifted left by ``lshift`` (Python ints, all
-    positive), the rest not at all, and the terms at ``negated`` are
-    negated; the terms from ``starts[j]`` to the next start sum into the
-    ``j``-th sum.  Output ``r`` (a column of ``walk``'s matrix, a row of
-    ``schedule_rows``'s) is at position ``slot[r]`` and holds an integer
-    ``v`` worth ``v * 2**point[r]`` (``UNWRITTEN`` where it is always 0),
-    with ``|v| < 2**bits[r]`` while each input wire's integer stays below
-    ``2**`` its own bound.
+    Term ``t`` reads store position ``source[t]``; the terms at ``shifted``
+    are shifted left by ``lshift`` (Python ints, all positive), the rest
+    not at all, and the terms at ``negated`` are negated; the terms from
+    ``starts[j]`` to the next start sum into the ``j``-th sum.  Output
+    ``r`` (a row of ``mat @ h``, a column of ``h @ mat``) is at store
+    position ``slot[r]`` and holds an integer ``v`` worth ``v *
+    2**point[r]`` (``UNWRITTEN`` where it is always 0), with ``|v| <
+    2**bits[r]`` while each input wire's integer stays below ``2**`` its
+    own bound.
     """
 
     source: np.ndarray
@@ -69,20 +70,24 @@ class Segments(NamedTuple):
 
 
 class Schedule(NamedTuple):
-    """``schedule_rows``'s form of a chain: ``mat @ h`` for each matrix in
-    turn on one store of ``size`` wires (``serve`` runs it).
+    """``schedule``'s form of a chain: one step per matrix on one store of
+    ``size`` wires (``serve`` runs it).
 
-    The store holds the input wires, then a constant 0 that every wire
-    nothing writes shares, then each step's sums, one slice per step in
-    order.  The outputs of the last matrix are at ``slot``, worth
-    ``2**point``.  ``counts`` holds each matrix's ``(additions, shifts,
-    sign_changes)``, counted from the arrays its step executes.
+    The store holds a constant 0 at position 0, which every wire nothing
+    writes shares, then the input wires, then each step's sums, one slice
+    per step in order.  The outputs of the last matrix are at ``slot``,
+    worth ``2**point``.  After step ``s`` no later step and no output reads
+    a position from 1 up to ``release[s]``, a bound that never decreases,
+    so those wires can be dropped.  ``counts`` holds each matrix's
+    ``(additions, shifts, sign_changes)``, counted from the arrays its step
+    executes.
     """
 
     steps: tuple[Segments, ...]
     size: int
     slot: np.ndarray
     point: np.ndarray
+    release: tuple[int, ...]
     counts: tuple[tuple[int, int, int], ...]
 
 
@@ -93,38 +98,30 @@ UNWRITTEN = 1 << 62
 
 
 def shift_add(x: np.ndarray, seg: Segments) -> np.ndarray:
-    """The sums of ``seg`` from the input wire vector ``x``, an object
-    array of Python ints: gather, shift the shifted terms, negate the
-    negated ones and sum each segment in order (``np.add.reduceat``)."""
+    """The sums of ``seg`` from the store ``x``, an object array of Python
+    ints: gather, shift the shifted terms, negate the negated ones and sum
+    each segment in order (``np.add.reduceat``)."""
     terms = x[seg.source]
     terms[seg.shifted] <<= seg.lshift
     terms[seg.negated] = -terms[seg.negated]
     return np.add.reduceat(terms, seg.starts)
 
 
-def run(x: np.ndarray, steps, point) -> tuple[np.ndarray, np.ndarray]:
-    """The integers and binary points of the last matrix's outputs when
-    ``steps`` (``walk``'s segments) run on the input wires ``x``, an object
-    array of Python ints at the points ``point`` that ``walk`` started
-    from; an output that no entry writes is 0 at ``UNWRITTEN``."""
-    h, slot, point = np.append(x, 0), np.arange(len(x)), np.asarray(point)
-    for seg in steps:
-        h = shift_add(h, seg)
-        slot, point = seg.slot, seg.point
-    return h[slot], point
-
-
 def serve(x: list, sched: Schedule) -> tuple[np.ndarray, np.ndarray]:
     """The integers and binary points of the last matrix's outputs when
-    ``sched`` runs on the input wires ``x``, Python ints at point 0: each
-    step's sums go to the next slice of the store."""
+    ``sched`` runs on the input wires ``x``, Python ints at the points the
+    schedule started from: each step's sums go to the next slice of the
+    store, and the wires below its release bound, the constant 0 aside,
+    are dropped."""
     store = np.empty(sched.size, dtype=object)
     lo = len(x) + 1
-    store[:lo] = x + [0]
-    for seg in sched.steps:
+    store[:lo] = [0] + x
+    dead = 1
+    for seg, bound in zip(sched.steps, sched.release):
         hi = lo + len(seg.starts)
         store[lo:hi] = shift_add(store, seg)
-        lo = hi
+        store[dead:bound] = None
+        lo, dead = hi, bound
     return store[sched.slot], sched.point
 
 
@@ -153,98 +150,78 @@ def _sums(read, bits, exp, lengths):
     return starts, low, shift, grown
 
 
-def _wires(n, filled, low, grown):
-    """Points and bounds of ``n`` outputs, of which ``filled`` are sums at
-    the points ``low`` with the bounds ``grown`` and the rest unwritten."""
-    point = np.full(n, UNWRITTEN, dtype=np.int64)
-    point[filled] = low
-    bits = np.zeros(n, dtype=np.int64)
-    bits[filled] = grown
-    return point, bits
+def schedule(mats, point, bits, by: str) -> Schedule:
+    """The ``Schedule`` of each ``Pow2Matrix`` ``mat`` of ``mats`` in turn,
+    the outputs of one the inputs of the next, from input wires at the
+    binary points ``point`` whose integers have at most ``bits`` bits.
+    ``by="rows"`` makes each output a row, ``mat @ h``; ``by="columns"``
+    a column, ``h @ mat``.
 
-
-def walk(mats, point, bits):
-    """Yield the executable ``Segments`` of ``h @ mat`` for each
-    ``Pow2Matrix`` ``mat`` of ``mats`` in turn, the outputs of one the
-    inputs of the next, from input wires at the binary points ``point``
-    whose integers have at most ``bits`` bits (``_sums`` sets each
-    column's point and bound).  The first input vector holds those wires
-    in order, then a constant 0; each later one holds the nonempty columns
-    of the matrix before, one segment of its stored entries each, in
-    stored order, then a constant 0, which the last term reads and alone
-    makes, and which each empty column is at.
-    """
-    point = np.asarray(point, dtype=np.int64)
-    bits = np.asarray(bits, dtype=np.int64)
-    slot, zero = np.arange(len(point)), len(point)
-    for mat in mats:
-        filled = np.flatnonzero(mat.col_len)
-        starts, low, shift, grown = _sums(point[mat.row], bits[mat.row],
-                                          mat.exp, mat.col_len[filled])
-        slot_out = np.full(mat.cols, len(filled))
-        slot_out[filled] = np.arange(len(filled))
-        shifted = np.flatnonzero(shift)
-        seg = Segments(*map(_read_only, (
-            np.append(slot[mat.row], zero), shifted,
-            shift[shifted].astype(object), np.flatnonzero(mat.negative),
-            np.append(starts, mat.nnz), slot_out,
-            *_wires(mat.cols, filled, low, grown))))
-        yield seg
-        slot, zero, point, bits = seg.slot, len(filled), seg.point, seg.bits
-
-
-def schedule_rows(mats, width: int) -> Schedule:
-    """The ``Schedule`` of ``mat @ h`` for each ``Pow2Matrix`` ``mat`` of
-    ``mats`` in turn, from ``width`` input wires at point 0 (a wire's
-    ``bits`` is its growth over the inputs' widest integer).
-
-    Each matrix is summed by rows, straight from its column-major arrays:
-    one stable argsort by row puts each nonempty row's entries together,
-    in column order, and ``_sums`` sets each row's point and bound.  A row
-    of one unnegated entry is an alias of its input: it stays at the
-    input's store position, at the point ``_sums`` gives it, and costs no
-    integer work.  Only the other nonempty rows are executed, and their
-    sums fill the step's slice of the store; an empty row is at the
-    constant 0.  Each matrix counts its ``(additions, shifts,
-    sign_changes)`` from the step's arrays, an alias as its one entry:
-    ``m - 1`` additions per nonempty column of ``m`` entries (the cost
-    model's convention), one shift per entry and one sign change per
+    Each matrix is summed straight from its column-major arrays: by
+    columns in stored order, by rows after one stable argsort by row,
+    which puts each nonempty row's entries together in column order.
+    ``_sums`` sets each output's point and bound.  An output of one
+    unnegated entry is an alias of its input: it stays at the input's
+    store position, at the point ``_sums`` gives it, and costs no integer
+    work.  Only the other nonempty outputs are executed, and their sums
+    fill the step's slice of the store; an empty output is at the
+    constant 0.  Each step's release bound is the lowest position other
+    than the constant 0 that a later step or a final output reads, capped
+    at the end of its own slice.  Each matrix counts its ``(additions,
+    shifts, sign_changes)`` from the step's arrays, an alias as its one
+    entry: ``m - 1`` additions per nonempty column of ``m`` entries (the
+    cost model's convention), one shift per entry and one sign change per
     negated one.
     """
-    point = np.zeros(width, dtype=np.int64)
-    bits = np.zeros(width, dtype=np.int64)
-    slot, size = np.arange(width), width + 1
-    steps, counts = [], []
+    if by not in ("rows", "columns"):
+        raise ValueError(f"by must be 'rows' or 'columns', got {by!r}")
+    point = np.asarray(point, dtype=np.int64)
+    bits = np.asarray(bits, dtype=np.int64)
+    slot = np.arange(1, len(point) + 1)
+    size = len(point) + 1
+    steps, counts, ends = [], [], []
     for mat in mats:
-        order = np.argsort(mat.row, kind="stable")
-        col, negative = mat.col[order], mat.negative[order]
-        lengths = np.bincount(mat.row, minlength=mat.rows)
+        if by == "rows":
+            order = np.argsort(mat.row, kind="stable")
+            wire, lengths = mat.col[order], np.bincount(mat.row,
+                                                        minlength=mat.rows)
+        else:
+            order, wire, lengths = slice(None), mat.row, mat.col_len
+        negative = mat.negative[order]
+        slot_out = np.zeros(len(lengths), dtype=np.int64)
         filled = np.flatnonzero(lengths)
         lengths = lengths[filled]
-        starts, low, shift, grown = _sums(point[col], bits[col],
+        starts, low, shift, grown = _sums(point[wire], bits[wire],
                                           mat.exp[order], lengths)
-        source = slot[col]
+        source = slot[wire]
         alias = (lengths == 1) & ~negative[starts]
         summed = ~alias
-        slot_out = np.full(mat.rows, width)
         slot_out[filled] = np.where(alias, source[starts],
                                     size - 1 + np.cumsum(summed))
         run_lengths = lengths[summed]
         kept = np.repeat(summed, lengths)
         shift = shift[kept]
         shifted = np.flatnonzero(shift)
+        point = np.full(len(slot_out), UNWRITTEN, dtype=np.int64)
+        bits = np.zeros(len(slot_out), dtype=np.int64)
+        point[filled], bits[filled] = low, grown
         seg = Segments(*map(_read_only, (
             source[kept], shifted, shift[shifted].astype(object),
             np.flatnonzero(negative[kept]),
-            np.cumsum(run_lengths) - run_lengths, slot_out,
-            *_wires(mat.rows, filled, low, grown))))
+            np.cumsum(run_lengths) - run_lengths, slot_out, point, bits)))
         terms = len(seg.source) + int(np.count_nonzero(alias))
         counts.append((terms - int(np.count_nonzero(mat.col_len)), terms,
                        len(seg.negated)))
         steps.append(seg)
         size += len(run_lengths)
-        slot, point, bits = seg.slot, seg.point, seg.bits
-    return Schedule(tuple(steps), size, slot, point, tuple(counts))
+        ends.append(size)
+        slot = slot_out
+    release, read = [], int(slot[slot > 0].min(initial=size))
+    for seg, end in zip(reversed(steps), reversed(ends)):
+        release.append(min(read, end))
+        read = min(read, int(seg.source[seg.source > 0].min(initial=read)))
+    return Schedule(tuple(steps), size, slot, point, tuple(release[::-1]),
+                    tuple(counts))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

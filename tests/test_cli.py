@@ -176,6 +176,13 @@ class TestDecomposeApply:
         assert code == 3
         assert "malformed plan" in err
 
+    @pytest.mark.parametrize("metadata", [[1, 2], None])
+    def test_non_object_metadata_exits_3(self, tmp_path, capsys, metadata):
+        code, out, err = self._apply_doc(
+            tmp_path, capsys, lambda doc: doc.update(metadata=metadata))
+        assert code == 3 and out == ""
+        assert "metadata must be a JSON object" in err
+
     def test_oversized_codebook_exits_3(self, tmp_path, capsys, monkeypatch):
         def no_build(*args):
             raise AssertionError("the codebook was built")

@@ -253,7 +253,7 @@ class TestKernelEdgeCases:
         # a two-sparse codebook's one factor is its n x K matrix.  The
         # descriptor refuses any factor but the enumeration, which hits
         # every row, so this factor is set after construction: the chain
-        # walks must still handle a non-square matrix with rows missing
+        # schedules must still handle a non-square matrix with rows missing
         rng = np.random.default_rng(514)
         factor = _missing_rows_stage(5, 8, missing)
         cb = sa.make_codebook("two-sparse", 5, 8)
@@ -301,15 +301,16 @@ class TestWireWidths:
                  for m in rng.integers(-2 ** 15, 2 ** 15, plan.n_cols)]
             ints, _ = align(x)
             start = max(abs(v).bit_length() for v in ints)
-            # the store as pow2matrix.serve fills it, one step at a time
+            # the store as pow2matrix.serve fills it, one step at a time,
+            # every wire kept
             store = np.empty(plan.schedule.size, dtype=object)
             lo = plan.n_cols + 1
-            store[:lo] = ints + [0]
+            store[:lo] = [0] + ints
             for seg in plan.schedule.steps:
                 hi = lo + len(seg.starts)
                 store[lo:hi] = shift_add(store, seg)
                 lo = hi
-                assert store[plan.n_cols] == 0
+                assert store[0] == 0
                 for v, p, bits in zip(store[seg.slot].tolist(),
                                       seg.point.tolist(), seg.bits.tolist()):
                     assert abs(v).bit_length() <= start + bits

@@ -5,6 +5,7 @@ import functools
 import gc
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import shiftadd as sa
 from shiftadd.plan import plan_to_dict, reconstruct_exact
 from shiftadd.pot import EXP_MAX, EXP_MIN, Dyadic, SignedPow2
-from shiftadd.pow2matrix import UNWRITTEN, Pow2Matrix, walk
+from shiftadd.pow2matrix import UNWRITTEN, Pow2Matrix, schedule
 
 from helpers import (chain_rows_oracle, columns, fraction_reconstruction,
                      from_records_oracle, pow2matrix, random_plan,
@@ -173,25 +174,26 @@ def _edge_plans():
             for cb in _edge_codebooks()]
 
 
-def _column_walk(plan):
-    """``walk`` over ``plan.chain`` from the oracle's start rows, as
-    ``reconstruct_exact`` walks it: yields each matrix's ``Segments`` with
-    the oracle's rows after that matrix."""
+def _column_steps(plan):
+    """``schedule`` of ``plan.chain`` by columns from the oracle's start
+    rows, as ``reconstruct_exact`` builds it: yields each matrix's
+    ``Segments`` with the oracle's rows after that matrix."""
     states = chain_rows_oracle(plan)
     start = next(states)
     bits = [max(abs(ints[j]) for ints, _ in start).bit_length()
             for j in range(len(start[0][0]))]
     point = [0 if b else UNWRITTEN for b in bits]
-    yield from zip(walk(plan.chain, point, bits), states, strict=True)
+    steps = schedule(plan.chain, point, bits, "columns").steps
+    yield from zip(steps, states, strict=True)
 
 
 def _assert_growth_bounds(plan):
     """After each matrix of the chain, each column of the oracle's rows
     (over the exponent the chain's smallest exponents sum to) is its
     static point's integer shifted left to that exponent, within the bits
-    ``walk`` bounds it by; an unwritten column holds 0."""
+    the schedule bounds it by; an unwritten column holds 0."""
     low = 0
-    for (seg, rows), mat in zip(_column_walk(plan), plan.chain):
+    for (seg, rows), mat in zip(_column_steps(plan), plan.chain):
         low += int(mat.exp.min()) if mat.nnz else 0
         for j, (p, bits) in enumerate(zip(seg.point.tolist(),
                                           seg.bits.tolist())):
@@ -234,7 +236,7 @@ class TestPackedReconstruction:
         # an output of m terms gains (m - 1).bit_length() bits over its
         # widest shifted term, and its lowest term is not shifted
         def one(mat):
-            seg, = walk([mat], [0] * 4, [0] * 4)
+            seg, = schedule([mat], [0] * 4, [0] * 4, "columns").steps
             return seg, seg.point.tolist(), seg.bits.tolist()
 
         empty, point, bits = one(_stage(4, [[], [], [], []]))
@@ -242,7 +244,8 @@ class TestPackedReconstruction:
         assert empty.slot.tolist() == [0] * 4  # all at the constant 0
         single, point, bits = one(_stage(4, [[(0, 1, 3)]] * 4))
         assert point == [3] * 4 and bits == [0] * 4
-        assert not len(single.shifted)
+        # one unnegated entry each: aliases of input 0, nothing executed
+        assert single.slot.tolist() == [1] * 4 and not len(single.source)
         for m, grow in ((2, 1), (3, 2), (4, 2)):
             stage = _stage(4, [[(i, -1, 0) for i in range(m)], [], [],
                                [(0, 1, 5)]])
@@ -260,9 +263,13 @@ class TestPackedReconstruction:
         first = _stage(4, [[(0, 1, 2)], [], [(1, 1, 0)], [(2, 1, 1)]])
         second = _stage(4, [[(0, 1, 0), (1, -1, EXP_MIN), (2, 1, 3)],
                             [(1, 1, EXP_MAX)], [], [(3, 1, 0)]])
-        head, seg = walk([first, second], [0] * 4, [1] * 4)
-        assert head.slot.tolist() == [0, 3, 1, 2]  # column 1 is not stored
-        assert seg.source.tolist() == [0, 3, 1, 3, 2, 3]
+        head, seg = schedule([first, second], [0] * 4, [1] * 4,
+                             "columns").steps
+        # column 1 is at the constant 0, the others alias their inputs
+        assert head.slot.tolist() == [1, 0, 2, 3]
+        # so do columns 1 and 3 of the second, column 1 on an unwritten wire
+        assert seg.source.tolist() == [1, 0, 2]
+        assert seg.slot.tolist() == [5, 0, 0, 3]
         assert seg.point.tolist() == [2, UNWRITTEN, UNWRITTEN, 1]
         # 2**0 on the wire at point 2 stays put, 2**3 on the one at point 0
         # shifts by 1: three terms of at most 1 + 1 bits
@@ -273,13 +280,26 @@ class TestPackedReconstruction:
         # no wider than the bound of one exponent per matrix, which adds
         # every matrix's exponent span and longest column
         plan = _deploy_size_plan()
-        *_, (seg, _) = _column_walk(plan)
+        *_, (seg, _) = _column_steps(plan)
         shared = 1 + sum(int(m.exp.max() - m.exp.min())
                          + (int(m.col_len.max()) - 1).bit_length()
                          for m in plan.chain)
         assert int(seg.bits.max()) <= shared
         _assert_growth_bounds(plan)
         assert reconstruct_exact(plan) == reconstruct_exact_oracle(plan)
+
+    def test_dead_wires_are_dropped(self):
+        # a store that kept every wire would hold each matrix's 16-lane
+        # integers to the end: a peak of about 10.3 MB, against 1.7 MB
+        plan = _deploy_size_plan()
+        reconstruct_exact(plan)
+        tracemalloc.start()
+        try:
+            reconstruct_exact(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
 
 @functools.cache
@@ -588,6 +608,17 @@ class TestSerialization:
         doc["cols"] = 4.0
         with pytest.raises(sa.PlanFormatError, match="integer"):
             sa.deserialize(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("metadata", [[1, 2], None, "seed", 3])
+    def test_non_object_metadata_rejected(self, metadata):
+        # it would load, and a consumer's plan.metadata.get(...) fail later
+        doc = self._doc()
+        doc["metadata"] = metadata
+        with pytest.raises(sa.PlanFormatError,
+                           match="metadata must be a JSON object"):
+            sa.deserialize(json.dumps(doc).encode())
+        del doc["metadata"]
+        assert sa.deserialize(json.dumps(doc).encode()).metadata == {}
 
     def test_loading_stores_only_the_arrays(self):
         rng = np.random.default_rng(411)

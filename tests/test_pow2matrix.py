@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 import shiftadd as sa
 from shiftadd.pot import EXP_MAX, EXP_MIN, SignedPow2
 from shiftadd.pow2matrix import (UNWRITTEN, Pow2Matrix, _pieces,
-                                 advance_effective, run, schedule_rows,
-                                 serve, shift_add, walk)
+                                 advance_effective, schedule, serve)
 
 from helpers import (advance_effective_oracle, columns, pow2matrix,
                      random_dyadic_vector, random_plan, same_bits,
@@ -77,20 +76,25 @@ def test_array_storage():
     stored = (a.row, a.negative, a.exp, a.col_len)
     assert [v.dtype for v in stored] == [np.int32, bool, np.int16, np.int32]
     assert not any(v.flags.writeable for v in stored)
-    # each column's point is the smallest exponent it sums
-    seg, = walk([a], [0] * 3, [0] * 3)
-    assert seg.point.tolist() == [-1, UNWRITTEN, 2]
-    seg, = walk([transpose(a)], [0] * 3, [0] * 3)  # and each row's
-    assert seg.point.tolist() == [0, 2, -1]
-    # the engine's row sums, straight from the columns: rows 0 and 1 are
-    # aliases of their one unnegated entry's input, row 2 is negated
-    sched = schedule_rows([a], 3)
+    # each column's point is the smallest exponent it sums; the store is
+    # the constant 0, the three inputs, then the sums.  Column 2 is an
+    # alias of its one unnegated entry's input, column 1 at the constant 0
+    sched = schedule([a], [0] * 3, [0] * 3, "columns")
+    assert sched.point.tolist() == [-1, UNWRITTEN, 2]
+    assert sched.slot.tolist() == [4, 0, 2] and sched.size == 5
+    # and each row's, straight from the columns: rows 0 and 1 are aliases,
+    # row 2 is negated
+    sched = schedule([a], [0] * 3, [0] * 3, "rows")
     assert sched.point.tolist() == [0, 2, -1]
-    assert sched.slot.tolist() == [0, 2, 4] and sched.size == 5
-    # walking keeps nothing on the matrix
+    assert sched.slot.tolist() == [1, 3, 4] and sched.size == 5
+    # scheduling keeps nothing on the matrix
     assert set(vars(a)) == STORED_FIELDS
-    seg, = walk([pow2matrix(2, 2, ((), ()))], [0] * 2, [0] * 2)
-    assert seg.point.tolist() == [UNWRITTEN] * 2
+    for by in ("rows", "columns"):
+        sched = schedule([pow2matrix(2, 2, ((), ()))], [0] * 2, [0] * 2, by)
+        assert sched.point.tolist() == [UNWRITTEN] * 2
+        assert sched.slot.tolist() == [0] * 2
+    with pytest.raises(ValueError, match="by must be"):
+        schedule([a], [0] * 3, [0] * 3, "row")
     assert columns(a) == cols
 
 
@@ -372,8 +376,9 @@ def test_transposed_chain_counts_what_the_engine_executes():
 
 
 def test_shift_add_on_non_square_matrices():
-    # mat @ h over row segments and block @ mat over column segments, on
-    # matrices with empty rows and columns, against exact integer products
+    # mat @ h by rows and b @ mat by columns, each also as the other
+    # orientation of the transpose, on matrices with empty rows and
+    # columns, against exact integer products
     rng = np.random.default_rng(804)
     for rows, cols in ((1, 5), (5, 1), (3, 7), (7, 3), (6, 6)):
         for _ in range(5):
@@ -392,57 +397,99 @@ def test_shift_add_on_non_square_matrices():
                     for i in range(rows)]
             h = [int(v) for v in rng.integers(-2 ** 40, 2 ** 40, cols)]
             want = [sum(a * b for a, b in zip(r, h)) for r in ints]
-            seg, = walk([transpose(mat)], [0] * cols, [41] * cols)
-            assert _product(h, seg, low) == want
-            # the engine's row sums over one store, from the columns
-            got, point = serve(h, schedule_rows([mat], cols))
-            assert _at(got, point, low) == want
+            for m, by in ((mat, "rows"), (transpose(mat), "columns")):
+                sched = schedule([m], [0] * cols, [41] * cols, by)
+                assert _product(h, sched, low) == want
             for b in rng.integers(-2 ** 40, 2 ** 40, (2, rows)).tolist():
-                seg, = walk([mat], [0] * rows, [41] * rows)
-                assert _product(b, seg, low) == [
-                    sum(b[i] * ints[i][k] for i in range(rows))
-                    for k in range(cols)]
+                want = [sum(b[i] * ints[i][k] for i in range(rows))
+                        for k in range(cols)]
+                for m, by in ((mat, "columns"), (transpose(mat), "rows")):
+                    sched = schedule([m], [0] * rows, [41] * rows, by)
+                    assert _product(b, sched, low) == want
 
 
-def test_row_schedule_equals_the_walk_over_transposes():
-    # schedule_rows sums the rows of each matrix of a chain from its
-    # columns, aliasing rows of one unnegated entry; walk over the checked
-    # transposes sums the same rows as columns: both give every output the
-    # same point and bound, and the same integers
+def _random_chain(rng):
+    """A chain of two to five random matrices, each at most 8 wide, with
+    empty rows and columns, one-entry ones and exponents at both ends: the
+    rows of each are the columns of the next."""
+    dims = rng.choice([1, 3, 8], size=int(rng.integers(3, 7)))
+    mats = []
+    for cols, rows in zip(dims[:-1].tolist(), dims[1:].tolist()):
+        pick = rng.random((rows, cols)) < rng.choice([0.1, 0.3, 0.6])
+        exps = rng.choice([EXP_MIN, EXP_MAX, 0, -7, 12], (rows, cols))
+        signs = rng.choice([-1, 1], (rows, cols))
+        mats.append(pow2matrix(rows, cols, tuple(
+            tuple((int(i), SignedPow2(int(signs[i, k]), int(exps[i, k])))
+                  for i in np.flatnonzero(pick[:, k]))
+            for k in range(cols))))
+    return mats
+
+
+def test_rows_of_a_chain_equal_columns_of_its_transposes():
+    # one builder for both orientations: the rows of each matrix of a
+    # chain, summed from its columns with rows of one unnegated entry
+    # aliased, are the columns of its transpose.  Every step, point,
+    # bound, slot and release bound is the same, and so are the integers
+    # and the shifts and sign changes counted.  Additions are counted as
+    # m - 1 per column of the scheduled matrix: the cost model's count of
+    # mat by rows, and the executed count of the transpose by columns
     rng = np.random.default_rng(808)
     for _ in range(40):
-        dims = rng.choice([1, 3, 8], size=int(rng.integers(2, 6)))
-        mats = []
-        for cols, rows in zip(dims[:-1].tolist(), dims[1:].tolist()):
-            pick = rng.random((rows, cols)) < rng.choice([0.1, 0.3, 0.6])
-            exps = rng.choice([EXP_MIN, EXP_MAX, 0, -7, 12], (rows, cols))
-            signs = rng.choice([-1, 1], (rows, cols))
-            mats.append(pow2matrix(rows, cols, tuple(
-                tuple((int(i), SignedPow2(int(signs[i, k]), int(exps[i, k])))
-                      for i in np.flatnonzero(pick[:, k]))
-                for k in range(cols))))
-        width = int(dims[0])
-        sched = schedule_rows(mats, width)
-        segs = list(walk(map(transpose, mats), [0] * width, [0] * width))
-        for step, seg in zip(sched.steps, segs, strict=True):
-            assert np.array_equal(step.point, seg.point)
-            assert np.array_equal(step.bits, seg.bits)
-        h = [int(v) for v in rng.integers(-2 ** 20, 2 ** 20, width)]
-        got, point = serve(h, sched)
-        want, want_point = run(np.array(h, dtype=object), segs, [0] * width)
+        mats = _random_chain(rng)
+        start = [0] * mats[0].cols
+        rows = schedule(mats, start, start, "rows")
+        cols = schedule(map(transpose, mats), start, start, "columns")
+        for a, b in zip(rows.steps, cols.steps, strict=True):
+            for x, y in zip(a, b, strict=True):
+                assert np.array_equal(x, y)
+        assert (rows.size, rows.release) == (cols.size, cols.release)
+        for m, seg, r, c in zip(mats, rows.steps, rows.counts, cols.counts,
+                                strict=True):
+            assert r == m.op_counts()
+            assert c == (len(seg.source) - len(seg.starts), *r[1:])
+        h = [int(v) for v in rng.integers(-2 ** 20, 2 ** 20, len(start))]
+        got, point = serve(h, rows)
+        want, want_point = serve(h, cols)
         assert got.tolist() == want.tolist()
         assert point.tolist() == want_point.tolist()
 
 
-def _product(h, seg, low):
-    """``shift_add`` of the wire vector of ``h`` (its constant 0 appended)
-    as integers over ``2**low`` per output, each within its bound."""
-    got = shift_add(np.array(h + [0], dtype=object), seg)
-    assert got[-1] == 0
-    out = got[seg.slot]
+def test_released_wires_are_never_read():
+    # after each step serve drops the store's wires from 1 up to its
+    # release bound: no later step and no final output reads one of them,
+    # only the constant 0 below.  By rows a chain runs mat @ h, by columns
+    # its reverse runs h @ mat, from inputs some of which are unwritten
+    rng = np.random.default_rng(809)
+    freed = stored = 0
+    for _ in range(60):
+        mats = _random_chain(rng)
+        for chain, by in ((mats, "rows"), (mats[::-1], "columns")):
+            width = chain[0].cols if by == "rows" else chain[0].rows
+            written = rng.random(width) < 0.7
+            sched = schedule(chain, np.where(written, 0, UNWRITTEN), written,
+                             by)
+            assert list(sched.release) == sorted(sched.release)
+            assert len(sched.release) == len(sched.steps)
+            dead = 1
+            for seg, bound in zip(sched.steps, sched.release):
+                assert (seg.source[seg.source > 0] >= dead).all()
+                assert bound <= sched.size
+                dead = bound
+            assert (sched.slot[sched.slot > 0] >= dead).all()
+            freed, stored = freed + dead - 1, stored + sched.size - 1
+    # most wires are dropped before the end
+    assert freed > stored // 2
+
+
+def _product(h, sched, low):
+    """``serve`` of the input wires ``h`` through the one-matrix schedule
+    ``sched`` as integers over ``2**low`` per output, each within its
+    bound."""
+    out, point = serve(h, sched)
+    seg, = sched.steps
     for v, bits in zip(out.tolist(), seg.bits.tolist()):
         assert abs(v).bit_length() <= bits
-    return _at(out, seg.point, low)
+    return _at(out, point, low)
 
 
 def _at(values, point, low):
