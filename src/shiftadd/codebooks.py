@@ -152,6 +152,16 @@ def gaussian_build(n_rows: int, n_cols: int, seed: int) -> np.ndarray:
 # descriptor
 # ---------------------------------------------------------------------------
 
+def integer_field(name: str, value) -> int:
+    """The integer field ``name`` of a plan document as an int
+    (``operator.index``), refusing JSON's ``true`` and ``false``, which
+    Python reads as ints, with a ``PlanFormatError`` naming the field."""
+    if isinstance(value, bool):
+        raise PlanFormatError(f"plan field {name} must be an integer, got "
+                              f"{value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class CodebookDescriptor:
     """Everything needed to rebuild a codebook's effective matrix.
@@ -259,7 +269,8 @@ class CodebookDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodebookDescriptor":
-        n, k = operator.index(d["rows"]), operator.index(d["cols"])
+        n, k = (integer_field(f"codebook {f}", d[f])
+                for f in ("rows", "cols"))
         # refused before anything is built, so a short document cannot make
         # the loader or dense() exhaust memory
         max_k = 1 << MAILMAN_MAX_ROWS
@@ -268,7 +279,8 @@ class CodebookDescriptor:
                 f"a {n}x{k} codebook exceeds the largest, the "
                 f"{MAILMAN_MAX_ROWS}x{max_k} mailman codebook")
         return cls(d["kind"], n, k,
-                   operator.index(d.get("stage_sparsity", 1)),
+                   integer_field("codebook stage_sparsity",
+                                 d.get("stage_sparsity", 1)),
                    tuple(Pow2Matrix.from_records(k, rec)
                          for rec in d.get("factors", ())))
 

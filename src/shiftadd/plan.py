@@ -3,7 +3,12 @@
 A plan records a codebook descriptor and the wiring stages in design order
 ``W_1 ... W_L``; evaluation applies them in reverse, so the reconstructed
 matrix is ``B @ W_1 @ ... @ W_L``.  Stages and stored codebook factors are
-``Pow2Matrix`` integer arrays; the file keeps them as nested lists.  The
+``Pow2Matrix`` integer arrays; the file keeps them as nested lists, which
+``serialize`` writes straight from the arrays (``Pow2Matrix.to_json``).
+``deserialize`` reads the stages straight back into arrays, one at a
+time, when they are spelled as ``serialize`` writes them
+(``Pow2Matrix.from_json``), and through ``json`` otherwise, as it reads
+the codebook's factors.  The
 factors and the stages form one chain (``DecompositionPlan.chain``) that
 one builder, ``pow2matrix.schedule``, turns into steps on one store of
 wires, each wire at a static binary point, and one runner,
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebooks import CodebookDescriptor
+from .codebooks import CodebookDescriptor, integer_field
 from .errors import DimensionError, PlanFormatError, PlanVersionError
 from .pow2matrix import UNWRITTEN, Pow2Matrix, Schedule, schedule, serve
 
@@ -376,6 +381,9 @@ def plan_to_dict(plan: DecompositionPlan,
 
 
 def plan_from_dict(d: dict) -> DecompositionPlan:
+    """The plan of the document ``d``, as ``json.loads`` reads a plan file;
+    ``d["stages"]`` holds each stage's records, or the stages themselves
+    once ``deserialize`` has read them from their text."""
     try:
         fmt = d["format"]
         version = d["version"]
@@ -383,13 +391,14 @@ def plan_from_dict(d: dict) -> DecompositionPlan:
         raise PlanFormatError(f"missing plan header field: {exc}") from exc
     if fmt != PLAN_FORMAT:
         raise PlanFormatError(f"not a plan document (format {fmt!r})")
-    if version != PLAN_VERSION:
+    if isinstance(version, bool) or version != PLAN_VERSION:
         raise PlanVersionError(
             f"unsupported plan version {version!r}, expected {PLAN_VERSION}")
     try:
-        rows, cols = operator.index(d["rows"]), operator.index(d["cols"])
+        rows, cols = (integer_field(k, d[k]) for k in ("rows", "cols"))
         codebook = CodebookDescriptor.from_dict(d["codebook"])
-        stages = tuple(Pow2Matrix.from_records(cols, rec)
+        stages = tuple(rec if isinstance(rec, Pow2Matrix) else
+                       Pow2Matrix.from_records(cols, rec)
                        for rec in d["stages"])
         metadata = d.get("metadata", {})
         if not isinstance(metadata, dict):
@@ -456,12 +465,16 @@ def deserialize(data: bytes | bytearray) -> DecompositionPlan:
 
     Any other type of ``data`` is a ``TypeError`` naming it; bytes that
     are not a valid plan document are a ``PlanFormatError`` (a
-    ``PlanVersionError`` for an unknown version).  The cyclic garbage
-    collector is paused while the document is parsed and built: parsing
-    makes one acyclic list per stored entry (about 92k for a 16x1024
-    Table-1 plan), and each allocation threshold it crosses would start a
-    collection that walks them all and frees nothing.  The collector is
-    enabled again on return only if it was enabled on entry.
+    ``PlanVersionError`` for an unknown version).  A document in
+    ``serialize``'s spelling is read by ``_read``, its stages straight
+    into their arrays; any other spelling of valid JSON is read by
+    ``json.loads``, as are the errors of a document that is not valid
+    JSON.  The cyclic garbage collector is paused while the document is
+    parsed and built: ``json`` makes one acyclic list per stored entry it
+    reads (about 92k for a 16x1024 Table-1 plan read by ``json.loads``),
+    and each allocation threshold it crosses would start a collection that
+    walks them all and frees nothing.  The collector is enabled again on
+    return only if it was enabled on entry.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError(f"a plan is read from bytes or bytearray, got "
@@ -469,7 +482,10 @@ def deserialize(data: bytes | bytearray) -> DecompositionPlan:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        d = json.loads(data.decode())
+        text = data.decode()
+        d = _read(text)
+        if d is None:
+            d = json.loads(text)
         if not isinstance(d, dict):
             raise PlanFormatError("plan document must be a JSON object")
         return plan_from_dict(d)
@@ -478,3 +494,83 @@ def deserialize(data: bytes | bytearray) -> DecompositionPlan:
     finally:
         if enabled:
             gc.enable()
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _read(text: str) -> dict | None:
+    """The plan document ``text`` as ``json.loads`` reads it, if it is
+    spelled as ``serialize`` writes it, else ``None``.
+
+    The top-level object is read one key at a time by the json module's
+    own scanner (``JSONDecoder.raw_decode``), with nothing between its
+    tokens.  A ``stages`` array that follows an integer ``cols`` is read
+    into a tuple of matrices by ``_stages``; if that fails, the whole array
+    is read by the scanner into records, as every other value is.  Stages
+    read with another ``cols`` than the document's last are not kept: the
+    document is then ``None``.
+    """
+    if not text.startswith("{"):
+        return None
+    d, i, stages_cols = {}, 1, None
+    try:
+        while True:
+            key, i = _DECODER.raw_decode(text, i)
+            if not (isinstance(key, str) and text.startswith(":", i)):
+                return None
+            cols = d.get("cols")
+            stages = _stages(text, i + 1, cols) \
+                if key == "stages" and type(cols) is int else None
+            if stages is None:
+                d[key], i = _DECODER.raw_decode(text, i + 1)
+            else:
+                d[key], i = stages
+                stages_cols = cols
+            if text.startswith("}", i):
+                break
+            if not text.startswith(",", i):
+                return None
+            i += 1
+    except json.JSONDecodeError:
+        return None
+    if i + 1 != len(text) or (isinstance(d.get("stages"), tuple)
+                              and d["cols"] != stages_cols):
+        return None
+    return d
+
+
+def _stages(text: str, i: int, rows: int):
+    """The stages array at ``text[i]``, each matrix read by
+    ``Pow2Matrix.from_json`` with ``rows`` rows, as a tuple and the index
+    after the array; ``None`` if any matrix is spelled otherwise.
+
+    In ``to_json``'s spelling a matrix ends at its first ``]]]`` (its last
+    column closed by its last entry) or ``[]]`` (its last column empty),
+    neither of which occurs inside it, and the array's closing bracket
+    puts a ``]]]`` after the last matrix either way.  The next ``]]]`` is
+    kept while it lies ahead and bounds the search for ``[]]``, so that
+    each byte is searched once for each.
+    """
+    if text.startswith("[]", i):
+        return (), i + 2
+    if not text.startswith("[", i):
+        return None
+    mats, close = [], -1
+    while True:
+        i += 1
+        if close < i:
+            close = text.find("]]]", i)
+            if close < 0:
+                return None
+        empty = text.find("[]]", i, close + 3)
+        end = (close if empty < 0 else empty) + 3
+        mat = Pow2Matrix.from_json(rows, text[i:end])
+        if mat is None:
+            return None
+        mats.append(mat)
+        if text.startswith("]", end):
+            return tuple(mats), end + 1
+        if not text.startswith(",", end):
+            return None
+        i = end

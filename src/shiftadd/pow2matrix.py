@@ -2,15 +2,18 @@
 
 A ``Pow2Matrix`` is stored column-major as four validated integer arrays,
 and every layer reads or writes them directly: the greedy fit builds them
-from the weights it wrote, the plan loader parses them from the file's
-nested ``[row, sign, exp]`` lists, and the exact engine, exact
-reconstruction, the effective-codebook roll-forward ``advance_effective``
-and the cost accounting all run on them.  ``to_records`` is the file view,
-and ``to_json`` writes that view's text, byte for byte as ``json.dumps``
-does, by joining cached text pieces with no integer formatted: each entry
-is a row piece and a sign-and-exponent piece, looked up in one table per
-row count (only the last one is kept; a matrix with fewer entries than
-rows gets a table of the rows it uses).
+from the weights it wrote, the plan loader reads them from the file, and
+the exact engine, exact reconstruction, the effective-codebook roll-forward
+``advance_effective`` and the cost accounting all run on them.
+``to_records`` is the file view, and ``to_json`` writes that view's text,
+byte for byte as ``json.dumps`` does, by joining cached text pieces with no
+integer formatted: each entry is a row piece and a sign-and-exponent
+piece, looked up in one table per row count (only the last one is kept; a
+matrix with fewer entries than rows gets a table of the rows it uses).
+``from_json`` is its inverse: a few numpy passes read the text's bytes
+straight into the arrays, and the matrix is kept only if ``to_json``
+writes that text back byte for byte.  ``from_records`` reads the nested
+``[row, sign, exp]`` lists that ``json`` makes of any other spelling.
 
 Exact products run on the stored arrays, with every wire of a chain at a
 static binary point, as a hardware build fixes it, and a static bound on
@@ -368,16 +371,19 @@ class Pow2Matrix:
 
         Every entry must be a ``[row, sign, exp]`` triple of integers (each
         leaf is read as a C ``int64``, so a float, string or ``None`` is
-        refused rather than truncated, and an integer beyond 64 bits too)
-        and every sign +-1, else ``PlanFormatError``; the constructor checks
-        rows and exponents.
+        refused rather than truncated, and an integer beyond 64 bits too;
+        JSON's ``true`` and ``false`` are refused as well) and every sign
+        +-1, else ``PlanFormatError``; the constructor checks rows and
+        exponents.
         """
         try:
             col_len = list(map(len, records))
             if not set(map(len, chain.from_iterable(records))) <= {3}:
                 raise ValueError("an entry is not a triple")
-            leaves = array("q", list(chain.from_iterable(
-                chain.from_iterable(records))))
+            leaves = list(chain.from_iterable(chain.from_iterable(records)))
+            if bool in set(map(type, leaves)):
+                raise TypeError("true and false are not integers")
+            leaves = array("q", leaves)
         except (TypeError, ValueError, OverflowError) as exc:
             raise PlanFormatError(
                 f"stage entries must be [row, sign, exp] integer triples: "
@@ -388,6 +394,78 @@ class Pow2Matrix:
             raise PlanFormatError(f"coefficient sign {s[bad[0]]} is not +-1")
         return cls(rows, len(col_len), i, s < 0, e,
                    np.array(col_len, dtype=np.int64))
+
+    @classmethod
+    def from_json(cls, rows: int, text: str) -> "Pow2Matrix | None":
+        """Inverse of ``to_json``: the matrix whose ``to_json()`` is
+        ``text`` byte for byte, else ``None``; it never raises.
+
+        ``_json_arrays`` reads the text as ``to_json`` spells it, with no
+        grammar, the validating constructor builds the matrix, and
+        rendering it back is the proof that it was read right: whitespace,
+        a value out of range or any other spelling renders differently, or
+        is refused on the way.
+        """
+        arrays = _json_arrays(text)
+        if arrays is None:
+            return None
+        try:
+            mat = cls(rows, len(arrays[-1]), *arrays)
+        except (TypeError, ValueError):
+            return None
+        return mat if mat.to_json() == text else None
+
+
+def _json_arrays(text: str):
+    """The arrays ``row``, ``negative``, ``exp`` and ``col_len`` that
+    ``text`` spells if ``to_json`` wrote it, from a few numpy passes over
+    its bytes; on other text, other arrays or ``None``.
+
+    Each run of digits is a value, negated when a minus precedes it, and
+    every three values are an entry.  A run is read from its last digit
+    back, one place per pass over all runs, those still in their digits
+    moving on; a run of more than 9 digits, which could leave int32, is
+    ``None``.  An opening bracket followed by a digit opens an entry, any
+    other one the matrix or a column, so a column's length is the number
+    of entries opened before the next column.  Every array of one value
+    per run but the positions the passes read is int32 or narrower, and
+    the passes use comparisons, gathers and int32 arithmetic alone: a
+    uint8 subtraction or a masked negation would page in numpy code (64 KB
+    each) that designing and serving a plan never run.
+    """
+    b = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    digit = b <= 57
+    digit &= b >= 48
+    if b.size < 2 or digit[0] or digit[-1]:
+        return None
+    at = np.flatnonzero(digit[:-1] > digit[1:])  # each run's last digit
+    if len(at) % 3:
+        return None
+    values = b[at].astype(np.int32)
+    values -= 48
+    at -= 1
+    more = digit[at]
+    for place in _PLACES:
+        if not more.any():
+            break
+        digits = b[at].astype(np.int32)
+        digits -= 48
+        digits *= more
+        digits *= place
+        values += digits
+        at -= more
+        more &= digit[at]
+    if more.any():  # a tenth digit
+        return None
+    values[b[at] == 45] *= -1
+    row, sign, exp = values.reshape(-1, 3).T
+    entry = digit[np.flatnonzero(b[:-1] == 91) + 1]
+    return row, sign < 0, exp, np.add.reduceat(
+        entry, np.flatnonzero(~entry)[1:], dtype=np.int32)
+
+
+# the place values of a run's digits after its last, up to the ninth
+_PLACES = np.array([10 ** k for k in range(1, 9)], dtype=np.int32)
 
 
 _EXPONENTS = EXP_MAX - EXP_MIN + 1

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import json
 import math
 import operator
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
 import shiftadd as sa
 from shiftadd.codebooks import mailman_apply
-from shiftadd.plan import reconstruct_exact
+from shiftadd.plan import plan_from_dict, reconstruct_exact
 from shiftadd.pot import (EXP_MAX, EXP_MIN, Dyadic, SignedPow2,
                           align)
 
@@ -49,15 +52,21 @@ def transpose(mat):
 
 def from_records_oracle(rows, records):
     """``Pow2Matrix.from_records`` as it was per entry: the column tuples of
-    a record list, or the exception the per-entry checks raise."""
+    a record list, or the exception the per-entry checks raise.  Every
+    leaf is an integer, and not a boolean."""
+    def index(leaf):
+        if isinstance(leaf, bool):
+            raise TypeError("a boolean is not an integer leaf")
+        return operator.index(leaf)
+
     cols = []
     for col in records:
         entries = []
         for i, s, e in col:
-            c = operator.index(s), operator.index(e)
+            c = index(s), index(e)
             if c[0] not in (-1, 1) or not EXP_MIN <= c[1] <= EXP_MAX:
                 raise sa.PlanFormatError(f"bad coefficient {c}")
-            entries.append((operator.index(i), SignedPow2(*c)))
+            entries.append((index(i), SignedPow2(*c)))
         prev = -1
         for i, _ in entries:
             if not 0 <= i < rows:
@@ -67,6 +76,59 @@ def from_records_oracle(rows, records):
             prev = i
         cols.append(tuple(entries))
     return tuple(cols)
+
+
+def deserialize_oracle(data):
+    """``deserialize`` as it read every document before stages were read
+    from their text: ``json.loads``, then ``plan_from_dict``, whose
+    ``Pow2Matrix.from_records`` reads every stage, with ``deserialize``'s
+    errors for text that is not a JSON object."""
+    try:
+        d = json.loads(data.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise sa.PlanFormatError(f"malformed plan document: {exc}") from exc
+    if not isinstance(d, dict):
+        raise sa.PlanFormatError("plan document must be a JSON object")
+    return plan_from_dict(d)
+
+
+def loads_as_the_oracle(data):
+    """``deserialize(data)`` is the oracle's plan, metadata included, or
+    fails with an exception of the oracle's type and message.  Returns the
+    plan, or ``None``."""
+    try:
+        want = deserialize_oracle(data)
+    except Exception as exc:  # every failure is compared below
+        want = exc
+    try:
+        got = sa.deserialize(data)
+    except Exception as exc:
+        got = exc
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return None
+    assert got == want and got.metadata == want.metadata
+    return got
+
+
+@contextlib.contextmanager
+def stages_not_read_from_records(plan):
+    """Fail the ``Pow2Matrix.from_records`` calls beyond those of the
+    codebook factors that ``plan``'s file stores: inside, a stage that
+    goes through ``from_records`` fails its load."""
+    allowed = len(plan.codebook.to_dict().get("factors", ()))
+    from_records = sa.Pow2Matrix.from_records.__func__
+    calls = []
+
+    def counted(cls, rows, records):
+        calls.append(rows)
+        if len(calls) > allowed:
+            raise AssertionError("a stage was read by from_records")
+        return from_records(cls, rows, records)
+
+    with mock.patch.object(sa.Pow2Matrix, "from_records",
+                           classmethod(counted)):
+        yield calls
 
 
 def cost_oracle(plan):

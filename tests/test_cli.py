@@ -233,6 +233,20 @@ class TestDecomposeApply:
         assert code == 3
         assert "integer" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["stages"][0][0][0].__setitem__(1, True),
+         "integer triples: true and false are not integers"),
+        (lambda doc: doc.update(version=True), "plan version True"),
+        (lambda doc: doc.update(rows=True),
+         "plan field rows must be an integer, got True")],
+        ids=["entry-sign", "version", "rows"])
+    def test_boolean_plan_field_exits_3(self, tmp_path, capsys, edit,
+                                        message):
+        # each true used to load as 1
+        code, out, err = self._apply_doc(tmp_path, capsys, edit)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_out_of_range_vector_exponent_exits_before_arithmetic(
             self, tmp_path, capsys, monkeypatch):
         plan_path = tmp_path / "p.json"

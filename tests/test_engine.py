@@ -8,7 +8,7 @@ import pytest
 import shiftadd as sa
 from shiftadd.plan import reconstruct_exact
 from shiftadd.pot import EXP_MAX, EXP_MIN, SignedPow2, align
-from shiftadd.pow2matrix import UNWRITTEN, shift_add
+from shiftadd.pow2matrix import UNWRITTEN, schedule, serve
 
 from helpers import (cost_oracle, dyadic_apply_oracle, exact_matvec,
                      fraction_matvec, fraction_reconstruction, pow2matrix,
@@ -301,18 +301,18 @@ class TestWireWidths:
                  for m in rng.integers(-2 ** 15, 2 ** 15, plan.n_cols)]
             ints, _ = align(x)
             start = max(abs(v).bit_length() for v in ints)
-            # the store as pow2matrix.serve fills it, one step at a time,
-            # every wire kept
-            store = np.empty(plan.schedule.size, dtype=object)
-            lo = plan.n_cols + 1
-            store[:lo] = [0] + ints
-            for seg in plan.schedule.steps:
-                hi = lo + len(seg.starts)
-                store[lo:hi] = shift_add(store, seg)
-                lo = hi
-                assert store[0] == 0
-                for v, p, bits in zip(store[seg.slot].tolist(),
-                                      seg.point.tolist(), seg.bits.tolist()):
+            # pow2matrix.serve itself shows every matrix's outputs, aliases
+            # included: those of the last matrix of each prefix of the
+            # chain, whose schedule is the engine's up to that matrix
+            mats = plan.chain[::-1]
+            zeros = np.zeros(plan.n_cols, dtype=np.int64)
+            for end in range(1, len(mats) + 1):
+                sched = schedule(mats[:end], zeros, zeros, "rows")
+                assert all(map(np.array_equal, sched.steps[-1],
+                               plan.schedule.steps[end - 1]))
+                out, point = serve(ints, sched)
+                for v, p, bits in zip(out.tolist(), point.tolist(),
+                                      sched.steps[-1].bits.tolist()):
                     assert abs(v).bit_length() <= start + bits
                     assert v == 0 or p != UNWRITTEN
                     widest = max(widest, abs(v).bit_length())

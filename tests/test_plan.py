@@ -17,9 +17,11 @@ from shiftadd.plan import plan_to_dict, reconstruct_exact
 from shiftadd.pot import EXP_MAX, EXP_MIN, Dyadic, SignedPow2
 from shiftadd.pow2matrix import UNWRITTEN, Pow2Matrix, schedule
 
-from helpers import (chain_rows_oracle, columns, fraction_reconstruction,
-                     from_records_oracle, pow2matrix, random_plan,
-                     reconstruct_exact_oracle, same_bits, synthetic_plan,
+from helpers import (chain_rows_oracle, columns, deserialize_oracle,
+                     fraction_reconstruction, from_records_oracle,
+                     loads_as_the_oracle, pow2matrix, random_plan,
+                     reconstruct_exact_oracle, same_bits,
+                     stages_not_read_from_records, synthetic_plan,
                      transpose, wide_mantissa_plan)
 
 
@@ -596,18 +598,40 @@ class TestSerialization:
             sa.deserialize(json.dumps(doc).encode())
 
     @pytest.mark.parametrize("entry", [[0.9, 1, 0], [0, 1.0, -1.0],
-                                       [0, 1, -1.0], ["0", 1, 0]])
+                                       [0, 1, -1.0], ["0", 1, 0],
+                                       [True, 1, 0], [0, True, 0],
+                                       [0, 1, False]])
     def test_non_integer_entries_rejected(self, entry):
+        # JSON's true used to load as 1, a sign of +1
         doc = self._doc()
         doc["stages"][0][0][0] = entry
         with pytest.raises(sa.PlanFormatError, match="integer"):
             sa.deserialize(json.dumps(doc).encode())
+        with pytest.raises(sa.PlanFormatError, match="integer"):
+            sa.deserialize(json.dumps(doc, separators=(",", ":"),
+                                      sort_keys=True).encode())
 
     def test_non_integer_shape_rejected(self):
-        doc = self._doc()
-        doc["cols"] = 4.0
-        with pytest.raises(sa.PlanFormatError, match="integer"):
-            sa.deserialize(json.dumps(doc).encode())
+        # each boolean used to load as 1 or 0 and pass its check
+        for path, value, message in [
+                (("cols",), 4.0, "integer"),
+                (("rows",), True, "plan field rows must be an integer, "
+                                  "got True"),
+                (("cols",), False, "plan field cols must be an integer, "
+                                   "got False"),
+                (("version",), True, "unsupported plan version True"),
+                (("codebook", "rows"), True, "plan field codebook rows must "
+                                             "be an integer, got True"),
+                (("codebook", "stage_sparsity"), True, "plan field codebook "
+                 "stage_sparsity must be an integer, got True")]:
+            doc = self._doc()
+            *parents, key = path
+            where = doc
+            for parent in parents:
+                where = where[parent]
+            where[key] = value
+            with pytest.raises(sa.PlanFormatError, match=message):
+                sa.deserialize(json.dumps(doc).encode())
 
     @pytest.mark.parametrize("metadata", [[1, 2], None, "seed", 3])
     def test_non_object_metadata_rejected(self, metadata):
@@ -754,6 +778,206 @@ class TestSerialization:
             doc["codebook"].update(codebook)
         with pytest.raises(sa.PlanFormatError, match=message):
             sa.deserialize(json.dumps(doc).encode())
+
+
+@functools.cache
+def _text_plans():
+    """Plans over every codebook kind for the text reader: random fitted
+    and synthetic plans, the edge plans (empty columns, ``EXP_MIN`` beside
+    ``EXP_MAX``), a stage with no entries, a plan with no stages and a
+    stage of ``2**19`` rows (six-digit row indices), nearly all empty."""
+    rng = np.random.default_rng(415)
+    plans = [random_plan(rng, max_cols=64, max_stages=4)[0]
+             for _ in range(6)]
+    plans += [synthetic_plan(rng, max_stages=3) for _ in range(6)]
+    plans += _edge_plans()
+    for cb in _edge_codebooks():
+        k = cb.n_cols
+        plans.append(sa.DecompositionPlan(cb.n_rows, k, cb, (
+            _stage(k, [[]] * k), _stage(k, [[(k - 1, -1, EXP_MAX)]] * k))))
+        plans.append(sa.DecompositionPlan(cb.n_rows, k, cb, ()))
+    cb = sa.make_codebook("mailman", 19, 2 ** 19)
+    k = cb.n_cols
+    tall = [[]] * k
+    tall[0], tall[-1] = [(k - 1, -1, EXP_MIN)], [(0, 1, EXP_MAX), (k - 1, 1, 0)]
+    plans.append(sa.DecompositionPlan(19, k, cb, (_stage(k, tall),)))
+    return plans
+
+
+@functools.cache
+def _table1_data():
+    """The seeded 16x1024 Table-1 plan's file: a self-designed codebook and
+    fixed stages of sparsity 1 to 16 bits (28 stages)."""
+    target = np.random.default_rng([0, 1, 0]).standard_normal((16, 1024))
+    cb = sa.make_codebook("self-designing", 16, 1024, target=target,
+                          aux="target")
+    return sa.serialize(sa.decompose(target, cb, sa.StageSchedule.fixed(
+        [1], target_bits=16, max_stages=96)))
+
+
+def _load_peak(load, data):
+    """The ``tracemalloc`` peak of ``load(data)``, after one warm load."""
+    load(data)
+    tracemalloc.start()
+    try:
+        load(data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _in_stages(old, new):
+    """An edit of a plan's text: its first ``old`` after ``"stages":``
+    becomes ``new``."""
+    def edit(text):
+        at = text.index('"stages":')
+        assert old in text[at:]
+        return text[:at] + text[at:].replace(old, new, 1)
+    return edit
+
+
+class TestTextReader:
+    """``deserialize`` reads a document in ``serialize``'s spelling with
+    each stage read straight from its text, and every other document as
+    ``json.loads`` and ``from_records`` read it (``deserialize_oracle``)."""
+
+    def test_serialized_plans_load_without_records(self):
+        for plan in _text_plans():
+            data = sa.serialize(plan)
+            with stages_not_read_from_records(plan) as calls:
+                back = sa.deserialize(data)
+            assert back == plan and back.metadata == plan.metadata
+            assert len(calls) == len(plan.codebook.to_dict().get("factors",
+                                                                 ()))
+            assert back == deserialize_oracle(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(plan=_lane_plans())
+    def test_random_plans_load_without_records(self, plan):
+        data = sa.serialize(plan)
+        with stages_not_read_from_records(plan):
+            back = sa.deserialize(data)
+        assert back == plan == deserialize_oracle(data)
+
+    def test_table1_plan_loads_without_records(self):
+        data = _table1_data()
+        plan = deserialize_oracle(data)
+        with stages_not_read_from_records(plan):
+            assert sa.deserialize(data) == plan
+        assert plan.n_stages == 28
+
+    @staticmethod
+    def _base():
+        cb = sa.make_codebook("self-designing", 3, 8, seed=4, aux="gaussian")
+        stage = _stage(8, [[(j % 8, 1, -j), ((j + 3) % 8, -1, j)]
+                           for j in range(8)])
+        plan = sa.DecompositionPlan(3, 8, cb, (stage, stage),
+                                    {"seed": 4, "note": "x"})
+        return sa.serialize(plan).decode()
+
+    @staticmethod
+    def _keys_in_order(text, *order):
+        d = json.loads(text)
+        return json.dumps({k: d[k] for k in order},
+                          separators=(",", ":"))
+
+    @pytest.mark.parametrize("edit", [
+        _in_stages("],[", "], ["),
+        lambda t: t.replace('"stages":[', '"stages": [', 1),
+        lambda t: t + "\n",
+        lambda t: " " + t,
+        _in_stages("[[[", "[ [["),
+        _in_stages("[[[0,", "[[[-0,"),
+        _in_stages("[[[0,", "[[[00,"),
+        _in_stages(",1,0]", ",1,-0]"),
+        _in_stages(",1,0]", ",1,0.0]"),
+        _in_stages(",1,0]", ",1,1e0]"),
+        _in_stages("[[[0,", "[[[1234567890,"),
+        _in_stages("[[[0,", "[[[123456789,"),
+        _in_stages("[[[0,", "[[[12345678901234567890,"),
+        _in_stages("[[[0,", "[[[true,"),
+        _in_stages(",-1,", ",true,"),
+        _in_stages(",-1,", ",-01,"),
+        _in_stages(",-1,", ",2,"),
+        _in_stages(",-1,", ",-2,"),
+        _in_stages("]]],", "]],[]],"),
+        _in_stages("]]],", "]]],[],"),
+        lambda t: t.replace('"stages":[', '"stages":[[],', 1),
+        lambda t: t.replace('"stages":[[[[', '"stages":[[[[9,1,0],', 1),
+        lambda t: TestTextReader._keys_in_order(
+            t, "version", "stages", "rows", "metadata", "format",
+            "codebook", "cols"),
+        lambda t: TestTextReader._keys_in_order(
+            t, "cols", "stages", "rows", "metadata", "format", "codebook",
+            "version"),
+        lambda t: t[:-1] + ',"stages":[]}',
+        lambda t: t[:-1] + ',"stages":' + json.dumps(
+            json.loads(t)["stages"][:1]) + "}",
+        lambda t: t[:-1] + ',"cols":8}',
+        lambda t: t[:-1] + ',"cols":9}',
+        lambda t: t[:-1] + ',"cols":8.0}',
+        lambda t: t.replace('"cols":8', '"cols":true', 1),
+        lambda t: t.replace('"cols":8', '"cols":-8', 1),
+        lambda t: t.replace('"cols":8', '"cols":4294967296', 1),
+        lambda t: t + "x",
+        lambda t: t + "{}",
+        lambda t: t[:-1],
+        lambda t: t[:len(t) // 2],
+        lambda t: "\ufeff" + t,
+        lambda t: t.replace('"x"', '"\u00e9\u2028"', 1),
+        lambda t: t.replace('"stages":[', '"stages":[[[[0,1,0]]],', 1),
+        lambda t: "[]",
+        lambda t: "",
+    ])
+    def test_other_spellings_load_as_the_oracle_loads_them(self, edit):
+        loads_as_the_oracle(edit(self._base()).encode())
+
+    def test_bytes_that_are_not_ascii_load_as_the_oracle(self):
+        # a character of two bytes ahead of the stages, and no UTF-8
+        text = self._base()
+        loads_as_the_oracle(text.replace('"x"', '"\u00e9"').encode())
+        loads_as_the_oracle(b"\xff" + text.encode())
+
+    def test_load_peak_memory_of_the_table1_plan(self):
+        # json.loads made one list per stored entry: a 10.9 MB peak
+        assert _load_peak(sa.deserialize, _table1_data()) < 4_000_000
+
+    def test_load_peak_memory_of_one_long_stage(self):
+        # a table2-style plan: one adaptive stage of about 20k entries
+        rng = np.random.default_rng([0, 2, 0])
+        target = rng.random((10, 1024))
+        cb = sa.make_codebook("self-designing", 10, 1024,
+                              seed=int(rng.integers(2 ** 62)),
+                              aux="gaussian")
+        plan = sa.decompose(target, cb, sa.StageSchedule.adaptive(
+            16, max_stages=96))
+        data = sa.serialize(plan)
+        assert plan.n_stages == 1 and plan.stages[0].nnz > 15000
+        assert _load_peak(sa.deserialize, data) <= \
+            _load_peak(deserialize_oracle, data)
+
+
+_EDIT_BYTES = b"0123456789-[],:{}\" \n.eEtrufalsnx\xc3\xa9\x00"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_byte_edits_load_as_the_oracle_loads_them(data):
+    """One to three bytes deleted, inserted or replaced anywhere in a
+    serialized plan: the plan or the error is the oracle's."""
+    plan = data.draw(st.sampled_from(_text_plans()[:12]))
+    doc = bytearray(sa.serialize(plan))
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["delete", "insert", "replace"]))
+        at = data.draw(st.integers(0, len(doc) - (op != "insert")))
+        byte = data.draw(st.sampled_from(_EDIT_BYTES))
+        if op == "delete":
+            del doc[at]
+        elif op == "insert":
+            doc.insert(at, byte)
+        else:
+            doc[at] = byte
+    loads_as_the_oracle(bytes(doc))
 
 
 def _fuzz_base_docs():

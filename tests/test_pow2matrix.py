@@ -275,8 +275,9 @@ def _dumps(mat):
     return json.dumps(mat.to_records(), separators=(",", ":"))
 
 
-# row counts whose indices run from 1 to 5 digits, and index edges
-_ROW_COUNTS = (0, 1, 2, 3, 10, 11, 100, 101, 1000, 1024, 10000, 12345)
+# row counts whose indices run from 1 to 6 digits, and index edges
+_ROW_COUNTS = (0, 1, 2, 3, 10, 11, 100, 101, 1000, 1024, 10000, 12345,
+               2 ** 19)
 _ROW_EDGES = (0, 9, 10, 99, 100, 999, 1000, 9999, 10000)
 
 
@@ -349,6 +350,79 @@ def test_to_json_of_a_tall_sparse_matrix_leaves_the_cached_table():
         assert tall.to_json() == _dumps(tall)
     assert _pieces.cache_info() == calls and _pieces(64) is table
     assert plan_matrix.to_json() == _dumps(plan_matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=_json_matrices())
+def test_from_json_inverts_to_json(mat):
+    back = Pow2Matrix.from_json(mat.rows, mat.to_json())
+    assert back == mat and set(vars(back)) == STORED_FIELDS
+
+
+def test_from_json_edge_matrices():
+    rng = np.random.default_rng(810)
+    tall = Pow2Matrix.from_records(2 ** 19, [[[2 ** 19 - 1, -1, EXP_MIN]],
+                                             [], [[0, 1, EXP_MAX]]])
+    for mat in (*_edge_matrices(rng), tall, pow2matrix(4, 0, ()),
+                pow2matrix(0, 3, ((), (), ())), _one_per_row(1024)):
+        back = Pow2Matrix.from_json(mat.rows, mat.to_json())
+        assert back == mat
+        stored = (back.row, back.negative, back.exp, back.col_len)
+        assert [v.dtype for v in stored] == [np.int32, bool, np.int16,
+                                             np.int32]
+        assert not any(v.flags.writeable for v in stored)
+
+
+def _from_json_oracle(rows, text):
+    """The matrix whose ``to_json()`` is ``text``, read by ``json`` and
+    ``from_records``, or ``None``."""
+    try:
+        mat = Pow2Matrix.from_records(rows, json.loads(text))
+    except ValueError:  # not JSON, not records, or not a matrix
+        return None
+    return mat if mat.to_json() == text else None
+
+
+# the bytes of to_json's spelling, and some that it never writes
+_TEXT_EDITS = "0123456789-[],[] .e\u00e9"
+
+
+@settings(max_examples=500, deadline=None)
+@given(mat=_json_matrices(), data=st.data())
+def test_from_json_reads_only_what_to_json_writes(mat, data):
+    # a text with characters deleted, inserted or replaced is read as the
+    # matrix that writes it, if there is one, and is None otherwise
+    text = list(mat.to_json())
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["delete", "insert", "replace"])) \
+            if text else "insert"
+        at = data.draw(st.integers(0, len(text) - (op != "insert")))
+        char = data.draw(st.sampled_from(_TEXT_EDITS))
+        if op == "delete":
+            del text[at]
+        elif op == "insert":
+            text.insert(at, char)
+        else:
+            text[at] = char
+    text = "".join(text)
+    rows = data.draw(st.sampled_from([mat.rows, mat.rows + 1, 0, -1]))
+    want = _from_json_oracle(rows, text)
+    got = Pow2Matrix.from_json(rows, text)
+    assert got == want if want is not None else got is None
+
+
+@pytest.mark.parametrize("text", [
+    "", "[", "]", "[]]", "7", "[7]", "[[7]]", "[[[0,1]]]", "[[[0,1,0,0]]]",
+    "[[[0,1,0]]", "[[[0,1,0]]]]", " [[[0,1,0]]]", "[[[0,1,0]]] ",
+    "[[[0, 1,0]]]", "[[[-0,1,0]]]", "[[[00,1,0]]]", "[[[0,01,0]]]",
+    "[[[0,1,-0]]]", "[[[0,0,0]]]", "[[[0,-2,0]]]", "[[[0,1,64]]]",
+    "[[[0,1,-65]]]", "[[[4,1,0]]]", "[[[1,1,0],[0,1,0]]]",
+    "[[[123456789,1,0]]]", "[[[1234567890,1,0]]]", "[[[0,1,0.0]]]",
+    "[[[0,1,1e0]]]", "[[[0,true,0]]]", '[[["0",1,0]]]', "[[[0,1,0]],]",
+    "[[[0,1,0]],[]", "{}", "\u00e9", "[[[0,1,0]]]\u00e9", "[[[\u0660,1,0]]]",
+    "[[[0,1,0]]][[[0,1,0]]]", "[[[0,1,0]]],[[[0,1,0]]]"])
+def test_from_json_refuses_every_other_spelling(text):
+    assert Pow2Matrix.from_json(4, text) is None
 
 
 def test_transposed_chain_counts_what_the_engine_executes():
