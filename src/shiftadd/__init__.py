@@ -10,9 +10,8 @@ from .analysis import (angle_error_cdf, asymptotic_threshold, code_rate,
                        distortion_lower_bound, mean_sq_angle_error,
                        simulate_angle_error, simulate_decomposition,
                        total_error)
-from .codebooks import (CodebookDescriptor, gaussian_build, mailman_additions,
-                        mailman_apply, mailman_build, make_codebook,
-                        self_design_build, two_sparse_build)
+from .codebooks import (CodebookDescriptor, gaussian_build, mailman_factors,
+                        make_codebook, self_design_build, two_sparse_build)
 from .engine import apply, baseline_apply
 from .errors import (AccuracyUnreachableError, DimensionError,
                      MatrixFormatError, PlanFormatError, PlanVersionError,
@@ -32,8 +31,7 @@ __all__ = [
     "angle_error_cdf", "asymptotic_threshold", "code_rate",
     "distortion_lower_bound", "mean_sq_angle_error",
     "simulate_angle_error", "simulate_decomposition", "total_error",
-    "CodebookDescriptor", "gaussian_build",
-    "mailman_additions", "mailman_apply", "mailman_build",
+    "CodebookDescriptor", "gaussian_build", "mailman_factors",
     "make_codebook", "self_design_build", "two_sparse_build",
     "apply", "baseline_apply",
     "AccuracyUnreachableError", "DimensionError", "MatrixFormatError",

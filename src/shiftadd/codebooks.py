@@ -10,6 +10,7 @@ analysis and the auxiliary target a self-designing codebook is fitted to.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, PlanFormatError
-from .pow2matrix import UNWRITTEN, Pow2Matrix, advance_effective
+from .pow2matrix import Pow2Matrix, advance_effective
 
 KINDS = ("mailman", "two-sparse", "self-designing")
 
@@ -32,62 +33,42 @@ TWO_SPARSE_MAX_LEVEL = 64
 # binary mailman
 # ---------------------------------------------------------------------------
 
-def mailman_build(n_rows: int) -> Pow2Matrix:
-    """The ``N x 2**N`` binary matrix whose column ``k`` spells ``k - 1``.
+def mailman_factors(n_rows: int) -> tuple[Pow2Matrix, ...]:
+    """The ``n_rows`` factors, each ``K x K`` with ``K = 2**n_rows``, whose
+    product rolled forward from the ``[I 0]`` selector is the mailman
+    matrix: the ``N x K`` bit matrix whose column ``k`` spells ``k``, row
+    ``n`` holding its n-th least significant bit.
 
-    Row ``n`` holds the n-th least significant bit, the digit order implied
-    by the halving recursion that makes the fast multiply work.  The entries
-    are read from the bits of each column index.
+    Factor 0 puts unit wire ``i`` at column ``2**i``.  Factor ``t`` builds
+    each column ``j`` between ``2**t`` and ``2**(t+1)`` as column ``j -
+    2**t`` plus column ``2**t``, and passes columns 1 to ``2**t`` and the
+    higher unit columns through.  Each column beyond the units so costs
+    one addition, ``2**N - N - 1`` in all, and the factors hold at most
+    ``3 * 2**N + N**2`` entries, every one ``+1``.
     """
     _check_mailman_rows(n_rows)
-    index = np.arange(1 << n_rows, dtype=np.int32)
-    rows = np.arange(n_rows, dtype=np.int32)
-    bits = (index[:, None] >> rows & 1).astype(bool)
-    row = np.broadcast_to(rows, bits.shape)[bits]
-    return Pow2Matrix(n_rows, 1 << n_rows, row, np.zeros(len(row), bool),
-                      np.zeros(len(row), np.int16), np.bitwise_count(index))
+    k = 1 << n_rows
+    units = 1 << np.arange(n_rows)
 
+    def factor(row, col_len):
+        return Pow2Matrix(k, k, row, np.zeros(len(row), bool),
+                          np.zeros(len(row), np.int16), col_len)
 
-def mailman_additions(n_rows: int) -> int:
-    """Addition count of the fast multiply: c(1) = 0, c(N) = c(N-1) + 2**N - 1."""
-    _check_mailman_rows(n_rows)
-    c = 0
-    for n in range(2, n_rows + 1):
-        c += (1 << n) - 1
-    return c
-
-
-def mailman_apply(n_rows: int, h) -> tuple[list, int]:
-    """Multiply the mailman matrix by ``h`` exactly, returning the result
-    and the number of additions performed.  The entries of ``h`` may be
-    any exact numbers: the engine passes Python ints over one shared
-    exponent.
-
-    Splits ``h`` into halves, recurses on their sum, and finishes the last
-    output component by summing the second half; the count telescopes to
-    ``mailman_additions(n_rows)`` and stays below ``2 * 2**n_rows``.
-    """
-    _check_mailman_rows(n_rows)
-    h = list(h)
-    if len(h) != 1 << n_rows:
-        raise DimensionError(
-            f"mailman with {n_rows} rows needs a vector of length "
-            f"{1 << n_rows}, got {len(h)}")
-
-    def rec(n: int, vec: list) -> tuple[list, int]:
-        if n == 1:
-            return [vec[1]], 0
-        half = len(vec) // 2
-        h2 = vec[half:]
-        summed = [a + b for a, b in zip(vec[:half], h2)]
-        out, adds = rec(n - 1, summed)
-        tail = h2[0]
-        for v in h2[1:]:
-            tail = tail + v
-        out.append(tail)
-        return out, adds + 2 * half - 1
-
-    return rec(n_rows, h)
+    col_len = np.zeros(k, dtype=np.int32)
+    col_len[units] = 1
+    factors = [factor(np.arange(n_rows), col_len)]
+    for t in range(1, n_rows):
+        half = 1 << t
+        low = np.arange(1, half)
+        col_len = np.zeros(k, dtype=np.int32)
+        col_len[1:2 * half] = 1
+        col_len[half + 1:2 * half] = 2
+        col_len[units[t + 1:]] = 1
+        factors.append(factor(np.concatenate([
+            np.arange(1, half + 1),
+            np.stack([low, np.full_like(low, half)], axis=1).ravel(),
+            units[t + 1:]]), col_len))
+    return tuple(factors)
 
 
 def _check_mailman_rows(n_rows: int) -> None:
@@ -167,12 +148,14 @@ class CodebookDescriptor:
     """Everything needed to rebuild a codebook's effective matrix.
 
     A mailman or two-sparse codebook is built from its kind and shape
-    alone; a self-designing one stores its design.  ``factors`` holds the
-    stored power-of-two factors behind an implicit leading ``[I 0]``
-    selector: the pair ``(B1, B2)`` for self-designing, given, and the
-    enumerated matrix for two-sparse (whose selector is the identity),
-    derived here; mailman has none.  Only a self-designing codebook takes
-    ``factors`` or a ``stage_sparsity`` other than 1.
+    alone; a self-designing one stores its design.  Every kind is a chain
+    of power-of-two factors (``chain``) behind an implicit leading ``[I
+    0]`` selector.  ``factors`` holds the stored ones: the pair ``(B1,
+    B2)`` for self-designing, given, and the enumerated matrix for
+    two-sparse (whose selector is the identity), derived here; mailman
+    stores none, and derives its chain on first use.  Only a
+    self-designing codebook takes ``factors`` or a ``stage_sparsity``
+    other than 1.
     """
 
     kind: str
@@ -218,44 +201,20 @@ class CodebookDescriptor:
                 raise ValueError(f"stage_sparsity must be >= 0, got "
                                  f"{self.stage_sparsity}")
 
-    @property
-    def lead(self) -> tuple[Pow2Matrix, ...]:
-        """The matrices that lead exact reconstruction, ahead of the stored
-        factors, in place of the terminal multiply: the mailman matrix, or
-        none after the ``[I 0]`` selector."""
-        return (mailman_build(self.n_rows),) if self.kind == "mailman" else ()
-
-    @property
-    def terminal_additions(self) -> int:
-        """Additions of the terminal multiply that leads the plan's chain:
-        the mailman recursion, none for the ``[I 0]`` selector."""
+    @functools.cached_property
+    def chain(self) -> tuple[Pow2Matrix, ...]:
+        """The factors behind the ``[I 0]`` selector, in order: the stored
+        ones, or for mailman those ``mailman_factors`` derives, built on
+        first use and kept with the descriptor."""
         if self.kind == "mailman":
-            return mailman_additions(self.n_rows)
-        return 0
-
-    def terminal(self, h: np.ndarray,
-                 point: np.ndarray) -> tuple[list, list, int]:
-        """The engine's last step on the wires ``h`` (Python ints, wire
-        ``i`` worth ``2**point[i]`` times the input's unit): the outputs,
-        their points and the additions performed.  Mailman multiplies by
-        ``mailman_apply`` on the wires aligned to their lowest point, all
-        outputs at that point; the ``[I 0]`` selector keeps the first
-        ``n_rows`` wires at their own points."""
-        n = self.n_rows
-        if self.kind != "mailman":
-            return h[:n].tolist(), point[:n].tolist(), 0
-        low = int(point.min())  # an unwritten wire holds 0 and stays put
-        h = h << np.where(point == UNWRITTEN, 0, point - low).astype(object)
-        y, additions = mailman_apply(n, h.tolist())
-        return y, [low] * n, additions
+            return mailman_factors(self.n_rows)
+        return self.factors
 
     def dense(self) -> np.ndarray:
-        """Effective real matrix of the codebook: the mailman matrix, or
-        the stored factors rolled forward from the ``[I 0]`` selector."""
-        if self.kind == "mailman":
-            return mailman_build(self.n_rows).dense()
-        eff = np.eye(self.n_rows, self.factors[0].rows)
-        for factor in self.factors:
+        """Effective real matrix of the codebook: the ``[I 0]`` selector
+        rolled forward through every factor of ``chain``."""
+        eff = np.eye(self.n_rows, self.chain[0].rows)
+        for factor in self.chain:
             eff = advance_effective(eff, factor)
         return eff
 

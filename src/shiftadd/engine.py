@@ -19,26 +19,24 @@ costs no integer work.  For the other rows one ``pow2matrix.shift_add``
 gathers the input wire of every entry, shifts only the terms above their
 row's point (each row's lowest-weight term is never shifted), negates the
 negative ones and sums each row's segment (``np.add.reduceat``) into the
-matrix's slice.  The codebook's terminal follows
-(``CodebookDescriptor.terminal``): the mailman multiply, on the wires
-aligned to their lowest point, or the ``[I 0]`` selector that keeps the
-first ``n_rows`` wires at their own points; every codebook kind has one of
-the two, so every plan that loads can be applied.  Output ``Dyadic``
-values are built once, at the end.
+matrix's slice.  Every codebook kind ends the chain in its ``[I 0]``
+selector, which keeps the first ``n_rows`` wires at their own points.
+Output ``Dyadic`` values are built once, at the end.
 
 Each matrix's ``(additions, shifts, sign_changes)`` is counted once, when
 the schedule is built, from the arrays its step executes, an alias as its
 one entry (one shift per stored nonzero, the cost model's count, and one
-sign change per negative one); ``apply`` sums the stored triples with the
-terminal's additions by ``CostReport.over_chain``, as ``plan.cost_of``
-sums ``op_counts``.  Additions follow the cost model's convention: ``m -
-1`` to combine a column's ``m`` terms, the cost of ``h^T W``.  ``W @ h``
-as the engine runs it sums rows instead, ``nnz - (nonempty rows)``
-pairwise additions per matrix, so the two agree only where a matrix has as
-many nonempty rows as nonempty columns (on the 16x256 plan of the deploy
-benchmark, 10,496 counted against 10,799 executed).  The counters do not
-depend on the data and must match what ``plan.cost_of`` counts without
-running anything.
+sign change per negative one); ``apply`` sums the stored triples by
+``CostReport.over_chain``, as ``plan.cost_of`` sums ``op_counts``.
+Additions follow the cost model's convention: ``m - 1`` to combine a
+column's ``m`` terms, the cost of ``h^T W``.  ``W @ h`` as the engine runs
+it sums rows instead, ``nnz - (nonempty rows)`` pairwise additions per
+matrix, so the two agree only where a matrix has as many nonempty rows as
+nonempty columns (on the 16x256 plan of the deploy benchmark, 10,496
+counted against 10,799 executed; a bare mailman codebook of ``N`` rows
+counts ``2**N - N - 1`` and executes ``2**(N+1) - 2N - 2``).  The counters
+do not depend on the data and must match what ``plan.cost_of`` counts
+without running anything.
 """
 
 from __future__ import annotations
@@ -57,9 +55,8 @@ def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
     """Evaluate ``reconstruct(plan) @ x`` exactly by shifts and additions.
 
     The plan's matrix chain (``DecompositionPlan.chain``) is applied last
-    to first, the stages and then the codebook's stored factors, followed
-    by the codebook's terminal: the fast mailman multiply, or the free
-    ``[I 0]`` selector.
+    to first, the stages and then the codebook's factors, followed by the
+    free ``[I 0]`` selector.
     """
     x = list(x)
     if len(x) != plan.n_cols:
@@ -72,10 +69,10 @@ def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
     ints, e = align(x)
     schedule = plan.schedule
     h, point = serve(ints, schedule)
-    y, points, terminal = plan.codebook.terminal(h, point)
-
-    return ([Dyadic(v, e + p) for v, p in zip(y, points)],
-            CostReport.over_chain(plan, terminal, schedule.counts[::-1]))
+    n = plan.n_rows
+    return ([Dyadic(v, e + p)
+             for v, p in zip(h[:n].tolist(), point[:n].tolist())],
+            CostReport.over_chain(plan, schedule.counts[::-1]))
 
 
 # ---------------------------------------------------------------------------

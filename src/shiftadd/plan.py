@@ -16,17 +16,14 @@ wires, each wire at a static binary point, and one runner,
 position that anything later reads: exact reconstruction by columns,
 forward, and the engine by rows, last to first.
 Reconstruction verifies a plan exactly: it starts every codebook from
-its ``[I 0]`` selector, running the codebook's lead matrices (a mailman
-codebook's matrix) ahead of the chain, and carries every row as a lane of
-one Python int per column (SIMD within a register), so each entry of the
-chain costs one big-integer operation for all rows at once.
+its ``[I 0]`` selector and carries every row as a lane of one Python int
+per column (SIMD within a register), so each entry of the chain costs one
+big-integer operation for all rows at once.
 
-Cost accounting walks the same chain after the codebook's terminal
-multiply (``CodebookDescriptor.terminal_additions``), with one convention
-everywhere: combining the ``m`` terms a column selects costs ``m - 1``
-additions, one shift per nonzero.  For a wiring stage with ``1 + s``
-nonzeros per column that is ``s * K`` additions, and every codebook
-costs at most ``2K``.
+Cost accounting walks the same chain with one convention everywhere:
+combining the ``m`` terms a column selects costs ``m - 1`` additions, one
+shift per nonzero.  For a wiring stage with ``1 + s`` nonzeros per column
+that is ``s * K`` additions; a mailman codebook costs ``2**N - N - 1``.
 """
 
 from __future__ import annotations
@@ -144,13 +141,12 @@ class CostReport:
     per_stage: tuple[int, ...]
 
     @classmethod
-    def over_chain(cls, plan: "DecompositionPlan", terminal: int,
-                   counts) -> "CostReport":
-        """The report of ``terminal`` additions plus the ``(additions,
-        shifts, sign_changes)`` of each matrix of ``plan.chain``, in
-        order; ``per_stage`` is the stages' share of the additions."""
-        additions, shifts, signs = map(sum, zip((terminal, 0, 0), *counts))
-        per_stage = tuple(c[0] for c in counts[len(plan.codebook.factors):])
+    def over_chain(cls, plan: "DecompositionPlan", counts) -> "CostReport":
+        """The report of the ``(additions, shifts, sign_changes)`` of each
+        matrix of ``plan.chain``, in order; ``per_stage`` is the stages'
+        share of the additions."""
+        additions, shifts, signs = map(sum, zip(*counts))
+        per_stage = tuple(c[0] for c in counts[len(plan.codebook.chain):])
         return cls(additions, shifts, signs,
                    additions / (plan.n_rows * plan.n_cols), per_stage)
 
@@ -222,10 +218,10 @@ class DecompositionPlan:
     @property
     def chain(self) -> tuple[Pow2Matrix, ...]:
         """The plan's power-of-two matrices in design order: the codebook's
-        stored factors, then the stages.  Led by the codebook's ``[I 0]``
-        selector and its ``lead`` matrices, their product is the
+        factors (``CodebookDescriptor.chain``), then the stages.  Led by
+        the codebook's ``[I 0]`` selector, their product is the
         reconstruction."""
-        return self.codebook.factors + self.stages
+        return self.codebook.chain + self.stages
 
     @functools.cached_property
     def schedule(self) -> Schedule:
@@ -254,12 +250,12 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     """Exact dyadic reconstruction, one ``(mantissa, exponent)`` per entry.
 
     Pushes the ``n_rows`` rows of the codebook's ``[I 0]`` selector forward
-    through the codebook's ``lead`` matrices and the plan's matrix chain
-    (``DecompositionPlan.chain``), in integer arithmetic with one static
-    binary point per column.  The rows travel packed: row
-    ``i`` is lane ``i`` of one Python int per column, ``H_j = sum_i v_ij *
-    2**(w*i)``, and ``pow2matrix.serve`` runs the chain as
-    ``pow2matrix.schedule`` sums it by columns from the selector's columns
+    through the plan's matrix chain (``DecompositionPlan.chain``), in
+    integer arithmetic with one static binary point per column.  The rows
+    travel packed: row ``i`` is lane ``i`` of one Python int per column,
+    ``H_j = sum_i v_ij * 2**(w*i)``, and ``pow2matrix.serve`` runs the
+    chain as ``pow2matrix.schedule`` sums it by columns from the selector's
+    columns
     (point 0 and 1 bit, the others unwritten): per matrix, gather each
     entry's row, shift the entries above their column's point, negate the
     negative entries, sum each nonempty column that is not an alias, and
@@ -274,7 +270,7 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     by the difference from its column's point.  Returned as a list of
     ``n_cols`` columns of length ``n_rows``, zeros as ``(0, 0)``.
     """
-    n, chain = plan.n_rows, plan.codebook.lead + plan.chain
+    n, chain = plan.n_rows, plan.chain
     selected = np.arange(chain[0].rows) < n
     sched = schedule(chain, np.where(selected, 0, UNWRITTEN), selected,
                      "columns")
@@ -313,10 +309,8 @@ def reconstruct(plan: DecompositionPlan) -> np.ndarray:
 
 def cost_of(plan: DecompositionPlan) -> CostReport:
     """Structural operation counts of applying the plan to one vector: each
-    matrix of the chain by its ``op_counts``, then the codebook's terminal
-    multiply."""
-    return CostReport.over_chain(plan, plan.codebook.terminal_additions,
-                                 [m.op_counts() for m in plan.chain])
+    matrix of the chain by its ``op_counts``."""
+    return CostReport.over_chain(plan, [m.op_counts() for m in plan.chain])
 
 
 def distortion(plan: DecompositionPlan,

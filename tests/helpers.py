@@ -13,10 +13,8 @@ from unittest import mock
 import numpy as np
 
 import shiftadd as sa
-from shiftadd.codebooks import mailman_apply
 from shiftadd.plan import plan_from_dict, reconstruct_exact
-from shiftadd.pot import (EXP_MAX, EXP_MIN, Dyadic, SignedPow2,
-                          align)
+from shiftadd.pot import EXP_MAX, EXP_MIN, Dyadic, SignedPow2
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +139,26 @@ def cost_oracle(plan):
                 sum(len(col) for col in cols),
                 sum(1 for col in cols for _, c in col if c.sign < 0))
 
-    cb = plan.codebook
-    if cb.kind == "mailman":
-        total = [sa.mailman_additions(cb.n_rows), 0, 0]
-    else:
-        total = [sum(c) for c in zip(*map(count, cb.factors))]
+    total = [sum(c) for c in zip(*map(count, plan.codebook.chain))]
     per_stage = []
     for stage in plan.stages:
         counts = count(stage)
         total = [t + c for t, c in zip(total, counts)]
         per_stage.append(counts[0])
     return (*total, tuple(per_stage))
+
+
+def mailman_matrix(n_rows):
+    """The ``N x 2**N`` binary mailman matrix whose column ``k`` spells
+    ``k``, row ``n`` holding the n-th least significant bit, read from the
+    bits of each column index: the reference that the codebook's derived
+    factors must multiply out to."""
+    index = np.arange(1 << n_rows, dtype=np.int32)
+    rows = np.arange(n_rows, dtype=np.int32)
+    bits = (index[:, None] >> rows & 1).astype(bool)
+    row = np.broadcast_to(rows, bits.shape)[bits]
+    return sa.Pow2Matrix(n_rows, 1 << n_rows, row, np.zeros(len(row), bool),
+                         np.zeros(len(row), np.int16), np.bitwise_count(index))
 
 
 def columns_collinear(col_a, col_b):
@@ -355,31 +362,22 @@ def dyadic_apply_oracle(plan, x):
         h = apply_pow2(stage, h)
         per_stage.append(ops[0] - before)
     per_stage.reverse()
-    cb = plan.codebook
-    if cb.kind == "mailman":
-        y, adds = mailman_apply(cb.n_rows, h)
-        ops[0] += adds
-    else:
-        for factor in reversed(cb.factors):
-            h = apply_pow2(factor, h)
-        y = h[:cb.n_rows]
-    return y, (ops[0], ops[1], ops[2], tuple(per_stage))
+    for factor in reversed(plan.codebook.chain):
+        h = apply_pow2(factor, h)
+    return h[:plan.n_rows], (ops[0], ops[1], ops[2], tuple(per_stage))
 
 
 def chain_rows_oracle(plan):
-    """The codebook's rows as ``(ints, exponent)`` Python-int lists, pushed
-    through the plan's matrix chain column by column: yields the start
-    rows, then the rows after each matrix."""
-    cb = plan.codebook
-    if cb.factors:
-        width = cb.factors[0].rows
-        rows = [([0] * n + [1] + [0] * (width - n - 1), 0)
-                for n in range(plan.n_rows)]
-    else:
-        rows = [align([Dyadic.from_float(v) for v in row])
-                for row in cb.dense().tolist()]
+    """The rows of the codebook's ``[I 0]`` selector as ``(ints,
+    exponent)`` Python-int lists, pushed through the plan's matrix chain
+    column by column: yields the start rows, then the rows after each
+    matrix."""
+    chain = plan.codebook.chain + plan.stages
+    width = chain[0].rows
+    rows = [([0] * n + [1] + [0] * (width - n - 1), 0)
+            for n in range(plan.n_rows)]
     yield rows
-    for mat in cb.factors + plan.stages:
+    for mat in chain:
         cols = columns(mat)
         shift = min((c.exponent for col in cols for _, c in col), default=0)
         terms = [[(i, c.sign << (c.exponent - shift)) for i, c in col]

@@ -55,14 +55,16 @@ def test_03_mailman_exactness_and_counts():
     rng = np.random.default_rng(3000)
     for n in range(1, 11):
         k = 1 << n
-        expected = sa.mailman_additions(n)
-        assert expected < 2 * k
+        expected = k - n - 1
+        assert expected < k
+        plan = sa.DecompositionPlan(n, k, sa.make_codebook("mailman", n, k),
+                                    ())
         bit_rows = [[kk for kk in range(k) if kk >> row & 1]
                     for row in range(n)]
         for _ in range(100):
             h = random_dyadic_vector(rng, k)
-            y, adds = sa.mailman_apply(n, h)
-            assert adds == expected
+            y, cost = sa.apply(plan, h)
+            assert cost.additions == expected
             for row in range(n):
                 acc = sa.Dyadic(0)
                 for kk in bit_rows[row]:
@@ -70,8 +72,8 @@ def test_03_mailman_exactness_and_counts():
                 assert acc == y[row]
     dt = time.time() - t0
     assert dt < 30.0
-    _report(3, f"mailman exact for N=1..10, 100 vectors each; counts match "
-               f"recursion and stay below 2K ({dt:.1f}s)")
+    _report(3, f"mailman exact for N=1..10, 100 vectors each; counts are "
+               f"2**N - N - 1, below K ({dt:.1f}s)")
 
 
 def test_04_engine_exactness():

@@ -8,65 +8,90 @@ import pytest
 import shiftadd as sa
 from shiftadd import codebooks
 from shiftadd.pot import SignedPow2
-from shiftadd.pow2matrix import UNWRITTEN
 
-from helpers import (columns, columns_collinear, has_collinear_pair,
-                     random_dyadic_vector, same_bits)
+from helpers import (columns, columns_collinear, exact_matvec,
+                     has_collinear_pair, mailman_matrix, random_dyadic_vector,
+                     same_bits)
+
+
+def _bare(cb):
+    """The plan of ``cb`` alone, with no stages."""
+    return sa.DecompositionPlan(cb.n_rows, cb.n_cols, cb, ())
 
 
 class TestMailman:
     def test_small_columns(self):
-        m1 = sa.mailman_build(1)
+        m1 = sa.make_codebook("mailman", 1, 2)
         assert m1.dense().tolist() == [[0.0, 1.0]]
-        m2 = sa.mailman_build(2)
+        m2 = sa.make_codebook("mailman", 2, 4)
         assert m2.dense().T.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
+        # unit wires 0 and 1 go to columns 1 and 2; then column 3 is
+        # column 1 plus column 2, and columns 1 and 2 pass through
+        one = SignedPow2(1, 0)
+        assert [columns(f) for f in sa.mailman_factors(2)] == [
+            ((), ((0, one),), ((1, one),), ()),
+            ((), ((1, one),), ((2, one),), ((1, one), (2, one)))]
 
     def test_bit_extraction(self):
-        # column k = 7 spells 6 = 110b with the LSB in the first row
-        m3 = sa.mailman_build(3)
+        # column 6 spells 110b with the LSB in the first row
+        m3 = sa.make_codebook("mailman", 3, 8)
         assert m3.dense()[:, 6].tolist() == [0.0, 1.0, 1.0]
 
     def test_dense_matches_build(self):
-        for n in range(1, 7):
-            k = np.arange(1 << n)
-            bits = (k[None, :] >> np.arange(n)[:, None]) & 1
-            assert np.array_equal(bits, sa.mailman_build(n).dense())
-            assert np.array_equal(bits, sa.make_codebook("mailman", n,
-                                                         1 << n).dense())
+        # the factors multiply out to the bit matrix exactly, in floats
+        # and in the exact reconstruction
+        for n in range(1, 11):
+            bits = mailman_matrix(n).dense()
+            cb = sa.make_codebook("mailman", n, 1 << n)
+            assert same_bits(cb.dense(), bits)
+            assert same_bits(sa.reconstruct(_bare(cb)), bits)
 
     def test_apply_base_case(self):
-        y, adds = sa.mailman_apply(1, [sa.Dyadic(3), sa.Dyadic(5)])
-        assert adds == 0 and y == [sa.Dyadic(5)]
+        y, cost = sa.apply(_bare(sa.make_codebook("mailman", 1, 2)),
+                           [sa.Dyadic(3), sa.Dyadic(5)])
+        assert cost.additions == 0 and y == [sa.Dyadic(5)]
 
     def test_addition_counts(self):
-        assert sa.mailman_additions(1) == 0
-        assert sa.mailman_additions(2) == 3
-        assert sa.mailman_additions(3) == 10
-        for n in range(1, 12):
-            c = sa.mailman_additions(n)
-            assert c < 2 * (1 << n)
-            if n > 1:
-                assert c == sa.mailman_additions(n - 1) + (1 << n) - 1
+        # one addition per column beyond the units: each is an earlier
+        # column plus one unit wire, as x^T M builds every subset sum
+        for n in range(1, 13):
+            k = 1 << n
+            c = sa.cost_of(_bare(sa.make_codebook("mailman", n, k)))
+            assert c.additions == k - n - 1 < k
+            assert c.additions == sum(f.op_counts()[0]
+                                      for f in sa.mailman_factors(n))
 
     def test_apply_matches_dense_product(self):
         rng = np.random.default_rng(200)
         for n in range(1, 8):
-            dense = sa.mailman_build(n).dense()
+            k = 1 << n
+            dense = mailman_matrix(n).dense().astype(int).astype(object)
+            plan = _bare(sa.make_codebook("mailman", n, k))
             for _ in range(5):
-                h = random_dyadic_vector(rng, 1 << n)
-                y, adds = sa.mailman_apply(n, h)
-                assert adds == sa.mailman_additions(n)
+                h = random_dyadic_vector(rng, k)
+                y, cost = sa.apply(plan, h)
+                assert cost.additions == k - n - 1
                 hf = np.array([v.to_fraction() for v in h], dtype=object)
-                ref = dense.astype(int).astype(object) @ hf
-                assert [v.to_fraction() for v in y] == list(ref)
+                assert [v.to_fraction() for v in y] == list(dense @ hf)
+
+    def test_factors_hold_few_entries(self):
+        # about three entries per column, against N / 2 in the bit matrix
+        for n in range(1, 17):
+            factors = sa.mailman_factors(n)
+            k = 1 << n
+            assert len(factors) == n
+            assert all((f.rows, f.cols) == (k, k) and not f.negative.any()
+                       and not f.exp.any() for f in factors)
+            assert sum(f.nnz for f in factors) <= 3 * k + n * n
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            sa.mailman_build(0)
+            sa.mailman_factors(0)
         with pytest.raises(ValueError):
-            sa.mailman_build(25)
+            sa.mailman_factors(25)
         with pytest.raises(sa.DimensionError):
-            sa.mailman_apply(2, [sa.Dyadic(1)] * 3)
+            sa.apply(_bare(sa.make_codebook("mailman", 2, 4)),
+                     [sa.Dyadic(1)] * 3)
 
 
 class TestTwoSparse:
@@ -179,10 +204,10 @@ class TestDescriptor:
             sa.make_codebook("self-designing", 3, 8)
 
     def test_mailman_cost(self):
-        cb = sa.make_codebook("mailman", 3, 8)
-        cost = sa.cost_of(sa.DecompositionPlan(3, 8, cb, ()))
+        # 2**3 - 3 - 1 additions; one shift per stored entry of the factors
+        cost = sa.cost_of(_bare(sa.make_codebook("mailman", 3, 8)))
         assert (cost.additions, cost.shifts,
-                cost.sign_changes) == (10, 0, 0)
+                cost.sign_changes) == (4, 18, 0)
 
     def test_shape_kinds_refuse_factors_and_stage_sparsity(self):
         # the file records only the shape of a mailman or two-sparse
@@ -201,23 +226,20 @@ class TestDescriptor:
         assert sa.CodebookDescriptor("two-sparse", 3, 8).factors == (enum,)
         assert sa.CodebookDescriptor("mailman", 3, 8).factors == ()
 
-    def test_lead_and_terminal(self):
+    def test_every_kind_is_a_chain_behind_the_selector(self):
         mm = sa.make_codebook("mailman", 3, 8)
-        assert mm.lead == (sa.mailman_build(3),)
-        for kind in ("two-sparse", "self-designing"):
-            cb = sa.make_codebook(kind, 3, 8, seed=1, aux="gaussian")
-            assert cb.lead == ()
-        # wires at points 2, unwritten, 0, ...: mailman aligns them to 0
-        h = np.array([3, 0, 5, 1, 0, 0, 0, 7], dtype=object)
-        point = np.array([2, UNWRITTEN, 0, 0, 0, 0, 0, 1])
-        y, points, adds = mm.terminal(h, point)
-        dense = sa.mailman_build(3).dense().astype(int).astype(object)
-        aligned = np.array([12, 0, 5, 1, 0, 0, 0, 14], dtype=object)
-        assert y == list(dense @ aligned) and points == [0, 0, 0]
-        assert adds == sa.mailman_additions(3)
-        y, points, adds = sa.make_codebook("two-sparse", 3, 8).terminal(
-            h, point)
-        assert (y, points, adds) == ([3, 0, 5], [2, UNWRITTEN, 0], 0)
+        assert mm.factors == () and mm.chain == sa.mailman_factors(3)
+        assert mm.chain is mm.chain  # derived once, then kept
+        x = [sa.Dyadic(3, 2), sa.Dyadic(0), sa.Dyadic(5), sa.Dyadic(1),
+             sa.Dyadic(0), sa.Dyadic(-1, -3), sa.Dyadic(0), sa.Dyadic(7, 1)]
+        for cb in (mm, sa.make_codebook("two-sparse", 3, 8),
+                   sa.make_codebook("self-designing", 3, 8, seed=1,
+                                    aux="gaussian")):
+            if cb.kind != "mailman":
+                assert cb.chain == cb.factors
+            # the engine ends every chain in the [I 0] selector: the first
+            # n_rows wires, each at its own point
+            assert sa.apply(_bare(cb), x)[0] == exact_matvec(_bare(cb), x)
 
 
 def _round_trip(cb):

@@ -27,6 +27,16 @@ class TestApply:
             y, _ = sa.apply(plan, x)
             assert [v.to_float() for v in y] == dense[:, k].tolist()
 
+    def test_mailman_executed_additions(self):
+        # by rows, factor t sums 2**t - 1 rows of two entries and one row
+        # of 2**t: more pairwise additions than the 2**N - N - 1 counted
+        for n in range(1, 13):
+            plan = sa.DecompositionPlan(
+                n, 1 << n, sa.make_codebook("mailman", n, 1 << n), ())
+            assert sum(len(seg.source) - len(seg.starts)
+                       for seg in plan.schedule.steps) == \
+                2 ** (n + 1) - 2 * n - 2
+
     def test_matches_exact_reconstruction(self):
         rng = np.random.default_rng(500)
         for _ in range(25):
@@ -150,8 +160,8 @@ def _one_term_plan(rng, cb):
 class TestOneTermRows:
     """Rows of one entry, which the engine aliases unless negated, in every
     arrangement: negated ones, chains of them across several matrices,
-    unwritten rows, all-zero inputs, and the mailman, two-sparse and
-    ``[I 0]`` terminals.  Outputs and counters equal the ``Dyadic`` loop,
+    unwritten rows, all-zero inputs, and the chains of every codebook
+    kind.  Outputs and counters equal the ``Dyadic`` loop,
     and the counters equal ``cost_of``."""
 
     def test_equal_the_dyadic_loop(self):

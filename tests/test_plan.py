@@ -80,8 +80,7 @@ class TestReconstruct:
         rng = np.random.default_rng(400)
         plans = [random_plan(rng, max_cols=16, max_stages=3)[0]
                  for _ in range(10)]
-        # the mailman matrix walked from the selector, against the
-        # oracles' dense start
+        # mailman plans, whose codebook factors are derived from the shape
         for n in (1, 3, 5):
             plans.append(sa.decompose(rng.standard_normal((n, 1 << n)),
                                       sa.make_codebook("mailman", n, 1 << n),
@@ -421,7 +420,7 @@ def test_reconstruct_rounds_like_dyadic_to_float(plan):
 class TestCost:
     def test_mailman_only(self):
         plan = sa.DecompositionPlan(3, 8, sa.make_codebook("mailman", 3, 8), ())
-        assert sa.cost_of(plan).additions == 10
+        assert sa.cost_of(plan).additions == 4
 
     def test_no_op_plan_costs_nothing(self):
         cb = sa.make_codebook("two-sparse", 3, 3)  # unit columns only
@@ -738,7 +737,7 @@ class TestSerialization:
         def no_build(*args, **kwargs):
             raise AssertionError("the codebook was built")
 
-        for name in ("two_sparse_build", "gaussian_build", "mailman_build"):
+        for name in ("two_sparse_build", "gaussian_build", "mailman_factors"):
             monkeypatch.setattr(f"shiftadd.codebooks.{name}", no_build)
         doc = {"format": sa.plan.PLAN_FORMAT, "version": sa.plan.PLAN_VERSION,
                "rows": rows, "cols": cols, "stages": [],

@@ -212,7 +212,8 @@ def test_matrices_keep_nothing_and_segments_are_built_once():
 
 def test_building_a_loaded_plans_schedule_runs_no_constructor(monkeypatch):
     # the schedule reads each matrix's stored arrays; no transpose or other
-    # checked matrix is built on the way, for any codebook kind
+    # checked matrix is built on the way, for any codebook kind (a mailman
+    # codebook derives its factors on first use, here before the count)
     built = []
     check = Pow2Matrix.__post_init__
 
@@ -224,6 +225,7 @@ def test_building_a_loaded_plans_schedule_runs_no_constructor(monkeypatch):
     plans = [synthetic_plan(rng) for _ in range(4)] + \
         [random_plan(rng, max_cols=16, max_stages=3)[0] for _ in range(4)]
     loaded = [sa.deserialize(sa.serialize(plan)) for plan in plans]
+    assert all(plan.codebook.chain for plan in loaded)
     monkeypatch.setattr(Pow2Matrix, "__post_init__", counted)
     for plan in loaded:
         assert plan.schedule.steps
