@@ -1,11 +1,12 @@
 """Codebook matrices: binary mailman, two-sparse, self-designing.
 
 A codebook is the cheap left factor of the decomposition: its columns are
-the building vectors that wiring stages select and scale.  Every kind has
-entries that are zero or signed powers of two, so it is applied with
-additions and bit shifts alone.  The i.i.d. Gaussian matrix of the paper's
-error analysis (``gaussian_build``) is no codebook kind: it serves the
-analysis and the auxiliary target a self-designing codebook is fitted to.
+the building vectors that wiring stages select and scale.  Every kind is a
+chain of factors, from the N input wires to the K columns, with entries
+zero or signed powers of two, so it is applied with additions and bit
+shifts alone.  The i.i.d. Gaussian matrix of the paper's error analysis
+(``gaussian_build``) is no codebook kind: it serves the analysis and the
+auxiliary target a self-designing codebook is fitted to.
 """
 
 from __future__ import annotations
@@ -34,40 +35,32 @@ TWO_SPARSE_MAX_LEVEL = 64
 # ---------------------------------------------------------------------------
 
 def mailman_factors(n_rows: int) -> tuple[Pow2Matrix, ...]:
-    """The ``n_rows`` factors, each ``K x K`` with ``K = 2**n_rows``, whose
-    product rolled forward from the ``[I 0]`` selector is the mailman
-    matrix: the ``N x K`` bit matrix whose column ``k`` spells ``k``, row
+    """The ``n_rows`` factors whose product is the mailman matrix: the ``N
+    x K`` bit matrix, ``K = 2**N``, whose column ``k`` spells ``k``, row
     ``n`` holding its n-th least significant bit.
 
-    Factor 0 puts unit wire ``i`` at column ``2**i``.  Factor ``t`` builds
-    each column ``j`` between ``2**t`` and ``2**(t+1)`` as column ``j -
-    2**t`` plus column ``2**t``, and passes columns 1 to ``2**t`` and the
-    higher unit columns through.  Each column beyond the units so costs
-    one addition, ``2**N - N - 1`` in all, and the factors hold at most
-    ``3 * 2**N + N**2`` entries, every one ``+1``.
+    Factor ``t`` maps ``2**t`` subset wires (wire ``j`` sums the inputs
+    whose bits ``j`` sets) and the units ``t..N-1`` to ``2**(t+1)`` subset
+    wires and the units ``t+1..N-1``: wire ``j`` from ``2**t`` on is wire
+    ``j - 2**t`` plus unit ``t``.  The empty subset wire 0 is never
+    written, so factor 0 reads the N unit wires alone.  That is one
+    addition per subset wire beyond the units, ``2**N - N - 1`` in all, in
+    at most ``3 * 2**N + N**2`` entries, every one ``+1``, and ``2**(N+1) +
+    N**2`` columns.
     """
     _check_mailman_rows(n_rows)
-    k = 1 << n_rows
-    units = 1 << np.arange(n_rows)
-
-    def factor(row, col_len):
-        return Pow2Matrix(k, k, row, np.zeros(len(row), bool),
-                          np.zeros(len(row), np.int16), col_len)
-
-    col_len = np.zeros(k, dtype=np.int32)
-    col_len[units] = 1
-    factors = [factor(np.arange(n_rows), col_len)]
-    for t in range(1, n_rows):
-        half = 1 << t
+    factors = []
+    for t in range(n_rows):
+        half, units, first = 1 << t, n_rows - t - 1, int(t == 0)
         low = np.arange(1, half)
-        col_len = np.zeros(k, dtype=np.int32)
-        col_len[1:2 * half] = 1
-        col_len[half + 1:2 * half] = 2
-        col_len[units[t + 1:]] = 1
-        factors.append(factor(np.concatenate([
+        row = np.concatenate([
             np.arange(1, half + 1),
             np.stack([low, np.full_like(low, half)], axis=1).ravel(),
-            units[t + 1:]]), col_len))
+            np.arange(half + 1, half + 1 + units)]) - first
+        factors.append(Pow2Matrix(
+            half + 1 + units - first, 2 * half + units, row,
+            np.zeros(len(row), bool), np.zeros(len(row), np.int16),
+            np.repeat([0, 1, 2, 1], [1, half, half - 1, units])))
     return tuple(factors)
 
 
@@ -149,10 +142,10 @@ class CodebookDescriptor:
 
     A mailman or two-sparse codebook is built from its kind and shape
     alone; a self-designing one stores its design.  Every kind is a chain
-    of power-of-two factors (``chain``) behind an implicit leading ``[I
-    0]`` selector.  ``factors`` holds the stored ones: the pair ``(B1,
-    B2)`` for self-designing, given, and the enumerated matrix for
-    two-sparse (whose selector is the identity), derived here; mailman
+    of power-of-two factors (``chain``) from the ``n_rows`` input wires to
+    the ``n_cols`` columns.  ``factors`` holds the stored ones: the pair
+    ``(B1, B2)``, ``N x K`` and ``K x K``, for self-designing, given, and
+    the ``N x K`` enumerated matrix for two-sparse, derived here; mailman
     stores none, and derives its chain on first use.  Only a
     self-designing codebook takes ``factors`` or a ``stage_sparsity``
     other than 1.
@@ -194,29 +187,31 @@ class CodebookDescriptor:
                 raise DimensionError(
                     f"self-designing codebook needs 1 <= N <= K, got "
                     f"{self.n_rows}x{self.n_cols}")
-            for f in self.factors:
-                if f.rows != self.n_cols or f.cols != self.n_cols:
-                    raise DimensionError("self-designing factors must be KxK")
             if self.stage_sparsity < 0:
                 raise ValueError(f"stage_sparsity must be >= 0, got "
                                  f"{self.stage_sparsity}")
+        if self.factors:
+            self.chain  # checks the stored factors now, not on first use
 
     @functools.cached_property
     def chain(self) -> tuple[Pow2Matrix, ...]:
-        """The factors behind the ``[I 0]`` selector, in order: the stored
-        ones, or for mailman those ``mailman_factors`` derives, built on
-        first use and kept with the descriptor."""
-        if self.kind == "mailman":
-            return mailman_factors(self.n_rows)
-        return self.factors
+        """The stored factors, or for mailman those ``mailman_factors``
+        derives on first use, kept with the descriptor; ``DimensionError``
+        unless they lead from the ``n_rows`` input wires, each to the
+        next, to the ``n_cols`` columns."""
+        chain = mailman_factors(self.n_rows) if self.kind == "mailman" \
+            else self.factors
+        if [f.rows for f in chain] + [self.n_cols] != \
+                [self.n_rows] + [f.cols for f in chain]:
+            raise DimensionError(f"{self.kind} factors do not lead from "
+                                 f"{self.n_rows} wires to {self.n_cols}")
+        return chain
 
     def dense(self) -> np.ndarray:
-        """Effective real matrix of the codebook: the ``[I 0]`` selector
+        """Effective real matrix of the codebook: the ``N x N`` identity
         rolled forward through every factor of ``chain``."""
-        eff = np.eye(self.n_rows, self.chain[0].rows)
-        for factor in self.chain:
-            eff = advance_effective(eff, factor)
-        return eff
+        return functools.reduce(advance_effective, self.chain,
+                                np.eye(self.n_rows))
 
     def to_dict(self, records=Pow2Matrix.to_records) -> dict:
         """The file's fields; ``records`` writes each stored factor."""
@@ -237,25 +232,27 @@ class CodebookDescriptor:
             raise PlanFormatError(
                 f"a {n}x{k} codebook exceeds the largest, the "
                 f"{MAILMAN_MAX_ROWS}x{max_k} mailman codebook")
+        factors = tuple(d.get("factors", ()))
+        if d["kind"] == "self-designing":  # the others refuse factors unread
+            factors = tuple(Pow2Matrix.from_records(k if i else n, rec)
+                            for i, rec in enumerate(factors))
         return cls(d["kind"], n, k,
                    integer_field("codebook stage_sparsity",
-                                 d.get("stage_sparsity", 1)),
-                   tuple(Pow2Matrix.from_records(k, rec)
-                         for rec in d.get("factors", ())))
+                                 d.get("stage_sparsity", 1)), factors)
 
 
 def self_design_build(aux_target: np.ndarray,
                       stage_sparsity: int = 1) -> CodebookDescriptor:
     """Let the codebook design itself against an auxiliary target.
 
-    ``B = B0 B1 B2`` where ``B0 = [I 0]`` and ``B1, B2`` are the first two
-    wiring stages of a decomposition of the auxiliary target over ``B0``
+    ``B = B1 B2``, ``N x K`` and ``K x K``, the first two wiring stages of
+    a decomposition of the auxiliary target over the ``N x N`` identity
     (``wiring.fit_stages``), with ``1 + stage_sparsity`` nonzeros per
-    column.  The first stage fits over the N unit columns of ``B0``; the
-    second over ``B0 B1``, whose columns are sums of ``1 + stage_sparsity``
-    signed powers of two on the N wires, so most are copies of another up
-    to sign and a power of two: the greedy fit screens one column per
-    class of copies (438 of the 1024 columns of a 16x1024 Table-1 cell).
+    column.  ``B2`` fits over ``B1``, whose columns are sums of ``1 +
+    stage_sparsity`` signed powers of two on the N wires, so most are
+    copies of another up to sign and a power of two: the greedy fit screens
+    one column per class of copies (438 of the 1024 columns of a 16x1024
+    Table-1 cell).
     """
     from .wiring import fit_stages  # deferred: wiring sits above this module
 
@@ -266,7 +263,7 @@ def self_design_build(aux_target: np.ndarray,
     if k < n:
         raise DimensionError(
             f"self-designing codebook needs K >= N, got {n}x{k}")
-    (b1, _), (b2, _) = fit_stages(aux, np.eye(n, k), [stage_sparsity] * 2)
+    (b1, _), (b2, _) = fit_stages(aux, np.eye(n), [stage_sparsity] * 2)
     return CodebookDescriptor("self-designing", n, k,
                               stage_sparsity=stage_sparsity, factors=(b1, b2))
 

@@ -19,9 +19,8 @@ costs no integer work.  For the other rows one ``pow2matrix.shift_add``
 gathers the input wire of every entry, shifts only the terms above their
 row's point (each row's lowest-weight term is never shifted), negates the
 negative ones and sums each row's segment (``np.add.reduceat``) into the
-matrix's slice.  Every codebook kind ends the chain in its ``[I 0]``
-selector, which keeps the first ``n_rows`` wires at their own points.
-Output ``Dyadic`` values are built once, at the end.
+matrix's slice.  The codebook's first factor, run last, writes the
+``n_rows`` outputs, whose ``Dyadic`` values are built once, at the end.
 
 Each matrix's ``(additions, shifts, sign_changes)`` is counted once, when
 the schedule is built, from the arrays its step executes, an alias as its
@@ -55,8 +54,7 @@ def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
     """Evaluate ``reconstruct(plan) @ x`` exactly by shifts and additions.
 
     The plan's matrix chain (``DecompositionPlan.chain``) is applied last
-    to first, the stages and then the codebook's factors, followed by the
-    free ``[I 0]`` selector.
+    to first, the stages and then the codebook's factors.
     """
     x = list(x)
     if len(x) != plan.n_cols:
@@ -69,9 +67,7 @@ def apply(plan: DecompositionPlan, x) -> tuple[list[Dyadic], CostReport]:
     ints, e = align(x)
     schedule = plan.schedule
     h, point = serve(ints, schedule)
-    n = plan.n_rows
-    return ([Dyadic(v, e + p)
-             for v, p in zip(h[:n].tolist(), point[:n].tolist())],
+    return ([Dyadic(v, e + p) for v, p in zip(h.tolist(), point.tolist())],
             CostReport.over_chain(plan, schedule.counts[::-1]))
 
 

@@ -15,10 +15,10 @@ wires, each wire at a static binary point, and one runner,
 ``pow2matrix.serve``, runs while it drops the wires below the lowest
 position that anything later reads: exact reconstruction by columns,
 forward, and the engine by rows, last to first.
-Reconstruction verifies a plan exactly: it starts every codebook from
-its ``[I 0]`` selector and carries every row as a lane of one Python int
-per column (SIMD within a register), so each entry of the chain costs one
-big-integer operation for all rows at once.
+Reconstruction verifies a plan exactly: it starts from the ``N`` unit
+rows on the codebook's input wires and carries every row as a lane of one
+Python int per column (SIMD within a register), so each entry of the chain
+costs one big-integer operation for all rows at once.
 
 Cost accounting walks the same chain with one convention everywhere:
 combining the ``m`` terms a column selects costs ``m - 1`` additions, one
@@ -40,6 +40,7 @@ import numpy as np
 
 from .codebooks import CodebookDescriptor, integer_field
 from .errors import DimensionError, PlanFormatError, PlanVersionError
+from .pot import dyadic_to_float
 from .pow2matrix import UNWRITTEN, Pow2Matrix, Schedule, schedule, serve
 
 PLAN_FORMAT = "shiftadd-plan"
@@ -217,10 +218,9 @@ class DecompositionPlan:
 
     @property
     def chain(self) -> tuple[Pow2Matrix, ...]:
-        """The plan's power-of-two matrices in design order: the codebook's
-        factors (``CodebookDescriptor.chain``), then the stages.  Led by
-        the codebook's ``[I 0]`` selector, their product is the
-        reconstruction."""
+        """The codebook's factors (``CodebookDescriptor.chain``), then the
+        stages, from the ``n_rows`` input wires to the ``n_cols`` columns:
+        the matrices whose product is the reconstruction."""
         return self.codebook.chain + self.stages
 
     @functools.cached_property
@@ -249,17 +249,16 @@ def target_digest(target: np.ndarray) -> str:
 def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     """Exact dyadic reconstruction, one ``(mantissa, exponent)`` per entry.
 
-    Pushes the ``n_rows`` rows of the codebook's ``[I 0]`` selector forward
-    through the plan's matrix chain (``DecompositionPlan.chain``), in
-    integer arithmetic with one static binary point per column.  The rows
-    travel packed: row ``i`` is lane ``i`` of one Python int per column,
-    ``H_j = sum_i v_ij * 2**(w*i)``, and ``pow2matrix.serve`` runs the
-    chain as ``pow2matrix.schedule`` sums it by columns from the selector's
-    columns
-    (point 0 and 1 bit, the others unwritten): per matrix, gather each
-    entry's row, shift the entries above their column's point, negate the
-    negative entries, sum each nonempty column that is not an alias, and
-    drop the wires below the lowest position a later matrix reads.  Every step is linear, so it acts
+    Pushes the ``n_rows`` rows of the ``N x N`` identity forward through
+    the plan's matrix chain (``DecompositionPlan.chain``), in integer
+    arithmetic with one static binary point per column.  The rows travel
+    packed: row ``i`` is lane ``i`` of one Python int per column, ``H_j =
+    sum_i v_ij * 2**(w*i)``, and ``pow2matrix.serve`` runs the chain as
+    ``pow2matrix.schedule`` sums it by columns from the identity's columns
+    (point 0 and 1 bit): per matrix, gather each entry's row, shift the
+    entries above their column's point, negate the negative entries, sum
+    each nonempty column that is not an alias, and drop the wires below the
+    lowest position a later matrix reads.  Every step is linear, so it acts
     on each lane alone.  The lane width ``w`` is static: the widest bound
     the schedule gives a final column, plus a sign bit and a bias bit,
     rounded up to whole bytes.  Each column is unpacked once: a bias of
@@ -271,13 +270,11 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
     ``n_cols`` columns of length ``n_rows``, zeros as ``(0, 0)``.
     """
     n, chain = plan.n_rows, plan.chain
-    selected = np.arange(chain[0].rows) < n
-    sched = schedule(chain, np.where(selected, 0, UNWRITTEN), selected,
+    sched = schedule(chain, np.zeros(n, np.int64), np.ones(n, np.int64),
                      "columns")
     lane = -(-(int(sched.steps[-1].bits.max()) + 2) // 8)
     w = 8 * lane  # lane width in bits, whole bytes
-    h, point = serve([1 << (w * i) for i in range(n)]
-                     + [0] * (len(selected) - n), sched)
+    h, point = serve([1 << (w * i) for i in range(n)], sched)
     low = sum(int(m.exp.min()) for m in chain if m.nnz)
     half, size = 1 << (w - 1), lane * n
     bias = int.from_bytes(half.to_bytes(lane, "little") * n, "little")
@@ -293,13 +290,10 @@ def reconstruct_exact(plan: DecompositionPlan) -> list[list[tuple[int, int]]]:
 
 def reconstruct(plan: DecompositionPlan) -> np.ndarray:
     """``B @ W_1 @ ... @ W_L`` evaluated exactly, then rounded once per
-    entry to float64 as ``Dyadic.to_float`` rounds it, without building a
-    ``Dyadic``: ``float(m)`` scaled by ``2**e`` when ``e >= 0``, else the
-    correctly rounded true division ``m / 2**-e``."""
+    entry to float64 as ``Dyadic.to_float`` rounds (``dyadic_to_float``)."""
     out = np.empty((plan.n_rows, plan.n_cols))
     for k, col in enumerate(reconstruct_exact(plan)):
-        out[:, k] = [math.ldexp(float(m), e) if e >= 0 else m / (1 << -e)
-                     for m, e in col]
+        out[:, k] = [dyadic_to_float(m, e) for m, e in col]
     return out
 
 

@@ -234,6 +234,18 @@ def binary_distortion_oracle(num_bits: int, samples: int, seed: int) -> float:
 # exact dyadic numbers
 # ---------------------------------------------------------------------------
 
+def dyadic_to_float(m: int, e: int) -> float:
+    """``m * 2**e`` rounded once, half-even, to float64, for ``m`` of any
+    width; ``OverflowError`` only for a value beyond the float64 range."""
+    if e >= 0:
+        # float(m) rounds once; ldexp only scales.
+        return math.ldexp(float(m), e)
+    if m.bit_length() + e < -1075:
+        # below half the smallest subnormal: skip building 1 << -e
+        return -0.0 if m < 0 else 0.0
+    return m / (1 << -e)  # int true division rounds correctly
+
+
 class Dyadic:
     """An exact number ``mantissa * 2**exponent``.
 
@@ -276,19 +288,8 @@ class Dyadic:
         return Fraction(self.mantissa, 1 << -self.exponent)
 
     def to_float(self) -> float:
-        """The value rounded once, half-even, to float64.
-
-        Holds for any mantissa width; raises ``OverflowError`` only when the
-        value itself is beyond the float64 range.
-        """
-        m, e = self.mantissa, self.exponent
-        if e >= 0:
-            # float(m) rounds once; ldexp only scales.
-            return math.ldexp(float(m), e)
-        if m.bit_length() + e < -1075:
-            # below half the smallest subnormal: skip building 1 << -e
-            return -0.0 if m < 0 else 0.0
-        return m / (1 << -e)  # int true division rounds correctly
+        """``dyadic_to_float`` of the value."""
+        return dyadic_to_float(self.mantissa, self.exponent)
 
     def times_pow2(self, sign: int, exponent: int) -> "Dyadic":
         """Multiply by ``sign * 2**exponent`` (a shift plus a sign flip)."""

@@ -8,8 +8,8 @@ the exact engine, exact reconstruction, the effective-codebook roll-forward
 ``to_records`` is the file view, and ``to_json`` writes that view's text,
 byte for byte as ``json.dumps`` does, by joining cached text pieces with no
 integer formatted: each entry is a row piece and a sign-and-exponent
-piece, looked up in one table per row count (only the last one is kept; a
-matrix with fewer entries than rows gets a table of the rows it uses).
+piece, looked up in one table per row count (only the last two are kept;
+a matrix with fewer entries than rows gets a table of the rows it uses).
 ``from_json`` is its inverse: a few numpy passes read the text's bytes
 straight into the arrays, and the matrix is kept only if ``to_json``
 writes that text back byte for byte.  ``from_records`` reads the nested
@@ -350,8 +350,8 @@ class Pow2Matrix:
             table, rows = _pieces(self.rows), self.row.astype(np.intp)
             n_rows = self.rows
         else:
-            # fewer entries than rows (a plan's matrices have K rows and at
-            # least K entries): pieces for the rows in use alone, uncached
+            # fewer entries than rows (a plan's matrices have at least K
+            # entries): pieces for the rows in use alone, uncached
             used, rows = np.unique(self.row, return_inverse=True)
             table, n_rows = _table(used.tolist()), len(used)
         rows = 2 * rows
@@ -475,11 +475,11 @@ _SIGN_EXP = [f"{s},{e}]{']' * closes}" for s in (1, -1)
              for e in range(EXP_MIN, EXP_MAX + 1) for closes in (0, 1)]
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _pieces(rows: int) -> np.ndarray:
     """``to_json``'s pieces for a matrix of ``rows`` rows, ``_table(range(
-    rows))``.  Only the last row count's table is kept, which serves every
-    matrix of a plan (they all have ``K`` rows)."""
+    rows))``.  The last two row counts' tables are kept: a plan's matrices
+    have ``K`` rows, a self-designing codebook's ``B1`` has ``N``."""
     return _table(range(rows))
 
 

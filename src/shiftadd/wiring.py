@@ -33,9 +33,9 @@ and a power of two, score alike bit for bit, so the lowest-index one wins
 their tie, and the screen runs over one column per class of copies; a
 class with a column on the support also offers its lowest-index column off
 the support, scored from its own dot product.  Codebook self-design's
-second stage fits over ``[I 0] B1``, whose columns are one or two signed
-powers of two on the N wires: the screen of a 16x1024 Table-1 cell is 438
-columns wide, not 1024.  A hash of the columns finds the classes, and a
+second stage fits over its first, ``B1``, whose columns are one or two
+signed powers of two on the N wires: the screen of a 16x1024 Table-1 cell
+is 438 columns wide, not 1024.  A hash of the columns finds the classes, and a
 fit without copies pays only for the hash and one sort.  ``_fit_columns``
 gives the scales at which copies score alike; at others, every column is
 screened.

@@ -364,18 +364,17 @@ def dyadic_apply_oracle(plan, x):
     per_stage.reverse()
     for factor in reversed(plan.codebook.chain):
         h = apply_pow2(factor, h)
-    return h[:plan.n_rows], (ops[0], ops[1], ops[2], tuple(per_stage))
+    return h, (ops[0], ops[1], ops[2], tuple(per_stage))
 
 
 def chain_rows_oracle(plan):
-    """The rows of the codebook's ``[I 0]`` selector as ``(ints,
-    exponent)`` Python-int lists, pushed through the plan's matrix chain
-    column by column: yields the start rows, then the rows after each
-    matrix."""
+    """The rows of the ``N x N`` identity as ``(ints, exponent)``
+    Python-int lists, pushed through the plan's matrix chain column by
+    column: yields the start rows, then the rows after each matrix."""
     chain = plan.codebook.chain + plan.stages
-    width = chain[0].rows
-    rows = [([0] * n + [1] + [0] * (width - n - 1), 0)
-            for n in range(plan.n_rows)]
+    n_rows = plan.n_rows
+    rows = [([0] * n + [1] + [0] * (n_rows - n - 1), 0)
+            for n in range(n_rows)]
     yield rows
     for mat in chain:
         cols = columns(mat)

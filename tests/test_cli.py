@@ -205,10 +205,14 @@ class TestDecomposeApply:
           for fields, message in (
               ({"factors": [[[[i, 1, 0]] for i in range(4)]]},
                "takes no factors"),
-              ({"stage_sparsity": 2}, "takes no stage_sparsity"))]],
+              ({"stage_sparsity": 2}, "takes no stage_sparsity"))],
+        # B1 reads the 2 input wires: a row 2 is a wire nothing writes
+        ({"factors": [[[[0, 1, 0]], [[1, 1, 0]], [[0, 1, 0], [2, 1, 0]], []],
+                      [[[i, 1, 0]] for i in range(4)]]},
+         "row index 2 out of range")],
         ids=["gaussian-kind", "negative-stage-sparsity", "mailman-factors",
              "mailman-stage-sparsity", "two-sparse-factors",
-             "two-sparse-stage-sparsity"])
+             "two-sparse-stage-sparsity", "dead-codebook-row"])
     def test_refused_codebook_exits_3(self, tmp_path, capsys, codebook,
                                       message):
         cb = sa.make_codebook("self-designing", 2, 4, seed=3, aux="gaussian")

@@ -1,5 +1,6 @@
 """Codebook construction and fast application."""
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 
 import shiftadd as sa
 from shiftadd import codebooks
+from shiftadd.plan import reconstruct_exact
 from shiftadd.pot import SignedPow2
 
-from helpers import (columns, columns_collinear, exact_matvec,
+from helpers import (columns, columns_collinear, cost_oracle,
+                     dyadic_apply_oracle, fraction_reconstruction,
                      has_collinear_pair, mailman_matrix, random_dyadic_vector,
                      same_bits)
 
@@ -25,11 +28,14 @@ class TestMailman:
         assert m1.dense().tolist() == [[0.0, 1.0]]
         m2 = sa.make_codebook("mailman", 2, 4)
         assert m2.dense().T.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
-        # unit wires 0 and 1 go to columns 1 and 2; then column 3 is
-        # column 1 plus column 2, and columns 1 and 2 pass through
+        # the unit wires 0 and 1 go to the wires 1 and 2 beside the empty
+        # subset wire 0; then column 3 is wire 1 plus wire 2, and wires 1
+        # and 2 pass through
         one = SignedPow2(1, 0)
-        assert [columns(f) for f in sa.mailman_factors(2)] == [
-            ((), ((0, one),), ((1, one),), ()),
+        factors = sa.mailman_factors(2)
+        assert [(f.rows, f.cols) for f in factors] == [(2, 3), (3, 4)]
+        assert [columns(f) for f in factors] == [
+            ((), ((0, one),), ((1, one),)),
             ((), ((1, one),), ((2, one),), ((1, one), (2, one)))]
 
     def test_bit_extraction(self):
@@ -75,14 +81,20 @@ class TestMailman:
                 assert [v.to_fraction() for v in y] == list(dense @ hf)
 
     def test_factors_hold_few_entries(self):
-        # about three entries per column, against N / 2 in the bit matrix
+        # about three entries per column, against N / 2 in the bit matrix;
+        # factor t writes only the 2**(t+1) subset wires and the higher
+        # units, so the columns too sum to about 2 * K, not N * K
         for n in range(1, 17):
             factors = sa.mailman_factors(n)
             k = 1 << n
             assert len(factors) == n
-            assert all((f.rows, f.cols) == (k, k) and not f.negative.any()
-                       and not f.exp.any() for f in factors)
+            assert [(f.rows, f.cols) for f in factors] == [
+                ((1 << t) + n - t - (t == 0), (2 << t) + n - t - 1)
+                for t in range(n)]
+            assert all(not f.negative.any() and not f.exp.any()
+                       for f in factors)
             assert sum(f.nnz for f in factors) <= 3 * k + n * n
+            assert sum(f.cols for f in factors) <= 2 * k + n * n
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -225,21 +237,56 @@ class TestDescriptor:
         # the two-sparse factor is derived from the shape
         assert sa.CodebookDescriptor("two-sparse", 3, 8).factors == (enum,)
         assert sa.CodebookDescriptor("mailman", 3, 8).factors == ()
+        for kind in ("mailman", "two-sparse"):
+            cb = sa.CodebookDescriptor(kind, 3, 8)
+            assert sa.CodebookDescriptor.from_dict(
+                {**cb.to_dict(), "factors": []}) == cb
 
-    def test_every_kind_is_a_chain_behind_the_selector(self):
-        mm = sa.make_codebook("mailman", 3, 8)
-        assert mm.factors == () and mm.chain == sa.mailman_factors(3)
-        assert mm.chain is mm.chain  # derived once, then kept
-        x = [sa.Dyadic(3, 2), sa.Dyadic(0), sa.Dyadic(5), sa.Dyadic(1),
-             sa.Dyadic(0), sa.Dyadic(-1, -3), sa.Dyadic(0), sa.Dyadic(7, 1)]
-        for cb in (mm, sa.make_codebook("two-sparse", 3, 8),
-                   sa.make_codebook("self-designing", 3, 8, seed=1,
-                                    aux="gaussian")):
-            if cb.kind != "mailman":
+    def test_every_kind_is_a_chain_from_the_input_wires(self):
+        # every chain leads from the N input wires to the K columns, and
+        # exact reconstruction, the engine and every count read that chain
+        rng = np.random.default_rng(229)
+        shapes = [(n, int(rng.integers(n, 25)))
+                  for n in rng.integers(1, 7, size=4).tolist()]
+        codebooks = [sa.make_codebook("mailman", n, 1 << n)
+                     for n in range(1, 11)]
+        for n, k in shapes + [(1, 1), (4, 4)]:
+            codebooks += [sa.make_codebook("two-sparse", n, k),
+                          sa.make_codebook("self-designing", n, k,
+                                           seed=int(rng.integers(2 ** 62)),
+                                           aux="gaussian")]
+        for cb in codebooks:
+            if cb.kind == "mailman":
+                assert cb.factors == ()
+                assert cb.chain == sa.mailman_factors(cb.n_rows)
+                assert cb.chain is cb.chain  # derived once, then kept
+            else:
                 assert cb.chain == cb.factors
-            # the engine ends every chain in the [I 0] selector: the first
-            # n_rows wires, each at its own point
-            assert sa.apply(_bare(cb), x)[0] == exact_matvec(_bare(cb), x)
+            assert [f.rows for f in cb.chain] + [cb.n_cols] == \
+                [cb.n_rows] + [f.cols for f in cb.chain]
+            plan = _bare(cb)
+            assert [[Fraction(m) * Fraction(2) ** e for m, e in col]
+                    for col in reconstruct_exact(plan)] == \
+                [list(col) for col in zip(*fraction_reconstruction(plan))]
+            x = random_dyadic_vector(rng, cb.n_cols)
+            y, cost = sa.apply(plan, x)
+            y_ref, counts = dyadic_apply_oracle(plan, x)
+            ref = sa.cost_of(plan)
+            assert y == y_ref
+            assert (cost.additions, cost.shifts, cost.sign_changes,
+                    cost.per_stage) == counts == cost_oracle(plan) == (
+                ref.additions, ref.shifts, ref.sign_changes, ref.per_stage)
+
+    def test_factors_must_lead_from_the_input_wires(self):
+        # the first factor reads the N input wires, each factor's columns
+        # are the next one's rows, and the last writes the K columns
+        b1, b2 = sa.make_codebook("self-designing", 3, 8, seed=1,
+                                  aux="gaussian").factors
+        wide = sa.Pow2Matrix(8, 8, b1.row, b1.negative, b1.exp, b1.col_len)
+        for factors in ((wide, b2), (b2, b1), (b1, b1)):
+            with pytest.raises(sa.DimensionError, match="do not lead from"):
+                sa.CodebookDescriptor("self-designing", 3, 8,
+                                      factors=factors)
 
 
 def _round_trip(cb):

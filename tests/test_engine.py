@@ -262,12 +262,14 @@ class TestKernelEdgeCases:
     def test_non_square_factor(self, missing):
         # a two-sparse codebook's one factor is its n x K matrix.  The
         # descriptor refuses any factor but the enumeration, which hits
-        # every row, so this factor is set after construction: the chain
-        # schedules must still handle a non-square matrix with rows missing
+        # every row, so this factor and the chain the descriptor keeps are
+        # set after construction: the chain schedules must still handle a
+        # non-square matrix with rows missing
         rng = np.random.default_rng(514)
         factor = _missing_rows_stage(5, 8, missing)
         cb = sa.make_codebook("two-sparse", 5, 8)
-        object.__setattr__(cb, "factors", (factor,))
+        vars(cb).update(factors=(factor,), chain=(factor,))
+        assert sa.DecompositionPlan(5, 8, cb, ()).chain == (factor,)
         full = _missing_rows_stage(8, 8, set())
         for stages in ((), (full,), (full, full)):
             self._check(sa.DecompositionPlan(5, 8, cb, stages), rng)

@@ -762,10 +762,14 @@ class TestSerialization:
           for fields, message in (
               ({"factors": [[[[i, 1, 0]] for i in range(4)]]},
                "takes no factors"),
-              ({"stage_sparsity": 2}, "takes no stage_sparsity"))]],
+              ({"stage_sparsity": 2}, "takes no stage_sparsity"))],
+        # B1 reads the 2 input wires: a row 2 is a wire nothing writes
+        ({"factors": [[[[0, 1, 0]], [[1, 1, 0]], [[0, 1, 0], [2, 1, 0]], []],
+                      [[[i, 1, 0]] for i in range(4)]]},
+         "row index 2 out of range")],
         ids=["gaussian-kind", "negative-stage-sparsity", "mailman-factors",
              "mailman-stage-sparsity", "two-sparse-factors",
-             "two-sparse-stage-sparsity"])
+             "two-sparse-stage-sparsity", "dead-codebook-row"])
     def test_refused_codebook_is_a_format_error(self, codebook, message):
         # a gaussian plan file, as earlier versions wrote one, no longer
         # loads; a negative stage sparsity was loaded and written back
@@ -1091,9 +1095,12 @@ def test_mutated_plan_that_loads_reconstructs(data):
     sa.cost_of(plan)
 
 
-# every stored matrix of the fuzz documents, with its row count
-_FUZZ_RECORDS = [(doc["cols"], rec) for doc in _FUZZ_DOCS
-                 for rec in doc["stages"] + doc["codebook"].get("factors", [])]
+# every stored matrix of the fuzz documents, with its row count: a
+# codebook's first factor reads the N input wires
+_FUZZ_RECORDS = [(doc["cols"] if i else doc["rows"], rec) for doc in _FUZZ_DOCS
+                 for i, rec in enumerate(doc["codebook"].get("factors", []))]
+_FUZZ_RECORDS += [(doc["cols"], rec) for doc in _FUZZ_DOCS
+                  for rec in doc["stages"]]
 
 
 @settings(max_examples=300, deadline=None)

@@ -328,13 +328,18 @@ def _one_per_row(rows):
         rows, [[[rows - 1 - i, 1, 0]] for i in range(rows)])
 
 
-def test_to_json_keeps_only_the_last_row_table():
+def test_to_json_keeps_only_the_last_two_row_tables():
+    # a plan writes matrices of two row counts: a self-designing codebook's
+    # N-row first factor and its K-row matrices
     big = _one_per_row(1024)
     assert big.to_json() == _dumps(big)
     table = weakref.ref(_pieces(1024))
     small = _one_per_row(3)
     assert small.to_json() == "[[[2,1,0]],[[1,1,0]],[[0,1,0]]]"
-    assert table() is None and _pieces.cache_info().currsize == 1
+    assert table() is _pieces(1024)
+    assert _one_per_row(2).to_json() == "[[[1,1,0]],[[0,1,0]]]"
+    small.to_json()
+    assert table() is None and _pieces.cache_info().currsize == 2
 
 
 def test_to_json_of_a_tall_sparse_matrix_leaves_the_cached_table():

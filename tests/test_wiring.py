@@ -291,7 +291,7 @@ class TestBlockedKernel:
             for t in tgt.T]
 
     def test_zero_codebook_columns(self):
-        # the [I 0] selector a self-designing codebook starts from
+        # zero columns beside the unit columns
         rng = np.random.default_rng(340)
         tgt = rng.standard_normal((4, 40))
         cb = np.zeros((4, 40))
@@ -566,10 +566,9 @@ def _planted_copies(seed, n, classes, m):
 def _self_design_stage2(n, k):
     """Self-design's second stage as ``fit_stages`` runs it on the
     Gaussian ``default_rng([n, k])`` auxiliary target: the target and the
-    codebook ``[I 0] B1``."""
+    codebook ``B1``."""
     aux = np.random.default_rng([n, k]).standard_normal((n, k))
-    stage = sa.fit_stage(aux, np.eye(n, k), 1)
-    return aux, advance_effective(np.eye(n, k), stage)
+    return aux, sa.fit_stage(aux, np.eye(n), 1).dense()
 
 
 class TestCopies:
@@ -671,8 +670,7 @@ class TestCopies:
         # seed 0 fits over 438 classes; a codebook without copies keeps
         # every column, so a lost gain cannot pass unseen
         aux = np.random.default_rng([0, 1, 0]).standard_normal((16, 1024))
-        stage = sa.fit_stage(aux, np.eye(16, 1024), 1)
-        cb = advance_effective(np.eye(16, 1024), stage)
+        cb = sa.fit_stage(aux, np.eye(16), 1).dense()
         widths = _Widths()
         with mock.patch.object(wiring, "_bounds", widths):
             sa.fit_stage(aux, cb, 1)
