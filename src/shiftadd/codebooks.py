@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, PlanFormatError
-from .pow2matrix import Pow2Matrix, advance_effective
+from .pow2matrix import Pow2Matrix, advance_effective, as_matrix
 
 KINDS = ("mailman", "two-sparse", "self-designing")
 
@@ -136,6 +136,15 @@ def integer_field(name: str, value) -> int:
     return operator.index(value)
 
 
+def oversized(n_rows: int, n_cols: int) -> bool:
+    """Whether an ``n_rows x n_cols`` codebook exceeds the largest, the
+    mailman codebook of ``MAILMAN_MAX_ROWS`` rows.  A plan file's codebook
+    is refused on this before anything is built or read, so a short
+    document cannot make the loader or ``dense()`` exhaust memory."""
+    max_k = 1 << MAILMAN_MAX_ROWS
+    return n_cols > max_k or n_rows * n_cols > MAILMAN_MAX_ROWS * max_k
+
+
 @dataclass(frozen=True)
 class CodebookDescriptor:
     """Everything needed to rebuild a codebook's effective matrix.
@@ -223,19 +232,20 @@ class CodebookDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodebookDescriptor":
+        """The descriptor of the file's fields ``d``, as ``json.loads``
+        reads them; ``d["factors"]`` holds each factor's records, or the
+        factor itself once ``plan.deserialize`` has read it from its text
+        (``as_matrix``)."""
         n, k = (integer_field(f"codebook {f}", d[f])
                 for f in ("rows", "cols"))
-        # refused before anything is built, so a short document cannot make
-        # the loader or dense() exhaust memory
-        max_k = 1 << MAILMAN_MAX_ROWS
-        if k > max_k or n * k > MAILMAN_MAX_ROWS * max_k:
+        if oversized(n, k):
             raise PlanFormatError(
                 f"a {n}x{k} codebook exceeds the largest, the "
-                f"{MAILMAN_MAX_ROWS}x{max_k} mailman codebook")
+                f"{MAILMAN_MAX_ROWS}x{1 << MAILMAN_MAX_ROWS} mailman codebook")
         factors = tuple(d.get("factors", ()))
         if d["kind"] == "self-designing":  # the others refuse factors unread
-            factors = tuple(Pow2Matrix.from_records(k if i else n, rec)
-                            for i, rec in enumerate(factors))
+            factors = tuple(as_matrix(k if i else n, f)
+                            for i, f in enumerate(factors))
         return cls(d["kind"], n, k,
                    integer_field("codebook stage_sparsity",
                                  d.get("stage_sparsity", 1)), factors)

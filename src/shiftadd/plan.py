@@ -5,10 +5,9 @@ A plan records a codebook descriptor and the wiring stages in design order
 matrix is ``B @ W_1 @ ... @ W_L``.  Stages and stored codebook factors are
 ``Pow2Matrix`` integer arrays; the file keeps them as nested lists, which
 ``serialize`` writes straight from the arrays (``Pow2Matrix.to_json``).
-``deserialize`` reads the stages straight back into arrays, one at a
-time, when they are spelled as ``serialize`` writes them
-(``Pow2Matrix.from_json``), and through ``json`` otherwise, as it reads
-the codebook's factors.  The
+``deserialize`` reads every one of them straight back into arrays, one
+matrix at a time, when it is spelled as ``serialize`` writes it
+(``Pow2Matrix.from_json``), and through ``json`` otherwise.  The
 factors and the stages form one chain (``DecompositionPlan.chain``) that
 one builder, ``pow2matrix.schedule``, turns into steps on one store of
 wires, each wire at a static binary point, and one runner,
@@ -31,6 +30,7 @@ from __future__ import annotations
 import functools
 import gc
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -38,10 +38,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebooks import CodebookDescriptor, integer_field
+from .codebooks import CodebookDescriptor, integer_field, oversized
 from .errors import DimensionError, PlanFormatError, PlanVersionError
 from .pot import dyadic_to_float
-from .pow2matrix import UNWRITTEN, Pow2Matrix, Schedule, schedule, serve
+from .pow2matrix import (UNWRITTEN, Pow2Matrix, Schedule, as_matrix,
+                         schedule, serve)
 
 PLAN_FORMAT = "shiftadd-plan"
 PLAN_VERSION = 1
@@ -370,8 +371,9 @@ def plan_to_dict(plan: DecompositionPlan,
 
 def plan_from_dict(d: dict) -> DecompositionPlan:
     """The plan of the document ``d``, as ``json.loads`` reads a plan file;
-    ``d["stages"]`` holds each stage's records, or the stages themselves
-    once ``deserialize`` has read them from their text."""
+    ``d["stages"]`` and the codebook's ``factors`` hold each matrix's
+    records, or the matrices themselves once ``deserialize`` has read them
+    from their text (``as_matrix``)."""
     try:
         fmt = d["format"]
         version = d["version"]
@@ -385,9 +387,7 @@ def plan_from_dict(d: dict) -> DecompositionPlan:
     try:
         rows, cols = (integer_field(k, d[k]) for k in ("rows", "cols"))
         codebook = CodebookDescriptor.from_dict(d["codebook"])
-        stages = tuple(rec if isinstance(rec, Pow2Matrix) else
-                       Pow2Matrix.from_records(cols, rec)
-                       for rec in d["stages"])
+        stages = tuple(as_matrix(cols, rec) for rec in d["stages"])
         metadata = d.get("metadata", {})
         if not isinstance(metadata, dict):
             raise PlanFormatError("plan metadata must be a JSON object")
@@ -454,15 +454,15 @@ def deserialize(data: bytes | bytearray) -> DecompositionPlan:
     Any other type of ``data`` is a ``TypeError`` naming it; bytes that
     are not a valid plan document are a ``PlanFormatError`` (a
     ``PlanVersionError`` for an unknown version).  A document in
-    ``serialize``'s spelling is read by ``_read``, its stages straight
-    into their arrays; any other spelling of valid JSON is read by
-    ``json.loads``, as are the errors of a document that is not valid
-    JSON.  The cyclic garbage collector is paused while the document is
-    parsed and built: ``json`` makes one acyclic list per stored entry it
-    reads (about 92k for a 16x1024 Table-1 plan read by ``json.loads``),
-    and each allocation threshold it crosses would start a collection that
-    walks them all and frees nothing.  The collector is enabled again on
-    return only if it was enabled on entry.
+    ``serialize``'s spelling is read by ``_read``, its stages and codebook
+    factors straight into their arrays; any other spelling of valid JSON
+    is read by ``json.loads``, as are the errors of a document that is not
+    valid JSON.  The cyclic garbage collector is paused while the document
+    is parsed and built: ``json`` makes one acyclic list per stored entry
+    it reads (about 92k for a 16x1024 Table-1 plan read by
+    ``json.loads``), and each allocation threshold it crosses would start
+    a collection that walks them all and frees nothing.  The collector is
+    enabled again on return only if it was enabled on entry.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError(f"a plan is read from bytes or bytearray, got "
@@ -491,60 +491,120 @@ def _read(text: str) -> dict | None:
     """The plan document ``text`` as ``json.loads`` reads it, if it is
     spelled as ``serialize`` writes it, else ``None``.
 
-    The top-level object is read one key at a time by the json module's
-    own scanner (``JSONDecoder.raw_decode``), with nothing between its
-    tokens.  A ``stages`` array that follows an integer ``cols`` is read
-    into a tuple of matrices by ``_stages``; if that fails, the whole array
-    is read by the scanner into records, as every other value is.  Stages
-    read with another ``cols`` than the document's last are not kept: the
-    document is then ``None``.
+    The top-level object is read one member at a time (``_members``).  A
+    ``stages`` array that follows an integer ``cols`` is read into a tuple
+    of matrices of ``cols`` rows, and the codebook object as ``_codebook``
+    reads it, its factors straight into matrices; if either fails, that
+    value is read by the scanner into records, as every other value is.
+    Stages read with another ``cols`` than the document's last are not
+    kept: the document is then ``None``.
     """
-    if not text.startswith("{"):
-        return None
-    d, i, stages_cols = {}, 1, None
     try:
-        while True:
-            key, i = _DECODER.raw_decode(text, i)
-            if not (isinstance(key, str) and text.startswith(":", i)):
-                return None
-            cols = d.get("cols")
-            stages = _stages(text, i + 1, cols) \
-                if key == "stages" and type(cols) is int else None
-            if stages is None:
-                d[key], i = _DECODER.raw_decode(text, i + 1)
-            else:
-                d[key], i = stages
-                stages_cols = cols
-            if text.startswith("}", i):
-                break
-            if not text.startswith(",", i):
-                return None
-            i += 1
+        got = _members(text, 0, _plan_member)
     except json.JSONDecodeError:
         return None
-    if i + 1 != len(text) or (isinstance(d.get("stages"), tuple)
-                              and d["cols"] != stages_cols):
+    if got is None or got[1] != len(text):
+        return None
+    d, _ = got
+    stages = d.get("stages")
+    if isinstance(stages, tuple) and stages and stages[0].rows != d["cols"]:
         return None
     return d
 
 
-def _stages(text: str, i: int, rows: int):
-    """The stages array at ``text[i]``, each matrix read by
-    ``Pow2Matrix.from_json`` with ``rows`` rows, as a tuple and the index
-    after the array; ``None`` if any matrix is spelled otherwise.
+def _members(text: str, i: int, member):
+    """The JSON object at ``text[i]`` and the index after it, if nothing
+    lies between its tokens, else ``None``; a ``JSONDecodeError`` if the
+    scanner finds it invalid.
+
+    Each key and value is read by the json module's own scanner
+    (``JSONDecoder.raw_decode``), a later duplicate key replacing an
+    earlier one as in ``json.loads``, but for a value that ``member(text,
+    key, d, j)`` reads itself, given the members read so far and the
+    value's index: it returns the value and the index after it, or
+    ``None`` to leave the value to the scanner.
+    """
+    if not text.startswith("{", i):
+        return None
+    d = {}
+    while True:
+        key, i = _DECODER.raw_decode(text, i + 1)
+        if not (isinstance(key, str) and text.startswith(":", i)):
+            return None
+        d[key], i = member(text, key, d, i + 1) or \
+            _DECODER.raw_decode(text, i + 1)
+        if text.startswith("}", i):
+            return d, i + 1
+        if not text.startswith(",", i):
+            return None
+
+
+def _plan_member(text: str, key: str, d: dict, i: int):
+    """The plan document's ``codebook`` (``_codebook``) or, after an
+    integer ``cols``, ``stages`` value at ``text[i]`` and the index after
+    it; ``None`` for any other member, or if that read fails."""
+    if key == "codebook":
+        return _codebook(text, i)
+    cols = d.get("cols")
+    if key != "stages" or type(cols) is not int:
+        return None
+    spans = _spans(text, i)
+    if spans is None:
+        return None
+    stages = _matrices(text, spans[0], itertools.repeat(cols))
+    return None if stages is None else (stages, spans[1])
+
+
+def _codebook(text: str, i: int):
+    """The codebook object at ``text[i]``, read as ``_members`` reads it
+    but for its ``factors``, read straight into matrices, and the index
+    after it; ``None`` if that fails.
+
+    ``serialize`` sorts keys, so ``factors`` comes before the ``kind``,
+    ``rows`` and ``cols`` that say how to read it.  So each factor's span
+    is only marked (``_spans``) until the object closes; the spans are read
+    then, ``B1`` with ``rows`` rows and the rest with ``cols``, and only
+    for a self-designing codebook whose shape ``codebooks.oversized`` does
+    not refuse.  Any other codebook that carries factors is refused before
+    its factors are read, so it is left to the scanner.
+    """
+    got = _members(text, i, _factor_spans)
+    if got is None or type(got[0].get("factors")) is not tuple:
+        return got  # no factors, or factors the scanner read
+    cb = got[0]
+    n, k = cb.get("rows"), cb.get("cols")
+    if cb.get("kind") != "self-designing" or type(n) is not int or \
+            type(k) is not int or oversized(n, k):
+        return None
+    cb["factors"] = _matrices(text, cb["factors"],
+                              itertools.chain([n], itertools.repeat(k)))
+    return None if cb["factors"] is None else got
+
+
+def _factor_spans(text: str, key: str, d: dict, i: int):
+    """The spans of a codebook's ``factors`` at ``text[i]`` (``_spans``);
+    ``None`` for any other member."""
+    return _spans(text, i) if key == "factors" else None
+
+
+def _spans(text: str, i: int):
+    """The matrices of the array at ``text[i]``, as a tuple of slices of
+    ``text``, and the index after the array; ``None`` if the array does not
+    split into matrices as ``to_json`` ends them.
 
     In ``to_json``'s spelling a matrix ends at its first ``]]]`` (its last
     column closed by its last entry) or ``[]]`` (its last column empty),
     neither of which occurs inside it, and the array's closing bracket
     puts a ``]]]`` after the last matrix either way.  The next ``]]]`` is
     kept while it lies ahead and bounds the search for ``[]]``, so that
-    each byte is searched once for each.
+    each byte is searched once for each.  Only ``Pow2Matrix.from_json``
+    (``_matrices``) proves that a span is a matrix.
     """
     if text.startswith("[]", i):
         return (), i + 2
     if not text.startswith("[", i):
         return None
-    mats, close = [], -1
+    spans, close = [], -1
     while True:
         i += 1
         if close < i:
@@ -553,12 +613,22 @@ def _stages(text: str, i: int, rows: int):
                 return None
         empty = text.find("[]]", i, close + 3)
         end = (close if empty < 0 else empty) + 3
-        mat = Pow2Matrix.from_json(rows, text[i:end])
-        if mat is None:
-            return None
-        mats.append(mat)
+        spans.append(slice(i, end))
         if text.startswith("]", end):
-            return tuple(mats), end + 1
+            return tuple(spans), end + 1
         if not text.startswith(",", end):
             return None
         i = end
+
+
+def _matrices(text: str, spans, rows):
+    """The matrices at ``spans`` of ``text``, each read by
+    ``Pow2Matrix.from_json`` with the next count of ``rows`` rows, as a
+    tuple; ``None`` if any is spelled otherwise."""
+    mats = []
+    for span, n in zip(spans, rows):
+        mat = Pow2Matrix.from_json(n, text[span])
+        if mat is None:
+            return None
+        mats.append(mat)
+    return tuple(mats)

@@ -13,7 +13,8 @@ a matrix with fewer entries than rows gets a table of the rows it uses).
 ``from_json`` is its inverse: a few numpy passes read the text's bytes
 straight into the arrays, and the matrix is kept only if ``to_json``
 writes that text back byte for byte.  ``from_records`` reads the nested
-``[row, sign, exp]`` lists that ``json`` makes of any other spelling.
+``[row, sign, exp]`` lists that ``json`` makes of any other spelling, and
+``as_matrix`` takes either: a matrix already read, or its records.
 
 Exact products run on the stored arrays, with every wire of a chain at a
 static binary point, as a hardware build fixes it, and a static bound on
@@ -386,7 +387,7 @@ class Pow2Matrix:
             leaves = array("q", leaves)
         except (TypeError, ValueError, OverflowError) as exc:
             raise PlanFormatError(
-                f"stage entries must be [row, sign, exp] integer triples: "
+                f"matrix entries must be [row, sign, exp] integer triples: "
                 f"{exc}") from None
         i, s, e = np.frombuffer(leaves, dtype=np.int64).reshape(-1, 3).T
         bad = np.flatnonzero((s != 1) & (s != -1))
@@ -414,6 +415,15 @@ class Pow2Matrix:
         except (TypeError, ValueError):
             return None
         return mat if mat.to_json() == text else None
+
+
+def as_matrix(rows: int, value) -> Pow2Matrix:
+    """``value`` if it is a matrix already read from its text, else the
+    matrix of its records (``Pow2Matrix.from_records``) with ``rows``
+    rows."""
+    if isinstance(value, Pow2Matrix):
+        return value
+    return Pow2Matrix.from_records(rows, value)
 
 
 def _json_arrays(text: str):

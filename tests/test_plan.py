@@ -19,10 +19,10 @@ from shiftadd.pow2matrix import UNWRITTEN, Pow2Matrix, schedule
 
 from helpers import (chain_rows_oracle, columns, deserialize_oracle,
                      fraction_reconstruction, from_records_oracle,
-                     loads_as_the_oracle, pow2matrix, random_plan,
-                     reconstruct_exact_oracle, same_bits,
-                     stages_not_read_from_records, synthetic_plan,
-                     transpose, wide_mantissa_plan)
+                     loads_as_the_oracle, matrices_not_read_from_records,
+                     pow2matrix, random_plan, reconstruct_exact_oracle,
+                     same_bits, synthetic_plan, transpose,
+                     wide_mantissa_plan)
 
 
 class TestThreshold:
@@ -667,8 +667,17 @@ class TestSerialization:
         doc["stages"][0][0][0] = entry
         with pytest.raises(sa.PlanFormatError) as exc:
             sa.deserialize(json.dumps(doc).encode())
-        assert str(exc.value) == ("stage entries must be [row, sign, exp] "
+        assert str(exc.value) == ("matrix entries must be [row, sign, exp] "
                                   f"integer triples: {reason}")
+
+    def test_bad_factor_entry_message(self):
+        # a factor exponent beyond 64 bits, in serialize's own spelling
+        cb = sa.make_codebook("self-designing", 2, 4, seed=3, aux="gaussian")
+        doc = json.loads(sa.serialize(sa.DecompositionPlan(2, 4, cb, ())))
+        doc["codebook"]["factors"][1][0][0][2] = 2 ** 70
+        with pytest.raises(sa.PlanFormatError, match=r"^matrix entries must "
+                           r"be \[row, sign, exp\] integer triples: "):
+            sa.deserialize(_compact(doc))
 
     @pytest.mark.parametrize("data", ["{}", memoryview(b"{}"), None],
                              ids=["str", "memoryview", "None"])
@@ -829,6 +838,32 @@ def _load_peak(load, data):
         tracemalloc.stop()
 
 
+def _compact(doc):
+    """``doc`` in ``serialize``'s spelling: compact, keys sorted."""
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
+
+
+def _in_factors(old, new):
+    """An edit of a plan's text: its first ``old`` after ``"factors":``
+    becomes ``new``."""
+    def edit(text):
+        at = text.index('"factors":')
+        assert old in text[at:text.index('"kind":', at)]
+        return text[:at] + text[at:].replace(old, new, 1)
+    return edit
+
+
+def _factors_as(change):
+    """An edit of a plan's text: its codebook's factors, as records,
+    become ``change(factors)``, in the same spelling."""
+    def edit(text):
+        factors = json.loads(text)["codebook"]["factors"]
+        spell = functools.partial(json.dumps, separators=(",", ":"))
+        assert spell(factors) in text
+        return text.replace(spell(factors), spell(change(factors)), 1)
+    return edit
+
+
 def _in_stages(old, new):
     """An edit of a plan's text: its first ``old`` after ``"stages":``
     becomes ``new``."""
@@ -847,25 +882,24 @@ class TestTextReader:
     def test_serialized_plans_load_without_records(self):
         for plan in _text_plans():
             data = sa.serialize(plan)
-            with stages_not_read_from_records(plan) as calls:
+            with matrices_not_read_from_records() as calls:
                 back = sa.deserialize(data)
             assert back == plan and back.metadata == plan.metadata
-            assert len(calls) == len(plan.codebook.to_dict().get("factors",
-                                                                 ()))
+            assert len(calls) == 0
             assert back == deserialize_oracle(data)
 
     @settings(max_examples=60, deadline=None)
     @given(plan=_lane_plans())
     def test_random_plans_load_without_records(self, plan):
         data = sa.serialize(plan)
-        with stages_not_read_from_records(plan):
+        with matrices_not_read_from_records():
             back = sa.deserialize(data)
         assert back == plan == deserialize_oracle(data)
 
     def test_table1_plan_loads_without_records(self):
         data = _table1_data()
         plan = deserialize_oracle(data)
-        with stages_not_read_from_records(plan):
+        with matrices_not_read_from_records():
             assert sa.deserialize(data) == plan
         assert plan.n_stages == 28
 
@@ -935,6 +969,79 @@ class TestTextReader:
     def test_other_spellings_load_as_the_oracle_loads_them(self, edit):
         loads_as_the_oracle(edit(self._base()).encode())
 
+    @pytest.mark.parametrize("edit", [
+        _in_factors("],[", "], ["),
+        _in_factors("[[[[1,", "[[ [[1,"),
+        _in_factors(",1,0]", ",1,-0]"),
+        _in_factors("[[0,1,1]", "[[-0,1,1]"),
+        _in_factors("[[1,-1,1]", "[[01,-1,1]"),
+        _in_factors("[[[[1,", "[[[[1234567890,"),
+        _in_factors("[[[[1,", "[[[[123456789,"),
+        _in_factors("[[[[1,", "[[[[true,"),
+        _in_factors(",-1,1]", ",true,1]"),
+        _in_factors(",1,0]", ",1,64]"),
+        _in_factors(",1,0]", ",1,1180591620717411303424]"),
+        _in_factors(",1,0]", ",1,0.0]"),
+        # dead-codebook-row: B1 reads the 3 input wires, B2 the 8 columns
+        _in_factors("[2,-1,1]]", "[3,-1,1]]"),
+        _in_factors("[7,1,0]]]]", "[8,1,0]]]]"),
+        _in_factors("[[0,1,1],[2,-1,-2]]", "[]"),
+        _in_factors("]],[[[0,1,0]", "]],[],[[[0,1,0]"),
+        lambda t: t.replace('"self-designing"', '"mailman"', 1),
+        lambda t: t.replace('"self-designing"', '"two-sparse"', 1),
+        lambda t: t.replace('"self-designing"', '["self-designing"]', 1),
+        _factors_as(lambda f: f[:1]),
+        _factors_as(lambda f: f + f[1:]),
+        _factors_as(lambda f: f[::-1]),
+        _factors_as(lambda f: []),
+        lambda t: _factors_as(lambda f: [])(t).replace(
+            '"self-designing"', '"mailman"', 1),
+        lambda t: t.replace('"factors":', '"factors":[],"factors":', 1),
+        lambda t: t.replace('"factors":[', '"factors":[5,', 1),
+        lambda t: t.replace('"factors":[', '"factors":[[],', 1),
+        lambda t: t.replace('"factors":', '"factors":5,"factors":', 1),
+        lambda t: t.replace('"factors":[', '"factors": [', 1),
+        lambda t: t.replace('"rows":3,"stage', '"rows":3.0,"stage', 1),
+        lambda t: t.replace('"rows":3,"stage', '"rows":true,"stage', 1),
+        lambda t: t.replace('"rows":3,"stage', '"rows":-3,"stage', 1),
+        lambda t: t.replace('"rows":3,"stage', '"rows":0,"stage', 1),
+        lambda t: t.replace('"cols":8,"factors"', '"cols":9,"factors"', 1),
+        lambda t: t.replace('"cols":8,"factors"', '"factors"', 1),
+        lambda t: t.replace('"stage_sparsity":1}', '"stage_sparsity":1,'
+                            '"rows":2}', 1),
+        lambda t: t.replace('{"codebook":', '{"codebook":{"cols":8,"kind":'
+                            '"mailman","rows":3},"codebook":', 1),
+        lambda t: t[:-1] + ',"codebook":{"cols":8,"kind":"mailman",'
+                           '"rows":3}}',
+        lambda t: t[:-1] + ',"codebook":' + _compact(
+            json.loads(t)["codebook"]).decode() + "}",
+        lambda t: t.replace('"codebook":{', '"codebook":{"stage_sparsity":'
+                            '1,"rows":3,"kind":"self-designing",', 1),
+        lambda t: t.replace('"codebook":{', '"codebook":{ ', 1),
+        lambda t: t.replace('"codebook":{', '"codebook":{}', 1),
+        lambda t: t[:t.index('"kind":')],
+    ])
+    def test_respelled_factors_load_as_the_oracle_loads_them(self, edit):
+        loads_as_the_oracle(edit(self._base()).encode())
+
+    @pytest.mark.parametrize("rows, cols", [(10 ** 5, 10 ** 9),
+                                            (25, 1 << 24)])
+    def test_oversized_codebook_refused_before_its_factors_are_read(
+            self, monkeypatch, rows, cols):
+        def refuse(text):
+            raise AssertionError("a factor's text was read")
+
+        monkeypatch.setattr("shiftadd.pow2matrix._json_arrays", refuse)
+        doc = json.loads(self._base())
+        doc["stages"] = []
+        # at the plan's own shape the factors reach the text reader
+        with pytest.raises(AssertionError, match="a factor's text was read"):
+            sa.deserialize(_compact(doc))
+        doc["rows"] = doc["codebook"]["rows"] = rows
+        doc["cols"] = doc["codebook"]["cols"] = cols
+        with pytest.raises(sa.PlanFormatError, match="exceeds the largest"):
+            sa.deserialize(_compact(doc))
+
     def test_bytes_that_are_not_ascii_load_as_the_oracle(self):
         # a character of two bytes ahead of the stages, and no UTF-8
         text = self._base()
@@ -963,16 +1070,15 @@ class TestTextReader:
 _EDIT_BYTES = b"0123456789-[],:{}\" \n.eEtrufalsnx\xc3\xa9\x00"
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_byte_edits_load_as_the_oracle_loads_them(data):
-    """One to three bytes deleted, inserted or replaced anywhere in a
-    serialized plan: the plan or the error is the oracle's."""
-    plan = data.draw(st.sampled_from(_text_plans()[:12]))
-    doc = bytearray(sa.serialize(plan))
+def _byte_edits(data, doc, lo=0, hi=None):
+    """``doc`` with one to three bytes deleted, inserted or replaced, each
+    drawn from ``data`` at or after ``lo`` and before ``hi`` (the end if
+    ``None``), a bound that moves with the edits ahead of it."""
+    doc = bytearray(doc)
+    hi = len(doc) if hi is None else hi
     for _ in range(data.draw(st.integers(1, 3))):
         op = data.draw(st.sampled_from(["delete", "insert", "replace"]))
-        at = data.draw(st.integers(0, len(doc) - (op != "insert")))
+        at = data.draw(st.integers(lo, hi - (op != "insert")))
         byte = data.draw(st.sampled_from(_EDIT_BYTES))
         if op == "delete":
             del doc[at]
@@ -980,7 +1086,31 @@ def test_byte_edits_load_as_the_oracle_loads_them(data):
             doc.insert(at, byte)
         else:
             doc[at] = byte
-    loads_as_the_oracle(bytes(doc))
+        hi += (op == "insert") - (op == "delete")
+    return bytes(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_byte_edits_load_as_the_oracle_loads_them(data):
+    """One to three bytes deleted, inserted or replaced anywhere in a
+    serialized plan: the plan or the error is the oracle's."""
+    plan = data.draw(st.sampled_from(_text_plans()[:12]))
+    loads_as_the_oracle(_byte_edits(data, sa.serialize(plan)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_codebook_byte_edits_load_as_the_oracle_loads_them(data):
+    """One to three bytes deleted, inserted or replaced inside the text of
+    a serialized plan's self-designing codebook, its factors among it: the
+    plan or the error is the oracle's."""
+    plan = data.draw(st.sampled_from(
+        [p for p in _text_plans() if p.codebook.kind == "self-designing"]))
+    doc = sa.serialize(plan)
+    lo = doc.index(b'"codebook":{') + len(b'"codebook":')
+    hi = doc.index(b'},"cols":', lo) + 1
+    loads_as_the_oracle(_byte_edits(data, doc, lo, hi))
 
 
 def _fuzz_base_docs():
